@@ -1,7 +1,11 @@
 """Stochastic interfaces built from the inverse-gamma polymer.
 
-phi(i,j) is assembled from ratios of the tau partition functions; its law
-is a Gibbs measure on the N x N square with exponential interaction along
+phi(i,j), a log ratio of tau partition functions, is exactly the geometric
+RSK (gRSK) output pattern of the N x N weight matrix read from the far
+corner: phi(i,j) = T[N+1-i, N+1-j].  gRSK is the engine, batched over
+environments; the LGV tau tables of ``polymer.TauTable`` remain only as
+the small-size oracle (``phi_inversion_residual``).  The law of phi is a
+Gibbs measure on the N x N square with exponential interaction along
 north/east edges, a linear diagonal weight of strength mu, and a pinning
 term exp(-phi(N,N)) at the corner, normalized by Gamma(mu)^(N^2).  The
 Metropolis sampler targets the same density, giving a second, independent
@@ -21,7 +25,7 @@ import numpy as np
 from .environment import UniformField, derive_seed
 from .errors import DomainError
 from .lattice import macmahon_log_count
-from .polymer import TauTable, last_passage
+from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage, loggamma_rectangle
 from .special import bessel_k0, log_factorial, log_gamma, log_superfactorial
 
 
@@ -58,28 +62,29 @@ class InterfaceGrid:
 # ---------------------------------------------------------------------------
 
 
+def _phi_batch(fields, mu: float, n: int) -> np.ndarray:
+    """phi for each field, stacked along a leading axis: one batched gRSK
+    call, phi(i, j) = T[N+1-i, N+1-j]."""
+    logw = np.stack([loggamma_rectangle(f, mu, n, n) for f in fields])
+    phi = grsk(logw)[..., ::-1, ::-1]
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("interface values must be finite")
+    return phi
+
+
 def build_phi(field: UniformField, mu: float, n: int) -> InterfaceGrid:
-    """phi(i,j) from tau ratios: log(tau(N-j+i, i) / tau(N-j+i, i-1)) above
-    the diagonal and the tilde version below it; the overlap on the
-    diagonal agrees because tau(N,k) = tau~(N,k)."""
-    t = TauTable(field, mu, n)
-    vals = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i <= j:
-                m = n - j + i
-                vals[i - 1, j - 1] = t.log_tau(m, i) - t.log_tau(m, i - 1)
-            else:
-                m = n - i + j
-                vals[i - 1, j - 1] = t.log_tau_tilde(m, j) - t.log_tau_tilde(m, j - 1)
-    return InterfaceGrid(n, vals)
+    """phi(i,j) = log(tau(N-j+i, i) / tau(N-j+i, i-1)) above the diagonal
+    and the tilde version below it, read off the gRSK pattern of the
+    N x N weights; no determinant is formed, so no precision is lost."""
+    return InterfaceGrid(n, _phi_batch([field], mu, n)[0])
 
 
 def phi_inversion_residual(field: UniformField, mu: float, n: int) -> float:
     """max over (m, k) of |sum_{i<=k} phi(i, N-m+i) - log tau(m, k)|.
 
-    This inversion identity is exact arithmetic, not statistics; residuals
-    reflect only float rounding.
+    The left side comes from gRSK and the right from LGV determinants, so
+    this exact identity pins the two routes together; residuals reflect only
+    float rounding (and the cancellation of the LGV route).
     """
     t = TauTable(field, mu, n)
     grid = build_phi(field, mu, n)
@@ -238,15 +243,10 @@ def gibbs_moments(n: int, mu: float, sweeps: int, seed: int) -> dict:
 def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
     """Per-site means and standard errors of phi over independent polymer
     environments; the second oracle for the interface law."""
-    acc = np.zeros((n, n))
-    acc2 = np.zeros((n, n))
-    for r in range(seeds):
-        f = UniformField(derive_seed(seed, 0x1F, r))
-        g = build_phi(f, mu, n)
-        acc += g.values
-        acc2 += g.values**2
-    mean = acc / seeds
-    var = np.maximum(acc2 / seeds - mean**2, 0.0) * seeds / (seeds - 1)
+    fields = [UniformField(derive_seed(seed, 0x1F, r)) for r in range(seeds)]
+    phis = _phi_batch(fields, mu, n)
+    mean = phis.mean(axis=0)
+    var = phis.var(axis=0, ddof=1)
     return {"mean": mean, "stderr": np.sqrt(var / seeds), "seeds": seeds}
 
 
@@ -327,11 +327,11 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     """Sup-norm distance of the tilted interface from theta_min per sample,
     for each mu; medians should decrease along an increasing mu_list."""
     tmin = theta_min(n).values
+    fields = [UniformField(derive_seed(seed, 0x3C, r)) for r in range(seeds)]
     sup = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
-        for r in range(seeds):
-            f = UniformField(derive_seed(seed, 0x3C, r))
-            th = theta_rescale(build_phi(f, mu, n), mu).values
+        for r, phi in enumerate(_phi_batch(fields, mu, n)):
+            th = theta_rescale(InterfaceGrid(n, phi), mu).values
             sup[a, r] = np.abs(th - tmin).max()
     med = np.median(sup, axis=1)
     return {
@@ -347,19 +347,15 @@ def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) ->
     """Per-seed |mu log tau(m,k) - L(m,k)| with coupled exponential weights,
     for each mu in decreasing order; also returns the samples for
     distributional comparison."""
-    gaps = np.empty((len(mu_list), seeds))
+    if not 1 <= k <= m <= n:
+        raise DomainError("need 1 <= k <= m <= N")
+    fields = [UniformField(derive_seed(seed, 0x5C, r)) for r in range(seeds)]
+    lvals = np.array([last_passage(f, n, m, k) for f in fields])
     mu_log_tau = np.empty((len(mu_list), seeds))
-    lvals = np.empty(seeds)
-    for r in range(seeds):
-        f = UniformField(derive_seed(seed, 0x5C, r))
-        if k == 1:
-            lvals[r] = last_passage(f, n, m, 1)
-        else:
-            lvals[r] = last_passage(f, n, m, k)
-        t = {mu: TauTable(f, mu, n).log_tau(m, k) for mu in mu_list}
-        for a, mu in enumerate(mu_list):
-            mu_log_tau[a, r] = mu * t[mu]
-            gaps[a, r] = abs(mu * t[mu] - lvals[r])
+    for a, mu in enumerate(mu_list):
+        logw = np.stack([loggamma_rectangle(f, mu, n, m) for f in fields])
+        mu_log_tau[a] = mu * corner_diagonal_sum(grsk(logw), k)
+    gaps = np.abs(mu_log_tau - lvals)
     mean_gaps = gaps.mean(axis=1)
     frac_down = [
         float(np.mean(gaps[a + 1] < gaps[a])) for a in range(len(mu_list) - 1)

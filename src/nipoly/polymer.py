@@ -1,12 +1,17 @@
 """Partition functions and free-energy estimators for non-intersecting polymers.
 
-Exact dynamic programming in log space for single pairs, LGV determinants in
-signed log space for k-tuples, brute-force enumeration as the small-instance
-oracle, last passage, and the series/parallel/Jensen inequality test-bed.
+Exact dynamic programming in log space for single pairs; geometric RSK
+(gRSK) for the k-path partition functions tau of the interface
+construction, and its tropical twin for k-path last passage; the
+series/parallel/Jensen inequality test-bed.  gRSK is the engine: its local
+moves only multiply, divide and add positive numbers, so nothing cancels.
+LGV determinants in signed log space (``TauTable``, ``kpath_logZ_lgv``) and
+brute-force enumeration are kept as small-instance oracles; LGV also still
+serves the general endpoints of the inequality test-bed.
 
 Conventions: Z excludes the starting weights (the energy of a path omits its
 start site); the tau partition functions of the interface construction
-include them, carried as an explicit prefactor times the LGV determinant.
+include them.
 """
 
 from __future__ import annotations
@@ -197,17 +202,86 @@ def brute_force_kpath_logZ(
 
 
 # ---------------------------------------------------------------------------
+# Geometric RSK and its tropical twin
+# ---------------------------------------------------------------------------
+
+
+def _rsk(logw: np.ndarray, plus) -> np.ndarray:
+    n, m = logw.shape[-2], logw.shape[-1]
+    # t[..., a, b] holds site (a, b); row and column 0 are the -inf border,
+    # except t[0, 1] = 0, the empty product that the local move at (1, 1) sees
+    t = np.full(logw.shape[:-2] + (n + 1, m + 1), -np.inf)
+    t[..., 1:, 1:] = logw
+    t[..., 0, 1] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            a = np.arange(i - 1, i - min(i, j), -1)  # interior of the diagonal
+            if a.size:
+                b = a + (j - i)
+                t[..., a, b] = (
+                    plus(t[..., a - 1, b], t[..., a, b - 1])
+                    - t[..., a, b]
+                    - plus(-t[..., a + 1, b], -t[..., a, b + 1])
+                )
+            t[..., i, j] += plus(t[..., i - 1, j], t[..., i, j - 1])
+    return t[..., 1:, 1:]
+
+
+def grsk(logw: np.ndarray) -> np.ndarray:
+    """Geometric RSK of an (..., n, m) array of log weights, in log space.
+
+    logw[..., a-1, b-1] is the log weight of site (a, b).  Cells (i, j) are
+    visited in row-major order, and each applies the local moves of
+    O'Connell-Seppalainen-Zygouras (arXiv:1210.5126) to the diagonal ending
+    at it.  In weights, an interior entry x of that diagonal becomes
+    (x_N + x_W) x_S x_E / (x (x_S + x_E)), where N/W are the entries above
+    and left of it and S/E below and right (the first factor is 1 at
+    (1, 1)); the cell itself is multiplied by x_N + x_W, with entries
+    outside the array counted as 0.  Positive numbers are only multiplied,
+    divided and added, so no precision is lost to cancellation.
+    O(n m min(n, m)) work; lanes of the leading axes are independent and
+    bitwise equal to unbatched calls.
+
+    The output T (1-based) holds the k-path partition functions, start
+    weights included: sum_{l<k} T[n-l, j-l] is the log partition function
+    of k non-intersecting paths from stack_up((1,1), k) to
+    stack_down((n, j), k) in the sub-rectangle [1..n] x [1..j], and
+    sum_{l<k} T[i-l, m-l] the same for [1..i] x [1..m].
+    """
+    return _rsk(logw, np.logaddexp)
+
+
+def tropical_rsk(e: np.ndarray) -> np.ndarray:
+    """The max-plus twin of grsk (max for logaddexp, min for the harmonic
+    term): sum_{l<k} T[n-l, m-l] is the k-path last passage value of the
+    (..., n, m) weights e, start weights included (Greene's theorem)."""
+    return _rsk(e, np.maximum)
+
+
+def corner_diagonal_sum(t: np.ndarray, k: int) -> np.ndarray:
+    """sum_{l<k} T[n-l, m-l]: the first k entries of the diagonal ending at
+    the far corner of an (..., n, m) RSK output."""
+    return np.diagonal(t[..., ::-1, ::-1], axis1=-2, axis2=-1)[..., :k].sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # tau partition functions (start weights included) and last passage
 # ---------------------------------------------------------------------------
+
+
+def loggamma_rectangle(field: UniformField, mu: float, width: int, height: int) -> np.ndarray:
+    """Log inverse-gamma weights of the sites [1..width] x [1..height];
+    entry [a-1, b-1] belongs to site (a, b)."""
+    spec = WeightSpec("loggamma", mu=mu)
+    x1 = np.arange(1, width + 1)
+    x2 = np.arange(1, height + 1)
+    return omega_grid(field, spec, x1[:, None], x2[None, :])
 
 
 def _loggamma_dp_grids(field: UniformField, mu: float, width: int, height: int):
     """One DP table per start (1, i): grids[i][a, b] = log Z_(1,i)->(a,b),
     start weight excluded, over the rectangle [1..width] x [i..height]."""
-    spec = WeightSpec("loggamma", mu=mu)
-    x1 = np.arange(1, width + 1)
-    x2 = np.arange(1, height + 1)
-    logw = omega_grid(field, spec, x1[:, None], x2[None, :])
+    logw = loggamma_rectangle(field, mu, width, height)
     grids = {}
     for i in range(1, height + 1):
         grids[i] = logZ_grid(logw[:, i - 1 :], include_start=False)
@@ -215,7 +289,8 @@ def _loggamma_dp_grids(field: UniformField, mu: float, width: int, height: int):
 
 
 class TauTable:
-    """All log tau(m, k) and log tau~(m, k) for one environment at size N.
+    """All log tau(m, k) and log tau~(m, k) for one environment at size N,
+    from LGV determinants; the small-size oracle of the gRSK route.
 
     tau(m, k) is the k-path partition function across the N-wide, m-tall
     rectangle with start weights included: the product of the k start
@@ -272,12 +347,27 @@ class TauTable:
         return self._log_start_weights(k) + det.logmag
 
 
+def _check_tau_args(n: int, m: int, k: int) -> None:
+    if not 1 <= k <= m <= n:
+        raise DomainError("need 1 <= k <= m <= N")
+
+
 def log_tau(field: UniformField, mu: float, n: int, m: int, k: int) -> float:
-    return TauTable(field, mu, n).log_tau(m, k)
+    """log tau(m, k): k paths from stack_up((1,1),k) to stack_down((N,m),k)
+    across the N-wide, m-tall rectangle, start weights included (gRSK)."""
+    if k == 0:
+        return 0.0
+    _check_tau_args(n, m, k)
+    return float(corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, n, m)), k))
 
 
 def log_tau_tilde(field: UniformField, mu: float, n: int, m: int, k: int) -> float:
-    return TauTable(field, mu, n).log_tau_tilde(m, k)
+    """log tau~(m, k): k paths from stack_up((1,1),k) to stack_down((m,N),k)
+    across the m-wide, N-tall rectangle, start weights included (gRSK)."""
+    if k == 0:
+        return 0.0
+    _check_tau_args(n, m, k)
+    return float(corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, m, n)), k))
 
 
 def last_passage(
@@ -286,14 +376,17 @@ def last_passage(
     """L^N(m,k): max total of coupled exponential weights over the k-paths
     of the N-wide, m-tall rectangle, start weights included (tau convention).
 
-    k = 1 runs the max-plus scan at any size; k >= 2 enumerates below cap.
+    k = 1 runs the max-plus scan and 2 <= k <= min(n, m) the tropical RSK,
+    both at any size; larger k enumerates below cap.
     """
     spec = WeightSpec("exp1")
-    if k == 1:
+    if 1 <= k <= min(n, m):
         x1 = np.arange(1, n + 1)
         x2 = np.arange(1, m + 1)
         e = omega_grid(field, spec, x1[:, None], x2[None, :])
-        return float(scan_rectangle(e, np.maximum, include_start=True))
+        if k == 1:
+            return float(scan_rectangle(e, np.maximum, include_start=True))
+        return float(corner_diagonal_sum(tropical_rsk(e), k))
     xs = stack_up((1, 1), k)
     ys = tuple((n, m - (k - 1) + i) for i in range(k))
     best = -math.inf

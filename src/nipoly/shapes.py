@@ -9,6 +9,7 @@ the polymer and random-matrix samplers.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,6 +63,14 @@ def mp_edges(c: float) -> tuple[float, float]:
     return 1.0 + c - 2.0 * math.sqrt(c), 1.0 + c + 2.0 * math.sqrt(c)
 
 
+@functools.cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # built on first use, then shared by every call: read-only
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def mp_mass_above(c: float, rho: float) -> float:
     """Mass of the MP(c) distribution above rho, by smooth quadrature after
     the substitution u = (1+c) + 2 sqrt(c) sin(theta)."""
@@ -76,7 +85,7 @@ def mp_mass_above(c: float, rho: float) -> float:
     def integrand(theta):
         return (2.0 / math.pi) * np.cos(theta) ** 2 / ((1.0 + c) + 2.0 * math.sqrt(c) * np.sin(theta))
 
-    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes, weights = _leggauss(200)
     a, b = theta0, 0.5 * math.pi
     x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     return float(0.5 * (b - a) * (weights @ integrand(x)))
@@ -145,10 +154,14 @@ def sc_cdf_check(phi: float) -> float:
     """|quadrature of the semicircle density up to 2 sin phi - closed form|."""
     if not -0.5 * math.pi < phi < 0.5 * math.pi:
         raise DomainError("phi must be interior to (-pi/2, pi/2)")
+    # sqrt(4 - u^2) = sqrt(2 - u) (u + 2)^(1/2); the 'alg' weight takes the
+    # square-root endpoint at -2 exactly
     val, _ = scipy.integrate.quad(
-        lambda u: math.sqrt(max(4.0 - u * u, 0.0)) / (2.0 * math.pi),
+        lambda u: math.sqrt(2.0 - u) / (2.0 * math.pi),
         -2.0,
         2.0 * math.sin(phi),
+        weight="alg",
+        wvar=(0.5, 0.0),
         epsabs=1e-14,
         epsrel=1e-14,
         limit=200,

@@ -27,7 +27,13 @@ from nipoly.interface import (
     whittaker_gl2_bessel,
     whittaker_measure_logdensity,
 )
-from nipoly.polymer import TauTable
+from nipoly.lattice import stack_up
+from nipoly.polymer import (
+    TauTable,
+    brute_force_kpath_logZ,
+    loggamma_rectangle,
+    single_path_logZ,
+)
 from nipoly.rmt import gue_matrix, minors_process
 from nipoly.special import bessel_k0, digamma, log_gamma, trigamma
 
@@ -57,6 +63,52 @@ def test_phi_small_grid_explicit():
     assert g.at(1, 2) == pytest.approx(math.log(tau11), rel=1e-9)
     assert g.at(2, 2) == pytest.approx(math.log(tau22 / tau21), rel=1e-9)
     assert g.at(2, 1) == pytest.approx(math.log(tt11), rel=1e-9)
+
+
+def test_phi_exact_identities_at_n64():
+    # two identities that need no determinant: the diagonal sums to
+    # log tau(N, N), the product of all weights, and phi(1, 1) is the
+    # single-path partition function across the square
+    n, mu = 64, 2.0
+    for s in range(2):
+        f = UniformField(derive_seed(17, s))
+        g = build_phi(f, mu, n)
+        total = float(loggamma_rectangle(f, mu, n, n).sum())
+        assert g.diagonal().sum() == pytest.approx(total, rel=1e-12)
+        corner = single_path_logZ(
+            f, WeightSpec("loggamma", mu=mu), 1.0, (1, 1), (n, n), include_start=True
+        )
+        assert g.at(1, 1) == pytest.approx(corner, rel=1e-12)
+
+
+def _brute_phi(f, mu, n):
+    def tau(width, height, k):
+        if k == 0:
+            return 0.0
+        ys = tuple((width, height - k + 1 + i) for i in range(k))
+        spec = WeightSpec("loggamma", mu=mu)
+        return brute_force_kpath_logZ(f, spec, 1.0, stack_up((1, 1), k), ys, include_start=True)
+
+    vals = np.empty((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i <= j:
+                m = n - j + i
+                vals[i - 1, j - 1] = tau(n, m, i) - tau(n, m, i - 1)
+            else:
+                m = n - i + j
+                vals[i - 1, j - 1] = tau(m, n, j) - tau(m, n, j - 1)
+    return vals
+
+
+def test_build_phi_small_mu_matches_brute_force():
+    # the LGV route raised PrecisionLossError here: its determinants cancel
+    # when the weights spread over hundreds of nats
+    f = UniformField(23)
+    g = build_phi(f, 1e-3, 3)
+    want = _brute_phi(f, 1e-3, 3)
+    scale = np.abs(loggamma_rectangle(f, 1e-3, 3, 3)).sum()
+    assert np.abs(g.values - want).max() <= 1e-13 * scale
 
 
 def test_phi_inversion_identity():

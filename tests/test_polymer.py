@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nipoly.environment import UniformField, WeightSpec, derive_seed
+from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
 from nipoly.errors import NoPathError
-from nipoly.lattice import rectangle_endpoints, stack_diag, stack_up
+from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
 from nipoly.logspace import LogSigned
 from nipoly.polymer import (
     brute_force_kpath_logZ,
+    corner_diagonal_sum,
     free_energy_mc,
+    grsk,
     infinite_temperature_free_energy,
     ineq_theorem_check,
     jensen_sandwich_check,
@@ -19,6 +23,7 @@ from nipoly.polymer import (
     last_passage_batch,
     log_tau,
     log_tau_tilde,
+    loggamma_rectangle,
     logZ_grid,
     parallel_series_bound_mc,
     rost_ell,
@@ -27,6 +32,7 @@ from nipoly.polymer import (
     sepp_free_energy,
     single_path_logZ,
     TauTable,
+    tropical_rsk,
     w_limit,
 )
 from nipoly.special import digamma, log_binomial
@@ -171,6 +177,85 @@ def test_tau_tilde_transposed_rectangle():
     xs, ys = ((1, 1),), ((2, 3),)
     bf = brute_force_kpath_logZ(f, WeightSpec("loggamma", mu=mu), 1.0, xs, ys, include_start=True)
     assert got == pytest.approx(bf, abs=1e-9)
+
+
+def _brute_tau(f, mu, width, height, k):
+    """log tau by enumeration: k paths from stack_up((1,1),k) to
+    stack_down((width, height),k), start weights included."""
+    ys = tuple((width, height - k + 1 + i) for i in range(k))
+    spec = WeightSpec("loggamma", mu=mu)
+    return brute_force_kpath_logZ(f, spec, 1.0, stack_up((1, 1), k), ys, include_start=True)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=4),
+    mu=st.sampled_from([1e-3, 0.5, 5.0, 1e6]),
+)
+@settings(max_examples=40, deadline=None)
+def test_grsk_tau_matches_brute_force_and_lgv(seed, n, mu):
+    f = UniformField(seed)
+    lgv = TauTable(f, mu, n)
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            for got, oracle, bf in (
+                (log_tau(f, mu, n, m, k), lgv.log_tau, _brute_tau(f, mu, n, m, k)),
+                (log_tau_tilde(f, mu, n, m, k), lgv.log_tau_tilde, _brute_tau(f, mu, m, n, k)),
+            ):
+                scale = max(1.0, abs(bf))
+                assert abs(got - bf) <= 1e-13 * scale
+                # at mu = 1e-3 the LGV determinants cancel: they raise
+                # PrecisionLossError or miss by up to ~45%, so enumeration is
+                # the only oracle there
+                if mu != 1e-3:
+                    assert abs(got - oracle(m, k)) <= 1e-9 * scale
+
+
+def _enumerated_last_passage(e, k):
+    n, m = e.shape
+    ys = tuple((n, m - k + 1 + i) for i in range(k))
+    return max(
+        sum(e[a - 1, b - 1] for comp in kp for a, b in comp)
+        for kp in enumerate_kpaths(stack_up((1, 1), k), ys)
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_tropical_rsk_matches_enumeration(k):
+    for n in range(k, 7):
+        for m in range(k, 6):
+            f = UniformField(derive_seed(41, n, m, k))
+            e = omega_grid(
+                f, WeightSpec("exp1"), np.arange(1, n + 1)[:, None], np.arange(1, m + 1)[None, :]
+            )
+            want = _enumerated_last_passage(e, k)
+            assert float(corner_diagonal_sum(tropical_rsk(e), k)) == pytest.approx(want, rel=1e-14)
+            assert last_passage(f, n, m, k) == pytest.approx(want, rel=1e-14)
+
+
+def test_rsk_batched_equals_unbatched_bitwise():
+    fields = [UniformField(derive_seed(43, r)) for r in range(4)]
+    logw = np.stack([loggamma_rectangle(f, 0.7, 7, 5) for f in fields])
+    for rsk in (grsk, tropical_rsk):
+        batch = rsk(logw)
+        for r in range(len(fields)):
+            assert np.array_equal(batch[r], rsk(logw[r]))
+    nested = grsk(logw.reshape(2, 2, 7, 5))
+    assert np.array_equal(nested.reshape(4, 7, 5), grsk(logw))
+
+
+def test_grsk_diagonal_identities_on_the_square():
+    # the N x N pattern also holds every tau(m, k) and tau~(m, k) on the
+    # diagonals through (N, m) and (m, N)
+    f = UniformField(44)
+    mu, n = 2.5, 6
+    t = grsk(loggamma_rectangle(f, mu, n, n))
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            diag = sum(t[n - 1 - l, m - 1 - l] for l in range(k))
+            diag_t = sum(t[m - 1 - l, n - 1 - l] for l in range(k))
+            assert diag == pytest.approx(log_tau(f, mu, n, m, k), rel=1e-13)
+            assert diag_t == pytest.approx(log_tau_tilde(f, mu, n, m, k), rel=1e-13)
 
 
 def test_last_passage_constant_field_length():
