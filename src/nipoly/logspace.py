@@ -93,7 +93,13 @@ def logsum(a: LogSigned, b: LogSigned) -> LogSigned:
         return LogSigned(big.sign, big.logmag + math.log1p(math.exp(d)))
     if d == 0.0:
         return LogSigned.zero()
-    out = LogSigned(big.sign, big.logmag + math.log1p(-math.exp(d)))
+    # log(1 - e^d): for d within an ulp of 0, exp(d) rounds to 1 and
+    # log1p(-1) is a domain error, while expm1 keeps the difference exact
+    if d > -math.log(2.0):
+        log1m = math.log(-math.expm1(d))
+    else:
+        log1m = math.log1p(-math.exp(d))
+    out = LogSigned(big.sign, big.logmag + log1m)
     if big.logmag - out.logmag > CANCEL_WARN_NATS:
         warnings.warn(
             "log-space subtraction cancelled %.1f nats" % (big.logmag - out.logmag),

@@ -399,17 +399,22 @@ def last_passage(
     return best
 
 
-def last_passage_batch(seeds: np.ndarray, n: int, m: int) -> np.ndarray:
-    """k=1 last passage over independent environments, one per seed."""
+def last_passage_batch(seeds: np.ndarray, n: int, m: int, k: int = 1) -> np.ndarray:
+    """last_passage(UniformField(s), n, m, k) for each seed s, over one
+    batched max-plus scan (k = 1) or tropical RSK (2 <= k <= min(n, m))."""
     from .environment import uniform_many
 
+    if not 1 <= k <= min(n, m):
+        raise DomainError("last_passage_batch needs 1 <= k <= min(n, m)")
     x1 = np.arange(1, n + 1)
     x2 = np.arange(1, m + 1)
     u = uniform_many(
         np.asarray(seeds)[:, None, None], x1[None, :, None], x2[None, None, :]
     )
     e = -np.log1p(-u)
-    return scan_rectangle(e, np.maximum, include_start=True)
+    if k == 1:
+        return scan_rectangle(e, np.maximum, include_start=True)
+    return corner_diagonal_sum(tropical_rsk(e), k)
 
 
 # ---------------------------------------------------------------------------

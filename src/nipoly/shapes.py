@@ -452,15 +452,19 @@ def lue_quantile_gap(n: int, m: int, seed: int, central: float = 0.9) -> float:
 def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
     """Two-oracle comparison of L^N(m, k) with the sum of the k largest
     LUE(m; n) eigenvalues: means within combined stderr, two-sample KS."""
-    if k == 1:
-        seeds_l = np.array([derive_seed(seed, 0x10, s) for s in range(samples)])
-        lvals = last_passage_batch(seeds_l, n, m)
+    if k <= min(n, m):
+        seeds_l = np.array(
+            [derive_seed(seed, 0x10, s) for s in range(samples)], dtype=np.uint64
+        )
+        lvals = last_passage_batch(seeds_l, n, m, k)
     else:
         lvals = np.empty(samples)
         for s in range(samples):
             f = UniformField(derive_seed(seed, 0x10, s))
             lvals[s] = last_passage(f, n, m, k)
-    seeds_e = np.array([derive_seed(seed, 0x20, s) for s in range(samples)])
+    seeds_e = np.array(
+        [derive_seed(seed, 0x20, s) for s in range(samples)], dtype=np.uint64
+    )
     chunks = []
     for start in range(0, samples, 20000):
         part = seeds_e[start : start + 20000]
@@ -518,7 +522,8 @@ def fluctuation_mc(
     while done < samples:
         b = min(chunk, samples - done)
         seeds = np.array(
-            [derive_seed(seed, 0xF1, s) for s in range(done, done + b)]
+            [derive_seed(seed, 0xF1, s) for s in range(done, done + b)],
+            dtype=np.uint64,
         )
         u = uniform_many(
             seeds[:, None, None], x1[None, :, None], x2[None, None, :]

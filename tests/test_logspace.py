@@ -3,7 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nipoly.errors import PrecisionLossWarning
@@ -104,6 +104,8 @@ def test_logdet_examples():
     )
 )
 @settings(max_examples=200, deadline=None)
+# elimination leaves two entries an ulp apart in log space to subtract
+@example(rows=[[0, 0, 0, 0], [1, 1, -1, 0], [1, -1, 1, 0], [4, 1, -1, 0]])
 def test_logdet_matches_exact_rational(rows):
     exact = _exact_det(rows)
     with warnings.catch_warnings():

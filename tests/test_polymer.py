@@ -288,10 +288,11 @@ def test_last_passage_full_rectangle():
 
 
 def test_last_passage_batch_matches_scalar():
-    seeds = np.array([derive_seed(5, 0x17, s) for s in range(4)])
-    batch = last_passage_batch(seeds, 6, 4)
-    for i, s in enumerate(seeds):
-        assert batch[i] == pytest.approx(last_passage(UniformField(int(s)), 6, 4, 1), rel=1e-12)
+    seeds = np.array([derive_seed(5, 0x17, s) for s in range(4)], dtype=np.uint64)
+    for k in (1, 2, 3):
+        batch = last_passage_batch(seeds, 6, 4, k)
+        for i, s in enumerate(seeds):
+            assert batch[i] == last_passage(UniformField(int(s)), 6, 4, k)
 
 
 def test_sepp_free_energy_closed_forms():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,38 @@ def test_hermitian_eigvalsh():
         assert np.allclose(got[b], want, atol=1e-9)
 
 
+def _hermitian_cases():
+    for n in range(1, 7):
+        yield gue_matrix(n, seed=3 + n)
+    yield lue_matrix(7, 5, seed=4)
+    # identity plus rank one: eigenvalue 1 with multiplicity 5, and 1 + |v|^2
+    v = gue_matrix(6, seed=9)[:, 0]
+    yield np.eye(6) + np.outer(v, v.conj())
+
+
+def test_hermitian_eigvalsh_against_mpmath():
+    for h in _hermitian_cases():
+        with mpmath.workdps(30):
+            ref = mpmath.mp.eighe(mpmath.matrix(h.tolist()), eigvals_only=True)
+            want = np.sort([float(e) for e in ref])[::-1]
+        got = hermitian_eigvalsh(h)
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(h)))
+        assert np.abs(got - want).max() <= tol
+
+
+def test_hermitian_eigvalsh_against_jacobi_on_real_doubling():
+    # H = A + iB and [[A, -B], [B, A]] share eigenvalues, each doubled there
+    rng = np.random.default_rng(4)
+    for n in range(1, 9):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (x + x.conj().T) / 2
+        doubled = np.block([[h.real, -h.imag], [h.imag, h.real]])
+        want = jacobi_eigvalsh(doubled)
+        assert np.abs(want[::2] - want[1::2]).max() <= 1e-10 * max(1.0, np.linalg.norm(h))
+        got = hermitian_eigvalsh(h)
+        assert np.abs(got - want[::2]).max() <= 1e-10 * max(1.0, np.linalg.norm(h))
+
+
 def test_gue_trace_preservation():
     h = gue_matrix(40, seed=5)
     eigs = gue_sample(40, seed=5)
@@ -99,8 +132,7 @@ def test_lue_batch_matches_scalar():
     seeds = np.arange(50, 54)
     batch = lue_sample_batch(6, 3, seeds)
     for i, s in enumerate(seeds):
-        single = lue_sample(6, 3, int(s))
-        assert np.allclose(batch[i], single, atol=1e-9)
+        np.testing.assert_array_equal(batch[i], lue_sample(6, 3, int(s)))
 
 
 def test_minors_interlacing():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from nipoly.environment import UniformField, derive_seed
 from nipoly.errors import DomainError
-from nipoly.polymer import rost_ell
+from nipoly.polymer import last_passage, rost_ell
 from nipoly.shapes import (
     INFINITE,
     affine_wulff_check,
@@ -235,6 +236,15 @@ def test_johansson_k1():
     r = johansson_check(5, 3, 1, samples=8000, seed=15)
     assert r["ok_means"], r
     assert r["ks"] < 0.05
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_johansson_uses_derive_seed_streams(k):
+    # the seeds straddle 2**63, where an array without a dtype turns float64
+    seeds = [derive_seed(21, 0x10, s) for s in range(6)]
+    assert min(seeds) < 2**63 < max(seeds)
+    want = np.mean([last_passage(UniformField(s), 5, 4, k) for s in seeds])
+    assert johansson_check(5, 4, k, samples=6, seed=21)["mean_L"] == pytest.approx(want, abs=1e-12)
 
 
 def test_fluctuation_mc_small():
