@@ -17,7 +17,7 @@ import numpy as np
 import scipy.special as sps
 
 from .errors import DomainError
-from .special import inv_gamma_quantile
+from .special import inv_gamma_quantile, log_inv_gamma_quantile
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -142,17 +142,6 @@ class WeightSpec:
         return beta * self.c
 
 
-def loggamma_weight_grid(field: UniformField, mu: float, x1, x2) -> np.ndarray:
-    """zeta_mu at the given sites: the quantile transform of the uniform field.
-
-    1/zeta is Gamma(mu, 1), so the quantile is 1 / Qinv(mu, u); the bulk
-    path uses scipy's vectorized inverse, which agrees with the scalar
-    inv_gamma_quantile contract to ~1e-12 in CDF residual.
-    """
-    u = field.uniform(x1, x2)
-    return 1.0 / sps.gammainccinv(mu, u)
-
-
 def weight_at(field: UniformField, spec: WeightSpec, z: tuple) -> float:
     """The multiplicative site weight at z; for loggamma this is zeta_mu(z)."""
     if spec.law != "loggamma":
@@ -166,20 +155,15 @@ def coupled_exponential(field: UniformField, z: tuple) -> float:
 
 
 def omega_grid(field: UniformField, spec: WeightSpec, x1, x2) -> np.ndarray:
-    """Energy variables omega at the given sites (vectorized)."""
+    """Energy variables omega at the given sites (vectorized): each law is a
+    quantile transform of the uniform field; for loggamma that is
+    log zeta_mu = special.log_inv_gamma_quantile(mu, u)."""
     if spec.law == "const":
         shape = np.broadcast(np.asarray(x1), np.asarray(x2)).shape
         return np.full(shape, float(spec.c))
     u = field.uniform(x1, x2)
     if spec.law == "loggamma":
-        y = sps.gammainccinv(spec.mu, u)
-        # tiny mu pushes the Gamma quantile below float range; switch to the
-        # leading series P(a, y) ~ y^a / Gamma(a+1) for log y there
-        tiny = ~(y > 1e-280)
-        with np.errstate(divide="ignore"):
-            direct = -np.log(y)
-        series = -(np.log1p(-u) + sps.gammaln(spec.mu + 1.0)) / spec.mu
-        return np.where(tiny, series, direct)
+        return log_inv_gamma_quantile(spec.mu, u)
     if spec.law == "exp1":
         return -np.log1p(-u)
     if spec.law == "gauss":
@@ -195,8 +179,9 @@ class LargeMuLogWeightTable:
     log zeta as a function of the Gaussian score s = ndtri(u) is nearly
     linear with curvature O(1/mu), so a dense linear-interpolation table is
     accurate to ~1e-10 for mu >= 1000 and an order of magnitude faster than
-    inverting the incomplete gamma per site.  Scores beyond the table fall
-    back to the exact inversion.  Construction self-checks the residual.
+    inverting the incomplete gamma per site.  The table, its residual check
+    and the scores beyond it all use log_inv_gamma_quantile.  Construction
+    self-checks the residual.
     """
 
     SMAX = 6.5
@@ -207,11 +192,11 @@ class LargeMuLogWeightTable:
             raise DomainError("table path needs mu >= 1000; use omega_grid instead")
         self.mu = mu
         self._s = np.arange(-self.SMAX, self.SMAX + self.STEP / 2, self.STEP)
-        self._h = -np.log(sps.gammainccinv(mu, sps.ndtr(self._s)))
+        self._h = log_inv_gamma_quantile(mu, sps.ndtr(self._s))
         # worst case sits at the tail bins where the reference inversion is
         # itself jittery (u within ~1e-10 of 1); interior residual is ~1e-11
         mid = 0.5 * (self._s[:-1] + self._s[1:])
-        exact = -np.log(sps.gammainccinv(mu, sps.ndtr(mid)))
+        exact = log_inv_gamma_quantile(mu, sps.ndtr(mid))
         interp = np.interp(mid, self._s, self._h)
         worst = float(np.abs(interp - exact).max())
         if worst > 1e-8:
@@ -222,5 +207,5 @@ class LargeMuLogWeightTable:
         out = np.interp(s, self._s, self._h)
         tail = np.abs(s) > self.SMAX
         if np.any(tail):
-            out[tail] = -np.log(sps.gammainccinv(self.mu, u[tail]))
+            out[tail] = log_inv_gamma_quantile(self.mu, u[tail])
         return out

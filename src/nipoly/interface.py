@@ -26,7 +26,7 @@ from .environment import UniformField, derive_seed
 from .errors import DomainError
 from .lattice import macmahon_log_count
 from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage, loggamma_rectangle
-from .special import bessel_k0, log_factorial, log_gamma, log_superfactorial
+from .special import bessel_k0, digamma, log_factorial, log_gamma, log_superfactorial
 
 
 @dataclass
@@ -161,7 +161,7 @@ def gibbs_sampler(
     runs are reproducible.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    v = np.full((n, n), -_digamma_like(mu))
+    v = np.full((n, n), -digamma(mu))
     if burn_in is None:
         burn_in = max(10, sweeps // 5)
     accepted = 0
@@ -188,12 +188,6 @@ def gibbs_sampler(
             accepted = proposed = 0
         if sweep >= burn_in:
             yield InterfaceGrid(n, v.copy())
-
-
-def _digamma_like(mu: float) -> float:
-    from .special import digamma
-
-    return digamma(mu)
 
 
 def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:

@@ -8,10 +8,10 @@ which the determinantal routes are checked.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError, EnumerationCapError
-from .logspace import LogSigned, logdet
+from .logspace import logdet
 from .special import log_binomial, log_superfactorial
 
 Point = tuple[int, int]
@@ -58,10 +58,6 @@ def stack_diag(x: Point, k: int) -> KPoint:
     return tuple((x[0] - i, x[1] + i) for i in range(k))
 
 
-def translate(v: KPoint, a: Point) -> KPoint:
-    return tuple((p[0] + a[0], p[1] + a[1]) for p in v)
-
-
 def paths_between(x: Point, y: Point) -> Iterator[tuple[Point, ...]]:
     """All single paths from x to y, east steps before north steps, in
     lexicographic order of the step sequence."""
@@ -85,14 +81,6 @@ def paths_between(x: Point, y: Point) -> Iterator[tuple[Point, ...]]:
             path.pop()
 
     yield from rec(x)
-
-
-def count_paths(x: Point, y: Point) -> LogSigned:
-    """log C(dx + dy, dx); zero when y is not reachable from x."""
-    dx, dy = y[0] - x[0], y[1] - x[1]
-    if dx < 0 or dy < 0:
-        return LogSigned.zero()
-    return log_binomial(dx + dy, dx)
 
 
 def enumerate_kpaths(xs: KPoint, ys: KPoint, cap: int = 100000) -> list[KPath]:
@@ -181,12 +169,3 @@ def krattenthaler_check(k: int, a: int, b: int) -> bool:
     if det.sign != 1:
         return False
     return abs(det.logmag - krattenthaler_log_rhs(k, a, b)) < 1e-9
-
-
-def kpoint_sorted_by_height(v: KPoint) -> bool:
-    return all(a[1] < b[1] for a, b in zip(v, v[1:]))
-
-
-def path_weight_sites(path: Sequence[Point], include_start: bool) -> list[Point]:
-    sites = list(path)
-    return sites if include_start else sites[1:]

@@ -40,12 +40,6 @@ class LogSigned(NamedTuple):
             return LogSigned.zero()
         return LogSigned(1 if x > 0 else -1, math.log(abs(x)))
 
-    @staticmethod
-    def from_log(logmag: float, sign: int = 1) -> "LogSigned":
-        if sign == 0:
-            return LogSigned.zero()
-        return LogSigned(1 if sign > 0 else -1, logmag)
-
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0

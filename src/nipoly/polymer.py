@@ -39,21 +39,6 @@ _SANDWICH_STREAM = 0x5A4D
 _BOUNDS_STREAM = 0xB0DD
 
 
-@dataclass(frozen=True)
-class PartitionQuery:
-    """Endpoints plus environment for one partition-function evaluation."""
-
-    xs: KPoint
-    ys: KPoint
-    beta: float
-    spec: WeightSpec | None
-    seed: int
-    include_start: bool = False
-
-    def field(self) -> UniformField:
-        return UniformField(self.seed)
-
-
 @dataclass
 class FreeEnergyEstimate:
     estimate: float
@@ -133,12 +118,6 @@ def single_path_logZ(
         raise NoPathError("no path from %s to %s" % (x, y))
     logw = _rectangle_logw(field, spec, beta, x, y)
     return float(scan_rectangle(logw, np.logaddexp, include_start))
-
-
-def query_logZ(q: PartitionQuery) -> float:
-    if len(q.xs) != 1:
-        raise DomainError("query_logZ is the single-path entry point")
-    return single_path_logZ(q.field(), q.spec, q.beta, q.xs[0], q.ys[0], q.include_start)
 
 
 def kpath_logZ_lgv(

@@ -9,12 +9,10 @@ the polymer and random-matrix samplers.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 import scipy.integrate
-import scipy.special as sps
 
 from .environment import (
     LargeMuLogWeightTable,
@@ -25,9 +23,9 @@ from .environment import (
     uniform_many,
 )
 from .errors import DomainError
-from .polymer import last_passage, last_passage_batch
+from .polymer import last_passage, last_passage_batch, sepp_free_energy
 from .rmt import gue_sample, lue_sample, lue_sample_batch
-from .special import digamma, log_superfactorial, trigamma
+from .special import digamma, log_inv_gamma_quantile, log_superfactorial, trigamma
 
 
 class InfiniteTension:
@@ -63,32 +61,25 @@ def mp_edges(c: float) -> tuple[float, float]:
     return 1.0 + c - 2.0 * math.sqrt(c), 1.0 + c + 2.0 * math.sqrt(c)
 
 
-@functools.cache
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # built on first use, then shared by every call: read-only
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def mp_mass_above(c: float, rho: float) -> float:
-    """Mass of the MP(c) distribution above rho, by smooth quadrature after
-    the substitution u = (1+c) + 2 sqrt(c) sin(theta)."""
+    """Mass of the MP(c) distribution above rho, in closed form.
+
+    With r = sqrt((b - rho)(rho - a)) for the edges a, b and the density
+    r / (2 pi c rho), the mass is
+    [(1+c) acos((rho-1-c)/(2 sqrt c)) - (1-c) acos(((1+c) rho - (1-c)^2)
+    / (2 sqrt(c) rho)) - r] / (2 pi c).  Each acos is an atan2 whose sine
+    is the factored r, so it stays accurate at both edges; the second term
+    is exactly 0 at c = 1."""
     m_c, big_m = mp_edges(c)
     if rho <= m_c:
         return 1.0
     if rho >= big_m:
         return 0.0
-    s = (rho - (1.0 + c)) / (2.0 * math.sqrt(c))
-    theta0 = math.asin(min(1.0, max(-1.0, s)))
-
-    def integrand(theta):
-        return (2.0 / math.pi) * np.cos(theta) ** 2 / ((1.0 + c) + 2.0 * math.sqrt(c) * np.sin(theta))
-
-    nodes, weights = _leggauss(200)
-    a, b = theta0, 0.5 * math.pi
-    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    return float(0.5 * (b - a) * (weights @ integrand(x)))
+    r = math.sqrt((big_m - rho) * (rho - m_c))
+    d = 1.0 - c
+    mass = (1.0 + c) * math.atan2(r, rho - (1.0 + c)) - r
+    mass -= d * math.atan2(d * r, (1.0 + c) * rho - d * d)
+    return mass / (2.0 * math.pi * c)
 
 
 def mp_quantile(c: float, alpha: float) -> float:
@@ -198,24 +189,13 @@ def xi_ht(s: float, t: float) -> float:
 
 
 def xi_edge_bottom(mu: float, t: float) -> float:
-    """Boundary curve -sup_{theta in [0, mu]} ((1-t) psi0(theta) + psi0(mu - theta))."""
+    """Boundary curve -sup_{theta in [0, mu]} ((1-t) psi0(theta) + psi0(mu - theta)):
+    the solvable free energy sepp_free_energy(mu, 1 - t) for t < 1."""
     if not 0.0 <= t <= 1.0:
         raise DomainError("t must lie in [0, 1]")
     if t == 1.0:
         return -digamma(mu)
-
-    def deriv(theta):
-        return (1.0 - t) * trigamma(theta) - trigamma(mu - theta)
-
-    lo, hi = mu * 1e-12, mu * (1.0 - 1e-12)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    return -((1.0 - t) * digamma(theta) + digamma(mu - theta))
+    return sepp_free_energy(mu, 1.0 - t)
 
 
 def xi_edge_top(mu: float, t: float) -> float:
@@ -313,11 +293,6 @@ def bead_sigma(s: float, t: float):
     if not (s < 0.0 and t < 0.0):
         return INFINITE
     return bead_sigma_tilted(s + t, t - s)
-
-
-def _sc_quantile_dense(npts: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(1e-9, 1.0 - 1e-9, npts)
-    return xs, np.array([sc_quantile(float(x)) for x in xs])
 
 
 def sc_hilbert_pv(phi: float) -> float:
@@ -531,8 +506,7 @@ def fluctuation_mc(
         if table is not None:
             lw = table.log_weights(u.ravel()).reshape(u.shape)
         else:
-            lw = np.empty_like(u)
-            lw.ravel()[:] = -np.log(sps.gammainccinv(mu, u.ravel()))
+            lw = log_inv_gamma_quantile(mu, u)
         row_cum = (lw + log_mu).sum(axis=1).cumsum(axis=1)  # over x2 rows
         for a, m in enumerate(ms):
             h_vals[done : done + b, a] = row_cum[:, m - 1]

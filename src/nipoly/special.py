@@ -1,123 +1,57 @@
-"""Self-contained scalar special functions.
+"""Scalar special functions: thin wrappers over scipy.special.
 
-log_gamma / digamma / trigamma use Stirling asymptotic series after shifting
-the argument above 12 with the standard recurrences, which gives uniform
-~1e-13 accuracy without coefficient tables.  The inverse-gamma quantile
-reduces to inverting the regularized upper incomplete gamma Q(mu, 1/s)
-(1/zeta is Gamma(mu,1)) by bisection plus Newton polish.
+Each wrapper checks its domain, raising DomainError, and returns a Python
+float.  The inverse-gamma quantile has one owner, log_inv_gamma_quantile,
+which the scalar quantile, the environment's bulk path, the large-mu table
+and the fluctuation sampler all call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+
+import numpy as np
+import scipy.special as sps
 
 from .errors import DomainError
 from .logspace import LogSigned
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Stirling series coefficients B_{2n} / (2n (2n-1)) for ln Gamma.
-_LG_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-_SHIFT = 12.0
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError("log_gamma requires x > 0, got %r" % (x,))
-    shift = 0.0
-    while x < _SHIFT:
-        shift -= math.log(x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    term = 1.0 / x
-    for c in _LG_COEF:
-        series += c * term
-        term *= inv2
-    return shift + (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI + series
-
-
-# Asymptotic series for psi_0: ln x - 1/(2x) - sum B_{2n}/(2n x^{2n}).
-_PSI0_COEF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+    return float(sps.gammaln(x))
 
 
 def digamma(x: float) -> float:
     """psi_0(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError("digamma requires x > 0, got %r" % (x,))
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    term = inv2
-    for c in _PSI0_COEF:
-        series -= c * term
-        term *= inv2
-    return acc + math.log(x) - 0.5 / x + series
-
-
-# Asymptotic series for psi_1: 1/x + 1/(2x^2) + sum B_{2n} / x^{2n+1}.
-_PSI1_COEF = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
+    return float(sps.psi(x))
 
 
 def trigamma(x: float) -> float:
-    """psi_1(x) = psi_0'(x) for x > 0."""
+    """psi_1(x) = psi_0'(x) for x > 0, as the Hurwitz zeta(2, x)."""
     if not x > 0.0:
         raise DomainError("trigamma requires x > 0, got %r" % (x,))
-    acc = 0.0
-    while x < _SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = 0.0
-    term = inv * inv2
-    for c in _PSI1_COEF:
-        series += c * term
-        term *= inv2
-    return acc + inv + 0.5 * inv2 + series
+    return float(sps.zeta(2.0, x))
 
 
 def log_factorial(n: int) -> float:
     if n < 0:
         raise DomainError("log_factorial requires n >= 0")
-    return log_gamma(n + 1.0)
+    return float(sps.gammaln(n + 1.0))
 
 
 def log_superfactorial(n: int) -> float:
     """log of H(n) = product of j! for j = 0 .. n-1; H(0) = H(1) = 1."""
     if n < 0:
         raise DomainError("log_superfactorial requires n >= 0")
-    return sum(log_factorial(j) for j in range(n))
+    return float(sps.gammaln(np.arange(1.0, n + 1.0)).sum())
 
 
 def log_binomial(n: int, k: int) -> LogSigned:
@@ -127,80 +61,13 @@ def log_binomial(n: int, k: int) -> LogSigned:
     return LogSigned(1, log_factorial(n) - log_factorial(k) - log_factorial(n - k))
 
 
-# ---------------------------------------------------------------------------
-# Regularized incomplete gamma and the inverse-gamma quantile.
-# ---------------------------------------------------------------------------
-
-_IG_EPS = 1e-16
-
-
-def _ig_maxit(a: float) -> int:
-    # series/continued fraction need O(sqrt(a)) terms when x is near a
-    return 500 + int(8.0 * math.sqrt(a))
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # P(a,x) by the ascending series, for x < a + 1.
-    ap = a
-    s = 1.0 / a
-    term = s
-    for _ in range(_ig_maxit(a)):
-        ap += 1.0
-        term *= x / ap
-        s += term
-        if abs(term) < abs(s) * _IG_EPS:
-            break
-    return s * math.exp(-x + a * math.log(x) - log_gamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Q(a,x) by the Lentz continued fraction, for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ig_maxit(a)):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _IG_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - log_gamma(a))
-
-
 def gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0."""
     if not a > 0.0:
         raise DomainError("gamma_q requires a > 0")
     if x < 0.0:
         raise DomainError("gamma_q requires x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
-def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if not a > 0.0:
-        raise DomainError("gamma_p requires a > 0")
-    if x < 0.0:
-        raise DomainError("gamma_p requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
+    return float(sps.gammaincc(a, x))
 
 
 def inv_gamma_cdf(mu: float, s: float) -> float:
@@ -212,74 +79,41 @@ def inv_gamma_cdf(mu: float, s: float) -> float:
     return gamma_q(mu, 1.0 / s)
 
 
+def log_inv_gamma_quantile(mu: float, u):
+    """log F_mu^{-1}(u), elementwise over u in (0, 1), for mu > 0.
+
+    1/zeta is Gamma(mu, 1), so log zeta = -log y with Q(mu, y) = u.  Tiny
+    mu pushes y below float range; there the leading series
+    P(mu, y) ~ y^mu / Gamma(mu + 1) gives log y directly.
+    """
+    y = sps.gammainccinv(mu, u)
+    tiny = ~(y > 1e-280)
+    with np.errstate(divide="ignore"):
+        direct = -np.log(y)
+    series = -(np.log1p(-u) + sps.gammaln(mu + 1.0)) / mu
+    return np.where(tiny, series, direct)
+
+
 def inv_gamma_quantile(mu: float, u: float) -> float:
     """Quantile F_mu^{-1}(u) of the inverse-gamma law of parameter mu.
 
-    Solved as Q(mu, y) = u for y = 1/s: bisection brackets the root, Newton
-    polishes it (falling back to bisection when a step leaves the bracket),
-    stopping at |Q(mu, y) - u| < 1e-14.
+    Raises DomainError when the quantile exceeds the float range, which
+    happens for small mu and u near 1 (mu = 1e-3 already at u = 0.6).
     """
     if not mu > 0.0:
         raise DomainError("inv_gamma_quantile requires mu > 0")
     if not 0.0 < u < 1.0:
         raise DomainError("inv_gamma_quantile requires 0 < u < 1, got %r" % (u,))
-    # Bracket y with Q(mu, lo) > u > Q(mu, hi); Q is decreasing in y.  Small
-    # mu puts quantiles hundreds of orders of magnitude below 1, so the
-    # bracket and bisection work on log y.
-    lo, hi = mu, mu
-    while gamma_q(mu, lo) <= u:
-        lo *= 0.25
-        if lo < 1e-290:
-            break
-    while gamma_q(mu, hi) >= u:
-        hi *= 4.0
-        if hi > 1e290:
-            break
-    log_norm = -log_gamma(mu)
-    t_lo, t_hi = math.log(lo), math.log(hi)
-    y = math.exp(0.5 * (t_lo + t_hi))
-    for _ in range(300):
-        q = gamma_q(mu, y)
-        err = q - u
-        if abs(err) < 1e-14:
-            break
-        if err > 0.0:
-            t_lo = math.log(y)  # root is to the right
-        else:
-            t_hi = math.log(y)
-        # dQ/dy = -y^(mu-1) e^(-y) / Gamma(mu)
-        dq = -math.exp((mu - 1.0) * math.log(y) - y + log_norm)
-        step_ok = dq != 0.0
-        if step_ok:
-            y_new = y - err / dq
-            step_ok = y_new > 0.0 and math.isfinite(y_new) and t_lo < math.log(y_new) < t_hi
-        y = y_new if step_ok else math.exp(0.5 * (t_lo + t_hi))
-    return 1.0 / y
+    log_zeta = float(log_inv_gamma_quantile(mu, u))
+    if not log_zeta < _LOG_DBL_MAX:
+        raise DomainError(
+            "inv_gamma_quantile(%r, %r) = exp(%.6g) overflows a float" % (mu, u, log_zeta)
+        )
+    return math.exp(log_zeta)
 
 
 def bessel_k0(x: float) -> float:
-    """Modified Bessel K_0(x) = int_0^inf exp(-x cosh t) dt, for x > 0.
-
-    Trapezoidal rule with step halving; the integrand decays doubly
-    exponentially so convergence is geometric.
-    """
+    """Modified Bessel K_0(x) = int_0^inf exp(-x cosh t) dt, for x > 0."""
     if not x > 0.0:
         raise DomainError("bessel_k0 requires x > 0")
-    cut = 745.0 / x
-    if cut <= 1.0:
-        return 0.0  # underflows double precision
-    t_max = math.acosh(cut)
-    n = 64
-    prev = math.inf
-    val = 0.0
-    for _ in range(16):
-        h = t_max / n
-        s = 0.5 * math.exp(-x)  # t = 0 endpoint, cosh 0 = 1
-        for i in range(1, n):
-            s += math.exp(-x * math.cosh(i * h))
-        val = h * s
-        if abs(val - prev) < 1e-13 * max(1.0, abs(val)) + 1e-15:
-            break
-        prev = val
-        n *= 2
-    return val
+    return float(sps.k0(x))

@@ -11,7 +11,6 @@ from nipoly.environment import (
     WeightSpec,
     coupled_exponential,
     derive_seed,
-    loggamma_weight_grid,
     omega_grid,
     uniform_at,
     weight_at,
@@ -82,15 +81,6 @@ def test_weight_monotone_in_u():
     us = [0.1, 0.3, 0.5, 0.7, 0.9]
     zs = [inv_gamma_quantile(2.0, u) for u in us]
     assert zs == sorted(zs)
-
-
-def test_bulk_vs_scalar_quantile():
-    f = UniformField(3)
-    xs = np.arange(50)
-    z_bulk = loggamma_weight_grid(f, 2.5, xs, 0)
-    for i in (0, 17, 49):
-        u = uniform_at(f, (int(xs[i]), 0))
-        assert z_bulk[i] == pytest.approx(inv_gamma_quantile(2.5, u), rel=1e-9)
 
 
 def test_log_weight_mean_matches_digamma():

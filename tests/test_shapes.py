@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,6 +70,22 @@ def test_mp_roundtrip_and_monotone():
             assert rho < prev
             prev = rho
             assert mp_mass_above(c, rho) == pytest.approx(alpha / c, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [1e-9, 1e-6])
+@pytest.mark.parametrize("c", [0.99, 0.999, 1.0])
+def test_mp_mass_above_lower_edge_vs_mpmath(c, d):
+    # just above the lower edge the density blows up like 1/sqrt near c = 1
+    a, _ = mp_edges(c)
+    rho = a + d
+    with mpmath.workdps(40):
+        cm = mpmath.mpf(c)
+        lo, hi = (1 - mpmath.sqrt(cm)) ** 2, (1 + mpmath.sqrt(cm)) ** 2
+        target = mpmath.quad(
+            lambda x: mpmath.sqrt((hi - x) * (x - lo)) / (2 * mpmath.pi * cm * x),
+            [mpmath.mpf(rho), hi],
+        )
+    assert mp_mass_above(c, rho) == pytest.approx(float(target), abs=1e-12)
 
 
 def test_xi_mp_properties():

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from nipoly.errors import DomainError
@@ -12,6 +13,7 @@ from nipoly.special import (
     inv_gamma_quantile,
     log_binomial,
     log_gamma,
+    log_inv_gamma_quantile,
     log_superfactorial,
     trigamma,
 )
@@ -135,6 +137,49 @@ def test_quantile_roundtrip_grid(mu):
         assert abs(inv_gamma_cdf(mu, s) - u) < 1e-10
         assert s > prev  # monotone in u
         prev = s
+
+
+def _log_quantile_mpmath(mu, u, start):
+    """-log y with Q(mu, y) = u at 40 digits: the secant method in t = log y
+    on log P (u > 1/2) or log Q, started at log zeta = start.  The root is
+    unique, and findroot raises unless the residual vanishes, so the start
+    only sets the cost."""
+    with mpmath.workdps(40):
+        mu, u = mpmath.mpf(mu), mpmath.mpf(u)
+
+        def log_p_q(t):
+            y = mpmath.exp(t)
+            if y < mu + 1:
+                p = mpmath.gammainc(mu, 0, y, regularized=True)
+                return mpmath.log(p), mpmath.log1p(-p)
+            q = mpmath.gammainc(mu, y, mpmath.inf, regularized=True)
+            return mpmath.log1p(-q), mpmath.log(q)
+
+        if u > 0.5:
+            f = lambda t: log_p_q(t)[0] - mpmath.log1p(-u)
+        else:
+            f = lambda t: log_p_q(t)[1] - mpmath.log(u)
+        return float(-mpmath.findroot(f, (-start, -start + 1e-3), solver="secant"))
+
+
+def test_inv_gamma_quantile_small_mu():
+    # the quantile is e^693.72 here, and past the float range from u = 0.6
+    got = math.log(inv_gamma_quantile(1e-3, 0.5))
+    assert got == pytest.approx(_log_quantile_mpmath(1e-3, 0.5, got), rel=1e-12)
+    assert got == pytest.approx(693.7236, abs=1e-4)
+    with pytest.raises(DomainError):
+        inv_gamma_quantile(1e-3, 0.9)
+
+
+def test_log_inv_gamma_quantile_matches_mpmath():
+    # u >= 0.5 at mu = 1e-3 and u >= 0.999 at mu = 0.01 take the tiny-mu
+    # series branch
+    us = np.array([1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1.0 - 1e-6])
+    for mu in (1e-3, 0.01, 0.5, 2.0, 1000.0):
+        got = log_inv_gamma_quantile(mu, us)
+        assert got.shape == us.shape
+        ref = np.array([_log_quantile_mpmath(mu, u, g) for u, g in zip(us, got)])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_gamma_q_consistency():
