@@ -3,16 +3,18 @@
 phi(i,j), a log ratio of tau partition functions, is exactly the geometric
 RSK (gRSK) output pattern of the N x N weight matrix read from the far
 corner: phi(i,j) = T[N+1-i, N+1-j].  gRSK is the engine, batched over
-environments; the LGV tau tables of ``polymer.TauTable`` remain only as
-the small-size oracle (``phi_inversion_residual``).  The law of phi is a
+environments; the exact LGV tau tables of ``polymer.TauTable`` remain only
+as the small-size oracle (``phi_inversion_residual``).  The law of phi is a
 Gibbs measure on the N x N square with exponential interaction along
 north/east edges, a linear diagonal weight of strength mu, and a pinning
 term exp(-phi(N,N)) at the corner, normalized by Gamma(mu)^(N^2).  The
 Metropolis sampler targets the same density, giving a second, independent
-route to its moments.  The large-mu tilt theta and its deterministic limit
-theta_min (the minimizer of the discrete energy), the small-mu coupling to
-last passage, Gelfand-Tsetlin volumes, and the GL(2) Whittaker integral
-live here too.
+route to its moments.  Its interaction is nearest-neighbour, so it scans
+the square as a checkerboard: all sites of one colour (parity of i + j)
+take their Metropolis step at once, then all sites of the other.  The
+large-mu tilt theta and its deterministic limit theta_min (the minimizer of
+the discrete energy), the small-mu coupling to last passage,
+Gelfand-Tsetlin volumes, and the GL(2) Whittaker integral live here too.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ def build_phi(field: UniformField, mu: float, n: int) -> InterfaceGrid:
 def phi_inversion_residual(field: UniformField, mu: float, n: int) -> float:
     """max over (m, k) of |sum_{i<=k} phi(i, N-m+i) - log tau(m, k)|.
 
-    The left side comes from gRSK and the right from LGV determinants, so
-    this exact identity pins the two routes together; residuals reflect only
-    float rounding (and the cancellation of the LGV route).
+    The left side comes from gRSK and the right from exact LGV determinants
+    (N <= 6), so this identity pins the two routes together; residuals
+    reflect only float rounding.
     """
     t = TauTable(field, mu, n)
     grid = build_phi(field, mu, n)
@@ -110,25 +112,38 @@ def interface_log_density(grid: InterfaceGrid, mu: float) -> float:
     )
 
 
-def _local_log_density_delta(
-    v: np.ndarray, mu: float, n: int, i: int, j: int, new: float
-) -> float:
-    """Change in log density when site (i, j) (0-based) moves to `new`;
-    only the terms touching the site are evaluated."""
-    old = v[i, j]
-    delta = 0.0
-    if i > 0:
-        delta -= math.exp(new - v[i - 1, j]) - math.exp(old - v[i - 1, j])
-    if i < n - 1:
-        delta -= math.exp(v[i + 1, j] - new) - math.exp(v[i + 1, j] - old)
-    if j > 0:
-        delta -= math.exp(new - v[i, j - 1]) - math.exp(old - v[i, j - 1])
-    if j < n - 1:
-        delta -= math.exp(v[i, j + 1] - new) - math.exp(v[i, j + 1] - old)
-    if i == j:
-        delta -= mu * (new - old)
-    if i == n - 1 and j == n - 1:
-        delta -= math.exp(-new) - math.exp(-old)
+def _padded(values: np.ndarray) -> np.ndarray:
+    """The N x N values inside a border of +inf below/left and -inf
+    above/right, so every border edge term exp(phi(y) - phi(x)) is 0."""
+    n = values.shape[0]
+    p = np.empty((n + 2, n + 2))
+    p[0, :] = p[:, 0] = np.inf
+    p[-1, :] = p[:, -1] = -np.inf
+    p[1:-1, 1:-1] = values
+    return p
+
+
+def _log_density_delta(
+    p: np.ndarray, mu: float, i: np.ndarray, j: np.ndarray, new: np.ndarray
+) -> np.ndarray:
+    """Change in log density when each site (i, j) (0-based) alone moves to
+    `new`, for a padded array p (see _padded); only the terms touching the
+    site are evaluated.  Each edge term stays a difference of exponentials
+    of neighbour gaps, exp(new - nbr) - exp(old - nbr), which cannot
+    overflow while the gaps are moderate, whatever the size of phi."""
+    w = p.shape[0]
+    flat = (i + 1) * w + (j + 1)
+    pf = p.reshape(-1)
+    old = pf[flat]
+    # the south and west neighbours enter as exp(phi - nbr), the north and
+    # east ones as exp(nbr - phi)
+    nbr = pf[flat + np.array([[-w], [-1], [w], [1]])]
+    sign = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+    delta = -(np.exp(sign * (new - nbr)) - np.exp(sign * (old - nbr))).sum(axis=0)
+    diag = i == j
+    delta[diag] -= mu * (new[diag] - old[diag])
+    corner = diag & (i == w - 3)
+    delta[corner] -= np.exp(-new[corner]) - np.exp(-old[corner])
     return delta
 
 
@@ -137,11 +152,23 @@ def metropolis_log_accept(
 ) -> float:
     """log acceptance probability of moving phi(site) by step (symmetric
     random-walk proposal): min(0, delta log density)."""
-    i, j = site
-    delta = _local_log_density_delta(
-        grid.values, mu, grid.n, i - 1, j - 1, grid.at(i, j) + step
+    i, j = np.array([site[0] - 1]), np.array([site[1] - 1])
+    delta = _log_density_delta(
+        _padded(grid.values), mu, i, j, np.array([grid.at(*site) + step])
     )
-    return min(0.0, delta)
+    return min(0.0, float(delta[0]))
+
+
+def _half_sweep(
+    p: np.ndarray, mu: float, i: np.ndarray, j: np.ndarray, steps: np.ndarray, log_us: np.ndarray
+) -> int:
+    """One Metropolis proposal at each of the sites (i, j), which must be
+    pairwise non-adjacent, applied at once to the padded array p; returns
+    the number accepted."""
+    new = p[i + 1, j + 1] + steps
+    accept = log_us < _log_density_delta(p, mu, i, j, new)
+    p[i[accept] + 1, j[accept] + 1] = new[accept]
+    return int(accept.sum())
 
 
 def gibbs_sampler(
@@ -153,32 +180,33 @@ def gibbs_sampler(
     tune: bool = True,
     burn_in: int | None = None,
 ):
-    """Metropolis single-site random-walk chain targeting the interface
-    density; yields one InterfaceGrid snapshot per sweep (N^2 updates).
+    """Metropolis random-walk chain targeting the interface density, in a
+    checkerboard systematic scan; yields one InterfaceGrid snapshot per
+    sweep (N^2 updates).
 
-    The proposal scale is tuned toward 0.3-0.5 acceptance during burn-in.
-    Chain randomness comes from a Philox counter generator on the seed, so
-    runs are reproducible.
+    The interaction is nearest-neighbour, so sites with the same parity of
+    i + j never interact: each sweep updates all even sites at once and then
+    all odd sites, and each of these half-sweeps equals N^2/2 sequential
+    single-site updates.  The proposal scale is tuned toward 0.3-0.5
+    acceptance during burn-in.  Chain randomness comes from a Philox counter
+    generator on the seed, so runs are reproducible.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    v = np.full((n, n), -digamma(mu))
+    p = _padded(np.full((n, n), -digamma(mu)))
+    v = p[1:-1, 1:-1]
+    ii, jj = np.indices((n, n))
+    colours = [np.nonzero((ii + jj) % 2 == c) for c in (0, 1)]
+    half = len(colours[0][0])
     if burn_in is None:
         burn_in = max(10, sweeps // 5)
     accepted = 0
     proposed = 0
     for sweep in range(sweeps + burn_in):
-        sites_i = rng.integers(0, n, size=n * n)
-        sites_j = rng.integers(0, n, size=n * n)
         steps = step * (2.0 * rng.random(n * n) - 1.0)
         log_us = np.log(rng.random(n * n))
-        for s in range(n * n):
-            i, j = int(sites_i[s]), int(sites_j[s])
-            new = v[i, j] + float(steps[s])
-            delta = _local_log_density_delta(v, mu, n, i, j, new)
-            proposed += 1
-            if delta >= 0.0 or log_us[s] < delta:
-                v[i, j] = new
-                accepted += 1
+        for (i, j), part in zip(colours, (slice(None, half), slice(half, None))):
+            accepted += _half_sweep(p, mu, i, j, steps[part], log_us[part])
+        proposed += n * n
         if tune and sweep < burn_in and (sweep + 1) % 5 == 0:
             rate = accepted / max(proposed, 1)
             if rate < 0.3:
@@ -395,44 +423,10 @@ def gt_volume(lam) -> float:
     return math.exp(log_v - log_superfactorial(n))
 
 
-def whittaker_gl2(lam1: float, lam2: float) -> float:
-    """GL(2) pattern integral int exp(-e^(phi - lam1) - e^(lam2 - phi)) dphi.
-
-    Centering at (lam1+lam2)/2 shows the value is 2 K0(2 e^((lam2-lam1)/2));
-    computed by trapezoid with step halving (doubly exponential decay).
-    """
-    center = 0.5 * (lam1 + lam2)
-    half_gap = 0.5 * (lam2 - lam1)
-
-    def integrand(u: float) -> float:
-        arg1 = u + half_gap  # phi - lam1 with phi = center + u
-        arg2 = -u + half_gap
-        if arg1 > 709.0 or arg2 > 709.0:
-            return 0.0
-        return math.exp(-math.exp(arg1) - math.exp(arg2))
-
-    # integration window: beyond |u| ~ log(745) + |half_gap| the integrand
-    # underflows
-    width = 8.0 + abs(half_gap)
-    n = 128
-    prev = math.inf
-    val = 0.0
-    for _ in range(14):
-        h = 2.0 * width / n
-        xs = [-width + i * h for i in range(n + 1)]
-        s = 0.5 * (integrand(xs[0]) + integrand(xs[-1])) + sum(
-            integrand(x) for x in xs[1:-1]
-        )
-        val = h * s
-        if abs(val - prev) < 1e-13 * max(1.0, abs(val)):
-            break
-        prev = val
-        n *= 2
-    return val
-
-
 def whittaker_gl2_bessel(lam1: float, lam2: float) -> float:
-    """Closed Bessel form of the GL(2) pattern integral; quadrature oracle."""
+    """GL(2) pattern integral int exp(-e^(phi - lam1) - e^(lam2 - phi)) dphi
+    in closed form: centering phi at (lam1 + lam2)/2 shows it equals
+    2 K0(2 e^((lam2 - lam1)/2))."""
     return 2.0 * bessel_k0(2.0 * math.exp(0.5 * (lam2 - lam1)))
 
 
@@ -446,7 +440,7 @@ def whittaker_measure_logdensity(lam, mu: float, n: int) -> float:
     if n == 1:
         log_g = 0.0
     else:
-        log_g = math.log(whittaker_gl2(lam[0], lam[1]))
+        log_g = math.log(whittaker_gl2_bessel(lam[0], lam[1]))
     return (
         -math.exp(-lam[-1])
         - mu * sum(lam)

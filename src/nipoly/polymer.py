@@ -5,9 +5,10 @@ Exact dynamic programming in log space for single pairs; geometric RSK
 construction, and its tropical twin for k-path last passage; the
 series/parallel/Jensen inequality test-bed.  gRSK is the engine: its local
 moves only multiply, divide and add positive numbers, so nothing cancels.
-LGV determinants in signed log space (``TauTable``, ``kpath_logZ_lgv``) and
-brute-force enumeration are kept as small-instance oracles; LGV also still
-serves the general endpoints of the inequality test-bed.
+Exact LGV determinants (``TauTable``, N <= 6) and brute-force enumeration
+are kept as small-instance oracles; LGV determinants in signed log space
+(``kpath_logZ_lgv``) still serve the general endpoints of the inequality
+test-bed.
 
 Conventions: Z excludes the starting weights (the energy of a path omits its
 start site); the tau partition functions of the interface construction
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import mpmath
 import numpy as np
 
 from .environment import UniformField, WeightSpec, derive_seed, omega_grid
@@ -187,39 +189,56 @@ def brute_force_kpath_logZ(
 
 def _rsk(logw: np.ndarray, plus) -> np.ndarray:
     n, m = logw.shape[-2], logw.shape[-1]
-    # t[..., a, b] holds site (a, b); row and column 0 are the -inf border,
-    # except t[0, 1] = 0, the empty product that the local move at (1, 1) sees
-    t = np.full(logw.shape[:-2] + (n + 1, m + 1), -np.inf)
+    lead = logw.shape[:-2]
+    # t holds site (a, b) at flat index a * w + b of an (n + 1) x (m + 1)
+    # table; row and column 0 are the -inf border, except t[0, 1] = 0, the
+    # empty product that the local move at (1, 1) sees
+    w = m + 1
+    t = np.full(lead + (n + 1, w), -np.inf)
     t[..., 1:, 1:] = logw
     t[..., 0, 1] = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            a = np.arange(i - 1, i - min(i, j), -1)  # interior of the diagonal
-            if a.size:
-                b = a + (j - i)
-                t[..., a, b] = (
-                    plus(t[..., a - 1, b], t[..., a, b - 1])
-                    - t[..., a, b]
-                    - plus(-t[..., a + 1, b], -t[..., a, b + 1])
-                )
-            t[..., i, j] += plus(t[..., i - 1, j], t[..., i, j - 1])
-    return t[..., 1:, 1:]
+    t = t.reshape(lead + ((n + 1) * w,))
+    for d in range(2, n + m + 1):
+        # the cells (i, d - i) of one anti-diagonal touch pairwise disjoint
+        # diagonals and read only the diagonals between them
+        i = np.arange(max(1, d - m), min(n, d - 1) + 1)
+        cell = i * w + (d - i)
+        size = np.minimum(i, d - i) - 1  # interior entries of each diagonal
+        if size.any():
+            # the interior of the diagonal ending at cell c is c - s (w + 1),
+            # s = 1 .. size
+            start = np.cumsum(size) - size
+            s = np.arange(1, size.sum() + 1) - np.repeat(start, size)
+            a = np.repeat(cell, size) - s * (w + 1)
+            t[..., a] = (
+                plus(t[..., a - w], t[..., a - 1])
+                - t[..., a]
+                - plus(-t[..., a + w], -t[..., a + 1])
+            )
+        t[..., cell] += plus(t[..., cell - w], t[..., cell - 1])
+    return t.reshape(lead + (n + 1, w))[..., 1:, 1:]
 
 
 def grsk(logw: np.ndarray) -> np.ndarray:
     """Geometric RSK of an (..., n, m) array of log weights, in log space.
 
-    logw[..., a-1, b-1] is the log weight of site (a, b).  Cells (i, j) are
-    visited in row-major order, and each applies the local moves of
-    O'Connell-Seppalainen-Zygouras (arXiv:1210.5126) to the diagonal ending
-    at it.  In weights, an interior entry x of that diagonal becomes
+    logw[..., a-1, b-1] is the log weight of site (a, b).  Each cell (i, j)
+    applies the local moves of O'Connell-Seppalainen-Zygouras
+    (arXiv:1210.5126) to the diagonal ending at it; cells are visited in
+    anti-diagonal order, all cells with the same i + j in one vectorized
+    step.  The result is that of the row-major order, bit for bit: cells on
+    one anti-diagonal sit on diagonals two apart, so none writes an entry
+    another reads or writes, and every order that visits a cell after the
+    cells above and left of it gives the same output.
+
+    In weights, an interior entry x of that diagonal becomes
     (x_N + x_W) x_S x_E / (x (x_S + x_E)), where N/W are the entries above
     and left of it and S/E below and right (the first factor is 1 at
     (1, 1)); the cell itself is multiplied by x_N + x_W, with entries
     outside the array counted as 0.  Positive numbers are only multiplied,
     divided and added, so no precision is lost to cancellation.
-    O(n m min(n, m)) work; lanes of the leading axes are independent and
-    bitwise equal to unbatched calls.
+    O(n m min(n, m)) work in n + m - 1 vectorized steps; lanes of the
+    leading axes are independent and bitwise equal to unbatched calls.
 
     The output T (1-based) holds the k-path partition functions, start
     weights included: sum_{l<k} T[n-l, j-l] is the log partition function
@@ -257,73 +276,112 @@ def loggamma_rectangle(field: UniformField, mu: float, width: int, height: int) 
     return omega_grid(field, spec, x1[:, None], x2[None, :])
 
 
-def _loggamma_dp_grids(field: UniformField, mu: float, width: int, height: int):
-    """One DP table per start (1, i): grids[i][a, b] = log Z_(1,i)->(a,b),
-    start weight excluded, over the rectangle [1..width] x [i..height]."""
-    logw = loggamma_rectangle(field, mu, width, height)
-    grids = {}
-    for i in range(1, height + 1):
-        grids[i] = logZ_grid(logw[:, i - 1 :], include_start=False)
-    return logw, grids
+_TAU_TABLE_MAX_N = 6
+_TAU_TABLE_DPS = 50
+
+
+def _leading_minors(rows: list) -> list:
+    """The k x k leading minors, k = 1..len(rows), of a square integer
+    matrix, exactly, by fraction-free (Bareiss) elimination without pivoting:
+    after step k the pivot is the (k+1) x (k+1) leading minor, and every
+    division is exact."""
+    a = [list(r) for r in rows]
+    size = len(a)
+    minors = []
+    prev = 1
+    for k in range(size):
+        piv = a[k][k]
+        minors.append(piv)
+        for r in range(k + 1, size):
+            for c in range(k + 1, size):
+                a[r][c] = (a[r][c] * piv - a[r][k] * a[k][c]) // prev
+        prev = piv
+    return minors
+
+
+def _exact_log_tau_tables(logw: np.ndarray) -> dict:
+    """log tau(m, k) and log tau~(m, k), keyed (m, k, False) and (m, k, True),
+    for an N x N square of log weights, by LGV determinants without rounding.
+
+    Each weight exp(logw) is taken to _TAU_TABLE_DPS digits, a dyadic
+    rational; the pair DP then only adds and multiplies, and the leading
+    minors are integer Bareiss eliminations, so both are exact in mpmath's
+    exact mode and Python integers.  Hence no cancellation can amplify the
+    input rounding, whatever the spread of the weights.
+    """
+    n = logw.shape[0]
+    out = {}
+    with mpmath.workdps(_TAU_TABLE_DPS):
+        w = [[mpmath.exp(mpmath.mpf(float(v))) for v in row] for row in logw]
+        zero = mpmath.mpf(0)
+        # z[i][a][b]: paths from (1, i+1) to (a+1, b+1), start excluded
+        z = []
+        for i in range(n):
+            g = [[zero] * n for _ in range(n)]
+            g[0][i] = mpmath.mpf(1)
+            for a in range(n):
+                for b in range(i, n):
+                    if a or b > i:
+                        s = mpmath.fadd(
+                            g[a - 1][b] if a else zero, g[a][b - 1] if b > i else zero, exact=True
+                        )
+                        g[a][b] = mpmath.fmul(s, w[a][b], exact=True)
+            z.append(g)
+        for m in range(1, n + 1):
+            for tilde in (False, True):
+                # rows i = 1..m, end heights m, m-1, .. (N..N-m+1 for tau~):
+                # the k x k leading minor is the k-path LGV determinant with
+                # its end order reversed
+                mat = [
+                    [z[i][m - 1][n - 1 - c] if tilde else z[i][n - 1][m - 1 - c] for c in range(m)]
+                    for i in range(m)
+                ]
+                shift = min(x.man_exp[1] for row in mat for x in row if x)
+                ints = [
+                    [int(x.man_exp[0]) << (x.man_exp[1] - shift) if x else 0 for x in row]
+                    for row in mat
+                ]
+                # the reversal gives minor k the sign (-1)^(k(k-1)/2)
+                for k, minor in enumerate(_leading_minors(ints), start=1):
+                    log_start = mpmath.fsum(float(v) for v in logw[0, :k])
+                    log_det = mpmath.log(abs(minor)) + k * shift * mpmath.ln2
+                    out[m, k, tilde] = float(log_start + log_det)
+    return out
 
 
 class TauTable:
-    """All log tau(m, k) and log tau~(m, k) for one environment at size N,
-    from LGV determinants; the small-size oracle of the gRSK route.
+    """All log tau(m, k) and log tau~(m, k) for one environment at size
+    N <= 6, from exact LGV determinants; the small-size oracle of the gRSK
+    route.
 
     tau(m, k) is the k-path partition function across the N-wide, m-tall
     rectangle with start weights included: the product of the k start
-    weights times the LGV determinant of start-excluded pair values.
+    weights times the LGV determinant of start-excluded pair values.  The
+    float log weights are taken as exact and carried to 50 digits, and the
+    determinants are formed without rounding (see _exact_log_tau_tables),
+    so every value is correct to float precision at any mu.
     """
 
     def __init__(self, field: UniformField, mu: float, n: int):
+        if not 1 <= n <= _TAU_TABLE_MAX_N:
+            raise DomainError("TauTable needs 1 <= N <= %d" % _TAU_TABLE_MAX_N)
         self.n = n
         self.mu = mu
-        self._logw, self._grids = _loggamma_dp_grids(field, mu, n, n)
+        self._log_tau = _exact_log_tau_tables(loggamma_rectangle(field, mu, n, n))
 
-    def _log_start_weights(self, k: int) -> float:
-        # starts (1, 1) .. (1, k)
-        return float(sum(self._logw[0, i] for i in range(k)))
-
-    def _pair_logZ(self, i: int, end: Point) -> LogSigned:
-        # log Z_(1,i) -> end, start excluded
-        a, b = end
-        if b < i or a < 1:
-            return LogSigned.zero()
-        return LogSigned(1, float(self._grids[i][a - 1, b - i]))
-
-    def _log_tau_generic(self, end_col: int, m: int, k: int) -> float:
+    def _lookup(self, m: int, k: int, tilde: bool) -> float:
         if k == 0:
             return 0.0
-        if not 1 <= k <= m <= self.n:
-            raise DomainError("need 1 <= k <= m <= N")
-        mat = [
-            [self._pair_logZ(i, (end_col, m - k + j)) for j in range(1, k + 1)]
-            for i in range(1, k + 1)
-        ]
-        det = logdet(mat)
-        if det.sign != 1:
-            raise PrecisionLossError("tau determinant lost its sign")
-        return self._log_start_weights(k) + det.logmag
+        _check_tau_args(self.n, m, k)
+        return self._log_tau[m, k, tilde]
 
     def log_tau(self, m: int, k: int) -> float:
         """k paths from stack_up((1,1),k) to stack_down((N,m),k)."""
-        return self._log_tau_generic(self.n, m, k)
+        return self._lookup(m, k, False)
 
     def log_tau_tilde(self, m: int, k: int) -> float:
         """k paths from stack_up((1,1),k) to stack_down((m,N),k)."""
-        if k == 0:
-            return 0.0
-        if not 1 <= k <= m <= self.n:
-            raise DomainError("need 1 <= k <= m <= N")
-        mat = [
-            [self._pair_logZ(i, (m, self.n - k + j)) for j in range(1, k + 1)]
-            for i in range(1, k + 1)
-        ]
-        det = logdet(mat)
-        if det.sign != 1:
-            raise PrecisionLossError("tau~ determinant lost its sign")
-        return self._log_start_weights(k) + det.logmag
+        return self._lookup(m, k, True)
 
 
 def _check_tau_args(n: int, m: int, k: int) -> None:

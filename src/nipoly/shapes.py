@@ -58,7 +58,8 @@ def is_infinite(x) -> bool:
 def mp_edges(c: float) -> tuple[float, float]:
     if not 0.0 < c <= 1.0:
         raise DomainError("Marchenko-Pastur parameter c must be in (0, 1]")
-    return 1.0 + c - 2.0 * math.sqrt(c), 1.0 + c + 2.0 * math.sqrt(c)
+    # the lower edge as a square: 1 + c - 2 sqrt(c) cancels as c -> 1
+    return (1.0 - math.sqrt(c)) ** 2, 1.0 + c + 2.0 * math.sqrt(c)
 
 
 def mp_mass_above(c: float, rho: float) -> float:

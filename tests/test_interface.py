@@ -7,6 +7,8 @@ import scipy.integrate
 from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
 from nipoly.interface import (
     InterfaceGrid,
+    _half_sweep,
+    _padded,
     build_phi,
     energy_F,
     gibbs_moments,
@@ -23,7 +25,6 @@ from nipoly.interface import (
     theta_min,
     theta_min_log_count_form,
     theta_rescale,
-    whittaker_gl2,
     whittaker_gl2_bessel,
     whittaker_measure_logdensity,
 )
@@ -174,6 +175,45 @@ def test_gibbs_vs_polymer_two_oracles_small():
         for j in range(n):
             tol = 3.5 * math.hypot(gm["stderr"][i, j], pm["stderr"][i, j])
             assert abs(gm["mean"][i, j] - pm["mean"][i, j]) < tol
+
+
+def test_gibbs_vs_polymer_two_oracles_n4():
+    # the same two-oracle rule at N = 4, where the checkerboard scan updates
+    # 8 sites per half-sweep
+    mu, n = 1.5, 4
+    gm = gibbs_moments(n, mu, sweeps=6000, seed=7)
+    pm = phi_moments_mc(n, mu, seeds=2000, seed=8)
+    for i in range(n):
+        for j in range(n):
+            tol = 3.5 * math.hypot(gm["stderr"][i, j], pm["stderr"][i, j])
+            assert abs(gm["mean"][i, j] - pm["mean"][i, j]) < tol
+
+
+@pytest.mark.parametrize("colour", [0, 1])
+def test_checkerboard_half_sweep_equals_sequential_updates(colour):
+    # one colour's vectorized half-sweep against single-site Metropolis
+    # updates in sequence, with the same proposals and uniforms
+    n, mu = 5, 1.5
+    g = build_phi(UniformField(51), mu, n)
+    i, j = np.nonzero((np.indices((n, n)).sum(axis=0)) % 2 == colour)
+    rng = np.random.default_rng(52)
+    steps = rng.uniform(-1.5, 1.5, size=i.size)
+    log_us = np.log(rng.random(i.size))
+    p = _padded(g.values)
+    accepted = _half_sweep(p, mu, i, j, steps, log_us)
+    seq = InterfaceGrid(n, g.values.copy())
+    moves = 0
+    for s in range(i.size):
+        site = (int(i[s]) + 1, int(j[s]) + 1)
+        if log_us[s] < metropolis_log_accept(seq, mu, site, float(steps[s])):
+            seq.values[i[s], j[s]] += steps[s]
+            moves += 1
+    assert accepted == moves
+    assert 0 < moves < i.size
+    assert np.abs(p[1:-1, 1:-1] - seq.values).max() <= 1e-12
+    border = np.ones(p.shape, dtype=bool)
+    border[1:-1, 1:-1] = False
+    assert np.array_equal(p[border], _padded(g.values)[border])
 
 
 def test_integrated_autocorrelation_iid():
@@ -343,19 +383,22 @@ def test_gt_interlacing_of_minors_process():
 
 
 def test_whittaker_gl2_values():
-    assert whittaker_gl2(0.0, 0.0) == pytest.approx(2.0 * bessel_k0(2.0), abs=1e-8)
-    assert whittaker_gl2(0.0, 0.0) == pytest.approx(0.2277877, abs=1e-6)
-    for l1, l2 in [(0.5, -0.3), (2.0, 1.0), (-1.0, 1.5)]:
-        assert whittaker_gl2(l1, l2) == pytest.approx(
-            whittaker_gl2_bessel(l1, l2), abs=1e-8
-        )
+    # the closed form against quadrature of the pattern integral
+    def integrand(phi, l1, l2):
+        return math.exp(-math.exp(phi - l1) - math.exp(l2 - phi))
+
+    assert whittaker_gl2_bessel(0.0, 0.0) == pytest.approx(0.2277877, abs=1e-6)
+    for l1, l2 in [(0.0, 0.0), (0.5, -0.3), (2.0, 1.0), (-1.0, 1.5)]:
+        c = 0.5 * (l1 + l2)
+        want, _ = scipy.integrate.quad(integrand, c - 40.0, c + 40.0, args=(l1, l2), points=[c])
+        assert whittaker_gl2_bessel(l1, l2) == pytest.approx(want, rel=1e-10)
 
 
 def test_whittaker_gl2_monotone_and_shift():
-    assert whittaker_gl2(1.0, 0.0) > whittaker_gl2(0.0, 0.0)
+    assert whittaker_gl2_bessel(1.0, 0.0) > whittaker_gl2_bessel(0.0, 0.0)
     # depends only on lam2 - lam1
-    a = whittaker_gl2(0.3, -0.2)
-    b = whittaker_gl2(1.3, 0.8)
+    a = whittaker_gl2_bessel(0.3, -0.2)
+    b = whittaker_gl2_bessel(1.3, 0.8)
     assert a == pytest.approx(b, rel=1e-10)
 
 

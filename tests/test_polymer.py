@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
-from nipoly.errors import NoPathError
+from nipoly.errors import DomainError, NoPathError
 from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
 from nipoly.logspace import LogSigned
 from nipoly.polymer import (
@@ -204,11 +204,51 @@ def test_grsk_tau_matches_brute_force_and_lgv(seed, n, mu):
             ):
                 scale = max(1.0, abs(bf))
                 assert abs(got - bf) <= 1e-13 * scale
-                # at mu = 1e-3 the LGV determinants cancel: they raise
-                # PrecisionLossError or miss by up to ~45%, so enumeration is
-                # the only oracle there
-                if mu != 1e-3:
-                    assert abs(got - oracle(m, k)) <= 1e-9 * scale
+                assert abs(got - oracle(m, k)) <= 1e-9 * scale
+
+
+def test_tau_table_is_small_size_only():
+    with pytest.raises(DomainError):
+        TauTable(UniformField(1), 2.0, 7)
+
+
+def _row_major_rsk(logw, plus):
+    """The cell-by-cell gRSK loop in row-major order; the oracle of the
+    anti-diagonal (wavefront) order of polymer.grsk and tropical_rsk."""
+    n, m = logw.shape[-2], logw.shape[-1]
+    t = np.full(logw.shape[:-2] + (n + 1, m + 1), -np.inf)
+    t[..., 1:, 1:] = logw
+    t[..., 0, 1] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            a = np.arange(i - 1, i - min(i, j), -1)  # interior of the diagonal
+            if a.size:
+                b = a + (j - i)
+                t[..., a, b] = (
+                    plus(t[..., a - 1, b], t[..., a, b - 1])
+                    - t[..., a, b]
+                    - plus(-t[..., a + 1, b], -t[..., a, b + 1])
+                )
+            t[..., i, j] += plus(t[..., i - 1, j], t[..., i, j - 1])
+    return t[..., 1:, 1:]
+
+
+@given(
+    batch=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    n=st.integers(min_value=1, max_value=9),
+    m=st.integers(min_value=1, max_value=9),
+    scale=st.sampled_from([0.1, 3.0, 300.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(batch=(), n=1, m=9, scale=3.0, seed=3)
+@example(batch=(3,), n=9, m=1, scale=3.0, seed=3)
+@example(batch=(), n=2, m=9, scale=3.0, seed=3)
+@example(batch=(2, 2), n=9, m=2, scale=3.0, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_wavefront_rsk_equals_row_major_bitwise(batch, n, m, scale, seed):
+    logw = scale * np.random.default_rng(seed).standard_normal(batch + (n, m))
+    assert np.array_equal(grsk(logw), _row_major_rsk(logw, np.logaddexp))
+    assert np.array_equal(tropical_rsk(logw), _row_major_rsk(logw, np.maximum))
 
 
 def _enumerated_last_passage(e, k):

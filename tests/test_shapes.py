@@ -72,6 +72,14 @@ def test_mp_roundtrip_and_monotone():
             assert mp_mass_above(c, rho) == pytest.approx(alpha / c, abs=1e-10)
 
 
+@pytest.mark.parametrize("c", [0.99, 0.999, 0.9999])
+def test_mp_lower_edge_vs_mpmath(c):
+    # 1 + c - 2 sqrt(c) cancels as c -> 1 (relative error 4.8e-9 at 0.9999)
+    with mpmath.workdps(40):
+        want = (1 - mpmath.sqrt(mpmath.mpf(c))) ** 2
+    assert mp_edges(c)[0] == pytest.approx(float(want), rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("d", [1e-9, 1e-6])
 @pytest.mark.parametrize("c", [0.99, 0.999, 1.0])
 def test_mp_mass_above_lower_edge_vs_mpmath(c, d):
