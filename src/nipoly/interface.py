@@ -27,7 +27,7 @@ import numpy as np
 from .environment import UniformField, derive_seed
 from .errors import DomainError
 from .lattice import macmahon_log_count
-from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage, loggamma_rectangle
+from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage_batch, loggamma_rectangle
 from .special import bessel_k0, digamma, log_factorial, log_gamma, log_superfactorial
 
 
@@ -371,8 +371,11 @@ def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) ->
     distributional comparison."""
     if not 1 <= k <= m <= n:
         raise DomainError("need 1 <= k <= m <= N")
-    fields = [UniformField(derive_seed(seed, 0x5C, r)) for r in range(seeds)]
-    lvals = np.array([last_passage(f, n, m, k) for f in fields])
+    field_seeds = np.array(
+        [derive_seed(seed, 0x5C, r) for r in range(seeds)], dtype=np.uint64
+    )
+    fields = [UniformField(int(s)) for s in field_seeds]
+    lvals = last_passage_batch(field_seeds, n, m, k)
     mu_log_tau = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
         logw = np.stack([loggamma_rectangle(f, mu, n, m) for f in fields])

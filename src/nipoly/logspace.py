@@ -110,18 +110,6 @@ def logsum_iter(terms: Iterable[LogSigned]) -> LogSigned:
     return acc
 
 
-def logsumexp_stream(logs: Iterable[float]) -> float:
-    """Plain log-sum-exp of nonnegative terms given by their logs."""
-    acc = -math.inf
-    for x in logs:
-        if x == -math.inf:
-            continue
-        if x > acc:
-            acc, x = x, acc
-        acc += math.log1p(math.exp(x - acc))
-    return acc
-
-
 def logdet(matrix: Sequence[Sequence[LogSigned]]) -> LogSigned:
     """Determinant of a square LogSigned matrix, entirely in log space.
 

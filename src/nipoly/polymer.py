@@ -22,6 +22,8 @@ from dataclasses import dataclass, field as dc_field
 
 import mpmath
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from .environment import UniformField, WeightSpec, derive_seed, omega_grid
 from .errors import DomainError, NoPathError, PrecisionLossError
@@ -33,7 +35,7 @@ from .lattice import (
     stack_diag,
     stack_up,
 )
-from .logspace import LogSigned, logdet, logsumexp_stream
+from .logspace import LogSigned, logdet
 from .special import digamma, trigamma
 
 _FE_STREAM = 0x0F0E
@@ -179,7 +181,7 @@ def brute_force_kpath_logZ(
                 for z in sites:
                     total += float(omega_grid(field, spec, z[0], z[1]))
         logs.append(beta * total)
-    return logsumexp_stream(logs)
+    return float(logsumexp(logs))
 
 
 # ---------------------------------------------------------------------------
@@ -407,33 +409,21 @@ def log_tau_tilde(field: UniformField, mu: float, n: int, m: int, k: int) -> flo
     return float(corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, m, n)), k))
 
 
-def last_passage(
-    field: UniformField, n: int, m: int, k: int = 1, cap: int = 100000
-) -> float:
+def last_passage(field: UniformField, n: int, m: int, k: int = 1) -> float:
     """L^N(m,k): max total of coupled exponential weights over the k-paths
     of the N-wide, m-tall rectangle, start weights included (tau convention).
 
     k = 1 runs the max-plus scan and 2 <= k <= min(n, m) the tropical RSK,
-    both at any size; larger k enumerates below cap.
+    both at any size; the rectangle holds no k-path for larger k.
     """
-    spec = WeightSpec("exp1")
-    if 1 <= k <= min(n, m):
-        x1 = np.arange(1, n + 1)
-        x2 = np.arange(1, m + 1)
-        e = omega_grid(field, spec, x1[:, None], x2[None, :])
-        if k == 1:
-            return float(scan_rectangle(e, np.maximum, include_start=True))
-        return float(corner_diagonal_sum(tropical_rsk(e), k))
-    xs = stack_up((1, 1), k)
-    ys = tuple((n, m - (k - 1) + i) for i in range(k))
-    best = -math.inf
-    for kp in enumerate_kpaths(xs, ys, cap=cap):
-        total = 0.0
-        for comp in kp:
-            for z in comp:
-                total += float(omega_grid(field, spec, z[0], z[1]))
-        best = max(best, total)
-    return best
+    if not 1 <= k <= min(n, m):
+        raise DomainError("last_passage needs 1 <= k <= min(n, m)")
+    x1 = np.arange(1, n + 1)
+    x2 = np.arange(1, m + 1)
+    e = omega_grid(field, WeightSpec("exp1"), x1[:, None], x2[None, :])
+    if k == 1:
+        return float(scan_rectangle(e, np.maximum, include_start=True))
+    return float(corner_diagonal_sum(tropical_rsk(e), k))
 
 
 def last_passage_batch(seeds: np.ndarray, n: int, m: int, k: int = 1) -> np.ndarray:
@@ -464,7 +454,7 @@ def sepp_free_energy(mu: float, c: float) -> float:
     - sup over theta in (0, mu) of (c psi0(theta) + psi0(mu - theta)).
 
     The objective is strictly concave (psi1 decreasing), so the stationary
-    point is found by bisection on the derivative.
+    point is the one root of the derivative, found by brentq.
     """
     if mu <= 0 or c <= 0:
         raise DomainError("sepp_free_energy requires mu > 0, c > 0")
@@ -473,13 +463,10 @@ def sepp_free_energy(mu: float, c: float) -> float:
         return c * trigamma(theta) - trigamma(mu - theta)
 
     lo, hi = 1e-12 * mu, mu * (1 - 1e-12)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
+    if not deriv(lo) >= 0.0 >= deriv(hi):
+        raise DomainError("sepp_free_energy: stationary theta lies outside (0, mu)")
+    # rtol: brentq's finest; xtol: negligible against theta >= 1e-12 mu
+    theta = brentq(deriv, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     return -(c * digamma(theta) + digamma(mu - theta))
 
 

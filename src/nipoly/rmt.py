@@ -136,13 +136,9 @@ def jacobi_eigvalsh_batch(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 3
 
 
 def hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues (decreasing) of a complex Hermitian matrix."""
-    return np.linalg.eigvalsh(h)[::-1].copy()
-
-
-def hermitian_eigvalsh_batch(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues (decreasing) of each matrix in a (B, n, n) Hermitian stack."""
-    return np.linalg.eigvalsh(h)[:, ::-1].copy()
+    """Eigenvalues (decreasing) of a complex Hermitian matrix, or of each
+    matrix in a (..., n, n) stack."""
+    return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +176,7 @@ def lue_matrix(n: int, m: int, seed: int) -> np.ndarray:
     parameter n: X is m x n with standard complex Gaussian entries."""
     if m > n:
         raise DomainError("LUE sampling requires m <= n")
-    rows = np.arange(m)[:, None]
-    cols = np.arange(n)[None, :]
-    x = (
-        _normals(seed, _RE_LANE, rows, cols) + 1j * _normals(seed, _IM_LANE, rows, cols)
-    ) / math.sqrt(2.0)
-    return x @ x.conj().T
+    return lue_matrix_batch(n, m, [seed])[0]
 
 
 def lue_sample(n: int, m: int, seed: int) -> np.ndarray:
@@ -210,7 +201,7 @@ def _seed_lane(seeds: np.ndarray, lane: int) -> np.ndarray:
 
 def lue_sample_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
     """Eigenvalues (decreasing) for a batch of LUE samples, one per seed."""
-    return hermitian_eigvalsh_batch(lue_matrix_batch(n, m, seeds))
+    return hermitian_eigvalsh(lue_matrix_batch(n, m, seeds))
 
 
 def minors_process(h: np.ndarray) -> dict[tuple[int, int], float]:

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import scipy.integrate
+from scipy.optimize import brentq
 
 from .environment import (
     LargeMuLogWeightTable,
@@ -23,7 +24,7 @@ from .environment import (
     uniform_many,
 )
 from .errors import DomainError
-from .polymer import last_passage, last_passage_batch, sepp_free_energy
+from .polymer import last_passage_batch, sepp_free_energy
 from .rmt import gue_sample, lue_sample, lue_sample_batch
 from .special import digamma, log_inv_gamma_quantile, log_superfactorial, trigamma
 
@@ -48,6 +49,12 @@ INFINITE = InfiniteTension()
 
 def is_infinite(x) -> bool:
     return isinstance(x, InfiniteTension)
+
+
+# brentq to float resolution: its finest relative tolerance, a negligible
+# absolute one
+_RTOL = 4.0 * np.finfo(float).eps
+_XTOL = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +102,9 @@ def mp_quantile(c: float, alpha: float) -> float:
     if alpha == c:
         return m_c
     target = alpha / c
-    lo, hi = m_c, big_m
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mp_mass_above(c, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(
+        lambda rho: mp_mass_above(c, rho) - target, m_c, big_m, xtol=_XTOL, rtol=_RTOL
+    )
 
 
 def xi_mp(s: float, t: float) -> float:
@@ -131,15 +133,15 @@ def sc_quantile(x: float) -> float:
         return 2.0
     if x == 1.0:
         return -2.0
-    lo, hi = -0.5 * math.pi, 0.5 * math.pi  # rho = 2 sin(phi)
-    # mass above = 1 - F decreasing in phi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if 1.0 - sc_cdf(2.0 * math.sin(mid)) > x:
-            lo = mid
-        else:
-            hi = mid
-    return 2.0 * math.sin(0.5 * (lo + hi))
+    # rho = 2 sin(phi) has mass 1/2 - (phi + sin phi cos phi)/pi above it
+    phi = brentq(
+        lambda p: 0.5 - (p + math.sin(p) * math.cos(p)) / math.pi - x,
+        -0.5 * math.pi,
+        0.5 * math.pi,
+        xtol=_XTOL,
+        rtol=_RTOL,
+    )
+    return 2.0 * math.sin(phi)
 
 
 def sc_cdf_check(phi: float) -> float:
@@ -215,15 +217,11 @@ def xi_edge_top(mu: float, t: float) -> float:
     hi = 1.0
     while deriv(hi) > 0:
         hi *= 2.0
-        if hi > 1e12:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
+        if math.isinf(hi):
+            raise DomainError("xi_edge_top: no upper bracket for the stationary theta")
+    if not deriv(lo) >= 0.0:
+        raise DomainError("xi_edge_top: stationary theta lies below %g" % lo)
+    theta = brentq(deriv, lo, hi, xtol=_XTOL, rtol=_RTOL)
     return t * digamma(theta) - digamma(mu + theta)
 
 
@@ -300,24 +298,22 @@ def sc_hilbert_pv(phi: float) -> float:
     """Principal-value integral Lambda = PV int_0^1 ds / (rho(s) - rho(r)) at
     the point r with rho(r) = 2 sin phi, where rho is the semicircle
     quantile; its closed form is -sin phi, minus the usual x/2
-    Stieltjes/Hilbert value of the semicircle at x = 2 sin phi.  The
-    singular window around r is folded so that the two sides cancel
-    pointwise; the rest is plain adaptive quadrature."""
+    Stieltjes/Hilbert value of the semicircle at x = 2 sin phi.  QUADPACK's
+    Cauchy weight 1/(s - r) takes the pole; what it multiplies,
+    (s - r) / (rho(s) - rho(r)), is regular at r with limit
+    1/rho'(r) = -cos(phi)/pi."""
     rho_r = 2.0 * math.sin(phi)
     r = 1.0 - sc_cdf(rho_r)
+    if not 0.0 < r < 1.0:
+        raise DomainError("the pole r must lie inside (0, 1); phi is too near +-pi/2")
 
-    def f(s):
-        return 1.0 / (sc_quantile(float(s)) - rho_r)
+    def g(s):
+        if s == r:
+            return -math.cos(phi) / math.pi
+        return (s - r) / (sc_quantile(s) - rho_r)
 
-    def g(e):
-        # f(r+e) + f(r-e) is regular at e = 0
-        return f(r + e) + f(r - e)
-
-    delta = min(r, 1.0 - r, 0.05)
-    inner, _ = scipy.integrate.quad(g, 1e-9, delta, limit=200)
-    outer1, _ = scipy.integrate.quad(f, 0.0, r - delta, limit=400)
-    outer2, _ = scipy.integrate.quad(f, r + delta, 1.0, limit=400)
-    return outer1 + outer2 + inner
+    val, _ = scipy.integrate.quad(g, 0.0, 1.0, weight="cauchy", wvar=r)
+    return val
 
 
 def omega_identity_check(phis=None) -> dict:
@@ -428,16 +424,10 @@ def lue_quantile_gap(n: int, m: int, seed: int, central: float = 0.9) -> float:
 def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
     """Two-oracle comparison of L^N(m, k) with the sum of the k largest
     LUE(m; n) eigenvalues: means within combined stderr, two-sample KS."""
-    if k <= min(n, m):
-        seeds_l = np.array(
-            [derive_seed(seed, 0x10, s) for s in range(samples)], dtype=np.uint64
-        )
-        lvals = last_passage_batch(seeds_l, n, m, k)
-    else:
-        lvals = np.empty(samples)
-        for s in range(samples):
-            f = UniformField(derive_seed(seed, 0x10, s))
-            lvals[s] = last_passage(f, n, m, k)
+    seeds_l = np.array(
+        [derive_seed(seed, 0x10, s) for s in range(samples)], dtype=np.uint64
+    )
+    lvals = last_passage_batch(seeds_l, n, m, k)
     seeds_e = np.array(
         [derive_seed(seed, 0x20, s) for s in range(samples)], dtype=np.uint64
     )

@@ -196,3 +196,11 @@ def test_large_mu_table_matches_direct():
     # extreme tails route through the exact inversion
     u_tail = np.array([1e-12, 1.0 - 1e-12])
     assert np.allclose(table.log_weights(u_tail), -np.log(sps.gammainccinv(mu, u_tail)))
+
+
+@pytest.mark.parametrize("mu", [1000.0, 1100.0, 1200.0])
+def test_large_mu_table_builds_at_its_minimum(mu):
+    # fluctuation_mc takes the table path from mu = 1000 on
+    table = LargeMuLogWeightTable(mu)
+    u = np.random.default_rng(1).random(50000)
+    assert np.abs(table.log_weights(u) - -np.log(sps.gammainccinv(mu, u))).max() < 1e-8

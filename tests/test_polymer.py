@@ -335,6 +335,14 @@ def test_last_passage_batch_matches_scalar():
             assert batch[i] == last_passage(UniformField(int(s)), 6, 4, k)
 
 
+def test_last_passage_needs_k_at_most_min_side():
+    # the 3 x 2 rectangle holds no 3-path
+    with pytest.raises(DomainError):
+        last_passage(UniformField(1), 3, 2, 3)
+    with pytest.raises(DomainError):
+        last_passage(UniformField(1), 3, 2, 0)
+
+
 def test_sepp_free_energy_closed_forms():
     assert sepp_free_energy(2.0, 1.0) == pytest.approx(2 * GAMMA, abs=1e-10)
     # psi0(1/2) = -gamma - 2 ln 2
@@ -342,6 +350,12 @@ def test_sepp_free_energy_closed_forms():
     # decreasing in mu at fixed c
     vals = [sepp_free_energy(mu, 1.0) for mu in (0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_sepp_free_energy_without_bracket_raises():
+    # at c = 1e-40 the stationary theta ~ 1e-20 lies below the bracket's 1e-12 mu
+    with pytest.raises(DomainError):
+        sepp_free_energy(1.0, 1e-40)
 
 
 def test_infinite_temperature_value():

@@ -9,7 +9,6 @@ from nipoly.rmt import (
     gue_matrix,
     gue_sample,
     hermitian_eigvalsh,
-    hermitian_eigvalsh_batch,
     jacobi_eigvalsh,
     jacobi_eigvalsh_batch,
     lue_matrix,
@@ -63,7 +62,7 @@ def test_hermitian_eigvalsh():
             for _ in range(5)
         ]
     )
-    got = hermitian_eigvalsh_batch(hb)
+    got = hermitian_eigvalsh(hb)
     for b in range(5):
         want = np.sort(np.linalg.eigvalsh(hb[b]))[::-1]
         assert np.allclose(got[b], want, atol=1e-9)

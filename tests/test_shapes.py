@@ -146,6 +146,50 @@ def test_edge_curves_consistency():
     assert xi_edge_bottom(1.0, 1.0) == pytest.approx(GAMMA, abs=1e-10)
 
 
+def _xi_edge_top_mpmath(mu: float, t: float) -> float:
+    # bisection on log theta for t psi1(theta) = psi1(mu + theta) at 40
+    # digits; the value is stationary in theta, so its error is quadratic
+    with mpmath.workdps(40):
+        mu, t = mpmath.mpf(mu), mpmath.mpf(t)
+
+        def deriv(u):
+            th = mpmath.exp(u)
+            return t * mpmath.psi(1, th) - mpmath.psi(1, mu + th)
+
+        lo, hi = mpmath.log(mpmath.mpf(1e-14)), mpmath.mpf(0)
+        while deriv(hi) > 0:
+            hi += 1
+        for _ in range(150):
+            mid = (lo + hi) / 2
+            if deriv(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        th = mpmath.exp((lo + hi) / 2)
+        return float(t * mpmath.digamma(th) - mpmath.digamma(mu + th))
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 3.7, 10.0, 50.0])
+def test_xi_edge_top_against_mpmath(mu):
+    for t in (0.05, 0.3, 0.5, 0.9, 0.999):
+        assert xi_edge_top(mu, t) == pytest.approx(_xi_edge_top_mpmath(mu, t), abs=1e-13)
+
+
+def test_xi_edge_top_near_one():
+    # the stationary theta ~ t mu / (1 - t) = 1e14 lies past any fixed cap
+    t = 1.0 - 1e-13
+    assert xi_edge_top(10.0, t) == pytest.approx(_xi_edge_top_mpmath(10.0, t), abs=1e-13)
+
+
+def test_xi_edge_top_without_bracket_raises():
+    # t = 1e-40: the stationary theta ~ 1e-20 lies below the bracket's 1e-14
+    with pytest.raises(DomainError):
+        xi_edge_top(1.0, 1e-40)
+    # mu = 1e308, t = 0.9: the stationary theta ~ 9e308 overflows
+    with pytest.raises(DomainError):
+        xi_edge_top(1e308, 0.9)
+
+
 def test_edge_bottom_t0_is_sepp():
     from nipoly.polymer import sepp_free_energy
 
@@ -213,8 +257,9 @@ def test_omega_identity_phi0():
 
 
 def test_omega_identity_pv_quadrature():
-    r = omega_identity_pv_check(math.pi / 6)
-    assert r["residual"] < 1e-6
+    for phi in (math.pi / 6, -1.0, 1.2, 1.5, -1.5):
+        r = omega_identity_pv_check(phi)
+        assert r["residual"] < 1e-10, (phi, r)
 
 
 def test_affine_wulff():
@@ -282,6 +327,12 @@ def test_fluctuation_mc_small():
     assert r["mean"][-1] == pytest.approx(r["mean_offset_pred"][-1], abs=0.05)
 
 
+def test_johansson_k_above_min_side_raises():
+    # there are no 3-paths in the 4 x 2 rectangle
+    with pytest.raises(DomainError):
+        johansson_check(4, 2, 3, samples=10, seed=1)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         mp_quantile(1.0, 1.5)
@@ -291,3 +342,5 @@ def test_domain_errors():
         xi_edge_bottom(1.0, 2.0)
     with pytest.raises(DomainError):
         affine_wulff_check(1.0)
+    with pytest.raises(DomainError):
+        omega_identity_pv_check(1.57079)  # the pole r is 0 in floating point
