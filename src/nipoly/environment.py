@@ -5,7 +5,9 @@ variate, so environments need no storage, rolling-row dynamic programming
 over huge rectangles stays O(min dim) in memory, and results are bitwise
 independent of evaluation order.  Every weight law is realized as a
 quantile transform of the same uniform field, which is what makes the
-mu-couplings hold sample by sample.
+mu-couplings hold sample by sample.  The hash runs on the calling thread;
+large loggamma transforms (two chunks of 2^16 sites or more) run on all
+available cores, and their result is bitwise independent of the chunking.
 """
 
 from __future__ import annotations

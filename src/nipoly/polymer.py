@@ -65,21 +65,19 @@ def scan_rectangle(logw: np.ndarray, combine=np.logaddexp, include_start: bool =
     vectorized operation; memory is O(W) per batch lane.
     """
     w, h = logw.shape[-2], logw.shape[-1]
-    lead = logw.shape[:-2]
-    prev = np.full(lead + (w,), -np.inf)
-    prev[..., 0] = logw[..., 0, 0] if include_start else 0.0
+    # row[..., i + 1] holds column i of the latest anti-diagonal; row[..., 0]
+    # is the -inf west neighbour of column 0, and the south neighbour of the
+    # cell (d, 0) is the untouched -inf at row[..., d + 1]
+    row = np.full(logw.shape[:-2] + (w + 1,), -np.inf)
+    row[..., 1] = logw[..., 0, 0] if include_start else 0.0
+    # anti-diagonal d of logw is diagonal h - 1 - d of its column-reversed view
+    flipped = logw[..., :, ::-1]
     for d in range(1, w + h - 1):
-        i_lo, i_hi = max(0, d - h + 1), min(w - 1, d)
-        idx = np.arange(i_lo, i_hi + 1)
-        # south predecessor (i, d-1-i) is valid when 0 <= d-1-i < h
-        south = np.where((d - 1 - idx >= 0) & (d - 1 - idx < h), prev[..., idx], -np.inf)
-        west = np.full(lead + idx.shape, -np.inf)
-        wmask = idx - 1 >= 0
-        west[..., wmask] = prev[..., idx[wmask] - 1]
-        cur = np.full_like(prev, -np.inf)
-        cur[..., idx] = combine(south, west) + logw[..., idx, d - idx]
-        prev = cur
-    return prev[..., w - 1]
+        lo, hi = max(0, d - h + 1), min(w - 1, d)
+        row[..., lo + 1 : hi + 2] = combine(
+            row[..., lo + 1 : hi + 2], row[..., lo : hi + 1]
+        ) + np.diagonal(flipped, h - 1 - d, -2, -1)
+    return row[..., w]
 
 
 def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:

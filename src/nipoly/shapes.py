@@ -125,23 +125,44 @@ def sc_cdf(x: float) -> float:
     return 0.5 + phi / math.pi + math.sin(phi) * math.cos(phi) / math.pi
 
 
+def _t_minus_sin(t: float) -> float:
+    """t - sin t, by its alternating Taylor series below t = 1, where the
+    difference cancels; 10 terms reach double precision there."""
+    if t >= 1.0:
+        return t - math.sin(t)
+    term, total = t**3 / 6.0, 0.0
+    for k in range(2, 12):
+        total += term
+        term *= -t * t / ((2 * k) * (2 * k + 1))
+    return total
+
+
+def _sc_upper_quantile(x: float) -> float:
+    """sc_quantile for 0 <= x <= 1/2."""
+    if x == 0.0:
+        return 2.0
+    # rho = 2 cos(psi) has mass (2 psi - sin 2 psi) / (2 pi) above it; in
+    # psi = pi/2 - phi the upper tail x -> 0 stays resolved, and the cube
+    # roots (mass ~ psi^3 there) keep the root-finder off bisection
+    cbrt_x = x ** (1.0 / 3.0)
+    psi = brentq(
+        lambda p: (_t_minus_sin(2.0 * p) / (2.0 * math.pi)) ** (1.0 / 3.0) - cbrt_x,
+        0.0,
+        math.pi,
+        xtol=_XTOL,
+        rtol=_RTOL,
+    )
+    return 2.0 * math.cos(psi)
+
+
 def sc_quantile(x: float) -> float:
     """rho in [-2, 2] with semicircle mass x above it (decreasing in x)."""
     if not 0.0 <= x <= 1.0:
         raise DomainError("mass argument must lie in [0, 1]")
-    if x == 0.0:
-        return 2.0
-    if x == 1.0:
-        return -2.0
-    # rho = 2 sin(phi) has mass 1/2 - (phi + sin phi cos phi)/pi above it
-    phi = brentq(
-        lambda p: 0.5 - (p + math.sin(p) * math.cos(p)) / math.pi - x,
-        -0.5 * math.pi,
-        0.5 * math.pi,
-        xtol=_XTOL,
-        rtol=_RTOL,
-    )
-    return 2.0 * math.sin(phi)
+    if x > 0.5:
+        # the law is symmetric, and 1 - x is exact here
+        return -_sc_upper_quantile(1.0 - x)
+    return _sc_upper_quantile(x)
 
 
 def sc_cdf_check(phi: float) -> float:
@@ -312,7 +333,13 @@ def sc_hilbert_pv(phi: float) -> float:
             return -math.cos(phi) / math.pi
         return (s - r) / (sc_quantile(s) - rho_r)
 
-    val, _ = scipy.integrate.quad(g, 0.0, 1.0, weight="cauchy", wvar=r)
+    val, _, _, *failure = scipy.integrate.quad(
+        g, 0.0, 1.0, weight="cauchy", wvar=r, full_output=1
+    )
+    if failure:
+        # near |phi| = pi/2 the pole r crowds the endpoint and QUADPACK
+        # runs out of subdivisions
+        raise DomainError("sc_hilbert_pv(%r): quadrature did not converge: %s" % (phi, failure[0]))
     return val
 
 

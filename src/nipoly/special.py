@@ -3,13 +3,18 @@
 Each wrapper checks its domain, raising DomainError, and returns a Python
 float.  The inverse-gamma quantile has one owner, log_inv_gamma_quantile,
 which the scalar quantile, the environment's bulk path, the large-mu table
-and the fluctuation sampler all call.
+and the fluctuation sampler all call.  Large quantile transforms run in
+fixed-size chunks on all available cores; the transform is elementwise, so
+the result is bitwise independent of the chunking.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.special as sps
@@ -79,19 +84,80 @@ def inv_gamma_cdf(mu: float, s: float) -> float:
     return gamma_q(mu, 1.0 / s)
 
 
-def log_inv_gamma_quantile(mu: float, u):
-    """log F_mu^{-1}(u), elementwise over u in (0, 1), for mu > 0.
+# sites per task of the quantile transform; smaller inputs stay on the caller
+_CHUNK = 1 << 16
+# Against a 25-digit mpmath scan over s = ndtri(u) in [-8, 8], gammainccinv
+# stays within 1e-12 in log up to mu = 4.05e5, and for s <= 4.5 up to at
+# least mu = 1e10.  Beyond, its incomplete gamma leaves the uniform
+# asymptotic band |y - mu| < 4.5 sqrt(mu) and its series stops short:
+# 2.4e-9 off at mu = 1e6, 7.3e-8 at 2e6 (s = 4.505).
+_MU_ACCURATE = 4e5
+_U_BAND = float(sps.ndtr(4.5))
+_pool = None
+_pool_lock = threading.Lock()
 
-    1/zeta is Gamma(mu, 1), so log zeta = -log y with Q(mu, y) = u.  Tiny
-    mu pushes y below float range; there the leading series
-    P(mu, y) ~ y^mu / Gamma(mu + 1) gives log y directly.
-    """
+
+def _forget_pool() -> None:
+    # a forked child inherits the executor but not its threads
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _quantile_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="nipoly-quantile")
+        return _pool
+
+
+def _log_inv_gamma_quantile_body(mu: float, u):
     y = sps.gammainccinv(mu, u)
     tiny = ~(y > 1e-280)
     with np.errstate(divide="ignore"):
         direct = -np.log(y)
     series = -(np.log1p(-u) + sps.gammaln(mu + 1.0)) / mu
     return np.where(tiny, series, direct)
+
+
+def log_inv_gamma_quantile(mu: float, u):
+    """log F_mu^{-1}(u), elementwise over u in (0, 1), for mu > 0.
+
+    1/zeta is Gamma(mu, 1), so log zeta = -log y with Q(mu, y) = u.  Tiny
+    mu pushes y below float range; there the leading series
+    P(mu, y) ~ y^mu / Gamma(mu + 1) gives log y directly.  Inputs of two
+    chunks or more are split into flat chunks that run on a thread pool
+    (the ufuncs release the GIL), one thread per available core.  Raises
+    DomainError for mu > 4e5 and u > ndtr(4.5), where scipy's inverse is
+    not accurate.
+    """
+    u = np.asarray(u)
+    if mu > _MU_ACCURATE and np.any(u > _U_BAND):
+        raise DomainError(
+            "log_inv_gamma_quantile: mu = %r > %g is inaccurate for u > ndtr(4.5)"
+            % (mu, _MU_ACCURATE)
+        )
+    chunk = _CHUNK
+    if u.size < 2 * chunk:
+        return _log_inv_gamma_quantile_body(mu, u)
+    flat = u.ravel()
+    out = np.empty(flat.shape, np.result_type(flat, 1.0))
+
+    def run(lo: int) -> None:
+        out[lo : lo + chunk] = _log_inv_gamma_quantile_body(mu, flat[lo : lo + chunk])
+
+    pool = _quantile_pool()
+    for task in [pool.submit(run, lo) for lo in range(0, flat.size, chunk)]:
+        task.result()
+    return out.reshape(u.shape)
 
 
 def inv_gamma_quantile(mu: float, u: float) -> float:

@@ -76,6 +76,46 @@ def test_scan_matches_grid():
         assert got[b] == pytest.approx(scan_rectangle(batch[b]), rel=1e-12)
 
 
+def _fancy_index_scan(logw, combine, include_start):
+    """The anti-diagonal scan with per-step masks and fancy indices; the
+    oracle of the strided scan_rectangle."""
+    w, h = logw.shape[-2], logw.shape[-1]
+    lead = logw.shape[:-2]
+    prev = np.full(lead + (w,), -np.inf)
+    prev[..., 0] = logw[..., 0, 0] if include_start else 0.0
+    for d in range(1, w + h - 1):
+        i_lo, i_hi = max(0, d - h + 1), min(w - 1, d)
+        idx = np.arange(i_lo, i_hi + 1)
+        south = np.where((d - 1 - idx >= 0) & (d - 1 - idx < h), prev[..., idx], -np.inf)
+        west = np.full(lead + idx.shape, -np.inf)
+        wmask = idx - 1 >= 0
+        west[..., wmask] = prev[..., idx[wmask] - 1]
+        cur = np.full_like(prev, -np.inf)
+        cur[..., idx] = combine(south, west) + logw[..., idx, d - idx]
+        prev = cur
+    return prev[..., w - 1]
+
+
+@given(
+    batch=st.sampled_from([(), (3,), (2, 2)]),
+    w=st.integers(min_value=1, max_value=12),
+    h=st.integers(min_value=1, max_value=12),
+    combine=st.sampled_from([np.logaddexp, np.maximum]),
+    include_start=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(batch=(), w=1, h=1, combine=np.logaddexp, include_start=True, seed=3)
+@example(batch=(3,), w=1, h=9, combine=np.maximum, include_start=False, seed=3)
+@example(batch=(2, 2), w=9, h=1, combine=np.logaddexp, include_start=True, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_strided_scan_equals_fancy_index_scan_bitwise(batch, w, h, combine, include_start, seed):
+    logw = 3.0 * np.random.default_rng(seed).standard_normal(batch + (w, h))
+    got = scan_rectangle(logw, combine, include_start)
+    ref = _fancy_index_scan(logw, combine, include_start)
+    assert np.shape(got) == np.shape(ref) == batch
+    assert np.array_equal(got, ref)
+
+
 def test_scan_maximum_mode():
     logw = np.ones((4, 6))
     assert scan_rectangle(logw, np.maximum, include_start=True) == pytest.approx(9.0)

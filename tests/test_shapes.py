@@ -26,6 +26,7 @@ from nipoly.shapes import (
     omega_identity_pv_check,
     sc_cdf,
     sc_cdf_check,
+    sc_hilbert_pv,
     sc_quantile,
     superfactorial_asymptotic_check,
     theta_min_vs_xi_ht_gap,
@@ -115,6 +116,39 @@ def test_sc_quantile_values():
     for x in (0.1, 0.33, 0.77):
         rho = sc_quantile(x)
         assert 1.0 - sc_cdf(rho) == pytest.approx(x, abs=1e-10)
+
+
+def _sc_quantile_mpmath(x):
+    """2 sin phi with 1/2 - (phi + sin phi cos phi)/pi = x, at 400 digits so
+    the cancellation near phi = pi/2 costs nothing; Newton from the
+    leading-order tail phi = pi/2 - (12 pi x)^(1/3) / 2."""
+    with mpmath.workdps(400):
+        x = mpmath.mpf(x)
+        if x == 1:
+            return -2.0
+        f = lambda p: 0.5 - (p + mpmath.sin(p) * mpmath.cos(p)) / mpmath.pi - x
+        if x < 0.01:
+            p0 = mpmath.pi / 2 - mpmath.cbrt(12 * mpmath.pi * x) / 2
+        else:
+            p0 = -mpmath.pi / 2 + mpmath.cbrt(12 * mpmath.pi * (1 - x)) / 2
+        return float(2 * mpmath.sin(mpmath.findroot(f, p0)))
+
+
+def test_sc_quantile_tails_match_mpmath():
+    # the mass above rho near 2 is ~ psi^3 with psi = pi/2 - phi; the
+    # unsubstituted form loses it to rounding below x ~ 1e-17
+    for x in (1e-300, 1e-30, 1e-17, 1e-10):
+        for mass in (x, 1.0 - x):
+            ref = _sc_quantile_mpmath(mass)
+            assert sc_quantile(mass) == pytest.approx(ref, rel=1e-13, abs=0.0), mass
+
+
+def test_sc_hilbert_pv_raises_where_quadrature_fails():
+    # the pole r ~ 6e-12 crowds the endpoint: QUADPACK runs out of subdivisions
+    for phi in (1.5706, -1.5706):
+        with pytest.raises(DomainError):
+            sc_hilbert_pv(phi)
+    assert sc_hilbert_pv(1.569) == pytest.approx(-math.sin(1.569), abs=1e-9)
 
 
 def test_sc_cdf_quadrature_residual():

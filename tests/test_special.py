@@ -1,9 +1,19 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sps
 
+import nipoly
+from nipoly import special
+from nipoly.environment import UniformField
 from nipoly.errors import DomainError
 from nipoly.special import (
     bessel_k0,
@@ -180,6 +190,146 @@ def test_log_inv_gamma_quantile_matches_mpmath():
         assert got.shape == us.shape
         ref = np.array([_log_quantile_mpmath(mu, u, g) for u, g in zip(us, got)])
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def _log_quantile_mpmath_upper(mu, u, start):
+    """-log y with Q(mu, y) = u at 40 digits, by the secant method in
+    t = log y on Q alone; mpmath's lower series does not converge at
+    mu ~ 1e6."""
+    with mpmath.workdps(40):
+        mu, u = mpmath.mpf(mu), mpmath.mpf(u)
+        f = lambda t: mpmath.gammainc(mu, mpmath.exp(t), mpmath.inf, regularized=True) - u
+        return float(-mpmath.findroot(f, (-start, -start + 1e-6), solver="secant"))
+
+
+def test_log_inv_gamma_quantile_huge_mu():
+    # scipy's inverse misses by 2.4e-9 at mu = 1e6 and 7.3e-8 at mu = 2e6
+    # from s = ndtri(u) = 4.505 on: there the quantile raises, and it stays
+    # within 1e-12 of mpmath everywhere else
+    for mu, tail_ok in ((4e5, True), (2e6, False)):
+        for s in (-8.0, -4.5, -1.0, 0.0, 2.0, 4.5, 4.505, 6.0, 8.0):
+            u = float(sps.ndtr(s))
+            if s > 4.5 and not tail_ok:
+                with pytest.raises(DomainError):
+                    log_inv_gamma_quantile(mu, u)
+                continue
+            got = float(log_inv_gamma_quantile(mu, u))
+            assert abs(got - _log_quantile_mpmath_upper(mu, u, got)) <= 1e-12, (mu, s)
+    with pytest.raises(DomainError):
+        log_inv_gamma_quantile(2e6, np.array([0.3, sps.ndtr(6.0)]))
+    with pytest.raises(DomainError):
+        inv_gamma_quantile(2e6, float(sps.ndtr(4.505)))
+
+
+def _chunk_shapes(c):
+    # 0-d, one site, one chunk - 1, two chunks - 1, two chunks, and
+    # non-multiples of the chunk in 1, 2 and 3 dimensions
+    return [(), (1,), (c - 1,), (2 * c - 1,), (2 * c,), (3 * c + 77,), (2, c), (c // 4 + 1, 9), (3, 5, c // 7 + 1)]
+
+
+@pytest.mark.parametrize("mu", [1e-3, 2.0, 2000.0])
+@pytest.mark.parametrize(
+    "chunk, shapes",
+    [
+        # 1001 sites start the chunks off the SIMD alignment
+        (1001, _chunk_shapes(1001)),
+        (special._CHUNK, [(2 * special._CHUNK + 777,), (257, 513)]),
+    ],
+    ids=["chunk1001", "chunk65536"],
+)
+def test_chunked_quantile_bitwise_equals_one_evaluation(monkeypatch, mu, chunk, shapes):
+    # at mu = 1e-3 the tiny-mu series branch takes about half of the sites
+    monkeypatch.setattr(special, "_CHUNK", chunk)
+    field = UniformField(91)
+    for shape in shapes:
+        u = field.uniform(np.arange(int(np.prod(shape))).reshape(shape), 7)
+        for arr in (u, u.T):  # the transpose is not contiguous
+            got = log_inv_gamma_quantile(mu, arr)
+            ref = special._log_inv_gamma_quantile_body(mu, arr)
+            assert got.shape == ref.shape == arr.shape
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # more caller threads than cores race to create the lazy pool; exactly
+    # one pool must come of it, and every result must stay bitwise exact
+    created = []
+
+    def counting_executor(*args, **kwargs):
+        created.append(ThreadPoolExecutor(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(special, "_CHUNK", 1001)
+    monkeypatch.setattr(special, "_pool", None)
+    monkeypatch.setattr(special, "ThreadPoolExecutor", counting_executor)
+    us = [UniformField(s).uniform(np.arange(5000), 3) for s in range(8)]
+    results = [None] * len(us)
+
+    def call(i):
+        results[i] = log_inv_gamma_quantile(2.0, us[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(us))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in created:
+            pool.shutdown()
+    assert len(created) == 1
+    for u, got in zip(us, results):
+        assert np.array_equal(got, special._log_inv_gamma_quantile_body(2.0, u))
+
+
+def _quantile_in_fork_child():
+    u = UniformField(5).uniform(np.arange(10**6), 0)
+    out = log_inv_gamma_quantile(2.0, u)
+    sys.exit(0 if np.isfinite(out).all() else 1)
+
+
+def test_quantile_pool_survives_fork():
+    # the parent's pool and its threads exist before the fork; the child
+    # must not submit to an executor whose threads it did not inherit
+    log_inv_gamma_quantile(2.0, np.full(2 * special._CHUNK, 0.5))
+    assert special._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_quantile_in_fork_child)
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join(timeout=10)
+    assert not hung
+    assert child.exitcode == 0
+
+
+def test_small_work_starts_no_thread():
+    # in a fresh interpreter: importing nipoly and a free energy at N = 8
+    # leave the main thread alone, and two chunks of quantiles start the pool
+    code = (
+        "import threading, numpy as np\n"
+        "from nipoly.environment import WeightSpec\n"
+        "from nipoly.polymer import free_energy_mc\n"
+        "from nipoly.special import _CHUNK, log_inv_gamma_quantile\n"
+        "free_energy_mc(WeightSpec('loggamma', mu=2.0), 1.0, 1.0, 8, 3, 1)\n"
+        "print(threading.active_count())\n"
+        "log_inv_gamma_quantile(2.0, np.full(2 * _CHUNK, 0.5))\n"
+        "print(threading.active_count())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nipoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    small, large = (int(v) for v in out.stdout.split())
+    assert small == 1
+    assert large > 1
 
 
 def test_gamma_q_consistency():
