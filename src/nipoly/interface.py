@@ -229,13 +229,10 @@ def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
     acov = np.fft.irfft(f * np.conj(f))[:m] / np.arange(m, 0, -1)
     if acov[0] <= 0:
         return 1.0
-    rho = acov / acov[0]
-    tau = 1.0
-    for w in range(1, m // 2):
-        tau = 1.0 + 2.0 * rho[1 : w + 1].sum()
-        if w >= c * tau:
-            break
-    return max(tau, 1.0)
+    # tau_w = 1 + 2 sum_{t<=w} rho_t for w < m//2; the first w >= c tau_w, else the last
+    tau = 1.0 + 2.0 * np.cumsum(acov[1 : m // 2] / acov[0])
+    done = np.arange(1, m // 2) >= c * tau
+    return max(float(tau[np.argmax(done) if done.any() else -1]), 1.0)
 
 
 def gibbs_moments(n: int, mu: float, sweeps: int, seed: int) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PrecisionLossWarning
 
@@ -101,13 +101,6 @@ def logsum(a: LogSigned, b: LogSigned) -> LogSigned:
             stacklevel=2,
         )
     return out
-
-
-def logsum_iter(terms: Iterable[LogSigned]) -> LogSigned:
-    acc = LogSigned.zero()
-    for t in terms:
-        acc = logsum(acc, t)
-    return acc
 
 
 def logdet(matrix: Sequence[Sequence[LogSigned]]) -> LogSigned:

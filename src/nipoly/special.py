@@ -66,12 +66,30 @@ def log_binomial(n: int, k: int) -> LogSigned:
     return LogSigned(1, log_factorial(n) - log_factorial(k) - log_factorial(n - k))
 
 
+# Against a 25-digit mpmath scan over s = ndtri(u) in [-8, 8], gammainccinv
+# stays within 1e-12 in log up to mu = 4.05e5, and for s <= 4.5 up to at
+# least mu = 1e10.  Beyond, its incomplete gamma leaves the uniform
+# asymptotic band |y - mu| < 4.5 sqrt(mu) and its series stops short:
+# 2.4e-9 off at mu = 1e6, 7.3e-8 at 2e6 (s = 4.505).  gammaincc itself,
+# against 30-digit mpmath, is 3.8e-11 off at a = 1e6 and 1.6e-9 at 2e6
+# (x = a - 4.5 sqrt(a)), and within 3.1e-14 for x >= a - 4.4 sqrt(a) at
+# a in {4e5, 1e6, 2e6, 1e7}; the 0.1 sqrt(a) margin keeps clear of
+# scipy's switch.
+_MU_ACCURATE = 4e5
+_X_BAND = 4.4
+
+
 def gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0."""
+    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0; raises
+    DomainError for a > 4e5 and x < a - 4.4 sqrt(a), where scipy is off."""
     if not a > 0.0:
         raise DomainError("gamma_q requires a > 0")
     if x < 0.0:
         raise DomainError("gamma_q requires x >= 0")
+    if a > _MU_ACCURATE and x < a - _X_BAND * math.sqrt(a):
+        raise DomainError(
+            "gamma_q: a = %r > %g is inaccurate for x < a - %g sqrt(a)" % (a, _MU_ACCURATE, _X_BAND)
+        )
     return float(sps.gammaincc(a, x))
 
 
@@ -86,12 +104,6 @@ def inv_gamma_cdf(mu: float, s: float) -> float:
 
 # sites per task of the quantile transform; smaller inputs stay on the caller
 _CHUNK = 1 << 16
-# Against a 25-digit mpmath scan over s = ndtri(u) in [-8, 8], gammainccinv
-# stays within 1e-12 in log up to mu = 4.05e5, and for s <= 4.5 up to at
-# least mu = 1e10.  Beyond, its incomplete gamma leaves the uniform
-# asymptotic band |y - mu| < 4.5 sqrt(mu) and its series stops short:
-# 2.4e-9 off at mu = 1e6, 7.3e-8 at 2e6 (s = 4.505).
-_MU_ACCURATE = 4e5
 _U_BAND = float(sps.ndtr(4.5))
 _pool = None
 _pool_lock = threading.Lock()

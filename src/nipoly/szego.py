@@ -1,10 +1,14 @@
 """Toeplitz symbols from path geometry and strong Szego asymptotics.
 
 The infinite-temperature partition function of k stacked paths is a k x k
-Toeplitz determinant whose symbol has binomial coefficients; its large-k
-rate is the zeroth log-coefficient c_0 of the symbol and the subleading
-constant is exp(sum m c_m c_{-m}).  Direct LogSigned determinants serve as
-the oracle for both.
+Toeplitz determinant whose symbol a(s) = sum d_m s^m has binomial
+coefficients.  Its Wiener-Hopf factorization a(s) = lead s^lo prod (s - r)
+(Boettcher-Silbermann 1999), with the roots r_in inside and r_out outside
+the circle, gives the winding number lo + #r_in and, when that is zero,
+the large-k rate c_0 = log(lead prod(-r_out)), the log-coefficients
+c_m = -sum r_out^(-m)/m and c_(-m) = -sum r_in^m/m, and the strong Szego
+constant E = exp(sum m c_m c_{-m}) = prod 1/(1 - r_in/r_out).  Direct
+LogSigned determinants and the Fourier reconstruction of a are the checks.
 """
 
 from __future__ import annotations
@@ -14,9 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ZeroOnCircleError
+from .errors import DomainError, PrecisionLossError, ZeroOnCircleError
 from .lattice import Point
 from .logspace import LogSigned, logdet
+
+# |a| at or below ZERO_TOL max|d_m| counts as a zero on the circle
+ZERO_TOL = 1e-12
+# c_m and E are refused when rounding the coefficients can move log a on the
+# circle by more than LOG_TOL, i.e. when eps sum|d_m| / min|a| exceeds it
+LOG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,87 +85,68 @@ def symbol_from_geometry(z: Point, h: Point) -> Symbol:
     return Symbol(coeffs)
 
 
-def winding_number(sym: Symbol, grid: int = 4096, zero_tol: float = 1e-12) -> int:
-    """Net phase turns of a(e^{it}) around the circle, by phase accumulation
-    with a step guard of pi/2 (the grid doubles until every step is small)."""
+def _wiener_hopf(sym: Symbol) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """(lo, lead, r_in, r_out) with a(s) = lead s^lo prod (s - r), the roots
+    split at the unit circle; ZeroOnCircleError when |a(e^{i arg r})| <=
+    ZERO_TOL max|d_m| for some root."""
     if not sym.coeffs:
         raise ZeroOnCircleError("zero symbol")
+    lo, hi = sym.support()
+    roots = np.roots([sym.d(m) for m in range(hi, lo - 1, -1)])
     scale = max(abs(d) for d in sym.coeffs.values())
-    m = grid
-    while True:
-        t = 2.0 * np.pi * np.arange(m + 1) / m
-        vals = sym.eval_circle(t)
-        if np.min(np.abs(vals)) < zero_tol * scale:
-            raise ZeroOnCircleError("symbol vanishes on the unit circle")
-        steps = np.angle(vals[1:] / vals[:-1])
-        if np.max(np.abs(steps)) < 0.5 * np.pi:
-            total = float(steps.sum())
-            return int(round(total / (2.0 * np.pi)))
-        m *= 2
-        if m > 2**22:
-            raise ZeroOnCircleError("phase steps never settled; symbol near zero")
+    if np.any(np.abs(sym.eval_circle(np.angle(roots))) <= ZERO_TOL * scale):
+        raise ZeroOnCircleError("symbol vanishes on the unit circle")
+    inside = np.abs(roots) < 1.0
+    return lo, sym.d(hi), roots[inside], roots[~inside]
+
+
+def winding_number(sym: Symbol) -> int:
+    """Net phase turns of a(e^{it}): lo plus the number of roots inside the
+    circle, by the argument principle."""
+    lo, _, r_in, _ = _wiener_hopf(sym)
+    return lo + len(r_in)
+
+
+def _winding_zero_factors(sym: Symbol) -> tuple[float, np.ndarray, np.ndarray]:
+    """(c_0, r_in, r_out) of a symbol with winding number zero, where
+    a(s) = lead prod(-r_out) prod(1 - r_in/s) prod(1 - s/r_out)."""
+    lo, lead, r_in, r_out = _wiener_hopf(sym)
+    if lo + len(r_in) != 0:
+        raise DomainError("log a(e^{it}) requires winding number zero")
+    # |a| is smallest near the circle points arg(r)
+    norm = sym.wiener_norm()
+    a_min = np.abs(sym.eval_circle(np.angle(np.concatenate([r_in, r_out])))).min(initial=norm)
+    if np.finfo(float).eps * norm > LOG_TOL * a_min:
+        raise PrecisionLossError(
+            "log a(e^{it}) is ill-conditioned: sum|d_m| / min|a| = %.3g" % (norm / a_min)
+        )
+    # real coefficients pair the roots, so the constant is real; its sign is a(1)'s
+    if not (lead * np.prod(-r_out / np.abs(r_out))).real > 0.0:
+        raise DomainError("log a(e^{it}) is not real: a(1) < 0")
+    return math.log(abs(lead)) + float(np.log(np.abs(r_out)).sum()), r_in, r_out
 
 
 def log_coefficients(sym: Symbol, M: int = 64) -> dict[int, float]:
-    """Fourier coefficients c_m of log a(e^{it}) for |m| <= M.
-
-    Requires winding zero and no zeros on the circle; the FFT grid doubles
-    until the coefficients stabilize to 1e-12.  Because the symbol is a
-    Laurent polynomial, log a is analytic on the circle and the
-    coefficients decay geometrically.
-    """
-    if winding_number(sym) != 0:
-        raise DomainError("log_coefficients requires winding number zero")
-    grid = 4096
-    prev: dict[int, float] | None = None
-    while True:
-        t = 2.0 * np.pi * np.arange(grid) / grid
-        vals = sym.eval_circle(t)
-        logs = np.log(np.abs(vals)) + 1j * _unwrapped_phase(vals)
-        fft = np.fft.fft(logs) / grid
-        cur: dict[int, float] = {}
-        for m in range(-M, M + 1):
-            cm = fft[m % grid]
-            cur[m] = float(cm.real)
-        if max(abs(float(fft[m % grid].imag)) for m in range(-M, M + 1)) > 1e-8:
-            raise DomainError("log-coefficients came out non-real; bad symbol")
-        if prev is not None and all(
-            abs(cur[m] - prev[m]) < 1e-12 for m in cur
-        ):
-            _check_geometric_decay(cur, M)
-            return cur
-        prev = cur
-        grid *= 2
-        if grid > 2**20:
-            raise DomainError("log-coefficient FFT failed to stabilize")
+    """Fourier coefficients c_m of log a(e^{it}) for |m| <= M (winding zero)."""
+    c0, r_in, r_out = _winding_zero_factors(sym)
+    m = np.arange(1, M + 1)
+    c_pos = -(r_out[None, :] ** -m[:, None]).sum(axis=1).real / m
+    c_neg = -(r_in[None, :] ** m[:, None]).sum(axis=1).real / m
+    c = {0: c0}
+    c.update(zip(m.tolist(), c_pos.tolist()))
+    c.update(zip((-m).tolist(), c_neg.tolist()))
+    return c
 
 
-def _unwrapped_phase(vals: np.ndarray) -> np.ndarray:
-    steps = np.angle(vals[1:] / vals[:-1])
-    phases = np.concatenate(([np.angle(vals[0])], np.angle(vals[0]) + np.cumsum(steps)))
-    return phases
+def _szego_constant(r_in: np.ndarray, r_out: np.ndarray) -> float:
+    return float(np.prod(1.0 / (1.0 - np.outer(r_in, 1.0 / r_out))).real)
 
 
-def _check_geometric_decay(c: dict[int, float], M: int) -> None:
-    # the outer half of the window must be negligible against the inner
-    inner = max(abs(c[m]) for m in range(1, M // 2 + 1))
-    outer = max(abs(c[m]) for m in list(range(M // 2 + 1, M + 1)))
-    if inner > 1e-13 and outer > 0.5 * inner:
-        raise DomainError("log-coefficients are not decaying; truncation too small")
-
-
-def strong_szego_constant(sym: Symbol, M: int = 64) -> float:
-    """exp(sum_{m>=1} m c_m c_{-m}), truncated when the geometric tail bound
-    falls below 1e-10."""
-    c = log_coefficients(sym, M=M)
-    total = 0.0
-    for m in range(1, M + 1):
-        total += m * c[m] * c[-m]
-    # geometric tail estimate from the last resolved ratio
-    tail_terms = [abs(M * c[M] * c[-M]), abs((M - 1) * c[M - 1] * c[-(M - 1)])]
-    if max(tail_terms) > 1e-10:
-        return strong_szego_constant(sym, M=2 * M)
-    return math.exp(total)
+def strong_szego_constant(sym: Symbol) -> float:
+    """exp(sum_{m>=1} m c_m c_{-m}) = prod 1/(1 - r_in/r_out) over all pairs
+    of an inside and an outside root."""
+    _, r_in, r_out = _winding_zero_factors(sym)
+    return _szego_constant(r_in, r_out)
 
 
 def toeplitz_det(sym: Symbol, k: int) -> LogSigned:
@@ -173,9 +164,8 @@ def many_paths_rate(z: Point, h: Point, k_max: int) -> dict:
     D_k e^{-k c_0} against the strong Szego constant, plus the parallel
     bound ceiling log d_0."""
     sym = symbol_from_geometry(z, h)
-    c = log_coefficients(sym)
-    c0 = c[0]
-    e_const = strong_szego_constant(sym)
+    c0, r_in, r_out = _winding_zero_factors(sym)
+    e_const = _szego_constant(r_in, r_out)
     ks = list(range(1, k_max + 1))
     log_dk = []
     rate = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.signal
 
 from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
 from nipoly.interface import (
@@ -220,6 +221,40 @@ def test_integrated_autocorrelation_iid():
     rng = np.random.default_rng(0)
     tau = integrated_autocorrelation(rng.standard_normal(4000))
     assert 0.5 < tau < 1.5
+
+
+def _ar1(rho, n, seed):
+    noise = np.random.default_rng(seed).standard_normal(n)
+    return scipy.signal.lfilter([1.0], [1.0, -rho], noise)
+
+
+def _iat_window_loop(series, c=6.0):
+    # the windowed estimator written as a loop that re-sums each window
+    x = np.asarray(series, dtype=float)
+    x = x - x.mean()
+    m = len(x)
+    f = np.fft.rfft(x, n=2 * m)
+    acov = np.fft.irfft(f * np.conj(f))[:m] / np.arange(m, 0, -1)
+    rho = acov / acov[0]
+    tau = 1.0
+    for w in range(1, m // 2):
+        tau = 1.0 + 2.0 * rho[1 : w + 1].sum()
+        if w >= c * tau:
+            break
+    return max(tau, 1.0)
+
+
+def test_integrated_autocorrelation_ar1():
+    rho = 0.9
+    tau = integrated_autocorrelation(_ar1(rho, 200_000, 0))
+    assert tau == pytest.approx((1 + rho) / (1 - rho), rel=0.1)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
+def test_integrated_autocorrelation_matches_window_loop(rho):
+    for seed, n in [(1, 20), (2, 500), (3, 5000)]:
+        x = _ar1(rho, n, seed)
+        assert abs(integrated_autocorrelation(x) - _iat_window_loop(x)) <= 1e-12
 
 
 def test_theta_min_hand_values_n2():

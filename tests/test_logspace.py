@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nipoly.errors import PrecisionLossWarning
-from nipoly.logspace import LogSigned, logdet, logsum, logsum_iter
+from nipoly.logspace import LogSigned, logdet, logsum
 
 
 finite_floats = st.floats(
@@ -117,9 +117,3 @@ def test_logdet_matches_exact_rational(rows):
     else:
         assert d.sign == (1 if exact > 0 else -1)
         assert d.logmag == pytest.approx(math.log(abs(float(exact))), abs=1e-9)
-
-
-def test_logsum_iter():
-    vals = [3.0, -1.0, 0.25, 10.0]
-    acc = logsum_iter(LogSigned.from_float(v) for v in vals)
-    assert acc.to_float() == pytest.approx(sum(vals), rel=1e-12)

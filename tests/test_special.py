@@ -342,6 +342,27 @@ def test_gamma_q_consistency():
     assert gamma_q(40000.0, 40100.0) == pytest.approx(target, rel=1e-9)
 
 
+def test_gamma_q_huge_a_band():
+    # scipy's series below a - 4.5 sqrt(a) is 3.8e-11 off at a = 1e6 and
+    # 1.6e-9 at 2e6: there gamma_q and inv_gamma_cdf raise, and above the
+    # edge they stay within 1e-12 of mpmath
+    for a in (1e6, 2e6):
+        root = math.sqrt(a)
+        for s in (-5.0, -4.5, -4.41):
+            with pytest.raises(DomainError):
+                gamma_q(a, a + s * root)
+            with pytest.raises(DomainError):
+                inv_gamma_cdf(a, 1.0 / (a + s * root))
+        with pytest.raises(DomainError):
+            gamma_q(a, 1.0)
+        with mpmath.workdps(30):
+            for s in (-4.4, -4.0, 0.0, 4.5, 10.0):
+                x = a + s * root
+                ref = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                assert float(abs(gamma_q(a, x) - ref) / ref) <= 1e-12, (a, s)
+    assert gamma_q(4e5, 1.0) == 1.0
+
+
 def test_bessel_k0_quadrature_oracle():
     # integrand is below 1e-300 beyond t = 15 for every x tested here
     mpmath.mp.dps = 30

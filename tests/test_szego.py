@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from nipoly.errors import DomainError, ZeroOnCircleError
+from nipoly.errors import DomainError, PrecisionLossError, ZeroOnCircleError
 from nipoly.lattice import rectangle_endpoints, stack_down, stack_up
 from nipoly.polymer import kpath_logZ_lgv
 from nipoly.szego import (
@@ -127,3 +128,80 @@ def test_toeplitz_equals_lgv_counts():
 def test_wiener_norm_finite_support():
     sym = symbol_from_geometry((3, 2), (-2, 2))
     assert sym.wiener_norm() == pytest.approx(16.0)
+
+
+@pytest.mark.parametrize("q", [0.999, 0.99999])
+def test_log_coefficients_single_root_closed_form(q):
+    # a = 1 - q s: log a = -sum q^m s^m / m, a root just outside the circle
+    sym = Symbol({0: 1.0, 1: -q})
+    c = log_coefficients(sym)
+    assert abs(c[0]) <= 1e-14
+    for m in range(1, 65):
+        assert abs(c[m] + q**m / m) <= 1e-14
+        assert c[-m] == 0.0
+    assert strong_szego_constant(sym) == 1.0
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {-1: 1.0, 0: -1.0, 1: 1.0},  # zeros at exp(+-i pi/3), off any dyadic grid
+        {-1: 1.0, 0: 2.0, 1: 1.0},  # (1 + s)^2 / s, a double zero at -1
+    ],
+)
+def test_zero_on_circle_detected(coeffs):
+    sym = Symbol(coeffs)
+    for f in (winding_number, log_coefficients, strong_szego_constant):
+        with pytest.raises(ZeroOnCircleError):
+            f(sym)
+
+
+@pytest.mark.parametrize(
+    "z, h", [((3, 2), (-2, 2)), ((4, 5), (-1, 2)), ((7, 9), (-2, 3)), ((12, 10), (-3, 2))]
+)
+def test_scaled_toeplitz_det_matches_strong_szego(z, h):
+    sym = symbol_from_geometry(z, h)
+    c0 = log_coefficients(sym)[0]
+    det = toeplitz_det(sym, 60)
+    assert det.sign == 1
+    assert abs(math.exp(det.logmag - 60 * c0) - strong_szego_constant(sym)) <= 1e-10
+
+
+def test_log_coefficients_match_mpmath_roots():
+    sym = symbol_from_geometry((4, 5), (-1, 2))
+    lo, hi = sym.support()
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots([sym.d(m) for m in range(hi, lo - 1, -1)], maxsteps=200)
+        r_in = [r for r in roots if abs(r) < 1]
+        r_out = [r for r in roots if abs(r) > 1]
+        assert lo + len(r_in) == 0
+        ref = {0: mpmath.log(abs(sym.d(hi) * mpmath.fprod(-r for r in r_out)))}
+        for m in range(1, 65):
+            ref[m] = -mpmath.re(mpmath.fsum(r**-m for r in r_out)) / m
+            ref[-m] = -mpmath.re(mpmath.fsum(r**m for r in r_in)) / m
+    c = log_coefficients(sym)
+    assert max(abs(c[m] - float(ref[m])) for m in ref) <= 1e-13
+
+
+def test_ill_conditioned_symbol_refused():
+    # sum|d_m| / |a(-1)| = 1.8e9: rounding the coefficients moves log a by ~1e-7
+    sym = symbol_from_geometry((15, 15), (-1, 2))
+    assert winding_number(sym) == 0
+    with pytest.raises(PrecisionLossError):
+        log_coefficients(sym)
+    with pytest.raises(PrecisionLossError):
+        strong_szego_constant(sym)
+
+
+def test_negative_symbol_has_no_real_log():
+    with pytest.raises(DomainError):
+        log_coefficients(Symbol({0: -2.0}))
+    with pytest.raises(DomainError):
+        log_coefficients(Symbol({-1: 1.0, 0: -3.0, 1: 1.0}))
+
+
+def test_many_paths_rate_matches_closed_forms():
+    r = many_paths_rate((4, 5), (-1, 2), k_max=2)
+    sym = symbol_from_geometry((4, 5), (-1, 2))
+    assert r["c0"] == log_coefficients(sym)[0]
+    assert r["strong_szego"] == strong_szego_constant(sym)
