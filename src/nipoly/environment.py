@@ -5,9 +5,12 @@ variate, so environments need no storage, rolling-row dynamic programming
 over huge rectangles stays O(min dim) in memory, and results are bitwise
 independent of evaluation order.  Every weight law is realized as a
 quantile transform of the same uniform field, which is what makes the
-mu-couplings hold sample by sample.  The hash runs on the calling thread;
-large loggamma transforms (two chunks of 2^16 sites or more) run on all
-available cores, and their result is bitwise independent of the chunking.
+mu-couplings hold sample by sample.  The loggamma transform evaluates a
+cached per-mu table (special.log_inv_gamma_quantile) by one route for every
+input size, so a site's value is bitwise independent of the batch, block or
+order it is computed in.  The hash runs on the calling thread; large
+loggamma transforms (two chunks of 2^16 sites or more) run on all available
+cores.
 """
 
 from __future__ import annotations
@@ -174,41 +177,3 @@ def omega_grid(field: UniformField, spec: WeightSpec, x1, x2) -> np.ndarray:
         return (u < spec.p).astype(np.float64)
     raise DomainError("unknown weight law %r" % (spec.law,))
 
-
-class LargeMuLogWeightTable:
-    """Fast log zeta_mu sampler for a fixed large mu.
-
-    log zeta as a function of the Gaussian score s = ndtri(u) is nearly
-    linear with curvature O(1/mu), so a dense linear-interpolation table is
-    accurate to ~1e-10 for mu >= 1000 and an order of magnitude faster than
-    inverting the incomplete gamma per site.  The table, its residual check
-    and the scores beyond it all use log_inv_gamma_quantile.  Construction
-    self-checks the residual.
-    """
-
-    # beyond |s| ~ 6, u = ndtr(s) rounds near 1 and the knots carry
-    # rounding noise (1.1e-8 at s = 6.49, mu = 1000), not interpolation error
-    SMAX = 6.0
-    STEP = 0.002
-
-    def __init__(self, mu: float):
-        if mu < 1000.0:
-            raise DomainError("table path needs mu >= 1000; use omega_grid instead")
-        self.mu = mu
-        self._s = np.arange(-self.SMAX, self.SMAX + self.STEP / 2, self.STEP)
-        self._h = log_inv_gamma_quantile(mu, sps.ndtr(self._s))
-        # worst case sits at the outermost bins, 4.7e-10 at mu = 1000
-        mid = 0.5 * (self._s[:-1] + self._s[1:])
-        exact = log_inv_gamma_quantile(mu, sps.ndtr(mid))
-        interp = np.interp(mid, self._s, self._h)
-        worst = float(np.abs(interp - exact).max())
-        if worst > 1e-8:
-            raise DomainError("log-weight table residual %.2e too large" % worst)
-
-    def log_weights(self, u: np.ndarray) -> np.ndarray:
-        s = sps.ndtri(u)
-        out = np.interp(s, self._s, self._h)
-        tail = np.abs(s) > self.SMAX
-        if np.any(tail):
-            out[tail] = log_inv_gamma_quantile(self.mu, u[tail])
-        return out

@@ -25,7 +25,8 @@ class PrecisionLossError(NipolyError):
 
     Typically raised when an LGV determinant comes out non-positive, which
     can only happen through catastrophic cancellation; callers should retry
-    at smaller size or escalate precision.
+    at smaller size or escalate precision.  Also raised when a quantile
+    table misses the exact route it interpolates.
     """
 
 

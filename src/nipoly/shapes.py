@@ -16,7 +16,6 @@ import scipy.integrate
 from scipy.optimize import brentq
 
 from .environment import (
-    LargeMuLogWeightTable,
     UniformField,
     WeightSpec,
     derive_seed,
@@ -503,7 +502,6 @@ def fluctuation_mc(
     consecutive t-blocks, the empirical mean against the t/(2 kappa)
     offset, and Gaussianity diagnostics."""
     mu = kappa * n * n
-    table = LargeMuLogWeightTable(mu) if mu >= 1000.0 else None
     spec = WeightSpec("loggamma", mu=mu)
     ms = [int(math.floor(t * n)) for t in t_grid]
     m_max = max(ms)
@@ -521,10 +519,7 @@ def fluctuation_mc(
         u = uniform_many(
             seeds[:, None, None], x1[None, :, None], x2[None, None, :]
         )
-        if table is not None:
-            lw = table.log_weights(u.ravel()).reshape(u.shape)
-        else:
-            lw = log_inv_gamma_quantile(mu, u)
+        lw = log_inv_gamma_quantile(mu, u)
         row_cum = (lw + log_mu).sum(axis=1).cumsum(axis=1)  # over x2 rows
         for a, m in enumerate(ms):
             h_vals[done : done + b, a] = row_cum[:, m - 1]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nipoly.environment import (
-    LargeMuLogWeightTable,
     UniformField,
     WeightSpec,
     coupled_exponential,
@@ -15,7 +16,8 @@ from nipoly.environment import (
     uniform_at,
     weight_at,
 )
-from nipoly.special import digamma, inv_gamma_quantile
+from nipoly import special
+from nipoly.special import digamma, inv_gamma_quantile, log_inv_gamma_quantile
 
 
 def test_determinism():
@@ -185,22 +187,33 @@ def test_moments_helpers():
     assert s.log_mgf(2.0) == math.inf
 
 
-def test_large_mu_table_matches_direct():
-    mu = 40000.0
-    table = LargeMuLogWeightTable(mu)
-    rng = np.random.default_rng(0)
-    u = rng.random(200000)
+@pytest.mark.parametrize("mu", [1000.0, 1100.0, 1200.0, 40000.0])
+def test_log_inv_gamma_quantile_matches_gammainccinv_at_large_mu(mu):
+    # fluctuation_mc draws its weights at mu = kappa N^2 of this size
+    u = np.random.default_rng(0).random(200000)
     direct = -np.log(sps.gammainccinv(mu, u))
-    fast = table.log_weights(u)
-    assert np.abs(fast - direct).max() < 1e-9
-    # extreme tails route through the exact inversion
-    u_tail = np.array([1e-12, 1.0 - 1e-12])
-    assert np.allclose(table.log_weights(u_tail), -np.log(sps.gammainccinv(mu, u_tail)))
+    assert np.abs(log_inv_gamma_quantile(mu, u) - direct).max() < 1e-12
+    # scores beyond the table take the exact route
+    u_tail = np.array([1e-12, 1e-20, 1.0 - 1e-12])
+    assert np.allclose(log_inv_gamma_quantile(mu, u_tail), -np.log(sps.gammainccinv(mu, u_tail)), rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("mu", [1000.0, 1100.0, 1200.0])
-def test_large_mu_table_builds_at_its_minimum(mu):
-    # fluctuation_mc takes the table path from mu = 1000 on
-    table = LargeMuLogWeightTable(mu)
-    u = np.random.default_rng(1).random(50000)
-    assert np.abs(table.log_weights(u) - -np.log(sps.gammainccinv(mu, u))).max() < 1e-8
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    x=st.integers(min_value=-10**6, max_value=10**6),
+    y=st.integers(min_value=-10**6, max_value=10**6),
+    offset=st.integers(min_value=0, max_value=2 * special._CHUNK),
+    mu=st.sampled_from([1e-3, 0.5, 2.0, 5.0, 2000.0]),
+)
+@settings(max_examples=25, deadline=None)
+def test_environment_is_independent_of_evaluation_order(seed, x, y, offset, mu):
+    # one site, alone, in a 3x3 block and in a row of two chunks and more
+    # (where it lands in any chunk), gives the same bits every time
+    f = UniformField(seed)
+    spec = WeightSpec("loggamma", mu=mu)
+    alone = np.float64(log_inv_gamma_quantile(mu, uniform_at(f, (x, y))))
+    d = np.arange(-1, 2)
+    block = omega_grid(f, spec, x + d[:, None], y + d[None, :])[1, 1]
+    row = omega_grid(f, spec, x, y - offset + np.arange(2 * special._CHUNK + 1))[offset]
+    bits = {np.float64(v).view(np.uint64) for v in (alone, block, row)}
+    assert len(bits) == 1

@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import os
@@ -14,7 +15,7 @@ import scipy.special as sps
 import nipoly
 from nipoly import special
 from nipoly.environment import UniformField
-from nipoly.errors import DomainError
+from nipoly.errors import DomainError, PrecisionLossError
 from nipoly.special import (
     bessel_k0,
     digamma,
@@ -221,6 +222,49 @@ def test_log_inv_gamma_quantile_huge_mu():
         inv_gamma_quantile(2e6, float(sps.ndtr(4.505)))
 
 
+@pytest.mark.parametrize("mu", [1e-3, 0.01, 0.5, 2.0, 5.0, 1000.0, 4e5])
+def test_quantile_table_matches_mpmath(mu):
+    # edges and midpoints of every 32nd table interval, s = -8.2 and 8.2,
+    # and u = 1e-16; above s = 8.29 ndtr(s) rounds to 1, and at mu = 4e5
+    # the table stops at s = 4.5
+    lo, inv_h, coef = special._quantile_table(mu)
+    h = 1.0 / inv_h
+    k = np.arange(0, coef.shape[1] + 1, 32)
+    s = np.concatenate([lo + h * k, lo + h * (k[:-1] + 16.5), [-8.2, 8.2]])
+    s = s[s <= min(lo + h * coef.shape[1], 8.2)]
+    u = np.append(sps.ndtr(s), 1e-16)
+    got = log_inv_gamma_quantile(mu, u)
+    # mpmath's lower series does not converge at large mu
+    oracle = _log_quantile_mpmath_upper if mu > 1000.0 else _log_quantile_mpmath
+    ref = np.array([oracle(mu, a, g) for a, g in zip(u, got)])
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("mu", [0.5, 2.0, 1000.0])
+def test_quantile_table_refuses_noisy_knots(monkeypatch, mu):
+    # knots off the exact route by 1e-10 miss it at the interval edges
+    exact = special._log_inv_gamma_quantile_score
+    monkeypatch.setattr(
+        special, "_log_inv_gamma_quantile_score", lambda m, s: exact(m, s) + 1e-10 * np.sin(1e4 * s)
+    )
+    with pytest.raises(PrecisionLossError):
+        special._quantile_table.__wrapped__(mu)
+
+
+def test_log_inv_gamma_quantile_refuses_nonpositive_mu():
+    for mu in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError):
+            log_inv_gamma_quantile(mu, 0.5)
+
+
+def _one_evaluation(mu, u):
+    # the whole input through the elementwise body in one call
+    flat = np.ravel(u)
+    out = np.empty(flat.shape)
+    special._log_inv_gamma_quantile_body(mu, flat, out)
+    return out.reshape(np.shape(u))
+
+
 def _chunk_shapes(c):
     # 0-d, one site, one chunk - 1, two chunks - 1, two chunks, and
     # non-multiples of the chunk in 1, 2 and 3 dimensions
@@ -238,31 +282,42 @@ def _chunk_shapes(c):
     ids=["chunk1001", "chunk65536"],
 )
 def test_chunked_quantile_bitwise_equals_one_evaluation(monkeypatch, mu, chunk, shapes):
-    # at mu = 1e-3 the tiny-mu series branch takes about half of the sites
+    # every 500th site sits at s = ndtri(1e-18) = -8.76, beyond the table,
+    # and takes the exact route
     monkeypatch.setattr(special, "_CHUNK", chunk)
     field = UniformField(91)
     for shape in shapes:
         u = field.uniform(np.arange(int(np.prod(shape))).reshape(shape), 7)
+        u.reshape(-1)[::500] = 1e-18
         for arr in (u, u.T):  # the transpose is not contiguous
             got = log_inv_gamma_quantile(mu, arr)
-            ref = special._log_inv_gamma_quantile_body(mu, arr)
+            ref = _one_evaluation(mu, arr)
             assert got.shape == ref.shape == arr.shape
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
 
 
 def test_concurrent_callers_share_one_pool(monkeypatch):
-    # more caller threads than cores race to create the lazy pool; exactly
-    # one pool must come of it, and every result must stay bitwise exact
+    # more caller threads than cores race to create the lazy pool and the
+    # table of a new mu; exactly one pool must come of it, any table built
+    # twice must be identical, and every result must stay bitwise exact
     created = []
+    tables = []
+    build = special._quantile_table.__wrapped__
 
     def counting_executor(*args, **kwargs):
         created.append(ThreadPoolExecutor(*args, **kwargs))
         return created[-1]
 
+    @functools.lru_cache(maxsize=64)
+    def recording_table(mu):
+        tables.append(build(mu))
+        return tables[-1]
+
     monkeypatch.setattr(special, "_CHUNK", 1001)
     monkeypatch.setattr(special, "_pool", None)
     monkeypatch.setattr(special, "ThreadPoolExecutor", counting_executor)
+    monkeypatch.setattr(special, "_quantile_table", recording_table)
     us = [UniformField(s).uniform(np.arange(5000), 3) for s in range(8)]
     results = [None] * len(us)
 
@@ -283,8 +338,12 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         for pool in created:
             pool.shutdown()
     assert len(created) == 1
+    assert tables
+    for lo, inv_h, coef in tables:
+        assert (lo, inv_h) == tables[0][:2]
+        assert np.array_equal(coef, tables[0][2])
     for u, got in zip(us, results):
-        assert np.array_equal(got, special._log_inv_gamma_quantile_body(2.0, u))
+        assert np.array_equal(got, _one_evaluation(2.0, u))
 
 
 def _quantile_in_fork_child():
