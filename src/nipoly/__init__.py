@@ -1,9 +1,10 @@
 """Non-intersecting directed polymers in random environments.
 
-Partition functions (exact dynamic programming, LGV determinants, brute
-force), seeded random environments with quantile coupling, stochastic
-interfaces and their Gibbs samplers, Szego/Toeplitz asymptotics, random
-matrix sampling oracles, and the limit-shape / surface-tension formulas.
+Partition functions (the anti-diagonal scan, geometric RSK, the k-path
+transfer, exact Bareiss minors, brute force), seeded random environments
+with quantile coupling, stochastic interfaces and their Gibbs samplers,
+Szego/Toeplitz asymptotics, random matrix sampling oracles, and the
+limit-shape / surface-tension formulas.
 """
 
 __version__ = "0.1.0"

@@ -21,12 +21,11 @@ class EnumerationCapError(NipolyError):
 
 
 class PrecisionLossError(NipolyError):
-    """A signed log-space computation lost its sign or too many digits.
+    """A float computation would lose too many digits to be trusted.
 
-    Typically raised when an LGV determinant comes out non-positive, which
-    can only happen through catastrophic cancellation; callers should retry
-    at smaller size or escalate precision.  Also raised when a quantile
-    table misses the exact route it interpolates.
+    Raised when a quantile table misses the exact route it interpolates, and
+    when rounding the coefficients of a Toeplitz symbol could move log a on
+    the unit circle beyond tolerance.
     """
 
 

@@ -3,16 +3,18 @@
 Points are (x1, x2) integer pairs with x1 pointing east and x2 north; a
 path moves by unit east/north steps.  Brute-force enumeration of
 non-intersecting k-tuples is the universal small-instance oracle against
-which the determinantal routes are checked.
+which the k-path engines are checked.  leading_minors is the one
+determinant routine of the package: fraction-free (Bareiss) elimination on
+Python integers, so every determinant is exact.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 from .errors import DomainError, EnumerationCapError
-from .logspace import logdet
-from .special import log_binomial, log_superfactorial
+from .special import log_superfactorial
 
 Point = tuple[int, int]
 KPoint = tuple[Point, ...]
@@ -150,8 +152,6 @@ def macmahon_log_count(n: int, m: int, k: int) -> float:
 
 def krattenthaler_log_rhs(k: int, a: int, b: int) -> float:
     """log of the triple product prod_{r<=k, s<=a, t<=b} (r+s+t-1)/(r+s+t-2)."""
-    import math
-
     total = 0.0
     for r in range(1, k + 1):
         for s in range(1, a + 1):
@@ -161,11 +161,50 @@ def krattenthaler_log_rhs(k: int, a: int, b: int) -> float:
 
 
 def krattenthaler_check(k: int, a: int, b: int) -> bool:
-    """det C(a+b, a+j-i) against the triple-product identity, in log space."""
+    """det C(a+b, a+j-i) against the triple-product identity, both exactly:
+    an integer Bareiss determinant and a product of fractions."""
+    from fractions import Fraction
+
     if max(k, a, b) > 8:
         raise DomainError("desk-scale check: k, a, b <= 8")
-    mat = [[log_binomial(a + b, a + j - i) for j in range(k)] for i in range(k)]
-    det = logdet(mat)
-    if det.sign != 1:
-        return False
-    return abs(det.logmag - krattenthaler_log_rhs(k, a, b)) < 1e-9
+    mat = [
+        [math.comb(a + b, a + j - i) if 0 <= a + j - i <= a + b else 0 for j in range(k)]
+        for i in range(k)
+    ]
+    rhs = Fraction(1)
+    for r in range(1, k + 1):
+        for s in range(1, a + 1):
+            for t in range(1, b + 1):
+                rhs *= Fraction(r + s + t - 1, r + s + t - 2)
+    return leading_minors(mat)[-1] == rhs
+
+
+def leading_minors(rows: list) -> list:
+    """The k x k leading minors, k = 1..len(rows), of a square integer
+    matrix, exactly, by fraction-free (Bareiss) elimination: after step k the
+    pivot is the (k+1) x (k+1) leading minor, and every division is exact.
+
+    A zero pivot swaps in the first row below it with a nonzero entry in
+    its column, r say.  The leading minors of sizes k+1 .. r then vanish (by
+    Sylvester's identity their column k is zero), the larger ones change
+    sign, and the last entry is always the determinant.
+    """
+    a = [list(r) for r in rows]
+    size = len(a)
+    minors = [0] * size
+    prev, sign, zero_to = 1, 1, 0
+    for k in range(size):
+        r = next((i for i in range(k, size) if a[i][k]), None)
+        if r is None:
+            break  # column k vanishes below the pivots: so does every larger minor
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign, zero_to = -sign, max(zero_to, r)
+        piv = a[k][k]
+        if k >= zero_to:
+            minors[k] = sign * piv
+        for i in range(k + 1, size):
+            for c in range(k + 1, size):
+                a[i][c] = (a[i][c] * piv - a[i][k] * a[k][c]) // prev
+        prev = piv
+    return minors

@@ -1,14 +1,15 @@
 """Partition functions and free-energy estimators for non-intersecting polymers.
 
-Exact dynamic programming in log space for single pairs; geometric RSK
-(gRSK) for the k-path partition functions tau of the interface
-construction, and its tropical twin for k-path last passage; the
-series/parallel/Jensen inequality test-bed.  gRSK is the engine: its local
-moves only multiply, divide and add positive numbers, so nothing cancels.
-Exact LGV determinants (``TauTable``, N <= 6) and brute-force enumeration
-are kept as small-instance oracles; LGV determinants in signed log space
-(``kpath_logZ_lgv``) still serve the general endpoints of the inequality
-test-bed.
+Four engines, none of which subtracts: the anti-diagonal scan
+(scan_rectangle) for single paths; geometric RSK (gRSK) for the k-path
+partition functions tau of the interface construction, and its tropical twin
+for k-path last passage; the anti-diagonal transfer (kpath_scan,
+kpath_logZ) for k non-intersecting paths between general endpoints, which
+the series/parallel/Jensen inequality test-bed uses; and exact integer
+Bareiss minors of 50-digit weights (TauTable, N <= 6).  gRSK and the
+transfer only multiply, divide and add positive numbers, so nothing
+cancels.  TauTable and brute-force enumeration are kept as small-instance
+oracles.
 
 Conventions: Z excludes the starting weights (the energy of a path omits its
 start site); the tau partition functions of the interface construction
@@ -26,16 +27,16 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .environment import UniformField, WeightSpec, derive_seed, omega_grid
-from .errors import DomainError, NoPathError, PrecisionLossError
+from .errors import DomainError, NoPathError
 from .lattice import (
     KPoint,
     Point,
     enumerate_kpaths,
+    leading_minors,
     leq,
     stack_diag,
     stack_up,
 )
-from .logspace import LogSigned, logdet
 from .special import digamma, trigamma
 
 _FE_STREAM = 0x0F0E
@@ -122,39 +123,140 @@ def single_path_logZ(
     return float(scan_rectangle(logw, np.logaddexp, include_start))
 
 
-def kpath_logZ_lgv(
+def _check_kpoints(xs: KPoint, ys: KPoint) -> None:
+    if not xs or len(xs) != len(ys):
+        raise DomainError("need two k-points of equal length k >= 1")
+
+
+def _bounding_box(xs: KPoint, ys: KPoint) -> tuple[Point, Point]:
+    x1, x2 = zip(*(xs + ys))
+    return (min(x1), min(x2)), (max(x1), max(x2))
+
+
+def _shift(v: KPoint, origin: Point) -> KPoint:
+    return tuple((p[0] - origin[0], p[1] - origin[1]) for p in v)
+
+
+_KPATH_MAX_CELLS = 2**22
+
+
+def _advance(state: np.ndarray, axis: int, old: tuple, new: tuple) -> np.ndarray:
+    """Move the path of one state axis east or north: the axis covers the
+    x1 band old = (lo, hi) and comes out covering new = (lo', hi'), where
+    lo' - lo and hi' - hi are 0 or 1."""
+    (lo, hi), (lo2, hi2) = old, new
+
+    def along(start, stop):
+        return (Ellipsis, slice(start, stop)) + (slice(None),) * (state.ndim - 1 - axis)
+
+    out = np.empty(state.shape[:axis] + (hi2 - lo2 + 1,) + state.shape[axis + 1 :])
+    # x1 in [a, b] is reached north from x1 and east from x1 - 1
+    a, b = max(lo2, lo + 1), min(hi2, hi)
+    np.logaddexp(
+        state[along(a - lo, b - lo + 1)],
+        state[along(a - lo - 1, b - lo)],
+        out=out[along(a - lo2, b - lo2 + 1)],
+    )
+    if lo2 == lo:  # north only
+        out[along(0, 1)] = state[along(0, 1)]
+    if hi2 > hi:  # east only
+        out[along(hi2 - lo2, None)] = state[along(hi - lo, None)]
+    return out
+
+
+def kpath_scan(
+    logw: np.ndarray, xs: KPoint, ys: KPoint, include_start: bool = False
+) -> np.ndarray:
+    """log Z of k non-intersecting paths, path i from xs[i] to ys[i], over an
+    (..., W, H) array of per-site log weights; logw[..., a, b] belongs to
+    site (a, b).
+
+    A transfer along anti-diagonals t = x1 + x2.  Path i is on the lattice
+    for sum(xs[i]) <= t <= sum(ys[i]), and the state at t is a dense
+    log-space array over the x1 positions of the k paths: axis i spans the
+    band of x1 that path i can reach from xs[i] and still leave toward
+    ys[i] (the one cell of xs[i] before it enters, of ys[i] after it
+    leaves).  A step moves each path on the lattice at t and t + 1 east or
+    north, one axis at a time (two shifted slices and logaddexp), adds the
+    weights of anti-diagonal t + 1 and sets to -inf every state in which two
+    paths on the lattice share a site.  Two paths cannot swap sides without
+    sharing a site, so this sums exactly the vertex-disjoint k-tuples of
+    brute_force_kpath_logZ, and only positive terms are ever added: nothing
+    cancels, at any spread of the weights.
+
+    Start weights are excluded unless include_start (the tau convention).
+    Lanes of the leading axes are independent and bitwise equal to unbatched
+    calls; a lane with no k-path gives -inf.  The state holds at most
+    prod_i (the widest band of path i) <= W^k cells per lane; more than 2^22
+    raises DomainError.
+    """
+    _check_kpoints(xs, ys)
+    k = len(xs)
+    lead = logw.shape[:-2]
+    w, h = logw.shape[-2], logw.shape[-1]
+    for x, y in zip(xs, ys):
+        if not leq(x, y):
+            raise NoPathError("no path from %s to %s" % (x, y))
+        if min(x) < 0 or y[0] >= w or y[1] >= h:
+            raise DomainError("k-points outside the %d x %d weight array" % (w, h))
+    cells = math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
+    if cells > _KPATH_MAX_CELLS:
+        raise DomainError(
+            "kpath_scan needs %d cells per lane, above the cap %d" % (cells, _KPATH_MAX_CELLS)
+        )
+    enter = [x[0] + x[1] for x in xs]
+    leave = [y[0] + y[1] for y in ys]
+
+    def band(i, t):
+        t = min(max(t, enter[i]), leave[i])
+        return max(xs[i][0], t - ys[i][1]), min(ys[i][0], t - xs[i][1])
+
+    def along(i, v):
+        return v.reshape(v.shape[:-1] + (1,) * i + v.shape[-1:] + (1,) * (k - 1 - i))
+
+    def land(state, t):
+        # the weights and the collisions of anti-diagonal t
+        live = [i for i in range(k) if enter[i] <= t <= leave[i]]
+        pos = {}
+        for i in live:
+            lo, hi = band(i, t)
+            pos[i] = np.arange(lo, hi + 1)
+            if t > enter[i] or include_start:
+                state += along(i, logw[..., pos[i], t - pos[i]])
+        for p, i in enumerate(live):
+            for j in live[p + 1 :]:
+                if pos[i][0] <= pos[j][-1] and pos[j][0] <= pos[i][-1]:
+                    np.copyto(state, -np.inf, where=along(i, pos[i]) == along(j, pos[j]))
+
+    state = np.zeros(lead + (1,) * k)
+    t0, t1 = min(enter), max(leave)
+    land(state, t0)
+    for t in range(t0, t1):
+        for i in range(k):
+            if enter[i] <= t < leave[i]:
+                state = _advance(state, len(lead) + i, band(i, t), band(i, t + 1))
+        land(state, t + 1)
+    return state.reshape(lead)[()]
+
+
+def kpath_logZ(
     field: UniformField,
     spec: WeightSpec | None,
     beta: float,
     xs: KPoint,
     ys: KPoint,
-) -> LogSigned:
-    """Non-intersecting k-path log Z as the LGV determinant of pair values.
-
-    Valid for the nice stacked/diagonal endpoint configurations used
-    throughout.  The determinant sign must come out positive; anything else
-    is catastrophic cancellation and raises PrecisionLossError rather than
-    returning a silently wrong value.
-    """
-    k = len(xs)
-    entries = []
-    for xi in xs:
-        row = []
-        for yj in ys:
-            if leq(xi, yj):
-                row.append(
-                    LogSigned(1, single_path_logZ(field, spec, beta, xi, yj))
-                )
-            else:
-                row.append(LogSigned.zero())
-        entries.append(row)
-    det = logdet(entries)
-    if det.sign != 1:
-        raise PrecisionLossError(
-            "LGV determinant sign %d at k=%d; precision escalation advised"
-            % (det.sign, k)
-        )
-    return det
+    include_start: bool = False,
+) -> float:
+    """log Z of k non-intersecting paths, path i from xs[i] to ys[i]:
+    kpath_scan over one omega_grid call on the bounding box of the
+    endpoints.  Start weights excluded unless include_start."""
+    _check_kpoints(xs, ys)
+    lo, hi = _bounding_box(xs, ys)
+    logw = _rectangle_logw(field, spec, beta, lo, hi)
+    val = float(kpath_scan(logw, _shift(xs, lo), _shift(ys, lo), include_start))
+    if val == -math.inf:
+        raise NoPathError("no k-path between the given k-points")
+    return val
 
 
 def brute_force_kpath_logZ(
@@ -166,18 +268,26 @@ def brute_force_kpath_logZ(
     cap: int = 100000,
     include_start: bool = False,
 ) -> float:
-    """log of the sum over explicitly enumerated k-paths; the LGV oracle."""
+    """log of the sum over explicitly enumerated k-paths; the oracle of the
+    k-path engines.  The site weights come from one omega_grid call over the
+    bounding box of the endpoints."""
     paths = enumerate_kpaths(xs, ys, cap=cap)
     if not paths:
         raise NoPathError("no k-path between the given k-points")
+    weighted = beta != 0.0 and spec is not None
+    if weighted:
+        (lo1, lo2), (hi1, hi2) = _bounding_box(xs, ys)
+        x1 = np.arange(lo1, hi1 + 1)
+        x2 = np.arange(lo2, hi2 + 1)
+        omega = omega_grid(field, spec, x1[:, None], x2[None, :])
     logs = []
     for kp in paths:
         total = 0.0
-        if beta != 0.0 and spec is not None:
+        if weighted:
             for comp in kp:
                 sites = comp if include_start else comp[1:]
                 for z in sites:
-                    total += float(omega_grid(field, spec, z[0], z[1]))
+                    total += float(omega[z[0] - lo1, z[1] - lo2])
         logs.append(beta * total)
     return float(logsumexp(logs))
 
@@ -280,25 +390,6 @@ _TAU_TABLE_MAX_N = 6
 _TAU_TABLE_DPS = 50
 
 
-def _leading_minors(rows: list) -> list:
-    """The k x k leading minors, k = 1..len(rows), of a square integer
-    matrix, exactly, by fraction-free (Bareiss) elimination without pivoting:
-    after step k the pivot is the (k+1) x (k+1) leading minor, and every
-    division is exact."""
-    a = [list(r) for r in rows]
-    size = len(a)
-    minors = []
-    prev = 1
-    for k in range(size):
-        piv = a[k][k]
-        minors.append(piv)
-        for r in range(k + 1, size):
-            for c in range(k + 1, size):
-                a[r][c] = (a[r][c] * piv - a[r][k] * a[k][c]) // prev
-        prev = piv
-    return minors
-
-
 def _exact_log_tau_tables(logw: np.ndarray) -> dict:
     """log tau(m, k) and log tau~(m, k), keyed (m, k, False) and (m, k, True),
     for an N x N square of log weights, by LGV determinants without rounding.
@@ -342,7 +433,7 @@ def _exact_log_tau_tables(logw: np.ndarray) -> dict:
                     for row in mat
                 ]
                 # the reversal gives minor k the sign (-1)^(k(k-1)/2)
-                for k, minor in enumerate(_leading_minors(ints), start=1):
+                for k, minor in enumerate(leading_minors(ints), start=1):
                     log_start = mpmath.fsum(float(v) for v in logw[0, :k])
                     log_det = mpmath.log(abs(minor)) + k * shift * mpmath.ln2
                     out[m, k, tilde] = float(log_start + log_det)
@@ -532,12 +623,11 @@ def jensen_sandwich_check(
     [beta nu, log G(beta)], where varpi counts the environment weights of a
     k-path (start points excluded)."""
     varpi = sum(abs(y[0] - x[0]) + abs(y[1] - x[1]) for x, y in zip(xs, ys))
-    log_z0 = kpath_logZ_lgv(UniformField(0), None, 0.0, xs, ys).logmag
+    log_z0 = kpath_logZ(None, None, 0.0, xs, ys)
     vals = np.empty(replicas)
     for r in range(replicas):
         f = UniformField(derive_seed(seed, _SANDWICH_STREAM, r))
-        log_zb = kpath_logZ_lgv(f, spec, beta, xs, ys).logmag
-        vals[r] = (log_zb - log_z0) / varpi
+        vals[r] = (kpath_logZ(f, spec, beta, xs, ys) - log_z0) / varpi
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     lo, hi = beta * spec.nu(), spec.log_mgf(beta)
@@ -606,7 +696,7 @@ def parallel_series_bound_mc(
     xsep = stack_up(base, k + 1)
     for r in range(replicas):
         f = UniformField(derive_seed(seed, _BOUNDS_STREAM, r))
-        lz = lambda a, b: kpath_logZ_lgv(f, spec, beta, a, b).logmag
+        lz = lambda a, b: kpath_logZ(f, spec, beta, a, b)
         # series: Z_{x->z} >= Z_{x->y} Z_{y->z} for the nice intermediate
         s = lz(xs, zs) - (lz(xs, mid) + lz(mid, zs))
         if s < -tol:
@@ -638,12 +728,11 @@ def k_linearity_probe(
     m = int(math.floor(c * n))
     xs2 = stack_diag((1, 1), 2)
     ys2 = tuple((p[0] + n, p[1] + m) for p in xs2)
-    one = np.empty(replicas)
-    two = np.empty(replicas)
-    for r in range(replicas):
-        f = UniformField(derive_seed(seed, 0x2B, r))
-        one[r] = single_path_logZ(f, spec, beta, (1, 1), (1 + n, 1 + m)) / n
-        two[r] = kpath_logZ_lgv(f, spec, beta, xs2, ys2).logmag / n
+    lo, hi = _bounding_box(xs2, ys2)
+    fields = [UniformField(derive_seed(seed, 0x2B, r)) for r in range(replicas)]
+    one = np.array([single_path_logZ(f, spec, beta, (1, 1), (1 + n, 1 + m)) / n for f in fields])
+    logw = np.stack([_rectangle_logw(f, spec, beta, lo, hi) for f in fields])
+    two = kpath_scan(logw, _shift(xs2, lo), _shift(ys2, lo)) / n
     se1 = one.std(ddof=1) / math.sqrt(replicas)
     se2 = two.std(ddof=1) / math.sqrt(replicas)
     gap = float(two.mean() - 2.0 * one.mean())

@@ -7,8 +7,10 @@ coefficients.  Its Wiener-Hopf factorization a(s) = lead s^lo prod (s - r)
 the circle, gives the winding number lo + #r_in and, when that is zero,
 the large-k rate c_0 = log(lead prod(-r_out)), the log-coefficients
 c_m = -sum r_out^(-m)/m and c_(-m) = -sum r_in^m/m, and the strong Szego
-constant E = exp(sum m c_m c_{-m}) = prod 1/(1 - r_in/r_out).  Direct
-LogSigned determinants and the Fourier reconstruction of a are the checks.
+constant E = exp(sum m c_m c_{-m}) = prod 1/(1 - r_in/r_out).  The checks
+are the Toeplitz minors D_k themselves, exact integer Bareiss eliminations
+of the float coefficients taken as dyadic rationals, and the Fourier
+reconstruction of a.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionLossError, ZeroOnCircleError
-from .lattice import Point
-from .logspace import LogSigned, logdet
+from .lattice import Point, leading_minors
+from .logspace import LogSigned
 
 # |a| at or below ZERO_TOL max|d_m| counts as a zero on the circle
 ZERO_TOL = 1e-12
@@ -149,20 +151,40 @@ def strong_szego_constant(sym: Symbol) -> float:
     return _szego_constant(r_in, r_out)
 
 
-def toeplitz_det(sym: Symbol, k: int) -> LogSigned:
-    """Direct LogSigned determinant of (d_{j-i})_{i,j=1..k}."""
+def _toeplitz_minors(sym: Symbol, k: int) -> list[LogSigned]:
+    """D_1 .. D_k, the leading minors of (d_{j-i}), without rounding: each
+    float d_m is the dyadic rational n_m / 2^e, the integer matrix
+    2^e (d_{j-i}) goes through one Bareiss elimination, and only the final
+    log of each minor rounds."""
     if k < 1:
         raise DomainError("k >= 1 required")
-    mat = [
-        [LogSigned.from_float(sym.d(j - i)) for j in range(k)] for i in range(k)
-    ]
-    return logdet(mat)
+    ratios = {m: d.as_integer_ratio() for m, d in sym.coeffs.items()}
+    e = max((q.bit_length() - 1 for _, q in ratios.values()), default=0)
+    ints = {m: p << (e - (q.bit_length() - 1)) for m, (p, q) in ratios.items()}
+    rows = [[ints.get(j - i, 0) for j in range(k)] for i in range(k)]
+    out = []
+    for size, minor in enumerate(leading_minors(rows), start=1):
+        if minor == 0:
+            out.append(LogSigned.zero())
+            continue
+        # D_k = f 2^(b - k e) with f = |minor| / 2^b in [1/2, 1): the log then
+        # rounds like log D_k itself, whatever the scale 2^(k e)
+        b = abs(minor).bit_length()
+        f = math.ldexp(float(abs(minor) >> max(b - 64, 0)), -min(b, 64))
+        log_mag = math.log(f) + (b - size * e) * math.log(2.0)
+        out.append(LogSigned(1 if minor > 0 else -1, log_mag))
+    return out
+
+
+def toeplitz_det(sym: Symbol, k: int) -> LogSigned:
+    """The determinant of (d_{j-i})_{i,j=1..k}, exact up to its final log."""
+    return _toeplitz_minors(sym, k)[-1]
 
 
 def many_paths_rate(z: Point, h: Point, k_max: int) -> dict:
     """Per-k diagnostics of the Szego limit: (1/k) log D_k against c_0 and
     D_k e^{-k c_0} against the strong Szego constant, plus the parallel
-    bound ceiling log d_0."""
+    bound ceiling log d_0.  All D_k come from one exact elimination."""
     sym = symbol_from_geometry(z, h)
     c0, r_in, r_out = _winding_zero_factors(sym)
     e_const = _szego_constant(r_in, r_out)
@@ -170,8 +192,7 @@ def many_paths_rate(z: Point, h: Point, k_max: int) -> dict:
     log_dk = []
     rate = []
     scaled = []
-    for k in ks:
-        det = toeplitz_det(sym, k)
+    for k, det in zip(ks, _toeplitz_minors(sym, k_max)):
         if det.sign != 1:
             raise DomainError("Toeplitz determinant lost positivity at k=%d" % k)
         log_dk.append(det.logmag)

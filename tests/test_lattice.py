@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nipoly.errors import DomainError, EnumerationCapError
 from nipoly.lattice import (
@@ -9,6 +12,7 @@ from nipoly.lattice import (
     kpath_is_disjoint,
     krattenthaler_check,
     krattenthaler_log_rhs,
+    leading_minors,
     macmahon_log_count,
     paths_between,
     rectangle_endpoints,
@@ -151,3 +155,41 @@ def test_krattenthaler_exact_integer_oracle():
                 rhs *= Fraction(r + s + t - 1, r + s + t - 2)
     assert lhs == rhs
     assert krattenthaler_log_rhs(k, a, b) == pytest.approx(math.log(lhs), abs=1e-11)
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals, with row swaps."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            for c in range(k, len(a)):
+                a[r][c] -= f * a[k][c]
+    return det
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 10**30]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+@settings(max_examples=100, deadline=None)
+def test_leading_minors_match_rational_elimination(rows):
+    # zero-rich matrices: pivots vanish, and the elimination swaps rows
+    want = [_fraction_det([r[:s] for r in rows[:s]]) for s in range(1, len(rows) + 1)]
+    assert leading_minors(rows) == want

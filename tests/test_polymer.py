@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
 from nipoly.errors import DomainError, NoPathError
 from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
-from nipoly.logspace import LogSigned
 from nipoly.polymer import (
     brute_force_kpath_logZ,
     corner_diagonal_sum,
@@ -18,7 +18,8 @@ from nipoly.polymer import (
     ineq_theorem_check,
     jensen_sandwich_check,
     k_linearity_probe,
-    kpath_logZ_lgv,
+    kpath_logZ,
+    kpath_scan,
     last_passage,
     last_passage_batch,
     log_tau,
@@ -123,10 +124,9 @@ def test_scan_maximum_mode():
 
 def test_lgv_k1_matches_single_path():
     f = UniformField(5)
-    got = kpath_logZ_lgv(f, LG2, 1.0, ((1, 1),), ((4, 4),))
+    got = kpath_logZ(f, LG2, 1.0, ((1, 1),), ((4, 4),))
     want = single_path_logZ(f, LG2, 1.0, (1, 1), (4, 4))
-    assert got.logmag == pytest.approx(want, rel=1e-12)
-    assert got.sign == 1
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -134,9 +134,9 @@ def test_lgv_vs_brute_force(beta):
     xs, ys = rectangle_endpoints(3, 3, 2)
     for s in range(5):
         f = UniformField(derive_seed(100, s))
-        det = kpath_logZ_lgv(f, LG2, beta, xs, ys)
+        got = kpath_logZ(f, LG2, beta, xs, ys)
         bf = brute_force_kpath_logZ(f, LG2, beta, xs, ys)
-        assert det.logmag == pytest.approx(bf, abs=1e-8)
+        assert abs(got - bf) <= 1e-13 * max(1.0, abs(bf))
 
 
 def test_lgv_beta0_is_macmahon():
@@ -144,8 +144,8 @@ def test_lgv_beta0_is_macmahon():
 
     for n, m, k in [(3, 3, 2), (4, 3, 2), (5, 5, 3)]:
         xs, ys = rectangle_endpoints(n, m, k)
-        det = kpath_logZ_lgv(UniformField(0), None, 0.0, xs, ys)
-        assert det.logmag == pytest.approx(macmahon_log_count(n, m, k), abs=1e-10)
+        got = kpath_logZ(UniformField(0), None, 0.0, xs, ys)
+        assert got == pytest.approx(macmahon_log_count(n, m, k), abs=1e-12)
 
 
 def test_lgv_diagonal_endpoints():
@@ -153,9 +153,124 @@ def test_lgv_diagonal_endpoints():
     ys = tuple((p[0] + 3, p[1] + 3) for p in xs)
     for s in (0, 1):
         f = UniformField(derive_seed(7, s))
-        det = kpath_logZ_lgv(f, LG2, 1.0, xs, ys)
+        got = kpath_logZ(f, LG2, 1.0, xs, ys)
         bf = brute_force_kpath_logZ(f, LG2, 1.0, xs, ys)
-        assert det.logmag == pytest.approx(bf, abs=1e-8)
+        assert abs(got - bf) <= 1e-13 * max(1.0, abs(bf))
+
+
+def test_kpath_matches_brute_force_at_tiny_mu():
+    # a float LGV determinant cancels on these fields: it loses its sign on
+    # 25 of the 40 and misses brute force on 11 more
+    spec = WeightSpec("loggamma", mu=1e-3)
+    xs, ys = rectangle_endpoints(4, 4, 2)
+    for s in range(40):
+        f = UniformField(derive_seed(5, s))
+        got = kpath_logZ(f, spec, 1.0, xs, ys)
+        bf = brute_force_kpath_logZ(f, spec, 1.0, xs, ys)
+        assert abs(got - bf) <= 1e-13 * abs(bf)
+
+
+def test_kpath_matches_extended_precision_at_n192():
+    # a replica of k_linearity_probe(seed=11) on which a float LGV
+    # determinant is off by 1.29e-4; the reference is the 2 x 2 LGV
+    # determinant at 60 digits, the float weights taken as exact
+    xs = stack_diag((1, 1), 2)
+    ys = tuple((p[0] + 192, p[1] + 192) for p in xs)
+    got = kpath_logZ(UniformField(derive_seed(11, 0x2B, 7)), LG2, 1.0, xs, ys)
+    ref = 407.461462031504076527522
+    assert abs(got - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("mu", [1e-3, 2.0])
+def test_kpath_non_stacked_three_paths_with_start(mu):
+    # three paths entering and leaving on different anti-diagonals
+    spec = WeightSpec("loggamma", mu=mu)
+    xs, ys = ((3, 1), (1, 2), (0, 4)), ((6, 3), (5, 5), (2, 7))
+    for s in range(3):
+        f = UniformField(derive_seed(17, s))
+        for include_start in (False, True):
+            got = kpath_logZ(f, spec, 1.0, xs, ys, include_start=include_start)
+            bf = brute_force_kpath_logZ(f, spec, 1.0, xs, ys, include_start=include_start)
+            assert abs(got - bf) <= 1e-13 * max(1.0, abs(bf))
+
+
+def _random_kpoints(draw_ints, k):
+    """k starts stacked north-west of each other with random offsets, each
+    end 1-3 steps east and north of its start; ends that cross leave no
+    k-path, and their -inf lanes must agree too."""
+    xs = tuple((2 * (k - 1 - i) + draw_ints[i] % 2, 2 * i) for i in range(k))
+    ys = tuple(
+        (x[0] + 1 + draw_ints[k + i] % 3, x[1] + 1 + draw_ints[2 * k + i] % 3)
+        for i, x in enumerate(xs)
+    )
+    return xs, ys
+
+
+@given(
+    k=st.integers(min_value=1, max_value=3),
+    lanes=st.integers(min_value=1, max_value=4),
+    draws=st.lists(st.integers(min_value=0, max_value=99), min_size=9, max_size=9),
+    include_start=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_kpath_scan_equals_per_lane_bitwise(k, lanes, draws, include_start, seed):
+    xs, ys = _random_kpoints(draws, k)
+    (w, h) = (max(y[0] for y in ys) + 1, max(y[1] for y in ys) + 1)
+    logw = 50.0 * np.random.default_rng(seed).standard_normal((lanes, w, h))
+    batch = kpath_scan(logw, xs, ys, include_start)
+    assert batch.shape == (lanes,)
+    for r in range(lanes):
+        assert np.array_equal(batch[r], kpath_scan(logw[r], xs, ys, include_start))
+    nested = kpath_scan(logw[None], xs, ys, include_start)
+    assert np.array_equal(nested[0], batch)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=3),
+    draws=st.lists(st.integers(min_value=0, max_value=99), min_size=9, max_size=9),
+    include_start=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_kpath_scan_matches_enumeration(k, draws, include_start, seed):
+    xs, ys = _random_kpoints(draws, k)
+    (w, h) = (max(y[0] for y in ys) + 1, max(y[1] for y in ys) + 1)
+    logw = 50.0 * np.random.default_rng(seed).standard_normal((w, h))
+    got = kpath_scan(logw, xs, ys, include_start)
+    totals = [
+        sum(logw[a, b] for comp in kp for a, b in (comp if include_start else comp[1:]))
+        for kp in enumerate_kpaths(xs, ys)
+    ]
+    if not totals:
+        assert got == -np.inf
+    else:
+        ref = logsumexp(totals)
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_kpath_scan_refuses_bad_input():
+    logw = np.zeros((8, 8))
+    with pytest.raises(DomainError):
+        kpath_scan(logw, ((0, 0), (0, 1)), ((7, 7),))
+    with pytest.raises(DomainError):
+        kpath_scan(logw, (), ())
+    with pytest.raises(DomainError):
+        kpath_logZ(UniformField(1), LG2, 1.0, ((1, 1),), ((4, 4), (5, 5)))
+    with pytest.raises(DomainError):
+        kpath_scan(logw, ((0, 0),), ((8, 7),))
+    with pytest.raises(NoPathError):
+        kpath_scan(logw, ((3, 0),), ((2, 7),))
+    # three 201-wide bands: 201^3 > 2^22 cells, refused before any work
+    big = np.broadcast_to(0.0, (604, 604))
+    xs = ((2, 0), (1, 1), (0, 2))
+    with pytest.raises(DomainError):
+        kpath_scan(big, xs, tuple((x[0] + 600, x[1] + 600) for x in xs))
+    # crossing ends admit no non-intersecting pair
+    crossed = kpath_scan(logw, ((1, 0), (0, 1)), ((3, 6), (6, 3)))
+    assert crossed == -np.inf
+    with pytest.raises(NoPathError):
+        kpath_logZ(UniformField(1), LG2, 1.0, ((1, 0), (0, 1)), ((3, 6), (6, 3)))
 
 
 def test_tau_trivial_cases():

@@ -6,7 +6,8 @@ import pytest
 
 from nipoly.errors import DomainError, PrecisionLossError, ZeroOnCircleError
 from nipoly.lattice import rectangle_endpoints, stack_down, stack_up
-from nipoly.polymer import kpath_logZ_lgv
+from nipoly import szego
+from nipoly.polymer import kpath_logZ
 from nipoly.szego import (
     Symbol,
     log_coefficients,
@@ -113,16 +114,70 @@ def test_many_paths_rate_report():
 
 
 def test_toeplitz_equals_lgv_counts():
-    # det(d_{j-i}) equals the LGV count of the corresponding stacked paths
+    # det(d_{j-i}) counts the non-intersecting stacked paths (LGV)
     z, h = (3, 2), (-2, 2)
     sym = symbol_from_geometry(z, h)
     for k in (1, 2, 3):
         xs = tuple((0 + i * h[0], 0 + i * h[1]) for i in range(k))
         ys = tuple((z[0] + i * h[0], z[1] + i * h[1]) for i in range(k))
-        lgv = kpath_logZ_lgv(None, None, 0.0, xs, ys)
+        count = kpath_logZ(None, None, 0.0, xs, ys)
         toe = toeplitz_det(sym, k)
         assert toe.sign == 1
-        assert toe.logmag == pytest.approx(lgv.logmag, abs=1e-10)
+        assert toe.logmag == pytest.approx(count, abs=1e-12)
+
+
+def test_toeplitz_det_with_zero_diagonal():
+    # det [[0, 1], [1, 0]] = -1: the elimination must not pivot on d_0 = 0
+    d1 = toeplitz_det(Symbol({-1: 1.0, 1: 1.0}), 1)
+    d2 = toeplitz_det(Symbol({-1: 1.0, 1: 1.0}), 2)
+    assert d1.sign == 0
+    assert d2.sign == -1 and d2.logmag == 0.0
+
+
+def test_toeplitz_det_of_dyadic_floats_is_exact():
+    # the tridiagonal minors D_k = d_0 D_(k-1) - d_1 d_(-1) D_(k-2), in exact
+    # rationals from the floats' own values (0.1 is not a short dyadic)
+    from fractions import Fraction
+
+    sym = Symbol({-1: -0.75, 0: 0.1, 1: 2.5})
+    d = {m: Fraction(v) for m, v in sym.coeffs.items()}
+    want = [Fraction(1), d[0]]
+    for _ in range(2, 9):
+        want.append(d[0] * want[-1] - d[1] * d[-1] * want[-2])
+    for k in range(1, 9):
+        got = toeplitz_det(sym, k)
+        assert got.sign == 1
+        ref = math.log(want[k])
+        assert abs(got.logmag - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+def test_toeplitz_det_matches_extended_precision():
+    sym = symbol_from_geometry((15, 15), (-2, 2))
+    for k in (20, 40):
+        with mpmath.workdps(60):
+            ref = mpmath.log(
+                mpmath.det(mpmath.matrix([[sym.d(j - i) for j in range(k)] for i in range(k)]))
+            )
+        got = toeplitz_det(sym, k)
+        assert got.sign == 1
+        assert abs(got.logmag - float(ref)) <= 1e-15 * abs(float(ref))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {-1: -3.0, 1: 1.0, 2: 3.0},  # D_1 = d_0 = 0
+        {-1: -3.0, 0: -1.0, 1: 2.0, 2: 3.0},  # D_1 = -1
+    ],
+)
+def test_many_paths_rate_refuses_nonpositive_minor(monkeypatch, coeffs):
+    # winding zero, well conditioned and a(1) > 0, so only the minor check refuses
+    sym = Symbol(coeffs)
+    assert winding_number(sym) == 0
+    log_coefficients(sym)
+    monkeypatch.setattr(szego, "symbol_from_geometry", lambda z, h: sym)
+    with pytest.raises(DomainError, match="positivity at k=1"):
+        many_paths_rate((3, 2), (-2, 2), k_max=4)
 
 
 def test_wiener_norm_finite_support():
