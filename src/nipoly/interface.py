@@ -3,18 +3,19 @@
 phi(i,j), a log ratio of tau partition functions, is exactly the geometric
 RSK (gRSK) output pattern of the N x N weight matrix read from the far
 corner: phi(i,j) = T[N+1-i, N+1-j].  gRSK is the engine, batched over
-environments; the exact LGV tau tables of ``polymer.TauTable`` remain only
-as the small-size oracle (``phi_inversion_residual``).  The law of phi is a
-Gibbs measure on the N x N square with exponential interaction along
-north/east edges, a linear diagonal weight of strength mu, and a pinning
-term exp(-phi(N,N)) at the corner, normalized by Gamma(mu)^(N^2).  The
-Metropolis sampler targets the same density, giving a second, independent
-route to its moments.  Its interaction is nearest-neighbour, so it scans
-the square as a checkerboard: all sites of one colour (parity of i + j)
-take their Metropolis step at once, then all sites of the other.  The
-large-mu tilt theta and its deterministic limit theta_min (the minimizer of
-the discrete energy), the small-mu coupling to last passage,
-Gelfand-Tsetlin volumes, and the GL(2) Whittaker integral live here too.
+environments; the tau tables of ``polymer.TauTable``, from the k-path
+transfer, remain only as the small-size oracle (``phi_inversion_residual``).
+The law of phi is a Gibbs measure on the N x N square with exponential
+interaction along north/east edges, a linear diagonal weight of strength mu,
+and a pinning term exp(-phi(N,N)) at the corner, normalized by
+Gamma(mu)^(N^2).  The Metropolis sampler targets the same density, giving a
+second, independent route to its moments.  Its interaction is
+nearest-neighbour, so it scans the square as a checkerboard: all sites of
+one colour (parity of i + j) take their Metropolis step at once, then all
+sites of the other.  The large-mu tilt theta and its deterministic limit
+theta_min (the minimizer of the discrete energy), the small-mu coupling to
+last passage, Gelfand-Tsetlin volumes, and the GL(2) Whittaker integral live
+here too.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ def build_phi(field: UniformField, mu: float, n: int) -> InterfaceGrid:
 def phi_inversion_residual(field: UniformField, mu: float, n: int) -> float:
     """max over (m, k) of |sum_{i<=k} phi(i, N-m+i) - log tau(m, k)|.
 
-    The left side comes from gRSK and the right from exact LGV determinants
-    (N <= 6), so this identity pins the two routes together; residuals
-    reflect only float rounding.
+    The left side comes from gRSK and the right from the k-path transfer
+    (TauTable, N <= 6), so this identity pins the two routes together;
+    residuals reflect only float rounding.
     """
     t = TauTable(field, mu, n)
     grid = build_phi(field, mu, n)

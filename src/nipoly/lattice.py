@@ -11,6 +11,7 @@ Python integers, so every determinant is exact.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError, EnumerationCapError
@@ -150,33 +151,32 @@ def macmahon_log_count(n: int, m: int, k: int) -> float:
     )
 
 
-def krattenthaler_log_rhs(k: int, a: int, b: int) -> float:
-    """log of the triple product prod_{r<=k, s<=a, t<=b} (r+s+t-1)/(r+s+t-2)."""
-    total = 0.0
+def _krattenthaler_rhs(k: int, a: int, b: int) -> Fraction:
+    """The triple product prod_{r<=k, s<=a, t<=b} (r+s+t-1)/(r+s+t-2), exactly."""
+    rhs = Fraction(1)
     for r in range(1, k + 1):
         for s in range(1, a + 1):
             for t in range(1, b + 1):
-                total += math.log(r + s + t - 1.0) - math.log(r + s + t - 2.0)
-    return total
+                rhs *= Fraction(r + s + t - 1, r + s + t - 2)
+    return rhs
+
+
+def krattenthaler_log_rhs(k: int, a: int, b: int) -> float:
+    """log of the triple product prod_{r<=k, s<=a, t<=b} (r+s+t-1)/(r+s+t-2)."""
+    rhs = _krattenthaler_rhs(k, a, b)
+    return math.log(rhs.numerator) - math.log(rhs.denominator)
 
 
 def krattenthaler_check(k: int, a: int, b: int) -> bool:
     """det C(a+b, a+j-i) against the triple-product identity, both exactly:
     an integer Bareiss determinant and a product of fractions."""
-    from fractions import Fraction
-
     if max(k, a, b) > 8:
         raise DomainError("desk-scale check: k, a, b <= 8")
     mat = [
         [math.comb(a + b, a + j - i) if 0 <= a + j - i <= a + b else 0 for j in range(k)]
         for i in range(k)
     ]
-    rhs = Fraction(1)
-    for r in range(1, k + 1):
-        for s in range(1, a + 1):
-            for t in range(1, b + 1):
-                rhs *= Fraction(r + s + t - 1, r + s + t - 2)
-    return leading_minors(mat)[-1] == rhs
+    return leading_minors(mat)[-1] == _krattenthaler_rhs(k, a, b)
 
 
 def leading_minors(rows: list) -> list:

@@ -1,15 +1,14 @@
 """Partition functions and free-energy estimators for non-intersecting polymers.
 
-Four engines, none of which subtracts: the anti-diagonal scan
+Three engines, none of which subtracts: the anti-diagonal scan
 (scan_rectangle) for single paths; geometric RSK (gRSK) for the k-path
 partition functions tau of the interface construction, and its tropical twin
-for k-path last passage; the anti-diagonal transfer (kpath_scan,
+for k-path last passage; and the anti-diagonal transfer (kpath_scan,
 kpath_logZ) for k non-intersecting paths between general endpoints, which
-the series/parallel/Jensen inequality test-bed uses; and exact integer
-Bareiss minors of 50-digit weights (TauTable, N <= 6).  gRSK and the
-transfer only multiply, divide and add positive numbers, so nothing
-cancels.  TauTable and brute-force enumeration are kept as small-instance
-oracles.
+the series/parallel/Jensen inequality test-bed and the small-size tau
+oracle TauTable use.  All three only add, multiply and divide positive
+numbers, so nothing cancels.  Brute-force enumeration is kept as the
+small-instance oracle.
 
 Conventions: Z excludes the starting weights (the energy of a path omits its
 start site); the tau partition functions of the interface construction
@@ -21,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-import mpmath
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
@@ -32,9 +30,9 @@ from .lattice import (
     KPoint,
     Point,
     enumerate_kpaths,
-    leading_minors,
     leq,
     stack_diag,
+    stack_down,
     stack_up,
 )
 from .special import digamma, trigamma
@@ -147,7 +145,7 @@ def _advance(state: np.ndarray, axis: int, old: tuple, new: tuple) -> np.ndarray
     (lo, hi), (lo2, hi2) = old, new
 
     def along(start, stop):
-        return (Ellipsis, slice(start, stop)) + (slice(None),) * (state.ndim - 1 - axis)
+        return (slice(None),) * axis + (slice(start, stop),)
 
     out = np.empty(state.shape[:axis] + (hi2 - lo2 + 1,) + state.shape[axis + 1 :])
     # x1 in [a, b] is reached north from x1 and east from x1 - 1
@@ -164,12 +162,9 @@ def _advance(state: np.ndarray, axis: int, old: tuple, new: tuple) -> np.ndarray
     return out
 
 
-def kpath_scan(
-    logw: np.ndarray, xs: KPoint, ys: KPoint, include_start: bool = False
-) -> np.ndarray:
-    """log Z of k non-intersecting paths, path i from xs[i] to ys[i], over an
-    (..., W, H) array of per-site log weights; logw[..., a, b] belongs to
-    site (a, b).
+def kpath_scan(logw: np.ndarray, xs: KPoint, ys: KPoint, include_start: bool = False) -> float:
+    """log Z of k non-intersecting paths, path i from xs[i] to ys[i], over a
+    W x H array of per-site log weights; logw[a, b] belongs to site (a, b).
 
     A transfer along anti-diagonals t = x1 + x2.  Path i is on the lattice
     for sum(xs[i]) <= t <= sum(ys[i]), and the state at t is a dense
@@ -185,15 +180,13 @@ def kpath_scan(
     cancels, at any spread of the weights.
 
     Start weights are excluded unless include_start (the tau convention).
-    Lanes of the leading axes are independent and bitwise equal to unbatched
-    calls; a lane with no k-path gives -inf.  The state holds at most
-    prod_i (the widest band of path i) <= W^k cells per lane; more than 2^22
-    raises DomainError.
+    Endpoints with no k-path give -inf.  The state holds at most
+    prod_i (the widest band of path i) <= W^k cells; more than 2^22 raises
+    DomainError.
     """
     _check_kpoints(xs, ys)
     k = len(xs)
-    lead = logw.shape[:-2]
-    w, h = logw.shape[-2], logw.shape[-1]
+    w, h = logw.shape
     for x, y in zip(xs, ys):
         if not leq(x, y):
             raise NoPathError("no path from %s to %s" % (x, y))
@@ -202,7 +195,7 @@ def kpath_scan(
     cells = math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
     if cells > _KPATH_MAX_CELLS:
         raise DomainError(
-            "kpath_scan needs %d cells per lane, above the cap %d" % (cells, _KPATH_MAX_CELLS)
+            "kpath_scan needs %d cells, above the cap %d" % (cells, _KPATH_MAX_CELLS)
         )
     enter = [x[0] + x[1] for x in xs]
     leave = [y[0] + y[1] for y in ys]
@@ -212,7 +205,7 @@ def kpath_scan(
         return max(xs[i][0], t - ys[i][1]), min(ys[i][0], t - xs[i][1])
 
     def along(i, v):
-        return v.reshape(v.shape[:-1] + (1,) * i + v.shape[-1:] + (1,) * (k - 1 - i))
+        return v.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
 
     def land(state, t):
         # the weights and the collisions of anti-diagonal t
@@ -222,21 +215,22 @@ def kpath_scan(
             lo, hi = band(i, t)
             pos[i] = np.arange(lo, hi + 1)
             if t > enter[i] or include_start:
-                state += along(i, logw[..., pos[i], t - pos[i]])
+                state += along(i, logw[pos[i], t - pos[i]])
         for p, i in enumerate(live):
             for j in live[p + 1 :]:
                 if pos[i][0] <= pos[j][-1] and pos[j][0] <= pos[i][-1]:
                     np.copyto(state, -np.inf, where=along(i, pos[i]) == along(j, pos[j]))
 
-    state = np.zeros(lead + (1,) * k)
+    state = np.zeros((1,) * k)
     t0, t1 = min(enter), max(leave)
     land(state, t0)
     for t in range(t0, t1):
         for i in range(k):
             if enter[i] <= t < leave[i]:
-                state = _advance(state, len(lead) + i, band(i, t), band(i, t + 1))
+                state = _advance(state, i, band(i, t), band(i, t + 1))
         land(state, t + 1)
-    return state.reshape(lead)[()]
+    # every band ends on the single cell of its ys[i]
+    return float(state.reshape(()))
 
 
 def kpath_logZ(
@@ -253,7 +247,7 @@ def kpath_logZ(
     _check_kpoints(xs, ys)
     lo, hi = _bounding_box(xs, ys)
     logw = _rectangle_logw(field, spec, beta, lo, hi)
-    val = float(kpath_scan(logw, _shift(xs, lo), _shift(ys, lo), include_start))
+    val = kpath_scan(logw, _shift(xs, lo), _shift(ys, lo), include_start)
     if val == -math.inf:
         raise NoPathError("no k-path between the given k-points")
     return val
@@ -387,70 +381,16 @@ def loggamma_rectangle(field: UniformField, mu: float, width: int, height: int) 
 
 
 _TAU_TABLE_MAX_N = 6
-_TAU_TABLE_DPS = 50
-
-
-def _exact_log_tau_tables(logw: np.ndarray) -> dict:
-    """log tau(m, k) and log tau~(m, k), keyed (m, k, False) and (m, k, True),
-    for an N x N square of log weights, by LGV determinants without rounding.
-
-    Each weight exp(logw) is taken to _TAU_TABLE_DPS digits, a dyadic
-    rational; the pair DP then only adds and multiplies, and the leading
-    minors are integer Bareiss eliminations, so both are exact in mpmath's
-    exact mode and Python integers.  Hence no cancellation can amplify the
-    input rounding, whatever the spread of the weights.
-    """
-    n = logw.shape[0]
-    out = {}
-    with mpmath.workdps(_TAU_TABLE_DPS):
-        w = [[mpmath.exp(mpmath.mpf(float(v))) for v in row] for row in logw]
-        zero = mpmath.mpf(0)
-        # z[i][a][b]: paths from (1, i+1) to (a+1, b+1), start excluded
-        z = []
-        for i in range(n):
-            g = [[zero] * n for _ in range(n)]
-            g[0][i] = mpmath.mpf(1)
-            for a in range(n):
-                for b in range(i, n):
-                    if a or b > i:
-                        s = mpmath.fadd(
-                            g[a - 1][b] if a else zero, g[a][b - 1] if b > i else zero, exact=True
-                        )
-                        g[a][b] = mpmath.fmul(s, w[a][b], exact=True)
-            z.append(g)
-        for m in range(1, n + 1):
-            for tilde in (False, True):
-                # rows i = 1..m, end heights m, m-1, .. (N..N-m+1 for tau~):
-                # the k x k leading minor is the k-path LGV determinant with
-                # its end order reversed
-                mat = [
-                    [z[i][m - 1][n - 1 - c] if tilde else z[i][n - 1][m - 1 - c] for c in range(m)]
-                    for i in range(m)
-                ]
-                shift = min(x.man_exp[1] for row in mat for x in row if x)
-                ints = [
-                    [int(x.man_exp[0]) << (x.man_exp[1] - shift) if x else 0 for x in row]
-                    for row in mat
-                ]
-                # the reversal gives minor k the sign (-1)^(k(k-1)/2)
-                for k, minor in enumerate(leading_minors(ints), start=1):
-                    log_start = mpmath.fsum(float(v) for v in logw[0, :k])
-                    log_det = mpmath.log(abs(minor)) + k * shift * mpmath.ln2
-                    out[m, k, tilde] = float(log_start + log_det)
-    return out
 
 
 class TauTable:
-    """All log tau(m, k) and log tau~(m, k) for one environment at size
-    N <= 6, from exact LGV determinants; the small-size oracle of the gRSK
-    route.
+    """log tau(m, k) and log tau~(m, k) for one environment at size N <= 6,
+    from the k-path transfer; the small-size oracle of the gRSK route.
 
     tau(m, k) is the k-path partition function across the N-wide, m-tall
-    rectangle with start weights included: the product of the k start
-    weights times the LGV determinant of start-excluded pair values.  The
-    float log weights are taken as exact and carried to 50 digits, and the
-    determinants are formed without rounding (see _exact_log_tau_tables),
-    so every value is correct to float precision at any mu.
+    rectangle with start weights included: kpath_scan with include_start
+    over the N x N weights, which it shares with tau~.  The transfer never
+    reads the gRSK pattern, so the two routes check each other.
     """
 
     def __init__(self, field: UniformField, mu: float, n: int):
@@ -458,13 +398,15 @@ class TauTable:
             raise DomainError("TauTable needs 1 <= N <= %d" % _TAU_TABLE_MAX_N)
         self.n = n
         self.mu = mu
-        self._log_tau = _exact_log_tau_tables(loggamma_rectangle(field, mu, n, n))
+        self._logw = loggamma_rectangle(field, mu, n, n)
 
     def _lookup(self, m: int, k: int, tilde: bool) -> float:
         if k == 0:
             return 0.0
         _check_tau_args(self.n, m, k)
-        return self._log_tau[m, k, tilde]
+        # entry [a-1, b-1] of the weights belongs to site (a, b)
+        end = (m - 1, self.n - 1) if tilde else (self.n - 1, m - 1)
+        return kpath_scan(self._logw, stack_up((0, 0), k), stack_down(end, k), include_start=True)
 
     def log_tau(self, m: int, k: int) -> float:
         """k paths from stack_up((1,1),k) to stack_down((N,m),k)."""
@@ -728,11 +670,9 @@ def k_linearity_probe(
     m = int(math.floor(c * n))
     xs2 = stack_diag((1, 1), 2)
     ys2 = tuple((p[0] + n, p[1] + m) for p in xs2)
-    lo, hi = _bounding_box(xs2, ys2)
     fields = [UniformField(derive_seed(seed, 0x2B, r)) for r in range(replicas)]
     one = np.array([single_path_logZ(f, spec, beta, (1, 1), (1 + n, 1 + m)) / n for f in fields])
-    logw = np.stack([_rectangle_logw(f, spec, beta, lo, hi) for f in fields])
-    two = kpath_scan(logw, _shift(xs2, lo), _shift(ys2, lo)) / n
+    two = np.array([kpath_logZ(f, spec, beta, xs2, ys2) / n for f in fields])
     se1 = one.std(ddof=1) / math.sqrt(replicas)
     se2 = two.std(ddof=1) / math.sqrt(replicas)
     gap = float(two.mean() - 2.0 * one.mean())

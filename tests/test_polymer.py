@@ -197,33 +197,13 @@ def test_kpath_non_stacked_three_paths_with_start(mu):
 def _random_kpoints(draw_ints, k):
     """k starts stacked north-west of each other with random offsets, each
     end 1-3 steps east and north of its start; ends that cross leave no
-    k-path, and their -inf lanes must agree too."""
+    k-path."""
     xs = tuple((2 * (k - 1 - i) + draw_ints[i] % 2, 2 * i) for i in range(k))
     ys = tuple(
         (x[0] + 1 + draw_ints[k + i] % 3, x[1] + 1 + draw_ints[2 * k + i] % 3)
         for i, x in enumerate(xs)
     )
     return xs, ys
-
-
-@given(
-    k=st.integers(min_value=1, max_value=3),
-    lanes=st.integers(min_value=1, max_value=4),
-    draws=st.lists(st.integers(min_value=0, max_value=99), min_size=9, max_size=9),
-    include_start=st.booleans(),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=40, deadline=None)
-def test_batched_kpath_scan_equals_per_lane_bitwise(k, lanes, draws, include_start, seed):
-    xs, ys = _random_kpoints(draws, k)
-    (w, h) = (max(y[0] for y in ys) + 1, max(y[1] for y in ys) + 1)
-    logw = 50.0 * np.random.default_rng(seed).standard_normal((lanes, w, h))
-    batch = kpath_scan(logw, xs, ys, include_start)
-    assert batch.shape == (lanes,)
-    for r in range(lanes):
-        assert np.array_equal(batch[r], kpath_scan(logw[r], xs, ys, include_start))
-    nested = kpath_scan(logw[None], xs, ys, include_start)
-    assert np.array_equal(nested[0], batch)
 
 
 @given(
