@@ -8,9 +8,12 @@ quantile transform of the same uniform field, which is what makes the
 mu-couplings hold sample by sample.  The loggamma transform evaluates a
 cached per-mu table (special.log_inv_gamma_quantile) by one route for every
 input size, so a site's value is bitwise independent of the batch, block or
-order it is computed in.  The hash runs on the calling thread; large
-loggamma transforms (two chunks of 2^16 sites or more) run on all available
-cores.
+order it is computed in.  omega_grid splits its sites along the first axis
+into blocks of about 2^16 sites; with two blocks or more, each runs as one
+task on the shared thread pool of special._run_chunked, one thread per
+available core, and hashes its block and applies the law's transform there,
+so the hash and the transform run on all cores and stay cache-sized.
+Smaller inputs run the same body on the calling thread.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ import numpy as np
 import scipy.special as sps
 
 from .errors import DomainError
-from .special import inv_gamma_quantile, log_inv_gamma_quantile
+from .special import (
+    _log_inv_gamma_quantile_body,
+    _quantile_table,
+    _run_chunked,
+    inv_gamma_quantile,
+)
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -33,11 +40,11 @@ _M2 = np.uint64(0x94D049BB133111EB)
 def _mix(z: np.ndarray) -> np.ndarray:
     # splitmix64 finalizer; uint64 arithmetic wraps mod 2^64 by design
     with np.errstate(over="ignore"):
-        z = (z + _GOLDEN) & _MASK
+        z = z + _GOLDEN  # a new array: the caller's z is left alone
         z ^= z >> np.uint64(30)
-        z = (z * _M1) & _MASK
+        z *= _M1
         z ^= z >> np.uint64(27)
-        z = (z * _M2) & _MASK
+        z *= _M2
         z ^= z >> np.uint64(31)
     return z
 
@@ -49,7 +56,7 @@ def _as_u64(values) -> np.ndarray:
         return np.uint64(int(values) & 0xFFFFFFFFFFFFFFFF)
     arr = np.asarray(values)
     if arr.dtype.kind == "u":
-        return arr.astype(np.uint64)
+        return arr.astype(np.uint64, copy=False)
     if arr.dtype.kind == "i":
         return arr.astype(np.int64).astype(np.uint64)
     flat = np.array(
@@ -74,11 +81,7 @@ class UniformField:
 
     def uniform(self, x1, x2) -> np.ndarray:
         """Uniform variates at sites (x1, x2); arguments broadcast like numpy."""
-        h = _mix(_as_u64(self.seed))
-        h = _mix(h ^ _as_u64(x1))
-        h = _mix(h ^ _as_u64(x2))
-        # 53 mantissa bits, offset by half a step: strictly inside (0,1)
-        return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+        return _uniform(self.seed, x1, x2)
 
     def derive(self, *indices: int) -> "UniformField":
         return UniformField(derive_seed(self.seed, *indices))
@@ -92,9 +95,16 @@ def uniform_at(field: UniformField, z: tuple) -> float:
 def uniform_many(seeds, x1, x2) -> np.ndarray:
     """Uniform variates for an array of seeds; seeds and coordinates
     broadcast together, e.g. seeds[:,None,None] with x1[None,:,None]."""
-    h = _mix(_as_u64(seeds))
+    return _uniform(seeds, x1, x2)
+
+
+def _uniform(seed, x1, x2) -> np.ndarray:
+    """The counter hash behind UniformField.uniform and uniform_many; pool
+    tasks call it directly, never the public names."""
+    h = _mix(_as_u64(seed))
     h = _mix(h ^ _as_u64(x1))
     h = _mix(h ^ _as_u64(x2))
+    # 53 mantissa bits, offset by half a step: strictly inside (0,1)
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
@@ -159,21 +169,57 @@ def coupled_exponential(field: UniformField, z: tuple) -> float:
     return float(-np.log1p(-field.uniform(z[0], z[1])))
 
 
+def _rows(x: np.ndarray, ndim: int, lo: int, hi: int) -> np.ndarray:
+    # rows lo..hi of x broadcast to ndim axes; a broadcast first axis stays
+    if ndim and x.ndim == ndim and x.shape[0] > 1:
+        return x[lo:hi]
+    return x
+
+
+def _law_transform(spec: WeightSpec):
+    """(u, out) -> None writing omega = F^{-1}(u) into out, for flat float64
+    u and out alike; it may overwrite u."""
+    if spec.law == "loggamma":
+        mu = float(spec.mu)
+        _quantile_table(mu)  # built once here, not raced for by the blocks
+        return lambda u, out: _log_inv_gamma_quantile_body(mu, u, out)
+    if spec.law == "exp1":
+
+        def exp1(u, out):
+            np.log1p(np.negative(u, out=u), out=out)
+            np.negative(out, out=out)
+
+        return exp1
+    if spec.law == "gauss":
+        return lambda u, out: sps.ndtri(u, out=out)
+    if spec.law == "bernoulli":
+        return lambda u, out: np.less(u, spec.p, out=out)
+    raise DomainError("unknown weight law %r" % (spec.law,))
+
+
 def omega_grid(field: UniformField, spec: WeightSpec, x1, x2) -> np.ndarray:
     """Energy variables omega at the given sites (vectorized): each law is a
     quantile transform of the uniform field; for loggamma that is
-    log zeta_mu = special.log_inv_gamma_quantile(mu, u)."""
-    if spec.law == "const":
-        shape = np.broadcast(np.asarray(x1), np.asarray(x2)).shape
-        return np.full(shape, float(spec.c))
-    u = field.uniform(x1, x2)
-    if spec.law == "loggamma":
-        return log_inv_gamma_quantile(spec.mu, u)
-    if spec.law == "exp1":
-        return -np.log1p(-u)
-    if spec.law == "gauss":
-        return sps.ndtri(u)
-    if spec.law == "bernoulli":
-        return (u < spec.p).astype(np.float64)
-    raise DomainError("unknown weight law %r" % (spec.law,))
+    log zeta_mu = special.log_inv_gamma_quantile(mu, u).
 
+    The broadcast sites are split along the first axis into blocks of about
+    special._CHUNK sites.  Each block hashes its sites and transforms them
+    into its rows of the result, on the shared pool when there are two
+    blocks or more.  Every step is elementwise, so the values are bitwise
+    independent of the blocking."""
+    x1, x2 = _as_u64(x1), _as_u64(x2)
+    out = np.empty(np.broadcast_shapes(x1.shape, x2.shape))
+    if spec.law == "const":
+        out.fill(spec.c)
+        return out
+    transform = _law_transform(spec)
+    ndim = out.ndim
+    rows = out.shape[0] if ndim else 1
+    by_row = out.reshape(rows, math.prod(out.shape[1:]))
+
+    def block(lo, hi):
+        u = _uniform(field.seed, _rows(x1, ndim, lo, hi), _rows(x2, ndim, lo, hi))
+        transform(u.reshape(-1), by_row[lo:hi].reshape(-1))
+
+    _run_chunked(block, rows, by_row.shape[1])
+    return out

@@ -56,12 +56,34 @@ class FreeEnergyEstimate:
 # ---------------------------------------------------------------------------
 
 
-def scan_rectangle(logw: np.ndarray, combine=np.logaddexp, include_start: bool = False):
+def _logaddexp(a, b, out=None):
+    """np.logaddexp(a, b) from numpy's vectorized ufuncs, into out: the
+    formula of npy_logaddexp, max(a, b) + log1p(exp(min(a, b) - max(a, b))),
+    with numpy's SIMD exp and log1p in place of scalar libm calls.  Within
+    2 eps max(1, |result|) of np.logaddexp.  Equal infinities give a NaN gap
+    and raise numpy's invalid flag: run it under np.errstate(invalid="ignore"),
+    as scan_rectangle does once per scan.  The clamp sends that NaN gap to
+    -inf, so (-inf, -inf) -> -inf and (inf, inf) -> inf; a NaN argument gives
+    NaN.  Allocates one temporary, the gap."""
+    big = np.maximum(a, b, out=out)
+    gap = np.minimum(a, b)
+    gap -= big
+    np.fmax(gap, -np.inf, out=gap)
+    np.exp(gap, out=gap)
+    np.log1p(gap, out=gap)
+    big += gap
+    return big
+
+
+def scan_rectangle(logw: np.ndarray, combine=_logaddexp, include_start: bool = False):
     """Corner-to-corner scan of a W x H rectangle of per-site log factors.
 
-    combine=np.logaddexp gives log Z, np.maximum gives last passage.  Works
-    on (..., W, H) arrays, scanning anti-diagonals so every step is a
-    vectorized operation; memory is O(W) per batch lane.
+    combine gives the semiring: the default _logaddexp gives log Z (within
+    2 eps per step of np.logaddexp, which also works), np.maximum gives
+    last passage.  It is called as combine(south, west, out=buf) once per
+    anti-diagonal, under np.errstate(invalid="ignore"), into a buffer the
+    scan owns.  Works on (..., W, H) arrays, scanning anti-diagonals so
+    every step is a vectorized operation; memory is O(W) per batch lane.
     """
     w, h = logw.shape[-2], logw.shape[-1]
     # row[..., i + 1] holds column i of the latest anti-diagonal; row[..., 0]
@@ -69,13 +91,16 @@ def scan_rectangle(logw: np.ndarray, combine=np.logaddexp, include_start: bool =
     # cell (d, 0) is the untouched -inf at row[..., d + 1]
     row = np.full(logw.shape[:-2] + (w + 1,), -np.inf)
     row[..., 1] = logw[..., 0, 0] if include_start else 0.0
+    buf = np.empty(logw.shape[:-2] + (w,))
     # anti-diagonal d of logw is diagonal h - 1 - d of its column-reversed view
     flipped = logw[..., :, ::-1]
-    for d in range(1, w + h - 1):
-        lo, hi = max(0, d - h + 1), min(w - 1, d)
-        row[..., lo + 1 : hi + 2] = combine(
-            row[..., lo + 1 : hi + 2], row[..., lo : hi + 1]
-        ) + np.diagonal(flipped, h - 1 - d, -2, -1)
+    with np.errstate(invalid="ignore"):
+        for d in range(1, w + h - 1):
+            lo, hi = max(0, d - h + 1), min(w - 1, d)
+            cur = row[..., lo + 1 : hi + 2]
+            out = buf[..., : hi - lo + 1]
+            combine(cur, row[..., lo : hi + 1], out=out)
+            np.add(out, np.diagonal(flipped, h - 1 - d, -2, -1), out=cur)
     return row[..., w]
 
 
@@ -100,7 +125,9 @@ def _rectangle_logw(field, spec, beta, x: Point, y: Point) -> np.ndarray:
         return np.zeros((w, h))
     x1 = np.arange(x[0], y[0] + 1)
     x2 = np.arange(x[1], y[1] + 1)
-    return beta * omega_grid(field, spec, x1[:, None], x2[None, :])
+    logw = omega_grid(field, spec, x1[:, None], x2[None, :])
+    logw *= beta
+    return logw
 
 
 def single_path_logZ(
@@ -118,7 +145,7 @@ def single_path_logZ(
     if not leq(x, y):
         raise NoPathError("no path from %s to %s" % (x, y))
     logw = _rectangle_logw(field, spec, beta, x, y)
-    return float(scan_rectangle(logw, np.logaddexp, include_start))
+    return float(scan_rectangle(logw, _logaddexp, include_start))
 
 
 def _check_kpoints(xs: KPoint, ys: KPoint) -> None:

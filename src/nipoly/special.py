@@ -6,9 +6,11 @@ which the scalar quantile, the environment and the fluctuation sampler all
 call.  For each mu it evaluates a cached piecewise-polynomial table in the
 Gaussian score, built from scipy's incomplete-gamma inverses and checked
 against them; scores beyond the table take those inverses directly.  Every
-input size takes this one route, and large transforms run in fixed-size
-chunks on all available cores; the transform is elementwise, so the result
-is bitwise independent of the batch and of the chunking.
+input size takes this one route.  Large inputs run in blocks of about
+_CHUNK sites on one thread pool (_run_chunked), which the environment
+shares: its tasks hash their block of sites and apply the quantile body.
+Every step is elementwise, so the result is bitwise independent of the
+batch and of the chunking.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.special as sps
@@ -106,7 +108,7 @@ def inv_gamma_cdf(mu: float, s: float) -> float:
     return gamma_q(mu, 1.0 / s)
 
 
-# sites per task of the quantile transform; smaller inputs stay on the caller
+# sites per pool task; inputs under two chunks stay on the caller
 _CHUNK = 1 << 16
 _S_BAND = 4.5
 _U_BAND = float(sps.ndtr(_S_BAND))
@@ -134,6 +136,26 @@ def _quantile_pool() -> ThreadPoolExecutor:
                 workers = os.cpu_count() or 1
             _pool = ThreadPoolExecutor(workers, thread_name_prefix="nipoly-quantile")
         return _pool
+
+
+def _run_chunked(task, rows: int, row_sites: int) -> None:
+    """Call task(lo, hi) on consecutive blocks [lo, hi) of rows rows of
+    row_sites sites each, about _CHUNK sites (at least one row) per block.
+    With two chunks of sites or more and two blocks or more, the blocks
+    run on the pool (the ufuncs release the GIL), one thread per available
+    core; otherwise task(0, rows) runs inline.  Waits for every block and
+    re-raises the first failure.  Tasks run on worker threads, so they call
+    private bodies only, never public functions that bench/spans.py wraps:
+    its span stack is not thread-safe."""
+    step = max(1, _CHUNK // max(1, row_sites))
+    if rows * row_sites < 2 * _CHUNK or rows <= step:
+        task(0, rows)
+        return
+    pool = _quantile_pool()
+    futures = [pool.submit(task, lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _log_from_root(mu: float, y, log_p):
@@ -223,7 +245,15 @@ def _quantile_table(mu: float):
 
 def _log_inv_gamma_quantile_body(mu: float, u: np.ndarray, out: np.ndarray) -> None:
     """Write log F_mu^{-1}(u) into out, for flat float64 u and out alike:
-    Horner's rule on the table, and the exact route beyond it."""
+    Horner's rule on the table, and the exact route beyond it.  Raises
+    DomainError for mu > 4e5 and u > ndtr(4.5), where scipy's inverse is
+    not accurate.  Build the table on the calling thread (_quantile_table)
+    before running this body on the pool, so the chunks do not race for it."""
+    if mu > _MU_ACCURATE and np.any(u > _U_BAND):
+        raise DomainError(
+            "log_inv_gamma_quantile: mu = %r > %g is inaccurate for u > ndtr(4.5)"
+            % (mu, _MU_ACCURATE)
+        )
     lo, inv_h, coef = _quantile_table(mu)
     x = sps.ndtri(u)
     x -= lo
@@ -261,35 +291,22 @@ def log_inv_gamma_quantile(mu: float, u):
 
     Every input size, scalars included, takes the same route, so a site's
     value does not depend on the batch it is computed in.  Inputs of two
-    chunks or more are split into flat chunks that run on a thread pool
-    (the ufuncs release the GIL), one thread per available core.  Raises
-    DomainError for mu <= 0, and for mu > 4e5 and u > ndtr(4.5), where
-    scipy's inverse is not accurate.
+    chunks or more run in flat blocks on the shared pool (_run_chunked).
+    Raises DomainError for mu <= 0, and for mu > 4e5 and u > ndtr(4.5),
+    where scipy's inverse is not accurate.
     """
     mu = float(mu)
     if not mu > 0.0:
         raise DomainError("log_inv_gamma_quantile requires mu > 0, got %r" % (mu,))
-    u = np.asarray(u, dtype=np.float64)
-    if mu > _MU_ACCURATE and np.any(u > _U_BAND):
-        raise DomainError(
-            "log_inv_gamma_quantile: mu = %r > %g is inaccurate for u > ndtr(4.5)"
-            % (mu, _MU_ACCURATE)
-        )
-    flat = u.ravel()
+    flat = np.asarray(u, dtype=np.float64).ravel()
     out = np.empty(flat.shape)
-    chunk = _CHUNK
-    if flat.size < 2 * chunk:
-        _log_inv_gamma_quantile_body(mu, flat, out)
-        return out.reshape(u.shape)
-    _quantile_table(mu)  # built once here, not raced for by the chunks
-    pool = _quantile_pool()
-    tasks = [
-        pool.submit(_log_inv_gamma_quantile_body, mu, flat[lo : lo + chunk], out[lo : lo + chunk])
-        for lo in range(0, flat.size, chunk)
-    ]
-    for task in tasks:
-        task.result()
-    return out.reshape(u.shape)
+    _quantile_table(mu)
+
+    def block(lo, hi):
+        _log_inv_gamma_quantile_body(mu, flat[lo:hi], out[lo:hi])
+
+    _run_chunked(block, flat.size, 1)
+    return out.reshape(np.shape(u))
 
 
 def inv_gamma_quantile(mu: float, u: float) -> float:

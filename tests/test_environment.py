@@ -16,7 +16,8 @@ from nipoly.environment import (
     uniform_at,
     weight_at,
 )
-from nipoly import special
+from nipoly import environment, special
+from nipoly.errors import DomainError
 from nipoly.special import digamma, inv_gamma_quantile, log_inv_gamma_quantile
 
 
@@ -217,3 +218,77 @@ def test_environment_is_independent_of_evaluation_order(seed, x, y, offset, mu):
     row = omega_grid(f, spec, x, y - offset + np.arange(2 * special._CHUNK + 1))[offset]
     bits = {np.float64(v).view(np.uint64) for v in (alone, block, row)}
     assert len(bits) == 1
+
+
+_LAWS = [
+    WeightSpec("loggamma", mu=2.0),
+    WeightSpec("loggamma", mu=1e-3),
+    WeightSpec("exp1"),
+    WeightSpec("gauss"),
+    WeightSpec("bernoulli", p=0.3),
+    WeightSpec("const", c=2.5),
+]
+
+
+@given(
+    law=st.integers(min_value=0, max_value=len(_LAWS) - 1),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    chunk=st.integers(min_value=1, max_value=64),
+    kind=st.sampled_from(["grid", "row", "scalar"]),
+    w=st.integers(min_value=1, max_value=40),
+    h=st.integers(min_value=1, max_value=40),
+    x0=st.integers(min_value=-10**6, max_value=10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocked_omega_grid_equals_inline_route_bitwise(law, seed, chunk, kind, w, h, x0):
+    # small chunks make many pool tasks with a ragged last block; a chunk
+    # larger than the input keeps the whole grid on the calling thread
+    spec, f = _LAWS[law], UniformField(seed)
+    if kind == "grid":
+        x1, x2 = x0 + np.arange(w)[:, None], np.arange(h)[None, :]
+    elif kind == "row":
+        x1, x2 = x0 + np.arange(w * h), 3
+    else:
+        x1, x2 = x0, h
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_CHUNK", 1 << 40)
+        inline = omega_grid(f, spec, x1, x2)
+        mp.setattr(special, "_CHUNK", chunk)
+        blocked = omega_grid(f, spec, x1, x2)
+    assert blocked.shape == inline.shape == np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    assert blocked.dtype == inline.dtype == np.float64
+    assert np.array_equal(blocked, inline)
+    # the inline route is the law's quantile transform of the uniform field
+    u = f.uniform(x1, x2)
+    want = {
+        "loggamma": lambda: log_inv_gamma_quantile(spec.mu, u),
+        "exp1": lambda: -np.log1p(-u),
+        "gauss": lambda: sps.ndtri(u),
+        "bernoulli": lambda: (u < spec.p).astype(np.float64),
+        "const": lambda: np.full(np.shape(u), spec.c),
+    }[spec.law]()
+    assert np.array_equal(inline, want)
+
+
+def test_blocked_omega_grid_raises_from_a_pool_task(monkeypatch):
+    # above mu = 4e5 a uniform beyond ndtr(4.5) is refused; the refusal is
+    # raised in one pool task and must reach the caller
+    f = UniformField(3)
+    i = int(np.argmax(f.uniform(np.arange(2 * 10**6), 0)))
+    assert f.uniform(i, 0) > sps.ndtr(4.5)
+    monkeypatch.setattr(special, "_CHUNK", 8)
+    with pytest.raises(DomainError):
+        omega_grid(f, WeightSpec("loggamma", mu=2e6), i + np.arange(-60, 40), 0)
+
+
+def test_omega_grid_does_not_enter_the_public_hash(monkeypatch):
+    # pool tasks must call the private hash: a tracer wrapping the public
+    # names keeps one span stack that worker threads must not touch
+    def refuse(*args, **kwargs):
+        raise AssertionError("omega_grid entered a public hash")
+
+    want = omega_grid(UniformField(9), WeightSpec("loggamma", mu=2.0), np.arange(300)[:, None], np.arange(500))
+    monkeypatch.setattr(UniformField, "uniform", refuse)
+    monkeypatch.setattr(environment, "uniform_many", refuse)
+    got = omega_grid(UniformField(9), WeightSpec("loggamma", mu=2.0), np.arange(300)[:, None], np.arange(500))
+    assert np.array_equal(got, want)

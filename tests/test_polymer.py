@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
 from nipoly.errors import DomainError, NoPathError
 from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
 from nipoly.polymer import (
+    _logaddexp,
     brute_force_kpath_logZ,
     corner_diagonal_sum,
     free_energy_mc,
@@ -101,13 +103,14 @@ def _fancy_index_scan(logw, combine, include_start):
     batch=st.sampled_from([(), (3,), (2, 2)]),
     w=st.integers(min_value=1, max_value=12),
     h=st.integers(min_value=1, max_value=12),
-    combine=st.sampled_from([np.logaddexp, np.maximum]),
+    combine=st.sampled_from([_logaddexp, np.logaddexp, np.maximum]),
     include_start=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @example(batch=(), w=1, h=1, combine=np.logaddexp, include_start=True, seed=3)
 @example(batch=(3,), w=1, h=9, combine=np.maximum, include_start=False, seed=3)
 @example(batch=(2, 2), w=9, h=1, combine=np.logaddexp, include_start=True, seed=3)
+@example(batch=(3,), w=7, h=5, combine=_logaddexp, include_start=True, seed=3)
 @settings(max_examples=60, deadline=None)
 def test_strided_scan_equals_fancy_index_scan_bitwise(batch, w, h, combine, include_start, seed):
     logw = 3.0 * np.random.default_rng(seed).standard_normal(batch + (w, h))
@@ -115,6 +118,43 @@ def test_strided_scan_equals_fancy_index_scan_bitwise(batch, w, h, combine, incl
     ref = _fancy_index_scan(logw, combine, include_start)
     assert np.shape(got) == np.shape(ref) == batch
     assert np.array_equal(got, ref)
+
+
+def test_logaddexp_helper_special_values():
+    # under the scan's errstate: no other RuntimeWarning, and the values of
+    # np.logaddexp at infinities, NaN, equal arguments and gaps beyond the
+    # underflow of exp (745)
+    inf, nan = np.inf, np.nan
+    a = np.array([-inf, inf, inf, -inf, -inf, 3.0, nan, 2.0, 0.0, -5.0, 1.0, 1e4, 0.0, -800.0])
+    b = np.array([-inf, inf, -inf, inf, 7.0, -inf, 1.0, nan, 0.0, -5.0, -745.5, -1e4, 800.0, 0.0])
+    want = np.array([-inf, inf, inf, inf, 7.0, 3.0, nan, nan, math.log(2.0), -5.0 + math.log(2.0), 1.0, 1e4, 800.0, 0.0])
+    out = np.full(a.shape, 123.0)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        got = _logaddexp(a, b, out=out)
+        fresh = _logaddexp(b, a)
+    assert got is out
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(fresh, want, equal_nan=True)
+    # a scan that meets both equal infinities, or a NaN, warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scan_rectangle(np.array([[0.0, -inf], [-inf, 2.0]])) == -inf
+        assert scan_rectangle(np.array([[0.0, inf], [inf, 2.0]])) == inf
+        assert np.isnan(scan_rectangle(np.array([[0.0, nan], [1.0, 2.0]])))
+
+
+def test_logaddexp_helper_matches_numpy():
+    # 10^6 pairs over scales 1e-3 to 1e5 of either sign, and close pairs
+    rng = np.random.default_rng(2024)
+    n = 10**6
+    scale = 10.0 ** rng.uniform(-3.0, 5.0, size=(2, n))
+    a, b = scale * rng.choice([-1.0, 1.0], size=(2, n))
+    b[: n // 4] = a[: n // 4] * (1.0 + 1e-3 * rng.standard_normal(n // 4))
+    want = np.logaddexp(a, b)
+    got = _logaddexp(a, b, out=np.empty(n))
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err.max() <= 2.0 * np.finfo(float).eps
 
 
 def test_scan_maximum_mode():
