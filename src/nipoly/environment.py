@@ -13,7 +13,14 @@ into blocks of about 2^16 sites; with two blocks or more, each runs as one
 task on the shared thread pool of special._run_chunked, one thread per
 available core, and hashes its block and applies the law's transform there,
 so the hash and the transform run on all cores and stay cache-sized.
-Smaller inputs run the same body on the calling thread.
+Smaller inputs run the same body on the calling thread.  uniform_many
+blocks a multi-seed hash along its first axis in the same way.
+
+Child seeds come from the same splitmix chain: derive_seeds(seed, *indices)
+runs it over numpy-broadcast uint64 arrays, so one call gives a seed per
+sample, e.g. derive_seeds(seed, 0x10, np.arange(samples)); derive_seed is
+its scalar form.  Seeds and coordinates must be integers; they wrap mod
+2^64, and floats are refused.
 """
 
 from __future__ import annotations
@@ -49,28 +56,46 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+
 def _as_u64(values) -> np.ndarray:
     """Coordinates and seeds as uint64, wrapping mod 2^64 (two's complement
-    for negatives, masking for Python ints above 2^63)."""
+    for negatives, masking for Python ints of 2^63 and above).  A sequence
+    numpy would store as float64 or object (e.g. ints straddling 2^63) is
+    converted exactly, int by int; non-integer values raise DomainError."""
     if isinstance(values, (int, np.integer)):
-        return np.uint64(int(values) & 0xFFFFFFFFFFFFFFFF)
+        return np.uint64(int(values) & _MASK)
     arr = np.asarray(values)
     if arr.dtype.kind == "u":
         return arr.astype(np.uint64, copy=False)
-    if arr.dtype.kind == "i":
+    if arr.dtype.kind in "ib":
         return arr.astype(np.int64).astype(np.uint64)
-    flat = np.array(
-        [int(v) & 0xFFFFFFFFFFFFFFFF for v in arr.ravel()], dtype=np.uint64
-    )
+    if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        arr = np.asarray(values, dtype=object)
+    if arr.dtype.kind != "O":
+        raise DomainError("seeds and coordinates must be integers, not %s" % arr.dtype)
+    for v in arr.flat:
+        if not isinstance(v, (int, np.integer)):
+            raise DomainError("seeds and coordinates must be integers, not %r" % (v,))
+    flat = np.array([int(v) & _MASK for v in arr.flat], dtype=np.uint64)
     return flat.reshape(arr.shape)
 
 
-def derive_seed(seed: int, *indices: int) -> int:
-    """Derive a decorrelated child seed, e.g. one per replica."""
+def derive_seeds(seed, *indices) -> np.ndarray:
+    """Child seeds for broadcast integer arrays of seeds and indices, as a
+    uint64 array: derive_seeds(s, 0x10, np.arange(n))[i] is
+    derive_seed(s, 0x10, i), bit for bit."""
     h = _mix(_as_u64(seed))
     for ix in indices:
         h = _mix(h ^ _as_u64(ix))
-    return int(h)
+    return np.asarray(h)
+
+
+def derive_seed(seed: int, *indices: int) -> int:
+    """Derive a decorrelated child seed, e.g. one per replica.  For one seed
+    per sample, make one derive_seeds call over an index array instead."""
+    return int(derive_seeds(seed, *indices))
 
 
 @dataclass(frozen=True)
@@ -94,18 +119,35 @@ def uniform_at(field: UniformField, z: tuple) -> float:
 
 def uniform_many(seeds, x1, x2) -> np.ndarray:
     """Uniform variates for an array of seeds; seeds and coordinates
-    broadcast together, e.g. seeds[:,None,None] with x1[None,:,None]."""
-    return _uniform(seeds, x1, x2)
+    broadcast together, e.g. seeds[:,None,None] with x1[None,:,None].
+
+    Like omega_grid, the broadcast sites are hashed in blocks of about
+    special._CHUNK sites along the first axis, on the shared pool when there
+    are two blocks or more; the hash is elementwise, so the values are
+    bitwise independent of the blocking."""
+    seeds, x1, x2 = _as_u64(seeds), _as_u64(x1), _as_u64(x2)
+    out = np.empty(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape))
+    ndim = out.ndim
+    by_row = np.atleast_1d(out)  # a view, also of a 0-d out
+
+    def block(lo, hi):
+        _uniform(*(_rows(x, ndim, lo, hi) for x in (seeds, x1, x2)), out=by_row[lo:hi])
+
+    _run_chunked(block, len(by_row), math.prod(by_row.shape[1:]))
+    return out
 
 
-def _uniform(seed, x1, x2) -> np.ndarray:
-    """The counter hash behind UniformField.uniform and uniform_many; pool
-    tasks call it directly, never the public names."""
+def _uniform(seed, x1, x2, out=None) -> np.ndarray:
+    """The counter hash behind UniformField.uniform and uniform_many, into
+    out when given (of the broadcast shape); pool tasks call it directly,
+    never the public names."""
     h = _mix(_as_u64(seed))
     h = _mix(h ^ _as_u64(x1))
     h = _mix(h ^ _as_u64(x2))
     # 53 mantissa bits, offset by half a step: strictly inside (0,1)
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    u = np.add(h >> np.uint64(11), 0.5, out=out)
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True)

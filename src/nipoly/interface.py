@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import UniformField, derive_seed
+from .environment import UniformField, derive_seed, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
 from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage_batch, loggamma_rectangle
@@ -369,9 +369,7 @@ def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) ->
     distributional comparison."""
     if not 1 <= k <= m <= n:
         raise DomainError("need 1 <= k <= m <= N")
-    field_seeds = np.array(
-        [derive_seed(seed, 0x5C, r) for r in range(seeds)], dtype=np.uint64
-    )
+    field_seeds = derive_seeds(seed, 0x5C, np.arange(seeds))
     fields = [UniformField(int(s)) for s in field_seeds]
     lvals = last_passage_batch(field_seeds, n, m, k)
     mu_log_tau = np.empty((len(mu_list), seeds))

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import scipy.special as sps
 
-from .environment import UniformField, uniform_many
+from .environment import UniformField, derive_seeds, uniform_many
 from .errors import DomainError, JacobiConvergenceError
 
 _RE_LANE = 0x61
@@ -194,9 +194,7 @@ def lue_matrix_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
 
 
 def _seed_lane(seeds: np.ndarray, lane: int) -> np.ndarray:
-    from .environment import derive_seed
-
-    return np.array([derive_seed(int(s), lane) for s in np.asarray(seeds)], dtype=np.uint64)
+    return derive_seeds(seeds, lane)
 
 
 def lue_sample_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:

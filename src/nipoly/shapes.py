@@ -19,6 +19,7 @@ from .environment import (
     UniformField,
     WeightSpec,
     derive_seed,
+    derive_seeds,
     omega_grid,
     uniform_many,
 )
@@ -450,13 +451,9 @@ def lue_quantile_gap(n: int, m: int, seed: int, central: float = 0.9) -> float:
 def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
     """Two-oracle comparison of L^N(m, k) with the sum of the k largest
     LUE(m; n) eigenvalues: means within combined stderr, two-sample KS."""
-    seeds_l = np.array(
-        [derive_seed(seed, 0x10, s) for s in range(samples)], dtype=np.uint64
-    )
-    lvals = last_passage_batch(seeds_l, n, m, k)
-    seeds_e = np.array(
-        [derive_seed(seed, 0x20, s) for s in range(samples)], dtype=np.uint64
-    )
+    index = np.arange(samples)
+    lvals = last_passage_batch(derive_seeds(seed, 0x10, index), n, m, k)
+    seeds_e = derive_seeds(seed, 0x20, index)
     chunks = []
     for start in range(0, samples, 20000):
         part = seeds_e[start : start + 20000]
@@ -512,10 +509,7 @@ def fluctuation_mc(
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        seeds = np.array(
-            [derive_seed(seed, 0xF1, s) for s in range(done, done + b)],
-            dtype=np.uint64,
-        )
+        seeds = derive_seeds(seed, 0xF1, np.arange(done, done + b))
         u = uniform_many(
             seeds[:, None, None], x1[None, :, None], x2[None, None, :]
         )

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nipoly.environment import (
     WeightSpec,
     coupled_exponential,
     derive_seed,
+    derive_seeds,
     omega_grid,
     uniform_at,
     weight_at,
@@ -60,6 +62,90 @@ def test_derive_seed_changes_field():
     assert g.seed != f.seed
     assert derive_seed(5, 1) == g.seed
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+
+
+def _splitmix_chain(seed, *indices):
+    # the documented derive_seed chain in Python ints, as an independent reference
+    mask = 2**64 - 1
+
+    def mix(z):
+        z = (z + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    h = mix(seed & mask)
+    for ix in indices:
+        h = mix(h ^ (ix & mask))
+    return h
+
+
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    a=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5),
+    b=st.lists(st.integers(-(2**63), 2**64 - 1), min_size=1, max_size=4),
+)
+@settings(max_examples=80, deadline=None)
+def test_derive_seeds_equals_scalar_derive_seed(seed, a, b):
+    # indices: an int64 column against a Python-int row that may straddle 2**63
+    got = derive_seeds(seed, np.array(a, dtype=np.int64)[:, None], b)
+    want = np.array([[derive_seed(seed, x, y) for y in b] for x in a], dtype=np.uint64)
+    assert want.tolist() == [[_splitmix_chain(seed, x, y) for y in b] for x in a]
+    assert got.dtype == np.uint64 and got.shape == (len(a), len(b))
+    np.testing.assert_array_equal(got, want)
+    # an array of seeds, as Python ints and as uint64
+    seeds = [seed, *b]
+    want = np.array([derive_seed(s, 0x61) for s in seeds], dtype=np.uint64)
+    np.testing.assert_array_equal(derive_seeds(seeds, 0x61), want)
+    u64 = np.array([s & (2**64 - 1) for s in seeds], dtype=np.uint64)
+    np.testing.assert_array_equal(derive_seeds(u64, 0x61), want)
+    assert derive_seeds(seed).shape == () and int(derive_seeds(seed)) == derive_seed(seed)
+
+
+def test_int_sequences_hash_exactly():
+    # numpy stores these lists as float64, which rounds 2**63 + 1 to 2**63
+    for values in ([1, 2**63 + 1], [-1, 2**63 + 1], [np.uint64(2**63 + 1), np.int64(-1)]):
+        want = np.array([int(v) & (2**64 - 1) for v in values], dtype=np.uint64)
+        np.testing.assert_array_equal(environment._as_u64(values), want)
+    nested = environment._as_u64([[1, -1], [2**64 + 3, 2**63]])
+    np.testing.assert_array_equal(nested, np.array([[1, 2**64 - 1], [3, 2**63]], dtype=np.uint64))
+    f = UniformField(2)
+    np.testing.assert_array_equal(
+        f.uniform([1, 2**63 + 1], 0), [f.uniform(1, 0), f.uniform(2**63 + 1, 0)]
+    )
+    assert f.uniform(2**63 + 1, 0) != f.uniform(2**63, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: derive_seed(1.5, 2),
+        lambda: derive_seed(2, 2.0),
+        lambda: derive_seeds(2, np.arange(3.0)),
+        lambda: derive_seeds([1, 2.5], 3),
+        lambda: UniformField(3).uniform(1.5, 2.7),
+        lambda: UniformField(3).uniform(np.array([1.0]), 2),
+        lambda: UniformField(1.5).uniform(1, 2),
+        lambda: environment.uniform_many([1.5], 1, 2),
+        lambda: omega_grid(UniformField(3), WeightSpec("exp1"), np.arange(2.0), 1),
+        lambda: environment._as_u64([1, None]),
+    ],
+    ids=[
+        "derive_seed-seed",
+        "derive_seed-index",
+        "derive_seeds-float-array",
+        "derive_seeds-float-in-list",
+        "uniform-scalars",
+        "uniform-float-array",
+        "field-seed",
+        "uniform_many",
+        "omega_grid",
+        "none-in-list",
+    ],
+)
+def test_non_integer_seeds_and_coordinates_raise(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_scalar_vector_agree():
@@ -292,3 +378,40 @@ def test_omega_grid_does_not_enter_the_public_hash(monkeypatch):
     monkeypatch.setattr(environment, "uniform_many", refuse)
     got = omega_grid(UniformField(9), WeightSpec("loggamma", mu=2.0), np.arange(300)[:, None], np.arange(500))
     assert np.array_equal(got, want)
+
+
+def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):
+    # the blocks run on the pool, call only the private hash, and give the
+    # unblocked hash bit for bit
+    seeds = np.array([2**63 + 5, 3, 2**64 - 1, 0, 17, 2**62, 9], dtype=np.uint64)
+    x1, x2 = np.arange(-2, 3)[None, :, None], np.arange(6)[None, None, :]
+    cases = [
+        (seeds[:, None, None], x1, x2),
+        (seeds[None, :, None], np.arange(-4, 4)[:, None, None], x2),
+        ([int(s) for s in seeds], np.arange(-2, 2)[:, None], 3),
+    ]
+    wants = [environment._uniform(*case) for case in cases]
+    uniform_many, private = environment.uniform_many, environment._uniform
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return private(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("uniform_many entered a public hash")
+
+    monkeypatch.setattr(environment, "_uniform", spy)
+    monkeypatch.setattr(UniformField, "uniform", refuse)
+    monkeypatch.setattr(environment, "uniform_many", refuse)
+    # the benchmark's rmt size, 300 seeds x 12 x 12, stays on the caller
+    small = uniform_many(seeds[:3, None, None], np.arange(12)[:, None], np.arange(12))
+    assert threads == [threading.current_thread()]
+    assert np.array_equal(small, private(seeds[:3, None, None], np.arange(12)[:, None], np.arange(12)))
+    monkeypatch.setattr(special, "_CHUNK", 8)
+    for case, want in zip(cases, wants):
+        threads.clear()
+        got = uniform_many(*case)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(threads) > 1
+        assert all(t.name.startswith("nipoly-quantile") for t in threads)

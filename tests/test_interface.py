@@ -33,6 +33,7 @@ from nipoly.lattice import stack_up
 from nipoly.polymer import (
     TauTable,
     brute_force_kpath_logZ,
+    last_passage,
     loggamma_rectangle,
     single_path_logZ,
 )
@@ -363,6 +364,12 @@ def test_small_mu_coupling_report():
     r = small_mu_coupling(4, 3, 1, [1.0, 0.1, 0.01], seeds=60, seed=31)
     assert r["mean_gaps"][0] > r["mean_gaps"][1] > r["mean_gaps"][2]
     assert min(r["frac_decreasing"]) > 0.9
+
+
+def test_small_mu_coupling_uses_the_derive_seed_streams():
+    r = small_mu_coupling(4, 3, 2, [0.1], seeds=6, seed=31)
+    want = [last_passage(UniformField(derive_seed(31, 0x5C, i)), 4, 3, 2) for i in range(6)]
+    np.testing.assert_array_equal(r["last_passage"], want)
 
 
 def test_small_mu_full_rectangle_exact_coupling():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
+from nipoly.environment import UniformField, WeightSpec, derive_seed, derive_seeds, omega_grid
 from nipoly.errors import DomainError, NoPathError
 from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
 from nipoly.polymer import (
@@ -503,7 +503,7 @@ def test_last_passage_full_rectangle():
 
 
 def test_last_passage_batch_matches_scalar():
-    seeds = np.array([derive_seed(5, 0x17, s) for s in range(4)], dtype=np.uint64)
+    seeds = derive_seeds(5, 0x17, np.arange(4))
     for k in (1, 2, 3):
         batch = last_passage_batch(seeds, 6, 4, k)
         for i, s in enumerate(seeds):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nipoly.environment import derive_seed
 from nipoly.errors import JacobiConvergenceError
 from nipoly.rmt import (
     gue_matrix,
@@ -15,6 +16,7 @@ from nipoly.rmt import (
     lue_sample,
     lue_sample_batch,
     minors_process,
+    _seed_lane,
 )
 
 
@@ -132,6 +134,22 @@ def test_lue_batch_matches_scalar():
     batch = lue_sample_batch(6, 3, seeds)
     for i, s in enumerate(seeds):
         np.testing.assert_array_equal(batch[i], lue_sample(6, 3, int(s)))
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        np.array([2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 0], dtype=np.uint64),
+        np.array([-5, -1, 0, 7, -(2**63)], dtype=np.int64),
+        [-5, 2**63 + 1, 3],
+    ],
+)
+def test_seed_lane_equals_the_scalar_loop(seeds):
+    for lane in (0x61, 0x62):
+        want = np.array([derive_seed(int(s), lane) for s in seeds], dtype=np.uint64)
+        got = _seed_lane(seeds, lane)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
 
 
 def test_minors_interlacing():

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nipoly import environment, rmt, shapes
 from nipoly.environment import UniformField, derive_seed
 from nipoly.errors import DomainError
 from nipoly.polymer import last_passage, rost_ell
@@ -349,6 +350,58 @@ def test_johansson_uses_derive_seed_streams(k):
     assert min(seeds) < 2**63 < max(seeds)
     want = np.mean([last_passage(UniformField(s), 5, 4, k) for s in seeds])
     assert johansson_check(5, 4, k, samples=6, seed=21)["mean_L"] == pytest.approx(want, abs=1e-12)
+
+
+def _record(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def probe(*args):
+        calls.append((name, args))
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, probe)
+
+
+def test_johansson_batch_seeds_equal_the_scalar_loop(monkeypatch):
+    calls = []
+    _record(monkeypatch, shapes, "last_passage_batch", calls)
+    _record(monkeypatch, shapes, "lue_sample_batch", calls)
+    johansson_check(5, 4, 1, samples=40, seed=21)
+    assert [name for name, _ in calls] == ["last_passage_batch", "lue_sample_batch"]
+    # last_passage_batch(seeds, n, m, k) and lue_sample_batch(n, m, seeds)
+    for seeds, stream in zip((calls[0][1][0], calls[1][1][2]), (0x10, 0x20)):
+        want = np.array([derive_seed(21, stream, s) for s in range(40)], dtype=np.uint64)
+        assert min(want) < 2**63 < max(want)
+        assert seeds.dtype == np.uint64
+        np.testing.assert_array_equal(seeds, want)
+
+
+def test_fluctuation_mc_chunk_seeds_equal_the_scalar_loop(monkeypatch):
+    calls = []
+    _record(monkeypatch, shapes, "uniform_many", calls)
+    fluctuation_mc(1.0, 4, [0.5, 1.0], samples=7, seed=17, chunk=3)
+    got = np.concatenate([args[0].ravel() for _, args in calls])
+    want = np.array([derive_seed(17, 0xF1, s) for s in range(7)], dtype=np.uint64)
+    assert [args[0].shape for _, args in calls] == [(3, 1, 1), (3, 1, 1), (1, 1, 1)]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_johansson_derives_seeds_in_array_calls(monkeypatch):
+    # O(1) derivations per check, not one per sample, at every binding
+    counts = {"derive_seed": 0, "derive_seeds": 0}
+    for name in counts:
+        fn = getattr(environment, name)
+
+        def counted(*args, fn=fn, name=name):
+            counts[name] += 1
+            return fn(*args)
+
+        for module in (environment, shapes, rmt):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    johansson_check(12, 12, 1, samples=300, seed=5)
+    assert counts["derive_seed"] <= 2
+    assert 2 <= counts["derive_seeds"] <= 8
 
 
 def test_fluctuation_mc_small():
