@@ -172,15 +172,10 @@ def _half_sweep(
     return int(accept.sum())
 
 
-def gibbs_sampler(
-    n: int,
-    mu: float,
-    sweeps: int,
-    seed: int,
-    step: float = 1.0,
-    tune: bool = True,
-    burn_in: int | None = None,
-):
+_GIBBS_STEP = 1.0  # initial proposal scale, tuned during burn-in
+
+
+def gibbs_sampler(n: int, mu: float, sweeps: int, seed: int, burn_in: int | None = None):
     """Metropolis random-walk chain targeting the interface density, in a
     checkerboard systematic scan; yields one InterfaceGrid snapshot per
     sweep (N^2 updates).
@@ -188,9 +183,9 @@ def gibbs_sampler(
     The interaction is nearest-neighbour, so sites with the same parity of
     i + j never interact: each sweep updates all even sites at once and then
     all odd sites, and each of these half-sweeps equals N^2/2 sequential
-    single-site updates.  The proposal scale is tuned toward 0.3-0.5
-    acceptance during burn-in.  Chain randomness comes from a Philox counter
-    generator on the seed, so runs are reproducible.
+    single-site updates.  The proposal scale starts at _GIBBS_STEP and is
+    tuned toward 0.3-0.5 acceptance during burn-in.  Chain randomness comes
+    from a Philox counter generator on the seed, so runs are reproducible.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     p = _padded(np.full((n, n), -digamma(mu)))
@@ -200,6 +195,7 @@ def gibbs_sampler(
     half = len(colours[0][0])
     if burn_in is None:
         burn_in = max(10, sweeps // 5)
+    step = _GIBBS_STEP
     accepted = 0
     proposed = 0
     for sweep in range(sweeps + burn_in):
@@ -208,7 +204,7 @@ def gibbs_sampler(
         for (i, j), part in zip(colours, (slice(None, half), slice(half, None))):
             accepted += _half_sweep(p, mu, i, j, steps[part], log_us[part])
         proposed += n * n
-        if tune and sweep < burn_in and (sweep + 1) % 5 == 0:
+        if sweep < burn_in and (sweep + 1) % 5 == 0:
             rate = accepted / max(proposed, 1)
             if rate < 0.3:
                 step *= 0.8
@@ -219,7 +215,10 @@ def gibbs_sampler(
             yield InterfaceGrid(n, v.copy())
 
 
-def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
+_SOKAL_C = 6.0  # the window stops at the first w >= c tau_w
+
+
+def integrated_autocorrelation(series: np.ndarray) -> float:
     """Sokal windowed estimate of the integrated autocorrelation time."""
     x = np.asarray(series, dtype=float)
     x = x - x.mean()
@@ -232,7 +231,7 @@ def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
         return 1.0
     # tau_w = 1 + 2 sum_{t<=w} rho_t for w < m//2; the first w >= c tau_w, else the last
     tau = 1.0 + 2.0 * np.cumsum(acov[1 : m // 2] / acov[0])
-    done = np.arange(1, m // 2) >= c * tau
+    done = np.arange(1, m // 2) >= _SOKAL_C * tau
     return max(float(tau[np.argmax(done) if done.any() else -1]), 1.0)
 
 

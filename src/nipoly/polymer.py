@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .environment import UniformField, WeightSpec, derive_seed, omega_grid
+from .environment import UniformField, WeightSpec, derive_seed, omega_grid, uniform_many
 from .errors import DomainError, NoPathError
 from .lattice import (
     KPoint,
@@ -449,13 +449,18 @@ def _check_tau_args(n: int, m: int, k: int) -> None:
         raise DomainError("need 1 <= k <= m <= N")
 
 
+def _corner_tau(field: UniformField, mu: float, width: int, height: int, k: int) -> float:
+    # the k-path log partition function across the width x height rectangle
+    return float(corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, width, height)), k))
+
+
 def log_tau(field: UniformField, mu: float, n: int, m: int, k: int) -> float:
     """log tau(m, k): k paths from stack_up((1,1),k) to stack_down((N,m),k)
     across the N-wide, m-tall rectangle, start weights included (gRSK)."""
     if k == 0:
         return 0.0
     _check_tau_args(n, m, k)
-    return float(corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, n, m)), k))
+    return _corner_tau(field, mu, n, m, k)
 
 
 def log_tau_tilde(field: UniformField, mu: float, n: int, m: int, k: int) -> float:
@@ -464,31 +469,25 @@ def log_tau_tilde(field: UniformField, mu: float, n: int, m: int, k: int) -> flo
     if k == 0:
         return 0.0
     _check_tau_args(n, m, k)
-    return float(corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, m, n)), k))
+    return _corner_tau(field, mu, m, n, k)
 
 
 def last_passage(field: UniformField, n: int, m: int, k: int = 1) -> float:
     """L^N(m,k): max total of coupled exponential weights over the k-paths
     of the N-wide, m-tall rectangle, start weights included (tau convention).
 
-    k = 1 runs the max-plus scan and 2 <= k <= min(n, m) the tropical RSK,
-    both at any size; the rectangle holds no k-path for larger k.
+    One lane of last_passage_batch on field.seed, so the two agree bit for
+    bit at any size; the rectangle holds no k-path for k > min(n, m).
     """
     if not 1 <= k <= min(n, m):
         raise DomainError("last_passage needs 1 <= k <= min(n, m)")
-    x1 = np.arange(1, n + 1)
-    x2 = np.arange(1, m + 1)
-    e = omega_grid(field, WeightSpec("exp1"), x1[:, None], x2[None, :])
-    if k == 1:
-        return float(scan_rectangle(e, np.maximum, include_start=True))
-    return float(corner_diagonal_sum(tropical_rsk(e), k))
+    return float(last_passage_batch([field.seed], n, m, k)[0])
 
 
 def last_passage_batch(seeds: np.ndarray, n: int, m: int, k: int = 1) -> np.ndarray:
     """last_passage(UniformField(s), n, m, k) for each seed s, over one
-    batched max-plus scan (k = 1) or tropical RSK (2 <= k <= min(n, m))."""
-    from .environment import uniform_many
-
+    batched max-plus scan (k = 1) or tropical RSK (2 <= k <= min(n, m)) over
+    the coupled exponential weights e = -log(1 - U)."""
     if not 1 <= k <= min(n, m):
         raise DomainError("last_passage_batch needs 1 <= k <= min(n, m)")
     x1 = np.arange(1, n + 1)
@@ -547,7 +546,6 @@ def free_energy_mc(
     n: int,
     replicas: int,
     seed: int,
-    point: Point = (1, 1),
 ) -> FreeEnergyEstimate:
     """Quenched Monte Carlo of (1/N) log Z_(1,1)->(N, cN) over disjoint seed
     streams; averages (1/N) log Z, never the log of averaged Z."""
@@ -555,7 +553,7 @@ def free_energy_mc(
     vals = np.empty(replicas)
     for r in range(replicas):
         f = UniformField(derive_seed(seed, _FE_STREAM, r))
-        vals[r] = single_path_logZ(f, spec, beta, point, (point[0] + n - 1, point[1] + m - 1)) / n
+        vals[r] = single_path_logZ(f, spec, beta, (1, 1), (n, m)) / n
     stderr = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else math.inf
     return FreeEnergyEstimate(float(vals.mean()), stderr, n, replicas, vals)
 

@@ -6,10 +6,13 @@ Matrix entries are Gaussian quantile transforms of the same counter-based
 uniform field used everywhere else, so samples are a pure function of the
 seed.
 
-``jacobi_eigvalsh`` and ``jacobi_eigvalsh_batch`` (cyclic Jacobi on a real
-symmetric matrix) run on no sampling path.  They remain as an independent
-small-size oracle for the LAPACK route, and the benchmark's tracer binds
-them by name.
+``jacobi_eigvalsh_batch`` (cyclic Jacobi over a stack of real symmetric
+matrices) runs on no sampling path; ``jacobi_eigvalsh`` is one lane of it.
+The scalar form stays as the independent oracle of the LAPACK route on the
+real doubling of a Hermitian matrix, and the benchmark's tracer binds both
+by name.  Each sampler has one route: ``gue_matrix`` draws through
+``uniform_many`` as ``lue_matrix_batch`` does, and ``lue_matrix`` is one
+lane of ``lue_matrix_batch``.
 """
 
 from __future__ import annotations
@@ -19,22 +22,16 @@ import math
 import numpy as np
 import scipy.special as sps
 
-from .environment import UniformField, derive_seeds, uniform_many
+from .environment import derive_seeds, uniform_many
 from .errors import DomainError, JacobiConvergenceError
 
 _RE_LANE = 0x61
 _IM_LANE = 0x62
 
 
-def _off_norm(a: np.ndarray) -> float:
+def _off_norm_batch(a: np.ndarray) -> np.ndarray:
     # computed from a zeroed-diagonal copy; the difference-of-sums form
     # cancels catastrophically once the iteration is nearly converged
-    m = a.copy()
-    np.fill_diagonal(m, 0.0)
-    return float(np.sqrt((m * m).sum()))
-
-
-def _off_norm_batch(a: np.ndarray) -> np.ndarray:
     m = a.copy()
     n = a.shape[-1]
     m[..., np.arange(n), np.arange(n)] = 0.0
@@ -43,47 +40,13 @@ def _off_norm_batch(a: np.ndarray) -> np.ndarray:
 
 def jacobi_eigvalsh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 30) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations,
-    sorted decreasing.  Converged when the off-diagonal Frobenius norm
-    falls below tol times the matrix norm."""
+    sorted decreasing: one lane of jacobi_eigvalsh_batch.  Converged when
+    the off-diagonal Frobenius norm falls below tol times the matrix norm."""
     a = np.array(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise DomainError("jacobi_eigvalsh needs a square matrix")
-    if n == 1:
-        return a[0].copy()
-    scale = float(np.sqrt((a * a).sum()))
-    if scale == 0.0:
-        return np.zeros(n)
-    thresh = tol * scale
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= thresh:
-            return np.sort(np.diagonal(a))[::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p].copy()
-                rq = a[q].copy()
-                a[p] = c * rp - s * rq
-                a[q] = s * rp + c * rq
-                a[:, p] = a[p]
-                a[:, q] = a[q]
-                a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    if _off_norm(a) <= thresh:
-        return np.sort(np.diagonal(a))[::-1].copy()
-    raise JacobiConvergenceError(
-        "Jacobi did not converge in %d sweeps (off-norm %.3e, threshold %.3e)"
-        % (max_sweeps, _off_norm(a), thresh)
-    )
+    return jacobi_eigvalsh_batch(a[None], tol, max_sweeps)[0]
 
 
 def jacobi_eigvalsh_batch(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 30) -> np.ndarray:
@@ -132,7 +95,11 @@ def jacobi_eigvalsh_batch(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 3
     if np.all(off <= thresh):
         d = np.diagonal(a, axis1=1, axis2=2)
         return np.sort(d, axis=1)[:, ::-1].copy()
-    raise JacobiConvergenceError("batched Jacobi did not converge in %d sweeps" % max_sweeps)
+    worst = int(np.argmax(off / thresh))
+    raise JacobiConvergenceError(
+        "Jacobi did not converge in %d sweeps (off-norm %.3e, threshold %.3e)"
+        % (max_sweeps, off[worst], thresh[worst])
+    )
 
 
 def hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:
@@ -146,18 +113,13 @@ def hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _normals(seed: int, lane: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    f = UniformField(seed).derive(lane)
-    return sps.ndtri(f.uniform(rows, cols))
-
-
 def gue_matrix(n: int, seed: int) -> np.ndarray:
     """Hermitian matrix with density exp(-Tr H^2 / 2): N(0,1) diagonal and
     complex off-diagonal entries of unit mean square modulus."""
     rows = np.arange(n)[:, None]
     cols = np.arange(n)[None, :]
-    g_re = _normals(seed, _RE_LANE, rows, cols)
-    g_im = _normals(seed, _IM_LANE, rows, cols)
+    g_re = sps.ndtri(uniform_many(_seed_lane(seed, _RE_LANE), rows, cols))
+    g_im = sps.ndtri(uniform_many(_seed_lane(seed, _IM_LANE), rows, cols))
     h = np.zeros((n, n), dtype=complex)
     iu = np.triu_indices(n, k=1)
     h[iu] = (g_re[iu] + 1j * g_im[iu]) / math.sqrt(2.0)
@@ -174,8 +136,6 @@ def gue_sample(n: int, seed: int) -> np.ndarray:
 def lue_matrix(n: int, m: int, seed: int) -> np.ndarray:
     """m x m Laguerre (complex Wishart) matrix X X* with underlying
     parameter n: X is m x n with standard complex Gaussian entries."""
-    if m > n:
-        raise DomainError("LUE sampling requires m <= n")
     return lue_matrix_batch(n, m, [seed])[0]
 
 
@@ -185,6 +145,9 @@ def lue_sample(n: int, m: int, seed: int) -> np.ndarray:
 
 
 def lue_matrix_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
+    """lue_matrix for each seed, stacked along a leading axis."""
+    if m > n:
+        raise DomainError("LUE sampling requires m <= n")
     rows = np.arange(m)[None, :, None]
     cols = np.arange(n)[None, None, :]
     u_re = uniform_many(_seed_lane(seeds, _RE_LANE)[:, None, None], rows, cols)

@@ -423,29 +423,32 @@ def bead_scaling_residual(p: float, q: float, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gue_quantile_gap(n: int, seed: int, central: float = 1.0) -> float:
+# the central fraction of eigenvalue indices each quantile gap runs over
+_GUE_CENTRAL = 1.0
+_LUE_CENTRAL = 0.9
+
+
+def _sup_gap(eigs: np.ndarray, quantile, central: float) -> float:
+    """max |eigs[i] - quantile(i)| over the central fraction of indices,
+    calling quantile once per index, in index order."""
+    size = len(eigs)
+    lo = int(((1.0 - central) / 2.0) * size)
+    return max(abs(eigs[i] - quantile(i)) for i in range(lo, size - lo))
+
+
+def gue_quantile_gap(n: int, seed: int) -> float:
     """Sup gap between scaled GUE eigenvalues and the semicircle quantiles
-    at mass (i - 1/2)/n, over the central fraction of indices."""
+    at mass (i - 1/2)/n, over all indices."""
     eigs = gue_sample(n, seed) / math.sqrt(n)
-    lo = int(((1.0 - central) / 2.0) * n)
-    hi = n - lo
-    gaps = [
-        abs(eigs[i] - sc_quantile((i + 0.5) / n)) for i in range(lo, hi)
-    ]
-    return max(gaps)
+    return _sup_gap(eigs, lambda i: sc_quantile((i + 0.5) / n), _GUE_CENTRAL)
 
 
-def lue_quantile_gap(n: int, m: int, seed: int, central: float = 0.9) -> float:
+def lue_quantile_gap(n: int, m: int, seed: int) -> float:
     """Sup gap between scaled LUE eigenvalues and mp_quantile(c, alpha) at
-    alpha = c (i - 1/2)/m, over the central fraction."""
+    alpha = c (i - 1/2)/m, over the central 90% of indices."""
     c = m / n
     eigs = lue_sample(n, m, seed) / n
-    lo = int(((1.0 - central) / 2.0) * m)
-    hi = m - lo
-    gaps = [
-        abs(eigs[i] - mp_quantile(c, c * (i + 0.5) / m)) for i in range(lo, hi)
-    ]
-    return max(gaps)
+    return _sup_gap(eigs, lambda i: mp_quantile(c, c * (i + 0.5) / m), _LUE_CENTRAL)
 
 
 def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
@@ -497,10 +500,14 @@ def fluctuation_mc(
     diagonal, where tau(m, m) is the full-rectangle product; reports the
     variance of sqrt(kappa) H against t, increment correlations over
     consecutive t-blocks, the empirical mean against the t/(2 kappa)
-    offset, and Gaussianity diagnostics."""
-    mu = kappa * n * n
-    spec = WeightSpec("loggamma", mu=mu)
+    offset, and Gaussianity diagnostics.  Every t needs floor(t N) >= 1:
+    H(0, 0) holds no weights."""
+    if not kappa > 0.0:
+        raise DomainError("fluctuation_mc needs kappa > 0")
     ms = [int(math.floor(t * n)) for t in t_grid]
+    if min(ms) < 1:
+        raise DomainError("fluctuation_mc needs floor(t N) >= 1 for every t")
+    mu = kappa * n * n
     m_max = max(ms)
     log_mu = math.log(mu)
     h_vals = np.empty((samples, len(ms)))

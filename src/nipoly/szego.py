@@ -128,10 +128,14 @@ def _winding_zero_factors(sym: Symbol) -> tuple[float, np.ndarray, np.ndarray]:
     return math.log(abs(lead)) + float(np.log(np.abs(r_out)).sum()), r_in, r_out
 
 
-def log_coefficients(sym: Symbol, M: int = 64) -> dict[int, float]:
-    """Fourier coefficients c_m of log a(e^{it}) for |m| <= M (winding zero)."""
+_LOG_COEFF_M = 64  # log_coefficients returns c_m for |m| <= 64
+_RECONSTRUCT_GRID = 512  # circle points of reconstruct_symbol_residual
+
+
+def log_coefficients(sym: Symbol) -> dict[int, float]:
+    """Fourier coefficients c_m of log a(e^{it}) for |m| <= 64 (winding zero)."""
     c0, r_in, r_out = _winding_zero_factors(sym)
-    m = np.arange(1, M + 1)
+    m = np.arange(1, _LOG_COEFF_M + 1)
     c_pos = -(r_out[None, :] ** -m[:, None]).sum(axis=1).real / m
     c_neg = -(r_in[None, :] ** m[:, None]).sum(axis=1).real / m
     c = {0: c0}
@@ -209,11 +213,11 @@ def many_paths_rate(z: Point, h: Point, k_max: int) -> dict:
     }
 
 
-def reconstruct_symbol_residual(sym: Symbol, grid: int = 512) -> float:
+def reconstruct_symbol_residual(sym: Symbol) -> float:
     """Pointwise residual of exp(sum c_m s^m) against a(e^{it}); Fourier
     inversion sanity for the log-coefficient pipeline."""
     c = log_coefficients(sym)
-    t = 2.0 * np.pi * np.arange(grid) / grid
+    t = 2.0 * np.pi * np.arange(_RECONSTRUCT_GRID) / _RECONSTRUCT_GRID
     log_rec = np.zeros_like(t, dtype=complex)
     for m, cm in c.items():
         log_rec += cm * np.exp(1j * m * t)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
 from nipoly.interface import (
@@ -33,6 +35,7 @@ from nipoly.lattice import stack_up
 from nipoly.polymer import (
     TauTable,
     brute_force_kpath_logZ,
+    grsk,
     last_passage,
     loggamma_rectangle,
     single_path_logZ,
@@ -471,3 +474,35 @@ def test_whittaker_measure_n2_total_mass():
     )
     total = float(w @ dens @ w)
     assert total == pytest.approx(1.0, abs=1e-4)
+
+
+@given(
+    n=st.integers(1, 64),
+    mu=st.floats(0.5, 10.0),
+    seed=st.integers(-(2**63), 2**64 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_grsk_conserves_the_energy(n, mu, seed):
+    # gRSK maps the log weights x onto phi preserving the volume and the
+    # energy: the interface density at phi is the weight density at x,
+    # sum(-mu x - e^-x) - N^2 log Gamma(mu)
+    f = UniformField(seed)
+    x = loggamma_rectangle(f, mu, n, n)
+    want = float((-mu * x - np.exp(-x)).sum()) - n * n * log_gamma(mu)
+    got = interface_log_density(build_phi(f, mu, n), mu)
+    scale = float((np.abs(mu * x) + np.exp(-x)).sum()) + n * n * abs(log_gamma(mu))
+    assert abs(got - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (4, 3)])
+def test_grsk_jacobian_has_unit_determinant(shape):
+    # central differences of the log-space map, all 2 n m perturbed inputs
+    # in one batched grsk call
+    h = 1e-5
+    for seed in (1, 7):
+        x = loggamma_rectangle(UniformField(seed), 1.5, *shape).reshape(-1)
+        d = x.size
+        pert = np.concatenate([x + h * np.eye(d), x - h * np.eye(d)])
+        out = grsk(pert.reshape((2 * d,) + shape)).reshape(2, d, d)
+        jac = (out[0] - out[1]) / (2.0 * h)
+        assert abs(abs(np.linalg.det(jac)) - 1.0) <= 1e-8

@@ -510,6 +510,23 @@ def test_last_passage_batch_matches_scalar():
             assert batch[i] == last_passage(UniformField(int(s)), 6, 4, k)
 
 
+@pytest.mark.parametrize("seed", [1, -5, 2**63 + 5, 2**64 + 3])
+def test_last_passage_on_wide_seeds_matches_enumeration(seed):
+    f = UniformField(seed)
+    for n, m, k in [(1, 1, 1), (4, 3, 1), (3, 4, 2), (5, 4, 3), (4, 4, 4)]:
+        e = omega_grid(
+            f, WeightSpec("exp1"), np.arange(1, n + 1)[:, None], np.arange(1, m + 1)[None, :]
+        )
+        got = last_passage(f, n, m, k)
+        assert got == pytest.approx(_enumerated_last_passage(e, k), rel=1e-14)
+        # bit for bit the route before last_passage became a batch lane
+        if k == 1:
+            want = scan_rectangle(e, np.maximum, include_start=True)
+        else:
+            want = corner_diagonal_sum(tropical_rsk(e), k)
+        assert got == float(want)
+
+
 def test_last_passage_needs_k_at_most_min_side():
     # the 3 x 2 rectangle holds no 3-path
     with pytest.raises(DomainError):

@@ -3,16 +3,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sps
 
-from nipoly.environment import derive_seed
-from nipoly.errors import JacobiConvergenceError
+from nipoly.environment import UniformField, derive_seed
+from nipoly.errors import DomainError, JacobiConvergenceError
 from nipoly.rmt import (
+    _IM_LANE,
+    _RE_LANE,
     gue_matrix,
     gue_sample,
     hermitian_eigvalsh,
     jacobi_eigvalsh,
     jacobi_eigvalsh_batch,
     lue_matrix,
+    lue_matrix_batch,
     lue_sample,
     lue_sample_batch,
     minors_process,
@@ -44,8 +48,13 @@ def test_jacobi_nonconvergence_raises():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((30, 30))
     a = (m + m.T) / 2
-    with pytest.raises(JacobiConvergenceError):
+    with pytest.raises(JacobiConvergenceError, match=r"off-norm \S+, threshold \S+"):
         jacobi_eigvalsh(a, max_sweeps=1)
+    # the batch names its worst lane: the converged diagonal lane is not it
+    stack = np.stack([np.diag(np.arange(30.0)), a])
+    thresh = 1e-12 * math.sqrt((a * a).sum())
+    with pytest.raises(JacobiConvergenceError, match="threshold %.3e" % thresh):
+        jacobi_eigvalsh_batch(stack, max_sweeps=1)
 
 
 def test_hermitian_eigvalsh():
@@ -161,3 +170,35 @@ def test_minors_interlacing():
             assert grid[(i + 1, j)] <= v + 1e-10
         if (i, j + 1) in grid:
             assert grid[(i, j + 1)] <= v + 1e-10
+
+
+@pytest.mark.parametrize("seed", [1, -5, 2**63 + 5, 2**64 + 3])
+def test_gue_matrix_equals_the_uniform_field_draw(seed):
+    # the route before gue_matrix drew through uniform_many: one
+    # UniformField per lane, its seed from the scalar derive_seed
+    n = 9
+    rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+    g_re, g_im = (
+        sps.ndtri(UniformField(derive_seed(seed, lane)).uniform(rows, cols))
+        for lane in (_RE_LANE, _IM_LANE)
+    )
+    want = np.zeros((n, n), dtype=complex)
+    iu = np.triu_indices(n, k=1)
+    want[iu] = (g_re[iu] + 1j * g_im[iu]) / math.sqrt(2.0)
+    want = want + want.conj().T
+    want[np.diag_indices(n)] = np.diagonal(g_re)
+    got = gue_matrix(n, seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_lue_batch_refuses_m_above_n():
+    # an m x m Wishart matrix of an m x n factor with m > n is singular
+    seeds = np.arange(4)
+    with pytest.raises(DomainError):
+        lue_sample_batch(3, 5, seeds)
+    with pytest.raises(DomainError):
+        lue_matrix_batch(3, 5, seeds)
+    with pytest.raises(DomainError):
+        lue_sample(3, 5, 1)
+    assert lue_sample_batch(5, 5, seeds).shape == (4, 5)

@@ -431,3 +431,51 @@ def test_domain_errors():
         affine_wulff_check(1.0)
     with pytest.raises(DomainError):
         omega_identity_pv_check(1.57079)  # the pole r is 0 in floating point
+
+
+def test_fluctuation_mc_refuses_an_empty_diagonal():
+    # floor(0.05 * 10) = 0: H(0, 0) holds no weights
+    with pytest.raises(DomainError):
+        fluctuation_mc(1.0, 10, [0.05, 1.0], samples=4, seed=3)
+    with pytest.raises(DomainError):
+        fluctuation_mc(0.0, 10, [0.5, 1.0], samples=4, seed=3)
+    r = fluctuation_mc(1.0, 10, [0.1, 1.0], samples=4, seed=3)
+    assert np.all(np.isfinite(r["var_over_t"]))
+
+
+def _recording(monkeypatch, name):
+    calls = []
+    fn = getattr(shapes, name)
+
+    def record(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(shapes, name, record)
+    return calls
+
+
+def test_gue_quantile_gap_calls_each_quantile_once_in_order(monkeypatch):
+    n, seed = 12, 5
+    samples = _recording(monkeypatch, "gue_sample")
+    quantiles = _recording(monkeypatch, "sc_quantile")
+    gap = gue_quantile_gap(n, seed)
+    assert samples == [(n, seed)]
+    assert quantiles == [((i + 0.5) / n,) for i in range(n)]
+    eigs = rmt.gue_sample(n, seed) / math.sqrt(n)
+    assert gap == max(abs(eigs[i] - sc_quantile((i + 0.5) / n)) for i in range(n))
+
+
+def test_lue_quantile_gap_calls_each_central_quantile_once_in_order(monkeypatch):
+    n, m, seed = 40, 30, 5
+    samples = _recording(monkeypatch, "lue_sample")
+    quantiles = _recording(monkeypatch, "mp_quantile")
+    gap = lue_quantile_gap(n, m, seed)
+    c = m / n
+    lo = 1  # the central 90% of 30 indices drops int(0.05 * 30) at each end
+    assert samples == [(n, m, seed)]
+    assert quantiles == [(c, c * (i + 0.5) / m) for i in range(lo, m - lo)]
+    eigs = rmt.lue_sample(n, m, seed) / n
+    assert gap == max(
+        abs(eigs[i] - mp_quantile(c, c * (i + 0.5) / m)) for i in range(lo, m - lo)
+    )
