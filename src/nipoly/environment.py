@@ -5,16 +5,23 @@ variate, so environments need no storage, rolling-row dynamic programming
 over huge rectangles stays O(min dim) in memory, and results are bitwise
 independent of evaluation order.  Every weight law is realized as a
 quantile transform of the same uniform field, which is what makes the
-mu-couplings hold sample by sample.  The loggamma transform evaluates a
-cached per-mu table (special.log_inv_gamma_quantile) by one route for every
-input size, so a site's value is bitwise independent of the batch, block or
-order it is computed in.  omega_grid splits its sites along the first axis
-into blocks of about 2^16 sites; with two blocks or more, each runs as one
-task on the shared thread pool of special._run_chunked, one thread per
+mu-couplings hold sample by sample, and this module is the one place that
+applies those transforms (_law_transform): every sampler in the package,
+the random matrices of rmt included, draws its weights through omega_grid.
+The loggamma transform evaluates a cached per-mu table
+(special.log_inv_gamma_quantile) by one route for every input size, so a
+site's value is bitwise independent of the batch, block or order it is
+computed in.
+
+omega_grid takes one UniformField, or a 1-D sequence of integer seeds
+(seed lanes) that adds a leading axis, one lane per seed; a batched driver
+makes one lane call where it would loop over fields.  omega_grid and
+uniform_many share one blocked body: it splits the sites along the first
+axis into blocks of about 2^16 sites; with two blocks or more, each runs as
+one task on the shared thread pool of special._run_chunked, one thread per
 available core, and hashes its block and applies the law's transform there,
 so the hash and the transform run on all cores and stay cache-sized.
-Smaller inputs run the same body on the calling thread.  uniform_many
-blocks a multi-seed hash along its first axis in the same way.
+Smaller inputs run the same body on the calling thread.
 
 Child seeds come from the same splitmix chain: derive_seeds(seed, *indices)
 runs it over numpy-broadcast uint64 arrays, so one call gives a seed per
@@ -32,12 +39,7 @@ import numpy as np
 import scipy.special as sps
 
 from .errors import DomainError
-from .special import (
-    _log_inv_gamma_quantile_body,
-    _quantile_table,
-    _run_chunked,
-    inv_gamma_quantile,
-)
+from .special import _LOG_DBL_MAX, _log_inv_gamma_quantile_body, _quantile_table, _run_chunked
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -120,27 +122,14 @@ def uniform_at(field: UniformField, z: tuple) -> float:
 def uniform_many(seeds, x1, x2) -> np.ndarray:
     """Uniform variates for an array of seeds; seeds and coordinates
     broadcast together, e.g. seeds[:,None,None] with x1[None,:,None].
-
-    Like omega_grid, the broadcast sites are hashed in blocks of about
-    special._CHUNK sites along the first axis, on the shared pool when there
-    are two blocks or more; the hash is elementwise, so the values are
-    bitwise independent of the blocking."""
-    seeds, x1, x2 = _as_u64(seeds), _as_u64(x1), _as_u64(x2)
-    out = np.empty(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape))
-    ndim = out.ndim
-    by_row = np.atleast_1d(out)  # a view, also of a 0-d out
-
-    def block(lo, hi):
-        _uniform(*(_rows(x, ndim, lo, hi) for x in (seeds, x1, x2)), out=by_row[lo:hi])
-
-    _run_chunked(block, len(by_row), math.prod(by_row.shape[1:]))
-    return out
+    Blocked like omega_grid, by the same body."""
+    return _hash_blocked(_as_u64(seeds), _as_u64(x1), _as_u64(x2))
 
 
 def _uniform(seed, x1, x2, out=None) -> np.ndarray:
-    """The counter hash behind UniformField.uniform and uniform_many, into
-    out when given (of the broadcast shape); pool tasks call it directly,
-    never the public names."""
+    """The counter hash behind UniformField.uniform, uniform_many and
+    omega_grid, into out when given (of the broadcast shape); pool tasks
+    call it directly, never the public names."""
     h = _mix(_as_u64(seed))
     h = _mix(h ^ _as_u64(x1))
     h = _mix(h ^ _as_u64(x2))
@@ -203,12 +192,15 @@ def weight_at(field: UniformField, spec: WeightSpec, z: tuple) -> float:
     """The multiplicative site weight at z; for loggamma this is zeta_mu(z)."""
     if spec.law != "loggamma":
         raise DomainError("weight_at returns the multiplicative weight of the loggamma law")
-    return float(inv_gamma_quantile(spec.mu, uniform_at(field, z)))
+    log_zeta = float(omega_grid(field, spec, z[0], z[1]))
+    if not log_zeta < _LOG_DBL_MAX:
+        raise DomainError("weight_at: zeta_mu = exp(%.6g) overflows a float" % log_zeta)
+    return math.exp(log_zeta)
 
 
 def coupled_exponential(field: UniformField, z: tuple) -> float:
     """e(z) = -log(1 - U(z)): the mu->0 quantile-coupled limit of mu log zeta_mu."""
-    return float(-np.log1p(-field.uniform(z[0], z[1])))
+    return float(omega_grid(field, WeightSpec("exp1"), z[0], z[1]))
 
 
 def _rows(x: np.ndarray, ndim: int, lo: int, hi: int) -> np.ndarray:
@@ -239,29 +231,46 @@ def _law_transform(spec: WeightSpec):
     raise DomainError("unknown weight law %r" % (spec.law,))
 
 
-def omega_grid(field: UniformField, spec: WeightSpec, x1, x2) -> np.ndarray:
+def _hash_blocked(seeds, x1, x2, transform=None) -> np.ndarray:
+    """The body of uniform_many and omega_grid: the uniforms of the broadcast
+    uint64 seeds and sites, or transform(u, out) of them, split along the
+    first axis into blocks of about special._CHUNK sites.  Each block hashes
+    its rows into the result, on the shared pool when there are two blocks
+    or more.  Every step is elementwise, so the values are bitwise
+    independent of the blocking."""
+    out = np.empty(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape))
+    ndim = out.ndim
+    rows = out.shape[0] if ndim else 1
+
+    def block(lo, hi):
+        dest = out[lo:hi] if ndim else out
+        args = (_rows(x, ndim, lo, hi) for x in (seeds, x1, x2))
+        if transform is None:
+            _uniform(*args, out=dest)
+        else:
+            transform(_uniform(*args).reshape(-1), dest.reshape(-1))
+
+    _run_chunked(block, rows, math.prod(out.shape[1:]))
+    return out
+
+
+def omega_grid(field, spec: WeightSpec, x1, x2) -> np.ndarray:
     """Energy variables omega at the given sites (vectorized): each law is a
     quantile transform of the uniform field; for loggamma that is
     log zeta_mu = special.log_inv_gamma_quantile(mu, u).
 
-    The broadcast sites are split along the first axis into blocks of about
-    special._CHUNK sites.  Each block hashes its sites and transforms them
-    into its rows of the result, on the shared pool when there are two
-    blocks or more.  Every step is elementwise, so the values are bitwise
-    independent of the blocking."""
+    field is a UniformField, or a 1-D sequence of integer seeds (seed
+    lanes), which adds a leading axis: lane i is the grid of
+    UniformField(seeds[i]), bit for bit.  The sites are blocked as in
+    _hash_blocked."""
     x1, x2 = _as_u64(x1), _as_u64(x2)
-    out = np.empty(np.broadcast_shapes(x1.shape, x2.shape))
+    if isinstance(field, UniformField):
+        seeds = _as_u64(field.seed)
+    else:
+        seeds = _as_u64(field)
+        if seeds.ndim != 1:
+            raise DomainError("seed lanes must be a 1-D sequence, got shape %s" % (seeds.shape,))
+        seeds = seeds.reshape(seeds.shape + (1,) * max(x1.ndim, x2.ndim))
     if spec.law == "const":
-        out.fill(spec.c)
-        return out
-    transform = _law_transform(spec)
-    ndim = out.ndim
-    rows = out.shape[0] if ndim else 1
-    by_row = out.reshape(rows, math.prod(out.shape[1:]))
-
-    def block(lo, hi):
-        u = _uniform(field.seed, _rows(x1, ndim, lo, hi), _rows(x2, ndim, lo, hi))
-        transform(u.reshape(-1), by_row[lo:hi].reshape(-1))
-
-    _run_chunked(block, rows, by_row.shape[1])
-    return out
+        return np.full(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape), spec.c)
+    return _hash_blocked(seeds, x1, x2, _law_transform(spec))

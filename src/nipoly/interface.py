@@ -3,8 +3,11 @@
 phi(i,j), a log ratio of tau partition functions, is exactly the geometric
 RSK (gRSK) output pattern of the N x N weight matrix read from the far
 corner: phi(i,j) = T[N+1-i, N+1-j].  gRSK is the engine, batched over
-environments; the tau tables of ``polymer.TauTable``, from the k-path
-transfer, remain only as the small-size oracle (``phi_inversion_residual``).
+environments: a Monte Carlo driver derives one seed per environment in one
+array call and, for each mu, draws all their weights in one seed-lane call
+of ``polymer.loggamma_rectangle`` (``environment.omega_grid``).  The tau
+tables of ``polymer.TauTable``, from the k-path transfer, remain only as
+the small-size oracle (``phi_inversion_residual``).
 The law of phi is a Gibbs measure on the N x N square with exponential
 interaction along north/east edges, a linear diagonal weight of strength mu,
 and a pinning term exp(-phi(N,N)) at the corner, normalized by
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import UniformField, derive_seed, derive_seeds
+from .environment import UniformField, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
 from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage_batch, loggamma_rectangle
@@ -65,11 +68,10 @@ class InterfaceGrid:
 # ---------------------------------------------------------------------------
 
 
-def _phi_batch(fields, mu: float, n: int) -> np.ndarray:
-    """phi for each field, stacked along a leading axis: one batched gRSK
-    call, phi(i, j) = T[N+1-i, N+1-j]."""
-    logw = np.stack([loggamma_rectangle(f, mu, n, n) for f in fields])
-    phi = grsk(logw)[..., ::-1, ::-1]
+def _phi_batch(field, mu: float, n: int) -> np.ndarray:
+    """phi of a UniformField, or of each seed lane stacked along a leading
+    axis: one batched gRSK call, phi(i, j) = T[N+1-i, N+1-j]."""
+    phi = grsk(loggamma_rectangle(field, mu, n, n))[..., ::-1, ::-1]
     if not np.all(np.isfinite(phi)):
         raise DomainError("interface values must be finite")
     return phi
@@ -79,7 +81,7 @@ def build_phi(field: UniformField, mu: float, n: int) -> InterfaceGrid:
     """phi(i,j) = log(tau(N-j+i, i) / tau(N-j+i, i-1)) above the diagonal
     and the tilde version below it, read off the gRSK pattern of the
     N x N weights; no determinant is formed, so no precision is lost."""
-    return InterfaceGrid(n, _phi_batch([field], mu, n)[0])
+    return InterfaceGrid(n, _phi_batch(field, mu, n))
 
 
 def phi_inversion_residual(field: UniformField, mu: float, n: int) -> float:
@@ -262,8 +264,7 @@ def gibbs_moments(n: int, mu: float, sweeps: int, seed: int) -> dict:
 def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
     """Per-site means and standard errors of phi over independent polymer
     environments; the second oracle for the interface law."""
-    fields = [UniformField(derive_seed(seed, 0x1F, r)) for r in range(seeds)]
-    phis = _phi_batch(fields, mu, n)
+    phis = _phi_batch(derive_seeds(seed, 0x1F, np.arange(seeds)), mu, n)
     mean = phis.mean(axis=0)
     var = phis.var(axis=0, ddof=1)
     return {"mean": mean, "stderr": np.sqrt(var / seeds), "seeds": seeds}
@@ -346,10 +347,10 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     """Sup-norm distance of the tilted interface from theta_min per sample,
     for each mu; medians should decrease along an increasing mu_list."""
     tmin = theta_min(n).values
-    fields = [UniformField(derive_seed(seed, 0x3C, r)) for r in range(seeds)]
+    lanes = derive_seeds(seed, 0x3C, np.arange(seeds))
     sup = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
-        for r, phi in enumerate(_phi_batch(fields, mu, n)):
+        for r, phi in enumerate(_phi_batch(lanes, mu, n)):
             th = theta_rescale(InterfaceGrid(n, phi), mu).values
             sup[a, r] = np.abs(th - tmin).max()
     med = np.median(sup, axis=1)
@@ -369,12 +370,10 @@ def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) ->
     if not 1 <= k <= m <= n:
         raise DomainError("need 1 <= k <= m <= N")
     field_seeds = derive_seeds(seed, 0x5C, np.arange(seeds))
-    fields = [UniformField(int(s)) for s in field_seeds]
     lvals = last_passage_batch(field_seeds, n, m, k)
     mu_log_tau = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
-        logw = np.stack([loggamma_rectangle(f, mu, n, m) for f in fields])
-        mu_log_tau[a] = mu * corner_diagonal_sum(grsk(logw), k)
+        mu_log_tau[a] = mu * corner_diagonal_sum(grsk(loggamma_rectangle(field_seeds, mu, n, m)), k)
     gaps = np.abs(mu_log_tau - lvals)
     mean_gaps = gaps.mean(axis=1)
     frac_down = [

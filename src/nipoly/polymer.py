@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .environment import UniformField, WeightSpec, derive_seed, omega_grid, uniform_many
+from .environment import UniformField, WeightSpec, derive_seed, omega_grid
 from .errors import DomainError, NoPathError
 from .lattice import (
     KPoint,
@@ -398,9 +398,10 @@ def corner_diagonal_sum(t: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def loggamma_rectangle(field: UniformField, mu: float, width: int, height: int) -> np.ndarray:
+def loggamma_rectangle(field, mu: float, width: int, height: int) -> np.ndarray:
     """Log inverse-gamma weights of the sites [1..width] x [1..height];
-    entry [a-1, b-1] belongs to site (a, b)."""
+    entry [a-1, b-1] belongs to site (a, b).  field is a UniformField or
+    seed lanes, as in omega_grid."""
     spec = WeightSpec("loggamma", mu=mu)
     x1 = np.arange(1, width + 1)
     x2 = np.arange(1, height + 1)
@@ -487,15 +488,10 @@ def last_passage(field: UniformField, n: int, m: int, k: int = 1) -> float:
 def last_passage_batch(seeds: np.ndarray, n: int, m: int, k: int = 1) -> np.ndarray:
     """last_passage(UniformField(s), n, m, k) for each seed s, over one
     batched max-plus scan (k = 1) or tropical RSK (2 <= k <= min(n, m)) over
-    the coupled exponential weights e = -log(1 - U)."""
+    the coupled exponential weights e = -log(1 - U) of the seed lanes."""
     if not 1 <= k <= min(n, m):
         raise DomainError("last_passage_batch needs 1 <= k <= min(n, m)")
-    x1 = np.arange(1, n + 1)
-    x2 = np.arange(1, m + 1)
-    u = uniform_many(
-        np.asarray(seeds)[:, None, None], x1[None, :, None], x2[None, None, :]
-    )
-    e = -np.log1p(-u)
+    e = omega_grid(seeds, WeightSpec("exp1"), np.arange(1, n + 1)[:, None], np.arange(1, m + 1))
     if k == 1:
         return scan_rectangle(e, np.maximum, include_start=True)
     return corner_diagonal_sum(tropical_rsk(e), k)

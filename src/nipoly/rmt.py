@@ -10,8 +10,9 @@ seed.
 matrices) runs on no sampling path; ``jacobi_eigvalsh`` is one lane of it.
 The scalar form stays as the independent oracle of the LAPACK route on the
 real doubling of a Hermitian matrix, and the benchmark's tracer binds both
-by name.  Each sampler has one route: ``gue_matrix`` draws through
-``uniform_many`` as ``lue_matrix_batch`` does, and ``lue_matrix`` is one
+by name.  Each sampler has one route: ``gue_matrix`` and
+``lue_matrix_batch`` draw their real and imaginary parts as seed lanes of
+one ``omega_grid`` call under the ``gauss`` law, and ``lue_matrix`` is one
 lane of ``lue_matrix_batch``.
 """
 
@@ -20,13 +21,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as sps
 
-from .environment import derive_seeds, uniform_many
+from .environment import WeightSpec, derive_seeds, omega_grid
 from .errors import DomainError, JacobiConvergenceError
 
 _RE_LANE = 0x61
 _IM_LANE = 0x62
+_GAUSS = WeightSpec("gauss")
 
 
 def _off_norm_batch(a: np.ndarray) -> np.ndarray:
@@ -116,10 +117,8 @@ def hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:
 def gue_matrix(n: int, seed: int) -> np.ndarray:
     """Hermitian matrix with density exp(-Tr H^2 / 2): N(0,1) diagonal and
     complex off-diagonal entries of unit mean square modulus."""
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    g_re = sps.ndtri(uniform_many(_seed_lane(seed, _RE_LANE), rows, cols))
-    g_im = sps.ndtri(uniform_many(_seed_lane(seed, _IM_LANE), rows, cols))
+    lanes = _seed_lane(seed, np.array([_RE_LANE, _IM_LANE]))
+    g_re, g_im = omega_grid(lanes, _GAUSS, np.arange(n)[:, None], np.arange(n))
     h = np.zeros((n, n), dtype=complex)
     iu = np.triu_indices(n, k=1)
     h[iu] = (g_re[iu] + 1j * g_im[iu]) / math.sqrt(2.0)
@@ -148,15 +147,14 @@ def lue_matrix_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
     """lue_matrix for each seed, stacked along a leading axis."""
     if m > n:
         raise DomainError("LUE sampling requires m <= n")
-    rows = np.arange(m)[None, :, None]
-    cols = np.arange(n)[None, None, :]
-    u_re = uniform_many(_seed_lane(seeds, _RE_LANE)[:, None, None], rows, cols)
-    u_im = uniform_many(_seed_lane(seeds, _IM_LANE)[:, None, None], rows, cols)
-    x = (sps.ndtri(u_re) + 1j * sps.ndtri(u_im)) / math.sqrt(2.0)
+    # lanes [0, B) draw the real parts and [B, 2B) the imaginary parts
+    lanes = _seed_lane(seeds, np.array([[_RE_LANE], [_IM_LANE]])).reshape(-1)
+    g_re, g_im = omega_grid(lanes, _GAUSS, np.arange(m)[:, None], np.arange(n)).reshape(2, -1, m, n)
+    x = (g_re + 1j * g_im) / math.sqrt(2.0)
     return x @ np.conj(np.swapaxes(x, 1, 2))
 
 
-def _seed_lane(seeds: np.ndarray, lane: int) -> np.ndarray:
+def _seed_lane(seeds: np.ndarray, lane) -> np.ndarray:
     return derive_seeds(seeds, lane)
 
 

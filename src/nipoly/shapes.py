@@ -15,18 +15,11 @@ import numpy as np
 import scipy.integrate
 from scipy.optimize import brentq
 
-from .environment import (
-    UniformField,
-    WeightSpec,
-    derive_seed,
-    derive_seeds,
-    omega_grid,
-    uniform_many,
-)
+from .environment import WeightSpec, derive_seeds, omega_grid
 from .errors import DomainError
 from .polymer import last_passage_batch, sepp_free_energy
 from .rmt import gue_sample, lue_sample, lue_sample_batch
-from .special import digamma, log_inv_gamma_quantile, log_superfactorial, trigamma
+from .special import digamma, log_superfactorial, trigamma
 
 
 class InfiniteTension:
@@ -268,14 +261,10 @@ def diagonal_free_energy_check(
     rectangle, so its MC mean must sit within the CLT band of -c psi0(mu)
     and its variance near c psi1(mu) / N^2."""
     m = int(math.floor(c * n))
+    seeds = derive_seeds(seed, 0xD1, np.arange(replicas))
     spec = WeightSpec("loggamma", mu=mu)
-    vals = np.empty(replicas)
-    for r in range(replicas):
-        f = UniformField(derive_seed(seed, 0xD1, r))
-        lw = omega_grid(
-            f, spec, np.arange(1, n + 1)[:, None], np.arange(1, m + 1)[None, :]
-        )
-        vals[r] = lw.sum() / (n * n)
+    lw = omega_grid(seeds, spec, np.arange(1, n + 1)[:, None], np.arange(1, m + 1))
+    vals = lw.reshape(replicas, -1).sum(axis=1) / (n * n)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
     target = -c * digamma(mu)
@@ -423,16 +412,17 @@ def bead_scaling_residual(p: float, q: float, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# the central fraction of eigenvalue indices each quantile gap runs over
-_GUE_CENTRAL = 1.0
-_LUE_CENTRAL = 0.9
+# the fraction of eigenvalue indices each quantile gap trims at either end
+# (0.05 as written: (1 - 0.9) / 2 rounds below it, to a trim of 0 at m = 20)
+_GUE_TRIM = 0.0
+_LUE_TRIM = 0.05
 
 
-def _sup_gap(eigs: np.ndarray, quantile, central: float) -> float:
-    """max |eigs[i] - quantile(i)| over the central fraction of indices,
-    calling quantile once per index, in index order."""
+def _sup_gap(eigs: np.ndarray, quantile, trim: float) -> float:
+    """max |eigs[i] - quantile(i)| over the indices left once int(trim size)
+    are trimmed at either end, calling quantile once per index, in order."""
     size = len(eigs)
-    lo = int(((1.0 - central) / 2.0) * size)
+    lo = int(trim * size)
     return max(abs(eigs[i] - quantile(i)) for i in range(lo, size - lo))
 
 
@@ -440,7 +430,7 @@ def gue_quantile_gap(n: int, seed: int) -> float:
     """Sup gap between scaled GUE eigenvalues and the semicircle quantiles
     at mass (i - 1/2)/n, over all indices."""
     eigs = gue_sample(n, seed) / math.sqrt(n)
-    return _sup_gap(eigs, lambda i: sc_quantile((i + 0.5) / n), _GUE_CENTRAL)
+    return _sup_gap(eigs, lambda i: sc_quantile((i + 0.5) / n), _GUE_TRIM)
 
 
 def lue_quantile_gap(n: int, m: int, seed: int) -> float:
@@ -448,7 +438,7 @@ def lue_quantile_gap(n: int, m: int, seed: int) -> float:
     alpha = c (i - 1/2)/m, over the central 90% of indices."""
     c = m / n
     eigs = lue_sample(n, m, seed) / n
-    return _sup_gap(eigs, lambda i: mp_quantile(c, c * (i + 0.5) / m), _LUE_CENTRAL)
+    return _sup_gap(eigs, lambda i: mp_quantile(c, c * (i + 0.5) / m), _LUE_TRIM)
 
 
 def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
@@ -510,17 +500,15 @@ def fluctuation_mc(
     mu = kappa * n * n
     m_max = max(ms)
     log_mu = math.log(mu)
+    spec = WeightSpec("loggamma", mu=mu)
     h_vals = np.empty((samples, len(ms)))
-    x1 = np.arange(1, n + 1)
+    x1 = np.arange(1, n + 1)[:, None]
     x2 = np.arange(1, m_max + 1)
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
         seeds = derive_seeds(seed, 0xF1, np.arange(done, done + b))
-        u = uniform_many(
-            seeds[:, None, None], x1[None, :, None], x2[None, None, :]
-        )
-        lw = log_inv_gamma_quantile(mu, u)
+        lw = omega_grid(seeds, spec, x1, x2)
         row_cum = (lw + log_mu).sum(axis=1).cumsum(axis=1)  # over x2 rows
         for a, m in enumerate(ms):
             h_vals[done : done + b, a] = row_cum[:, m - 1]

@@ -166,6 +166,14 @@ def test_weight_at_closed_form_mu1():
     )
 
 
+def test_weight_at_refuses_a_weight_beyond_the_float_range():
+    # at mu = 1e-3 the quantile leaves the float range from u = 0.6 on
+    f = UniformField(3)
+    assert uniform_at(f, (7, 0)) > 0.6
+    with pytest.raises(DomainError):
+        weight_at(f, WeightSpec("loggamma", mu=1e-3), (7, 0))
+
+
 def test_weight_monotone_in_u():
     us = [0.1, 0.3, 0.5, 0.7, 0.9]
     zs = [inv_gamma_quantile(2.0, u) for u in us]
@@ -374,10 +382,48 @@ def test_omega_grid_does_not_enter_the_public_hash(monkeypatch):
         raise AssertionError("omega_grid entered a public hash")
 
     want = omega_grid(UniformField(9), WeightSpec("loggamma", mu=2.0), np.arange(300)[:, None], np.arange(500))
+    lanes = [9, 2**63 + 1, -3]
+    want_lanes = omega_grid(lanes, WeightSpec("gauss"), np.arange(300)[:, None], np.arange(500))
     monkeypatch.setattr(UniformField, "uniform", refuse)
     monkeypatch.setattr(environment, "uniform_many", refuse)
     got = omega_grid(UniformField(9), WeightSpec("loggamma", mu=2.0), np.arange(300)[:, None], np.arange(500))
     assert np.array_equal(got, want)
+    # three lanes of 150000 sites each: three blocks on the pool
+    got_lanes = omega_grid(lanes, WeightSpec("gauss"), np.arange(300)[:, None], np.arange(500))
+    assert np.array_equal(got_lanes, want_lanes)
+
+
+@given(
+    law=st.integers(min_value=0, max_value=len(_LAWS) - 1),
+    seeds=st.lists(st.integers(min_value=-(2**63), max_value=2**64 - 1), min_size=1, max_size=5),
+    form=st.sampled_from(["uint64", "ints", "one"]),
+    chunk=st.sampled_from([3, 17, 1 << 40]),
+    w=st.integers(min_value=1, max_value=12),
+    h=st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_omega_grid_seed_lanes_stack_the_fields_bitwise(law, seeds, form, chunk, w, h):
+    # lane i is the grid of UniformField(seeds[i]), inline or blocked
+    spec = _LAWS[law]
+    if form == "uint64":
+        lanes = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+    elif form == "ints":
+        lanes = seeds + [2**63 + 5, 7]  # numpy alone would make these float64
+    else:
+        lanes = seeds[:1]
+    x1, x2 = np.arange(w)[:, None], np.arange(h)
+    want = np.stack([omega_grid(UniformField(int(s)), spec, x1, x2) for s in lanes])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_CHUNK", chunk)
+        got = omega_grid(lanes, spec, x1, x2)
+    assert got.shape == (len(lanes), w, h) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lanes", [5, np.zeros((2, 2), dtype=np.uint64), [1.5, 2]], ids=["int", "2-d", "float"])
+def test_omega_grid_refuses_seed_lanes_that_are_not_a_1d_integer_sequence(lanes):
+    with pytest.raises(DomainError):
+        omega_grid(lanes, WeightSpec("exp1"), np.arange(3), 0)
 
 
 def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):

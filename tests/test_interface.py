@@ -343,7 +343,6 @@ def test_theta_rescale():
     assert t.at(2, 2) == pytest.approx(g.at(2, 2) + math.log(mu))
 
 
-@pytest.mark.slow
 def test_large_mu_convergence():
     r = large_mu_convergence(3, [1e2, 1e3, 1e4], seeds=6, seed=21)
     assert r["decreasing"], r["medians"]

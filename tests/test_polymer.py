@@ -510,6 +510,14 @@ def test_last_passage_batch_matches_scalar():
             assert batch[i] == last_passage(UniformField(int(s)), 6, 4, k)
 
 
+def test_last_passage_batch_takes_python_ints_straddling_2_63():
+    # numpy stores such a list as float64, which would lose the low bits
+    seeds = [1, 2**63 + 1, -5]
+    for k in (1, 2, 3):
+        want = [last_passage(UniformField(s), 3, 3, k) for s in seeds]
+        assert last_passage_batch(seeds, 3, 3, k).tolist() == want
+
+
 @pytest.mark.parametrize("seed", [1, -5, 2**63 + 5, 2**64 + 3])
 def test_last_passage_on_wide_seeds_matches_enumeration(seed):
     f = UniformField(seed)
@@ -625,7 +633,6 @@ def test_parallel_series_bounds_deterministic():
     assert r["min_slack"] >= 0.0
 
 
-@pytest.mark.slow
 def test_k_linearity_probe():
     r = k_linearity_probe(LG2, 1.0, 1.0, 192, 12, seed=11)
     assert r["ok"], r

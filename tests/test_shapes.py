@@ -318,12 +318,10 @@ def test_superfactorial_asymptotics():
     assert r3["residual"] < 0.7 * r1["residual"]
 
 
-@pytest.mark.slow
 def test_gue_quantile_gap_small():
     assert gue_quantile_gap(150, seed=9) < 0.15
 
 
-@pytest.mark.slow
 def test_lue_quantile_gap_small():
     assert lue_quantile_gap(150, 75, seed=11) < 0.08
 
@@ -378,11 +376,11 @@ def test_johansson_batch_seeds_equal_the_scalar_loop(monkeypatch):
 
 def test_fluctuation_mc_chunk_seeds_equal_the_scalar_loop(monkeypatch):
     calls = []
-    _record(monkeypatch, shapes, "uniform_many", calls)
+    _record(monkeypatch, shapes, "omega_grid", calls)
     fluctuation_mc(1.0, 4, [0.5, 1.0], samples=7, seed=17, chunk=3)
     got = np.concatenate([args[0].ravel() for _, args in calls])
     want = np.array([derive_seed(17, 0xF1, s) for s in range(7)], dtype=np.uint64)
-    assert [args[0].shape for _, args in calls] == [(3, 1, 1), (3, 1, 1), (1, 1, 1)]
+    assert [args[0].shape for _, args in calls] == [(3,), (3,), (1,)]
     np.testing.assert_array_equal(got, want)
 
 
@@ -479,3 +477,12 @@ def test_lue_quantile_gap_calls_each_central_quantile_once_in_order(monkeypatch)
     assert gap == max(
         abs(eigs[i] - mp_quantile(c, c * (i + 0.5) / m)) for i in range(lo, m - lo)
     )
+
+
+def test_lue_quantile_gap_trims_a_twentieth_at_m_20():
+    # (1 - 0.9) / 2 rounds below 0.05 and would trim nothing at m = 20
+    n, m, seed = 40, 20, 5
+    c = m / n
+    eigs = rmt.lue_sample(n, m, seed) / n
+    want = max(abs(eigs[i] - mp_quantile(c, c * (i + 0.5) / m)) for i in range(1, m - 1))
+    assert lue_quantile_gap(n, m, seed) == want
