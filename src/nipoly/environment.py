@@ -17,11 +17,12 @@ omega_grid takes one UniformField, or a 1-D sequence of integer seeds
 (seed lanes) that adds a leading axis, one lane per seed; a batched driver
 makes one lane call where it would loop over fields.  omega_grid and
 uniform_many share one blocked body: it splits the sites along the first
-axis into blocks of about 2^16 sites; with two blocks or more, each runs as
-one task on the shared thread pool of special._run_chunked, one thread per
-available core, and hashes its block and applies the law's transform there,
-so the hash and the transform run on all cores and stay cache-sized.
-Smaller inputs run the same body on the calling thread.
+axis (the next, for a single seed lane) into blocks of about 2^16 sites;
+with two blocks or more, each runs as one task on the shared thread pool of
+special._run_chunked, one thread per available core, and hashes its block
+and applies the law's transform there, so the hash and the transform run on
+all cores and stay cache-sized.  Smaller inputs run the same body on the
+calling thread.
 
 Child seeds come from the same splitmix chain: derive_seeds(seed, *indices)
 runs it over numpy-broadcast uint64 arrays, so one call gives a seed per
@@ -234,23 +235,28 @@ def _law_transform(spec: WeightSpec):
 def _hash_blocked(seeds, x1, x2, transform=None) -> np.ndarray:
     """The body of uniform_many and omega_grid: the uniforms of the broadcast
     uint64 seeds and sites, or transform(u, out) of them, split along the
-    first axis into blocks of about special._CHUNK sites.  Each block hashes
-    its rows into the result, on the shared pool when there are two blocks
-    or more.  Every step is elementwise, so the values are bitwise
-    independent of the blocking."""
+    first axis into blocks of about special._CHUNK sites; a first axis of
+    size one (a single seed lane) is dropped, so the blocks split the next.
+    Each block hashes its rows into the result, on the shared pool when
+    there are two blocks or more.  Every step is elementwise, so the values
+    are bitwise independent of the blocking."""
     out = np.empty(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape))
-    ndim = out.ndim
-    rows = out.shape[0] if ndim else 1
+    body, inputs = out, (seeds, x1, x2)
+    while body.ndim > 1 and body.shape[0] == 1:
+        inputs = tuple(x[0] if x.ndim == body.ndim else x for x in inputs)
+        body = body[0]
+    ndim = body.ndim
+    rows = body.shape[0] if ndim else 1
 
     def block(lo, hi):
-        dest = out[lo:hi] if ndim else out
-        args = (_rows(x, ndim, lo, hi) for x in (seeds, x1, x2))
+        dest = body[lo:hi] if ndim else body
+        args = (_rows(x, ndim, lo, hi) for x in inputs)
         if transform is None:
             _uniform(*args, out=dest)
         else:
             transform(_uniform(*args).reshape(-1), dest.reshape(-1))
 
-    _run_chunked(block, rows, math.prod(out.shape[1:]))
+    _run_chunked(block, rows, math.prod(body.shape[1:]))
     return out
 
 

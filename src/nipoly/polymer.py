@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .environment import UniformField, WeightSpec, derive_seed, omega_grid
+from .environment import UniformField, WeightSpec, derive_seeds, omega_grid
 from .errors import DomainError, NoPathError
 from .lattice import (
     KPoint,
@@ -547,9 +547,8 @@ def free_energy_mc(
     streams; averages (1/N) log Z, never the log of averaged Z."""
     m = int(math.floor(c * n))
     vals = np.empty(replicas)
-    for r in range(replicas):
-        f = UniformField(derive_seed(seed, _FE_STREAM, r))
-        vals[r] = single_path_logZ(f, spec, beta, (1, 1), (n, m)) / n
+    for r, s in enumerate(derive_seeds(seed, _FE_STREAM, np.arange(replicas))):
+        vals[r] = single_path_logZ(UniformField(int(s)), spec, beta, (1, 1), (n, m)) / n
     stderr = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else math.inf
     return FreeEnergyEstimate(float(vals.mean()), stderr, n, replicas, vals)
 
@@ -588,9 +587,8 @@ def jensen_sandwich_check(
     varpi = sum(abs(y[0] - x[0]) + abs(y[1] - x[1]) for x, y in zip(xs, ys))
     log_z0 = kpath_logZ(None, None, 0.0, xs, ys)
     vals = np.empty(replicas)
-    for r in range(replicas):
-        f = UniformField(derive_seed(seed, _SANDWICH_STREAM, r))
-        vals[r] = (kpath_logZ(f, spec, beta, xs, ys) - log_z0) / varpi
+    for r, s in enumerate(derive_seeds(seed, _SANDWICH_STREAM, np.arange(replicas))):
+        vals[r] = (kpath_logZ(UniformField(int(s)), spec, beta, xs, ys) - log_z0) / varpi
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     lo, hi = beta * spec.nu(), spec.log_mgf(beta)
@@ -657,8 +655,8 @@ def parallel_series_bound_mc(
     zs = stack_up((base[0] + 2 * size, base[1] + 2 * size), k)
     ysep = stack_up((base[0] + size, base[1] + size), k + 1)
     xsep = stack_up(base, k + 1)
-    for r in range(replicas):
-        f = UniformField(derive_seed(seed, _BOUNDS_STREAM, r))
+    for field_seed in derive_seeds(seed, _BOUNDS_STREAM, np.arange(replicas)):
+        f = UniformField(int(field_seed))
         lz = lambda a, b: kpath_logZ(f, spec, beta, a, b)
         # series: Z_{x->z} >= Z_{x->y} Z_{y->z} for the nice intermediate
         s = lz(xs, zs) - (lz(xs, mid) + lz(mid, zs))
@@ -691,7 +689,7 @@ def k_linearity_probe(
     m = int(math.floor(c * n))
     xs2 = stack_diag((1, 1), 2)
     ys2 = tuple((p[0] + n, p[1] + m) for p in xs2)
-    fields = [UniformField(derive_seed(seed, 0x2B, r)) for r in range(replicas)]
+    fields = [UniformField(int(s)) for s in derive_seeds(seed, 0x2B, np.arange(replicas))]
     one = np.array([single_path_logZ(f, spec, beta, (1, 1), (1 + n, 1 + m)) / n for f in fields])
     two = np.array([kpath_logZ(f, spec, beta, xs2, ys2) / n for f in fields])
     se1 = one.std(ddof=1) / math.sqrt(replicas)

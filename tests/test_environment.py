@@ -426,6 +426,35 @@ def test_omega_grid_refuses_seed_lanes_that_are_not_a_1d_integer_sequence(lanes)
         omega_grid(lanes, WeightSpec("exp1"), np.arange(3), 0)
 
 
+def test_single_seed_lane_blocks_along_the_sites_on_the_pool(monkeypatch):
+    # one seed lane makes a first axis of size one: the blocks split the
+    # next axis, run on the pool and give the unblocked hash bit for bit
+    spec = WeightSpec("loggamma", mu=2.0)
+    x1, x2 = np.arange(-3, 9)[:, None], np.arange(7)
+    want = environment._uniform(5, x1, x2)
+    want_law = log_inv_gamma_quantile(spec.mu, want)
+    private = environment._uniform
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return private(*args, **kwargs)
+
+    monkeypatch.setattr(environment, "_uniform", spy)
+    monkeypatch.setattr(special, "_CHUNK", 8)
+    cases = [
+        (lambda: environment.uniform_many(np.array([5])[:, None, None], x1, x2), want),
+        (lambda: environment.uniform_many([[[5]]], x1[None], x2[None, None]), want),
+        (lambda: omega_grid([5], spec, x1, x2), want_law),
+    ]
+    for run, ref in cases:
+        threads.clear()
+        got = run()
+        assert got.shape == (1,) + ref.shape and got.tobytes() == ref.tobytes()
+        assert len(threads) > 1
+        assert all(t.name.startswith("nipoly-quantile") for t in threads)
+
+
 def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):
     # the blocks run on the pool, call only the private hash, and give the
     # unblocked hash bit for bit

@@ -3,25 +3,21 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nipoly import interface
 from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
 from nipoly.interface import (
     InterfaceGrid,
-    _half_sweep,
-    _padded,
     build_phi,
     energy_F,
-    gibbs_moments,
+    gibbs_sampler,
     grad_F,
     gt_volume,
-    integrated_autocorrelation,
     interface_log_density,
     is_gt_pattern,
     large_mu_convergence,
-    metropolis_log_accept,
     phi_inversion_residual,
     phi_moments_mc,
     small_mu_coupling,
@@ -149,116 +145,44 @@ def test_interface_density_translation():
     assert delta == pytest.approx(expect, rel=1e-10)
 
 
-def test_metropolis_detailed_balance_bitwise():
-    f = UniformField(12)
-    mu, n = 1.5, 2
-    g = build_phi(f, mu, n)
-    for site in [(1, 1), (1, 2), (2, 2)]:
-        for step in (0.7, -1.3, 0.01):
-            fwd = metropolis_log_accept(g, mu, site, step)
-            moved = InterfaceGrid(n, g.values.copy())
-            moved.values[site[0] - 1, site[1] - 1] += step
-            bwd = metropolis_log_accept(moved, mu, site, -step)
-            delta = interface_log_density(moved, mu) - interface_log_density(g, mu)
-            # Metropolis ratio identity: fwd - bwd equals the density change
-            assert fwd - bwd == pytest.approx(delta, abs=1e-10)
-            assert (fwd == 0.0) or (bwd == 0.0)
+def _stacked_draws(n, mu, sweeps, seed):
+    return np.stack([g.values for g in gibbs_sampler(n, mu, sweeps, seed)])
 
 
-def test_gibbs_n1_mean():
+@pytest.mark.parametrize("n", [5, 16])
+def test_gibbs_sampler_yields_the_build_phi_lanes_bitwise(n):
+    # sweeps of 0, 1, one block and one block + 1
+    mu, seed = 1.5, 31
+    block = max(1, interface._DRAW_SITES // (n * n))
+    for sweeps in (0, 1, block, block + 1):
+        draws = list(gibbs_sampler(n, mu, sweeps, seed, burn_in=7))
+        assert len(draws) == sweeps
+    for s in (0, 1, block - 1, block):
+        want = build_phi(UniformField(derive_seed(seed, 0x1F, s)), mu, n).values
+        assert draws[s].values.tobytes() == want.tobytes()
+
+
+def test_gibbs_sampler_draws_do_not_depend_on_the_block(monkeypatch):
+    n, mu, sweeps, seed = 3, 2.5, 11, 4
+    want = _stacked_draws(n, mu, sweeps, seed)
+    monkeypatch.setattr(interface, "_DRAW_SITES", 1)
+    assert _stacked_draws(n, mu, sweeps, seed).tobytes() == want.tobytes()
+
+
+def test_gibbs_sampler_mean_is_phi_moments_mc_mean():
+    n, mu, sweeps, seed = 4, 1.5, 300, 8
+    draws = _stacked_draws(n, mu, sweeps, seed)
+    pm = phi_moments_mc(n, mu, sweeps, seed)
+    assert pm["seeds"] == sweeps
+    assert np.array_equal(draws.mean(axis=0), pm["mean"])
+    assert np.array_equal(np.sqrt(draws.var(axis=0, ddof=1) / sweeps), pm["stderr"])
+
+
+def test_phi_moments_mc_n1_mean():
+    # phi(1,1) at N = 1 is one log inverse-gamma weight, of mean -psi(mu)
     mu = 2.0
-    r = gibbs_moments(1, mu, sweeps=4000, seed=3)
+    r = phi_moments_mc(1, mu, seeds=4000, seed=3)
     assert abs(r["mean"][0, 0] - (-digamma(mu))) < 3.5 * r["stderr"][0, 0]
-
-
-def test_gibbs_vs_polymer_two_oracles_small():
-    # shrunken version of the Prop-interface two-oracle test
-    mu, n = 1.5, 2
-    gm = gibbs_moments(n, mu, sweeps=4000, seed=7)
-    pm = phi_moments_mc(n, mu, seeds=2000, seed=8)
-    for i in range(n):
-        for j in range(n):
-            tol = 3.5 * math.hypot(gm["stderr"][i, j], pm["stderr"][i, j])
-            assert abs(gm["mean"][i, j] - pm["mean"][i, j]) < tol
-
-
-def test_gibbs_vs_polymer_two_oracles_n4():
-    # the same two-oracle rule at N = 4, where the checkerboard scan updates
-    # 8 sites per half-sweep
-    mu, n = 1.5, 4
-    gm = gibbs_moments(n, mu, sweeps=6000, seed=7)
-    pm = phi_moments_mc(n, mu, seeds=2000, seed=8)
-    for i in range(n):
-        for j in range(n):
-            tol = 3.5 * math.hypot(gm["stderr"][i, j], pm["stderr"][i, j])
-            assert abs(gm["mean"][i, j] - pm["mean"][i, j]) < tol
-
-
-@pytest.mark.parametrize("colour", [0, 1])
-def test_checkerboard_half_sweep_equals_sequential_updates(colour):
-    # one colour's vectorized half-sweep against single-site Metropolis
-    # updates in sequence, with the same proposals and uniforms
-    n, mu = 5, 1.5
-    g = build_phi(UniformField(51), mu, n)
-    i, j = np.nonzero((np.indices((n, n)).sum(axis=0)) % 2 == colour)
-    rng = np.random.default_rng(52)
-    steps = rng.uniform(-1.5, 1.5, size=i.size)
-    log_us = np.log(rng.random(i.size))
-    p = _padded(g.values)
-    accepted = _half_sweep(p, mu, i, j, steps, log_us)
-    seq = InterfaceGrid(n, g.values.copy())
-    moves = 0
-    for s in range(i.size):
-        site = (int(i[s]) + 1, int(j[s]) + 1)
-        if log_us[s] < metropolis_log_accept(seq, mu, site, float(steps[s])):
-            seq.values[i[s], j[s]] += steps[s]
-            moves += 1
-    assert accepted == moves
-    assert 0 < moves < i.size
-    assert np.abs(p[1:-1, 1:-1] - seq.values).max() <= 1e-12
-    border = np.ones(p.shape, dtype=bool)
-    border[1:-1, 1:-1] = False
-    assert np.array_equal(p[border], _padded(g.values)[border])
-
-
-def test_integrated_autocorrelation_iid():
-    rng = np.random.default_rng(0)
-    tau = integrated_autocorrelation(rng.standard_normal(4000))
-    assert 0.5 < tau < 1.5
-
-
-def _ar1(rho, n, seed):
-    noise = np.random.default_rng(seed).standard_normal(n)
-    return scipy.signal.lfilter([1.0], [1.0, -rho], noise)
-
-
-def _iat_window_loop(series, c=6.0):
-    # the windowed estimator written as a loop that re-sums each window
-    x = np.asarray(series, dtype=float)
-    x = x - x.mean()
-    m = len(x)
-    f = np.fft.rfft(x, n=2 * m)
-    acov = np.fft.irfft(f * np.conj(f))[:m] / np.arange(m, 0, -1)
-    rho = acov / acov[0]
-    tau = 1.0
-    for w in range(1, m // 2):
-        tau = 1.0 + 2.0 * rho[1 : w + 1].sum()
-        if w >= c * tau:
-            break
-    return max(tau, 1.0)
-
-
-def test_integrated_autocorrelation_ar1():
-    rho = 0.9
-    tau = integrated_autocorrelation(_ar1(rho, 200_000, 0))
-    assert tau == pytest.approx((1 + rho) / (1 - rho), rel=0.1)
-
-
-@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
-def test_integrated_autocorrelation_matches_window_loop(rho):
-    for seed, n in [(1, 20), (2, 500), (3, 5000)]:
-        x = _ar1(rho, n, seed)
-        assert abs(integrated_autocorrelation(x) - _iat_window_loop(x)) <= 1e-12
 
 
 def test_theta_min_hand_values_n2():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from nipoly import polymer
 from nipoly.environment import UniformField, WeightSpec, derive_seed, derive_seeds, omega_grid
 from nipoly.errors import DomainError, NoPathError
 from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
@@ -636,3 +637,42 @@ def test_parallel_series_bounds_deterministic():
 def test_k_linearity_probe():
     r = k_linearity_probe(LG2, 1.0, 1.0, 192, 12, seed=11)
     assert r["ok"], r
+
+
+def test_polymer_drivers_take_replica_seeds_from_one_array_call(monkeypatch):
+    # each driver makes one derive_seeds call; replica r still gets the
+    # field UniformField(derive_seed(seed, stream, r)), a Python int seed
+    seen, calls = [], []
+    for name in ("single_path_logZ", "kpath_logZ"):
+
+        def probe(field, *args, fn=getattr(polymer, name)):
+            if field is not None:
+                seen.append(field.seed)
+            return fn(field, *args)
+
+        monkeypatch.setattr(polymer, name, probe)
+
+    def counted(*args, fn=polymer.derive_seeds):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(polymer, "derive_seeds", counted)
+    xs, ys = rectangle_endpoints(3, 3, 2)
+    runs = [
+        (lambda: free_energy_mc(LG2, 1.0, 1.0, 6, 5, seed=13), polymer._FE_STREAM),
+        (lambda: jensen_sandwich_check(LG2, 1.0, xs, ys, 5, seed=13), polymer._SANDWICH_STREAM),
+        (lambda: parallel_series_bound_mc(LG2, 1.0, replicas=5, seed=13, size=2), polymer._BOUNDS_STREAM),
+        (lambda: k_linearity_probe(LG2, 1.0, 1.0, 6, 5, seed=13), 0x2B),
+    ]
+    for run, stream in runs:
+        seen.clear()
+        calls.clear()
+        run()
+        want = [derive_seed(13, stream, r) for r in range(5)]
+        assert min(want) < 2**63 < max(want)
+        assert len(calls) == 1
+        assert list(dict.fromkeys(seen)) == want
+        assert all(type(s) is int for s in seen)
+        if stream == polymer._FE_STREAM:
+            # one single_path_logZ call per replica, in order
+            assert seen == want
