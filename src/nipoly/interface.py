@@ -45,14 +45,14 @@ class InterfaceGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.n, self.n):
             raise DomainError("grid shape must be (n, n)")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise DomainError("interface values must be finite")
 
     def at(self, i: int, j: int) -> float:
         return float(self.values[i - 1, j - 1])
 
     def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.values).copy()
+        return self.values.diagonal().copy()
 
     def edge_differences(self):
         """Differences phi(y) - phi(x) over the directed north/east edges."""
@@ -127,7 +127,7 @@ def gibbs_sampler(n: int, mu: float, sweeps: int, seed: int, burn_in: int | None
     call per about _DRAW_SITES sites (at least one lane), so memory stays
     flat at any n and sweeps.
     """
-    lanes = max(1, _DRAW_SITES // (n * n))
+    lanes = max(1, _DRAW_SITES // max(1, n * n))
     for lo in range(0, sweeps, lanes):
         block = derive_seeds(seed, _PHI_STREAM, np.arange(lo, min(lo + lanes, sweeps)))
         for phi in _phi_batch(block, mu, n):
@@ -137,7 +137,9 @@ def gibbs_sampler(n: int, mu: float, sweeps: int, seed: int, burn_in: int | None
 def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
     """Per-site means and standard errors of phi over seeds independent
     polymer environments, from one batched gRSK call; the draws are those
-    gibbs_sampler yields."""
+    gibbs_sampler yields.  The standard error needs seeds >= 2."""
+    if seeds < 2:
+        raise DomainError("phi_moments_mc needs at least 2 seeds")
     phis = _phi_batch(derive_seeds(seed, _PHI_STREAM, np.arange(seeds)), mu, n)
     mean = phis.mean(axis=0)
     var = phis.var(axis=0, ddof=1)

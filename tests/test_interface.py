@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nipoly import interface
 from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
+from nipoly.errors import DomainError
 from nipoly.interface import (
     InterfaceGrid,
     build_phi,
@@ -176,6 +177,36 @@ def test_gibbs_sampler_mean_is_phi_moments_mc_mean():
     assert pm["seeds"] == sweeps
     assert np.array_equal(draws.mean(axis=0), pm["mean"])
     assert np.array_equal(np.sqrt(draws.var(axis=0, ddof=1) / sweeps), pm["stderr"])
+
+
+def test_phi_moments_mc_needs_two_seeds():
+    for seeds in (0, 1):
+        with pytest.raises(DomainError):
+            phi_moments_mc(3, 1.5, seeds, 8)
+    assert np.isfinite(phi_moments_mc(3, 1.5, 2, 8)["stderr"]).all()
+
+
+def test_phi_of_an_empty_square_raises():
+    with pytest.raises(DomainError):
+        build_phi(UniformField(1), 1.0, 0)
+    with pytest.raises(DomainError):
+        next(gibbs_sampler(0, 1.0, 3, 1))
+
+
+def test_interface_grid_refuses_non_finite_values_and_wrong_shapes():
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.zeros((3, 3))
+        v[1, 2] = bad
+        with pytest.raises(DomainError):
+            InterfaceGrid(3, v)
+    for shape in [(3, 2), (2, 3), (9,), (1, 3, 3)]:
+        with pytest.raises(DomainError):
+            InterfaceGrid(3, np.zeros(shape))
+    g = InterfaceGrid(2, [[1, 2], [3, 4]])
+    d = g.diagonal()
+    assert d.tolist() == [1.0, 4.0] and d.flags.writeable
+    d[0] = 7.0
+    assert g.at(1, 1) == 1.0
 
 
 def test_phi_moments_mc_n1_mean():

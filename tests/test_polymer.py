@@ -390,23 +390,26 @@ def test_tau_table_is_small_size_only():
 
 def _row_major_rsk(logw, plus):
     """The cell-by-cell gRSK loop in row-major order; the oracle of the
-    anti-diagonal (wavefront) order of polymer.grsk and tropical_rsk."""
+    anti-diagonal (wavefront) order of polymer.grsk (plus = _logaddexp, run
+    under the errstate it needs) and tropical_rsk (plus = np.maximum)."""
     n, m = logw.shape[-2], logw.shape[-1]
-    t = np.full(logw.shape[:-2] + (n + 1, m + 1), -np.inf)
-    t[..., 1:, 1:] = logw
-    t[..., 0, 1] = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            a = np.arange(i - 1, i - min(i, j), -1)  # interior of the diagonal
-            if a.size:
-                b = a + (j - i)
-                t[..., a, b] = (
-                    plus(t[..., a - 1, b], t[..., a, b - 1])
-                    - t[..., a, b]
-                    - plus(-t[..., a + 1, b], -t[..., a, b + 1])
-                )
-            t[..., i, j] += plus(t[..., i - 1, j], t[..., i, j - 1])
-    return t[..., 1:, 1:]
+    # one leading lane axis, so that every plus sees arrays
+    t = np.full((logw.size // (n * m), n + 1, m + 1), -np.inf)
+    t[:, 1:, 1:] = logw.reshape(-1, n, m)
+    t[:, 0, 1] = 0.0
+    with np.errstate(invalid="ignore"):
+        for i in range(1, n + 1):
+            for j in range(1, m + 1):
+                a = np.arange(i - 1, i - min(i, j), -1)  # interior of the diagonal
+                if a.size:
+                    b = a + (j - i)
+                    t[..., a, b] = (
+                        plus(t[..., a - 1, b], t[..., a, b - 1])
+                        - t[..., a, b]
+                        - plus(-t[..., a + 1, b], -t[..., a, b + 1])
+                    )
+                t[..., i, j] += plus(t[..., i - 1, j], t[..., i, j - 1])
+    return t[:, 1:, 1:].reshape(logw.shape)
 
 
 @given(
@@ -423,7 +426,7 @@ def _row_major_rsk(logw, plus):
 @settings(max_examples=60, deadline=None)
 def test_wavefront_rsk_equals_row_major_bitwise(batch, n, m, scale, seed):
     logw = scale * np.random.default_rng(seed).standard_normal(batch + (n, m))
-    assert np.array_equal(grsk(logw), _row_major_rsk(logw, np.logaddexp))
+    assert np.array_equal(grsk(logw), _row_major_rsk(logw, _logaddexp))
     assert np.array_equal(tropical_rsk(logw), _row_major_rsk(logw, np.maximum))
 
 
@@ -450,14 +453,55 @@ def test_tropical_rsk_matches_enumeration(k):
 
 
 def test_rsk_batched_equals_unbatched_bitwise():
-    fields = [UniformField(derive_seed(43, r)) for r in range(4)]
-    logw = np.stack([loggamma_rectangle(f, 0.7, 7, 5) for f in fields])
+    # lane counts on both sides of the SIMD widths, and the output is a
+    # C-contiguous lanes-first array
+    for lanes in (1, 3, 4, 7, 8, 9, 17, 65):
+        fields = [UniformField(derive_seed(43, r)) for r in range(lanes)]
+        logw = np.stack([loggamma_rectangle(f, 0.7, 7, 5) for f in fields])
+        for rsk in (grsk, tropical_rsk):
+            batch = rsk(logw)
+            assert batch.shape == logw.shape and batch.flags.c_contiguous
+            for r in range(lanes):
+                one = rsk(logw[r])
+                assert one.flags.c_contiguous
+                assert np.array_equal(batch[r], one)
+    nested = grsk(logw.reshape(5, 13, 7, 5))
+    assert nested.flags.c_contiguous
+    assert np.array_equal(nested.reshape(65, 7, 5), grsk(logw))
+
+
+def test_rsk_memoized_plan_equals_the_plan_built_per_step(monkeypatch):
+    logw = 2.0 * np.random.default_rng(5).standard_normal((9, 6, 11))
+    assert polymer._plan_bytes(6, 11) <= polymer._PLAN_BUDGET
+    # the second memoized call reuses the cached plan
+    memo = [[rsk(logw) for rsk in (grsk, tropical_rsk)] for _ in range(2)]
+    monkeypatch.setattr(polymer, "_PLAN_BUDGET", 0)
+    for got in memo:
+        assert np.array_equal(got[0], grsk(logw))
+        assert np.array_equal(got[1], tropical_rsk(logw))
+
+
+def test_rsk_memoizes_only_plans_within_the_budget():
+    for n, m in [(1, 1), (1, 9), (9, 1), (5, 7), (16, 16)]:
+        plan = sum(rows.nbytes for rows, _, _ in polymer._rsk_steps(n, m))
+        assert polymer._plan_bytes(n, m) == plan
+    assert polymer._plan_bytes(16, 16) < 100_000
+    assert polymer._plan_bytes(64, 80) > polymer._PLAN_BUDGET
+    before = polymer._memo_steps.cache_info()
+    grsk(np.zeros((2, 64, 80)))
+    assert polymer._memo_steps.cache_info() == before
+    polymer._memo_steps.cache_clear()
+    grsk(np.zeros((2, 16, 16)))
+    assert polymer._memo_steps.cache_info().currsize == 1
+
+
+def test_rsk_refuses_empty_shapes():
     for rsk in (grsk, tropical_rsk):
-        batch = rsk(logw)
-        for r in range(len(fields)):
-            assert np.array_equal(batch[r], rsk(logw[r]))
-    nested = grsk(logw.reshape(2, 2, 7, 5))
-    assert np.array_equal(nested.reshape(4, 7, 5), grsk(logw))
+        for shape in [(3, 0), (0, 3), (0, 0), (2, 0, 4), (2, 4, 0)]:
+            with pytest.raises(DomainError):
+                rsk(np.zeros(shape))
+        # zero lanes are not an empty shape
+        assert rsk(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 def test_grsk_diagonal_identities_on_the_square():
