@@ -3,14 +3,16 @@
 Each wrapper checks its domain, raising DomainError, and returns a Python
 float.  The inverse-gamma quantile has one owner, log_inv_gamma_quantile,
 which the scalar quantile, the environment and the fluctuation sampler all
-call.  For each mu it evaluates a cached piecewise-polynomial table in the
-Gaussian score, built from scipy's incomplete-gamma inverses and checked
-against them; scores beyond the table take those inverses directly.  Every
-input size takes this one route.  Large inputs run in blocks of about
-_CHUNK sites on one thread pool (_run_chunked), which the environment
-shares: its tasks hash their block of sites and apply the quantile body.
-Every step is elementwise, so the result is bitwise independent of the
-batch and of the chunking.
+call.  For each mu it evaluates a cached piecewise-polynomial table indexed
+by the float bits of v = min(u, 1 - u): the exponent and the top mantissa
+bits of v pick the interval, the low bits place v in it, and no
+transcendental is evaluated per site.  The table is built from scipy's
+incomplete-gamma inverses and checked against them; v below the table
+takes those inverses directly.  Every input size takes this one route.
+Large inputs run in blocks of about _CHUNK sites on one thread pool
+(_run_chunked), which the environment shares: its tasks hash their block
+of sites and apply the quantile body.  Every step is elementwise, so the
+result is bitwise independent of the batch and of the chunking.
 """
 
 from __future__ import annotations
@@ -138,21 +140,24 @@ def _quantile_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _run_chunked(task, rows: int, row_sites: int) -> None:
-    """Call task(lo, hi) on consecutive blocks [lo, hi) of rows rows of
-    row_sites sites each, about _CHUNK sites (at least one row) per block.
-    With two chunks of sites or more and two blocks or more, the blocks
-    run on the pool (the ufuncs release the GIL), one thread per available
-    core; otherwise task(0, rows) runs inline.  Waits for every block and
-    re-raises the first failure.  Tasks run on worker threads, so they call
-    private bodies only, never public functions that bench/spans.py wraps:
-    its span stack is not thread-safe."""
+def _run_chunked(task, rows: int, row_sites: int, lanes: int = 1) -> None:
+    """Call task(lane, lo, hi) on consecutive blocks [lo, hi) of rows rows of
+    row_sites sites each, about _CHUNK sites (at least one row) per block,
+    for each lane in range(lanes).  With two chunks of sites or more and two
+    blocks or more, the blocks run on the pool (the ufuncs release the GIL),
+    one thread per available core; otherwise task(lane, 0, rows) runs inline
+    for each lane.  Waits for every block and re-raises the first failure.
+    Tasks run on worker threads, so they call private bodies only, never
+    public functions that bench/spans.py wraps: its span stack is not
+    thread-safe."""
     step = max(1, _CHUNK // max(1, row_sites))
-    if rows * row_sites < 2 * _CHUNK or rows <= step:
-        task(0, rows)
+    blocks = [(lane, lo, min(lo + step, rows)) for lane in range(lanes) for lo in range(0, rows, step)]
+    if lanes * rows * row_sites < 2 * _CHUNK or len(blocks) < 2:
+        for lane in range(lanes):
+            task(lane, 0, rows)
         return
     pool = _quantile_pool()
-    futures = [pool.submit(task, lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    futures = [pool.submit(task, *block) for block in blocks]
     wait(futures)
     for future in futures:
         future.result()
@@ -168,132 +173,183 @@ def _log_from_root(mu: float, y, log_p):
     return np.where(tiny, series, direct)
 
 
-def _log_inv_gamma_quantile_exact(mu: float, u):
-    """log F_mu^{-1}(u) straight from scipy's inverse of Q(mu, .)."""
-    return _log_from_root(mu, sps.gammainccinv(mu, u), np.log1p(-u))
+def _log_inv_gamma_quantile_v(mu: float, v, upper: bool):
+    """log F_mu^{-1}(u) from v = min(u, 1 - u), straight from scipy: the
+    root of Q(mu, y) = v for u <= 1/2, and of P(mu, y) = v for u > 1/2
+    (upper), so that u is never rounded near 1.  The table's knots, its
+    check and the sites below it all take this route."""
+    if upper:
+        return _log_from_root(mu, sps.gammaincinv(mu, v), np.log(v))
+    return _log_from_root(mu, sps.gammainccinv(mu, v), np.log1p(-v))
 
 
-def _log_inv_gamma_quantile_score(mu: float, s: np.ndarray) -> np.ndarray:
-    """log F_mu^{-1}(ndtr(s)) from the Gaussian score s: the exact route,
-    with u > 1/2 inverted as P(mu, y) = ndtr(-s), so that ndtr(s) is never
-    rounded near 1."""
-    y = np.empty_like(s)
-    upper = s > 0.0
-    y[~upper] = sps.gammainccinv(mu, sps.ndtr(s[~upper]))
-    y[upper] = sps.gammaincinv(mu, sps.ndtr(-s[upper]))
-    return _log_from_root(mu, y, sps.log_ndtr(-s))
+# The quantile table is indexed by the float bits of v = min(u, 1 - u), which
+# is exact for u >= 1/2.  Each binade [2^e, 2^(e+1)) of v is split into
+# 2^_SUB_BITS equal intervals, so bits(v) >> _SHIFT numbers the interval and
+# the low _SHIFT bits place v in it, both exactly.  Each side runs from
+# v = 2^-54, the least v of a hash uniform, to the interval that opens at
+# v = 1/2; smaller v take the exact route.  Above mu = 4e5 both sides start
+# at the first interval edge past the refusal edge v = 1 - ndtr(4.5), since
+# knots below it would spoil the interval holding it.
+_SUB_BITS = 3
+_SHIFT = 52 - _SUB_BITS
+_V_LOW = 2.0**-54
+_DEGREE = 8
 
 
-# The quantile table covers s = ndtri(u) in [-8.5, 8.5] (hash uniforms have
-# |s| <= 8.3) with 512 equal intervals; above mu = 4e5 it stops at the
-# refusal edge s = 4.5, since knots past it would spoil the last interval.
-_TABLE_LO = -8.5
-_TABLE_HI = 8.5
-_INTERVALS = 512
+def _bits(v: float) -> int:
+    return int(np.float64(v).view(np.int64))
 
 
-def _chebyshev_interpolation():
-    """The 9 Chebyshev points x_j = cos(theta_j); the matrix taking values
-    at them to the Chebyshev coefficients of their interpolant, (2/9)
-    sum_j cos(k theta_j) f_j halved at k = 0; and the matrix whose column k
-    holds the monomial coefficients of T_k.  Built from math.cos and used
-    by plain ufuncs: a LAPACK fit would add a megabyte of code pages to
-    every process that builds a table."""
-    theta = [math.pi * (j + 0.5) / 9 for j in range(9)]
-    to_cheb = np.array([[2.0 / 9 * math.cos(k * t) for t in theta] for k in range(9)])
+def _from_bits(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+_ONE_BITS = _bits(1.0)
+_TOP = _bits(0.5) >> _SHIFT
+
+
+def _chebyshev_interpolation(degree: int):
+    """The degree + 1 Chebyshev points x_j = cos(theta_j); the matrix taking
+    values at them to the Chebyshev coefficients of their interpolant,
+    (2/(degree + 1)) sum_j cos(k theta_j) f_j halved at k = 0; and the
+    matrix whose column k holds the monomial coefficients of T_k.  Built
+    from math.cos and used by plain ufuncs: a LAPACK fit would add a
+    megabyte of code pages to every process that builds a table."""
+    m = degree + 1
+    theta = [math.pi * (j + 0.5) / m for j in range(m)]
+    to_cheb = np.array([[2.0 / m * math.cos(k * t) for t in theta] for k in range(m)])
     to_cheb[0] *= 0.5
-    to_mono = np.zeros((9, 9))
+    to_mono = np.zeros((m, m))
     to_mono[0, 0] = to_mono[1, 1] = 1.0
-    for k in range(2, 9):  # T_k = 2 x T_(k-1) - T_(k-2)
+    for k in range(2, m):  # T_k = 2 x T_(k-1) - T_(k-2)
         to_mono[1:, k] = 2.0 * to_mono[:-1, k - 1]
         to_mono[:, k] -= to_mono[:, k - 2]
     return np.array([math.cos(t) for t in theta]), to_cheb, to_mono
 
 
-_NODES, _VALUES_TO_CHEB, _CHEB_TO_MONO = _chebyshev_interpolation()
+_NODES, _VALUES_TO_CHEB, _CHEB_TO_MONO = _chebyshev_interpolation(_DEGREE)
 _TABLE_TOL = 1e-12
+
+
+def _times(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # matrix @ rows, one row of rows at a time: numpy's matmul would load BLAS
+    out = np.zeros((matrix.shape[0], rows.shape[1]))
+    for j, row in enumerate(rows):
+        out += matrix[:, j, None] * row
+    return out
 
 
 @functools.lru_cache(maxsize=64)
 def _quantile_table(mu: float):
-    """(lo, 1/h, coef) of the quantile table at mu: on interval k, with
-    x = 2 (s - lo)/h - 2k - 1 in [-1, 1], log F_mu^{-1}(ndtr(s)) is
-    sum_j coef[j, k] x^j, the interpolant at 9 Chebyshev nodes.  The
-    midpoints are nodes, so the build checks both interpolants at every
-    interval edge against the exact route and raises PrecisionLossError
-    beyond 1e-12 max(1, |value|)."""
-    hi = _S_BAND if mu > _MU_ACCURATE else _TABLE_HI
-    h = (hi - _TABLE_LO) / _INTERVALS
-    edges = _TABLE_LO + h * np.arange(_INTERVALS + 1)
-    s = edges[:-1] + 0.5 * h * (_NODES[:, None] + 1.0)
-    knots = _log_inv_gamma_quantile_score(mu, s.ravel()).reshape(s.shape)
-    cheb = (_VALUES_TO_CHEB[:, :, None] * knots).sum(axis=1)
-    coef = (_CHEB_TO_MONO[:, :, None] * cheb).sum(axis=1)
-    exact = _log_inv_gamma_quantile_score(mu, edges)
-    tol = _TABLE_TOL * np.maximum(1.0, np.abs(exact))
-    left = np.abs(np.polynomial.polynomial.polyval(-1.0, coef) - exact[:-1])
-    right = np.abs(np.polynomial.polynomial.polyval(1.0, coef) - exact[1:])
-    worst = float(np.max(np.maximum(left / tol[:-1], right / tol[1:])))
+    """(base, coef) of the quantile table at mu.  v = min(u, 1 - u) at or
+    above float(base << _SHIFT) lies on interval j = (bits(v) >> _SHIFT) -
+    base of its side, at x in [-1, 1) given by the low _SHIFT bits; there
+    log F_mu^{-1}(u) is sum_i coef[i, 2 j + s] x^i, with s = 1 for u > 1/2
+    and 0 otherwise: the interpolant at _DEGREE + 1 Chebyshev nodes in v.
+    Those include the midpoints, so the build checks each interpolant at
+    both interval edges against the exact route and raises
+    PrecisionLossError beyond 1e-12 max(1, |value|)."""
+    lo = 1.0 - _U_BAND if mu > _MU_ACCURATE else _V_LOW
+    base = -(-_bits(lo) >> _SHIFT)  # the first interval edge at or above lo
+    edges = (np.arange(base, _TOP + 2, dtype=np.int64) << _SHIFT).view(np.float64)
+    v = (edges[:-1] + 0.5 * (edges[1:] - edges[:-1]) * (_NODES[:, None] + 1.0)).ravel()
+    coef = np.empty((_DEGREE + 1, 2 * (edges.size - 1)))
+    worst = 0.0
+    for side in (0, 1):
+        knots = _log_inv_gamma_quantile_v(mu, v, side).reshape(_DEGREE + 1, -1)
+        c = _times(_CHEB_TO_MONO, _times(_VALUES_TO_CHEB, knots))
+        exact = _log_inv_gamma_quantile_v(mu, edges, side)
+        tol = _TABLE_TOL * np.maximum(1.0, np.abs(exact))
+        left = np.abs(np.polynomial.polynomial.polyval(-1.0, c) - exact[:-1]) / tol[:-1]
+        right = np.abs(np.polynomial.polynomial.polyval(1.0, c) - exact[1:]) / tol[1:]
+        worst = max(worst, float(np.max(np.maximum(left, right))))
+        coef[:, side::2] = c
     if not worst <= 1.0:
         raise PrecisionLossError(
             "log_inv_gamma_quantile: table at mu = %r misses the exact route by %.3g tolerances"
             % (mu, worst)
         )
     coef.flags.writeable = False
-    return _TABLE_LO, 1.0 / h, coef
+    return base, coef
 
 
 def _log_inv_gamma_quantile_body(mu: float, u: np.ndarray, out: np.ndarray) -> None:
     """Write log F_mu^{-1}(u) into out, for flat float64 u and out alike:
-    Horner's rule on the table, and the exact route beyond it.  Raises
-    DomainError for mu > 4e5 and u > ndtr(4.5), where scipy's inverse is
-    not accurate.  Build the table on the calling thread (_quantile_table)
-    before running this body on the pool, so the chunks do not race for it."""
+    Horner's rule on the table, and the exact route below it.  Raises
+    DomainError for u outside (0, 1), NaN included, and for mu > 4e5 and
+    u > ndtr(4.5), where scipy's inverse is not accurate.  Build the table
+    on the calling thread (_quantile_table) before running this body on the
+    pool, so the chunks do not race for it."""
     if mu > _MU_ACCURATE and np.any(u > _U_BAND):
         raise DomainError(
             "log_inv_gamma_quantile: mu = %r > %g is inaccurate for u > ndtr(4.5)"
             % (mu, _MU_ACCURATE)
         )
-    lo, inv_h, coef = _quantile_table(mu)
-    x = sps.ndtri(u)
-    x -= lo
-    x *= inv_h
-    np.clip(x, 0.0, coef.shape[1] - 1, out=out)
-    with np.errstate(invalid="ignore"):  # NaN scores take the exact route
-        k = out.astype(np.intp)
-    x -= k
+    base, coef = _quantile_table(mu)
+    v = np.subtract(1.0, u)
+    np.minimum(u, v, out=v)  # v = min(u, 1 - u); NaN stays NaN
+    if not v.min(initial=0.5) > 0.0:  # NaN, u <= 0 or u >= 1
+        raise DomainError("log_inv_gamma_quantile requires 0 < u < 1, got %r" % (float(u[~(v > 0.0)][0]),))
+    # the masks come from v, since a clipped gather cannot flag a wrong index
+    tail = np.flatnonzero(v < _from_bits(base << _SHIFT))
+    tail_v = v[tail]
+    # Integer steps only, with no bit mask and no bool-to-int cast: numpy
+    # pages in 64 KB of code for each loop kind a process has not yet run.
+    bits = v.view(np.int64)
+    k = bits >> _SHIFT
+    term = np.left_shift(k, _SHIFT)
+    bits -= term  # the low _SHIFT bits of v
+    bits <<= _SUB_BITS
+    bits += _ONE_BITS  # v holds 1 + (low bits) 2^-_SHIFT, in [1, 2)
+    x = v
     x *= 2.0
-    x -= 1.0
-    np.take(coef[-1], k, out=out)
-    term = np.empty_like(out)
+    x -= 3.0
+    side = term
+    np.subtract(0.5, u, out=side.view(np.float64))
+    side >>= 63  # the sign bit: -1 for u > 1/2, else 0
+    k -= base
+    k <<= 1
+    k -= side  # column 2 j + s of coef
+    term = term.view(np.float64)
+    np.take(coef[-1], k, out=out, mode="clip")
     for row in coef[-2::-1]:
         out *= x
-        out += np.take(row, k, out=term)
-    tail = ~(np.abs(x, out=term) <= 1.0)
-    if tail.any():
-        out[tail] = _log_inv_gamma_quantile_exact(mu, u[tail])
+        out += np.take(row, k, out=term, mode="clip")
+    if tail.size:
+        upper = u[tail] > 0.5
+        for s, pick in ((0, ~upper), (1, upper)):
+            out[tail[pick]] = _log_inv_gamma_quantile_v(mu, tail_v[pick], s)
 
 
 def log_inv_gamma_quantile(mu: float, u):
     """log F_mu^{-1}(u), elementwise over u in (0, 1), for mu > 0.
 
     1/zeta is Gamma(mu, 1), so log zeta = -log y with Q(mu, y) = u.  For
-    each mu, a table is built once (3-18 ms, cached for the last 64 mu): a
-    degree-8 polynomial in the Gaussian score s = ndtri(u) on each of 512
-    intervals of [-8.5, 8.5], interpolating the exact route at Chebyshev
-    nodes.  The exact route is scipy's gammainccinv, or gammaincinv on
-    P(mu, y) = ndtr(-s) for s > 0; tiny mu pushes y below float range, and
-    there the leading series P(mu, y) ~ y^mu / Gamma(mu + 1) gives log y
-    directly.  Scores beyond the table take gammainccinv at u.  The table
-    is within 1e-13 max(1, |value|) of 40-digit mpmath (tested for mu from
-    1e-3 to 4e5), and its build raises PrecisionLossError if an interval
-    misses the exact route by more than 1e-12 max(1, |value|).
+    each mu, a table is built once (8 502 exact evaluations, 6-14 ms on one
+    core of a Xeon VM; cached for the last 64 mu).  It is indexed by the
+    float bits of v = min(u, 1 - u), with 1 - u exact for u >= 1/2: each
+    binade of v from 2^-54 (the least v of a hash uniform) up to 1/2 is
+    split into 8 equal intervals, one set for u <= 1/2 and one for u > 1/2,
+    and on each interval a degree-8 polynomial in the local coordinate,
+    read exactly off the low mantissa bits, interpolates the exact route at
+    Chebyshev nodes.  The
+    exact route is scipy's gammainccinv at v for u <= 1/2, and gammaincinv
+    on P(mu, y) = v for u > 1/2, so u is never rounded near 1; tiny mu
+    pushes y below float range, and there the leading series
+    P(mu, y) ~ y^mu / Gamma(mu + 1) gives log y directly.  v below 2^-54
+    takes the exact route.  The table is within 1e-13 max(1, |value|) of
+    40-digit mpmath (tested for mu from 1e-3 to 4e5), and its build raises
+    PrecisionLossError if an interval misses the exact route by more than
+    1e-12 max(1, |value|) at either edge.
 
     Every input size, scalars included, takes the same route, so a site's
     value does not depend on the batch it is computed in.  Inputs of two
     chunks or more run in flat blocks on the shared pool (_run_chunked).
-    Raises DomainError for mu <= 0, and for mu > 4e5 and u > ndtr(4.5),
-    where scipy's inverse is not accurate.
+    Raises DomainError for mu <= 0, for u outside (0, 1) (NaN included),
+    and for mu > 4e5 and u > ndtr(4.5), where scipy's inverse is not
+    accurate; above mu = 4e5 the table starts at the first interval edge
+    past v = 1 - ndtr(4.5), and smaller v take the exact route.
     """
     mu = float(mu)
     if not mu > 0.0:
@@ -302,7 +358,7 @@ def log_inv_gamma_quantile(mu: float, u):
     out = np.empty(flat.shape)
     _quantile_table(mu)
 
-    def block(lo, hi):
+    def block(lane, lo, hi):
         _log_inv_gamma_quantile_body(mu, flat[lo:hi], out[lo:hi])
 
     _run_chunked(block, flat.size, 1)

@@ -388,7 +388,7 @@ def test_omega_grid_does_not_enter_the_public_hash(monkeypatch):
     monkeypatch.setattr(environment, "uniform_many", refuse)
     got = omega_grid(UniformField(9), WeightSpec("loggamma", mu=2.0), np.arange(300)[:, None], np.arange(500))
     assert np.array_equal(got, want)
-    # three lanes of 150000 sites each: three blocks on the pool
+    # three lanes of 150000 sites each, each lane blocked along its rows
     got_lanes = omega_grid(lanes, WeightSpec("gauss"), np.arange(300)[:, None], np.arange(500))
     assert np.array_equal(got_lanes, want_lanes)
 
@@ -453,6 +453,36 @@ def test_single_seed_lane_blocks_along_the_sites_on_the_pool(monkeypatch):
         assert got.shape == (1,) + ref.shape and got.tobytes() == ref.tobytes()
         assert len(threads) > 1
         assert all(t.name.startswith("nipoly-quantile") for t in threads)
+
+
+def test_short_lane_axis_blocks_each_lane_along_its_rows(monkeypatch):
+    # two seed lanes of 300 x 300 sites, more than a chunk each: every lane
+    # is blocked along its rows, so no block holds more than a chunk, and
+    # the lanes stay the fields bit for bit
+    x1, x2 = np.arange(300)[:, None], np.arange(300)
+    spec = WeightSpec("loggamma", mu=2.0)
+    want = np.stack([omega_grid(UniformField(s), spec, x1, x2) for s in (5, 6)])
+    want_u = np.stack([UniformField(s).uniform(x1, x2) for s in (5, 6)])
+    private = environment._uniform
+    sizes = []
+
+    def spy(*args, **kwargs):
+        u = private(*args, **kwargs)
+        sizes.append(u.size)
+        return u
+
+    monkeypatch.setattr(environment, "_uniform", spy)
+    monkeypatch.setattr(special, "_CHUNK", 4096)
+    for run, ref in (
+        (lambda: omega_grid([5, 6], spec, x1, x2), want),
+        (lambda: environment.uniform_many(np.array([5, 6])[:, None, None], x1, x2), want_u),
+    ):
+        sizes.clear()
+        got = run()
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert sum(sizes) == 2 * 300 * 300
+        assert len(sizes) > 2 and max(sizes) <= 4096
+    assert omega_grid(np.array([], dtype=np.uint64), spec, x1, x2).shape == (0, 300, 300)
 
 
 def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):

@@ -222,17 +222,28 @@ def test_log_inv_gamma_quantile_huge_mu():
         inv_gamma_quantile(2e6, float(sps.ndtr(4.505)))
 
 
-@pytest.mark.parametrize("mu", [1e-3, 0.01, 0.5, 2.0, 5.0, 1000.0, 4e5])
+_TESTED_MU = [1e-3, 0.01, 0.5, 2.0, 5.0, 1000.0, 4e5]
+
+
+def _interval_edges(base, j):
+    # v at the left edge of interval j of each side of a table at base
+    return ((base + np.asarray(j, dtype=np.int64)) << special._SHIFT).view(np.float64)
+
+
+@pytest.mark.parametrize("mu", _TESTED_MU)
 def test_quantile_table_matches_mpmath(mu):
-    # edges and midpoints of every 32nd table interval, s = -8.2 and 8.2,
-    # and u = 1e-16; above s = 8.29 ndtr(s) rounds to 1, and at mu = 4e5
-    # the table stops at s = 4.5
-    lo, inv_h, coef = special._quantile_table(mu)
-    h = 1.0 / inv_h
-    k = np.arange(0, coef.shape[1] + 1, 32)
-    s = np.concatenate([lo + h * k, lo + h * (k[:-1] + 16.5), [-8.2, 8.2]])
-    s = s[s <= min(lo + h * coef.shape[1], 8.2)]
-    u = np.append(sps.ndtr(s), 1e-16)
+    # v = min(u, 1 - u) at the edges and midpoints of every 33rd table
+    # interval (so the sub-interval of the binade varies) on both sides,
+    # u = 1/2 and its neighbours, and v just below the table, which takes
+    # the exact route; 1 - v is exact for v >= 2^-53
+    base, coef = special._quantile_table(mu)
+    j = np.arange(0, coef.shape[1] // 2, 33)
+    left, right = _interval_edges(base, j), _interval_edges(base, j + 1)
+    v = np.concatenate([left, left + 0.5 * (right - left)])
+    first = float(_interval_edges(base, 0))
+    u = np.concatenate(
+        [v, 1.0 - v[v >= 2.0**-53], [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(first, 0.0)]]
+    )
     got = log_inv_gamma_quantile(mu, u)
     # mpmath's lower series does not converge at large mu
     oracle = _log_quantile_mpmath_upper if mu > 1000.0 else _log_quantile_mpmath
@@ -243,12 +254,48 @@ def test_quantile_table_matches_mpmath(mu):
 @pytest.mark.parametrize("mu", [0.5, 2.0, 1000.0])
 def test_quantile_table_refuses_noisy_knots(monkeypatch, mu):
     # knots off the exact route by 1e-10 miss it at the interval edges
-    exact = special._log_inv_gamma_quantile_score
+    exact = special._log_inv_gamma_quantile_v
     monkeypatch.setattr(
-        special, "_log_inv_gamma_quantile_score", lambda m, s: exact(m, s) + 1e-10 * np.sin(1e4 * s)
+        special,
+        "_log_inv_gamma_quantile_v",
+        lambda m, v, upper: exact(m, v, upper) + 1e-10 * np.sin(1e4 * np.log(v)),
     )
     with pytest.raises(PrecisionLossError):
         special._quantile_table.__wrapped__(mu)
+
+
+@pytest.mark.parametrize("mu", _TESTED_MU + [2e6])
+def test_quantile_table_build_stays_within_10000_exact_points(monkeypatch, mu):
+    # the build's cost is its exact-route evaluations, knots and edges
+    exact = special._log_inv_gamma_quantile_v
+    points = []
+
+    def counting(m, v, upper):
+        points.append(np.size(v))
+        return exact(m, v, upper)
+
+    monkeypatch.setattr(special, "_log_inv_gamma_quantile_v", counting)
+    special._quantile_table.__wrapped__(mu)
+    assert 0 < sum(points) <= 10000
+
+
+@pytest.mark.parametrize("mu", [1e-3, 2.0, 1000.0, 2e6])
+def test_log_inv_gamma_quantile_refuses_u_outside_the_open_unit_interval(mu):
+    bad = [0.0, -0.0, 1.0, -0.25, 1.5, -5e-324, float("nan"), float("inf"), float("-inf")]
+    for u in bad:
+        with pytest.raises(DomainError):
+            log_inv_gamma_quantile(mu, u)
+    # two chunks and more run on the pool; the error comes from the block
+    # that holds the bad site
+    n = 2 * special._CHUNK + 77
+    for u in bad:
+        for at in (0, special._CHUNK + 5, n - 1):
+            arr = np.full(n, 0.3)
+            arr[at] = u
+            with pytest.raises(DomainError):
+                log_inv_gamma_quantile(mu, arr)
+            with pytest.raises(DomainError):
+                log_inv_gamma_quantile(mu, arr.reshape(1, n))
 
 
 def test_log_inv_gamma_quantile_refuses_nonpositive_mu():
@@ -339,9 +386,9 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
             pool.shutdown()
     assert len(created) == 1
     assert tables
-    for lo, inv_h, coef in tables:
-        assert (lo, inv_h) == tables[0][:2]
-        assert np.array_equal(coef, tables[0][2])
+    for base, coef in tables:
+        assert base == tables[0][0]
+        assert np.array_equal(coef, tables[0][1])
     for u, got in zip(us, results):
         assert np.array_equal(got, _one_evaluation(2.0, u))
 
