@@ -1,13 +1,15 @@
 """Seeded random environments with random access on Z^2.
 
 A counter-based (hash) generator maps (seed, site) directly to a uniform
-variate, so environments need no storage, rolling-row dynamic programming
-over huge rectangles stays O(min dim) in memory, and results are bitwise
-independent of evaluation order.  Every weight law is realized as a
-quantile transform of the same uniform field, which is what makes the
-mu-couplings hold sample by sample, and this module is the one place that
-applies those transforms (_law_transform): every sampler in the package,
-the random matrices of rmt included, draws its weights through omega_grid.
+variate, so environments need no storage between calls and results are
+bitwise independent of evaluation order.  The drivers still materialize the
+weights they scan: polymer.single_path_logZ builds the whole W x H grid
+(8 MB at N = 1000), and only the scan state on top of it is O(W).  Every
+weight law is realized as a quantile transform of the same uniform field,
+which is what makes the mu-couplings hold sample by sample, and this module
+is the one place that applies those transforms (_law_transform): every
+sampler in the package, the random matrices of rmt included, draws its
+weights through omega_grid.
 The loggamma transform evaluates a cached per-mu table
 (special.log_inv_gamma_quantile) indexed by the float bits of
 v = min(u, 1 - u): 30-40 ns a site on one core of a Xeon VM, with no
@@ -141,10 +143,21 @@ def _uniform(seed, x1, x2, out=None) -> np.ndarray:
     h = _mix(_as_u64(seed))
     h = _mix(h ^ _as_u64(x1))
     h = _mix(h ^ _as_u64(x2))
-    # 53 mantissa bits, offset by half a step: strictly inside (0,1)
+    return _hash_to_unit(h, out)
+
+
+# the largest double below 1
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _hash_to_unit(h, out=None):
+    """Uniforms strictly inside (0, 1) from uint64 hashes h, into out when
+    given: the top 53 bits k give (k + 1/2) 2^-53, rounded to double.  The
+    top k = 2^53 - 1 would round up to 1.0 (2^53 - 1/2 rounds half-to-even
+    to 2^53); it maps to the largest double below 1 instead."""
     u = np.add(h >> np.uint64(11), 0.5, out=out)
     u *= 2.0**-53
-    return u
+    return np.minimum(u, _BELOW_ONE, out=u if isinstance(u, np.ndarray) else None)
 
 
 @dataclass(frozen=True)

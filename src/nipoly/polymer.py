@@ -10,6 +10,14 @@ oracle TauTable use.  All three only add, multiply and divide positive
 numbers, so nothing cancels.  Brute-force enumeration is kept as the
 small-instance oracle.
 
+The single-path scan meets in the middle: a forward scan from the near
+corner and a backward scan from the far one (the forward scan of the
+reversed grid) run as the two lanes of one lanes-last state, so each
+anti-diagonal step is one combine call over both, and about (W + H) / 2
+steps reach the meeting diagonal, where the two sides are joined and folded.
+It adds in a different order from a sequential corner-to-corner scan, so
+its log Z can differ from one in the last bits.
+
 Conventions: Z excludes the starting weights (the energy of a path omits its
 start site); the tau partition functions of the interface construction
 include them.
@@ -81,28 +89,75 @@ def scan_rectangle(logw: np.ndarray, combine=_logaddexp, include_start: bool = F
 
     combine gives the semiring: the default _logaddexp gives log Z (within
     2 eps per step of np.logaddexp, which also works), np.maximum gives
-    last passage.  It is called as combine(south, west, out=buf) once per
-    anti-diagonal, under np.errstate(invalid="ignore"), into a buffer the
-    scan owns.  Works on (..., W, H) arrays, scanning anti-diagonals so
-    every step is a vectorized operation; memory is O(W) per batch lane.
+    last passage.  Its identity must be -inf, the value of every site off
+    the rectangle.  Works on (..., W, H) arrays; memory is O(W) per batch
+    lane, and logw is read through views, never copied.
+
+    Meet in the middle: every up-right path crosses each anti-diagonal
+    once, so with D = (W + H - 3) // 2,
+
+        log Z = (+) over c on diagonal D of F(c) (x) (B(c + e1) (+) B(c + e2)),
+
+    where F(c) sums the paths from the near corner to c (c's weight
+    included, the start's only if include_start) and B(c') those from c' to
+    the far corner (both weights included).  B is the forward scan of
+    logw[..., ::-1, ::-1], whose anti-diagonals span the same rows, so the
+    two scans run as the two lanes of a lanes-last state (..., W + 1, 2):
+    one combine(south, west, out=buf) call and two adds per step, about
+    (W + H) / 2 steps in all, plus one step of the backward lane alone when
+    W + H - 3 is odd.  The meeting sum is folded pairwise by halves with
+    combine(left, right), which returns a fresh array, so any semiring works
+    and no weight is ever subtracted.  All of it runs under
+    np.errstate(invalid="ignore").  The sums associate differently from a
+    sequential corner-to-corner scan, so the result can differ from one in
+    the last bits, max-plus included.
     """
     w, h = logw.shape[-2], logw.shape[-1]
-    # row[..., i + 1] holds column i of the latest anti-diagonal; row[..., 0]
-    # is the -inf west neighbour of column 0, and the south neighbour of the
-    # cell (d, 0) is the untouched -inf at row[..., d + 1]
-    row = np.full(logw.shape[:-2] + (w + 1,), -np.inf)
-    row[..., 1] = logw[..., 0, 0] if include_start else 0.0
-    buf = np.empty(logw.shape[:-2] + (w,))
-    # anti-diagonal d of logw is diagonal h - 1 - d of its column-reversed view
-    flipped = logw[..., :, ::-1]
+    if w == 0 or h == 0:
+        raise DomainError("scan_rectangle needs a nonempty rectangle, got %d x %d" % (w, h))
+    lead = logw.shape[:-2]
+    # state[..., i + 1, lane] holds row i of the lane's latest anti-diagonal:
+    # lane 0 scans logw from (0, 0), lane 1 scans it from (W - 1, H - 1).
+    # state[..., 0, :] is the -inf west neighbour of row 0, and the south
+    # neighbour of the cell (d, 0) is the untouched -inf at state[..., d + 1, :]
+    state = np.full(lead + (w + 1, 2), -np.inf)
+    state[..., 1, 0] = logw[..., 0, 0] if include_start else 0.0
+    if w == h == 1:
+        return state[..., 1, 0]
+    state[..., 1, 1] = logw[..., -1, -1]
+    buf = np.empty(lead + (w, 2))
+    # anti-diagonal d of logw is diagonal h - 1 - d of its column-reversed
+    # view, and anti-diagonal d of the reversed grid that of its row-reversed
+    fwd = logw[..., :, ::-1].diagonal
+    bwd = logw[..., ::-1, :].diagonal
+    meet = (w + h - 3) // 2
     with np.errstate(invalid="ignore"):
-        for d in range(1, w + h - 1):
+        for d in range(1, meet + 1):
             lo, hi = max(0, d - h + 1), min(w - 1, d)
-            cur = row[..., lo + 1 : hi + 2]
-            out = buf[..., : hi - lo + 1]
-            combine(cur, row[..., lo : hi + 1], out=out)
-            np.add(out, np.diagonal(flipped, h - 1 - d, -2, -1), out=cur)
-    return row[..., w]
+            cur = state[..., lo + 1 : hi + 2, :]
+            out = buf[..., : hi - lo + 1, :]
+            combine(cur, state[..., lo : hi + 1, :], out=out)
+            np.add(out[..., 0], fwd(h - 1 - d, -2, -1), out=cur[..., 0])
+            np.add(out[..., 1], bwd(h - 1 - d, -2, -1), out=cur[..., 1])
+        # the backward lane alone: one more step when w + h - 3 is odd, then,
+        # on its diagonal last (diagonal meet of logw), the combine of each
+        # cell's two neighbours without the cell's weight
+        last = w + h - 2 - meet
+        for d in range(meet + 1, last + 1):
+            lo, hi = max(0, d - h + 1), min(w - 1, d)
+            cur = state[..., lo + 1 : hi + 2, 1]
+            out = buf[..., : hi - lo + 1, 1]
+            combine(cur, state[..., lo : hi + 1, 1], out=out)
+            if d < last:
+                np.add(out, bwd(h - 1 - d, -2, -1), out=cur)
+        # out[..., k] pairs with the forward cell of row w - 1 - (lo + k)
+        t = np.add(out, state[..., w - hi : w - lo + 1, 0][..., ::-1])
+        n = hi - lo + 1
+        while n > 1:
+            half = n // 2
+            t[..., :half] = combine(t[..., :half], t[..., n - half : n])
+            n -= half
+    return t[..., 0]
 
 
 def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:

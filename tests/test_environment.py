@@ -38,6 +38,24 @@ def test_strictly_inside_unit_interval():
     assert u.max() < 1.0
 
 
+def test_hash_to_unit_never_returns_one():
+    # the all-ones hash would round (2^53 - 1/2) 2^-53 up to 1.0; it maps to
+    # the largest double below 1, and every other hash as the plain formula
+    top = environment._hash_to_unit(np.uint64(2**64 - 1))
+    assert top == np.nextafter(1.0, 0.0) and top < 1.0
+    assert environment._hash_to_unit(np.array([2**64 - 1, 2**11 - 1], dtype=np.uint64))[0] == top
+    assert environment._hash_to_unit(np.uint64(0)) == 2.0**-54
+    rng = np.random.default_rng(53)
+    h = rng.integers(0, 2**64, size=10**5, dtype=np.uint64, endpoint=False)
+    h[:3] = [2**64 - 2**11 - 1, 2**63, 2**52 << 11]  # the next value below the top, u = 1/2, u = 1/4
+    plain = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    out = np.empty(h.shape)
+    got = environment._hash_to_unit(h, out=out)
+    assert got is out
+    assert np.array_equal(got, plain)
+    assert got.max() < 1.0
+
+
 def test_uniformity_ks():
     f = UniformField(42)
     n = 1000

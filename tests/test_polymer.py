@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -81,23 +82,54 @@ def test_scan_matches_grid():
 
 
 def _fancy_index_scan(logw, combine, include_start):
-    """The anti-diagonal scan with per-step masks and fancy indices; the
-    oracle of the strided scan_rectangle."""
+    """The meet-in-the-middle anti-diagonal scan with per-step masks and
+    fancy indices, in the association order of the strided scan_rectangle:
+    its bitwise oracle.  One scan runs from (0, 0) over logw, the other from
+    (w - 1, h - 1) over the reversed grid; they meet on diagonal (w + h - 3) // 2."""
     w, h = logw.shape[-2], logw.shape[-1]
     lead = logw.shape[:-2]
-    prev = np.full(lead + (w,), -np.inf)
-    prev[..., 0] = logw[..., 0, 0] if include_start else 0.0
-    for d in range(1, w + h - 1):
-        i_lo, i_hi = max(0, d - h + 1), min(w - 1, d)
-        idx = np.arange(i_lo, i_hi + 1)
+
+    def start(value):
+        prev = np.full(lead + (w,), -np.inf)
+        prev[..., 0] = value
+        return prev
+
+    def band(d):
+        return np.arange(max(0, d - h + 1), min(w - 1, d) + 1)
+
+    def step(prev, grid, d, weigh=True):
+        idx = band(d)
         south = np.where((d - 1 - idx >= 0) & (d - 1 - idx < h), prev[..., idx], -np.inf)
         west = np.full(lead + idx.shape, -np.inf)
         wmask = idx - 1 >= 0
         west[..., wmask] = prev[..., idx[wmask] - 1]
         cur = np.full_like(prev, -np.inf)
-        cur[..., idx] = combine(south, west) + logw[..., idx, d - idx]
-        prev = cur
-    return prev[..., w - 1]
+        both = combine(south, west)
+        cur[..., idx] = both + grid[..., idx, d - idx] if weigh else both
+        return cur
+
+    fwd = start(logw[..., 0, 0] if include_start else 0.0)
+    if w == h == 1:
+        return fwd[..., 0]
+    rev = logw[..., ::-1, ::-1]
+    bwd = start(rev[..., 0, 0])
+    meet = (w + h - 3) // 2
+    for d in range(1, meet + 1):
+        fwd = step(fwd, logw, d)
+        bwd = step(bwd, rev, d)
+    last = w + h - 2 - meet
+    for d in range(meet + 1, last):
+        bwd = step(bwd, rev, d)
+    # reversed row r of the meeting holds B(c + e2) (+) B(c + e1) for the
+    # forward cell c in row w - 1 - r of diagonal meet
+    idx = band(last)
+    terms = step(bwd, rev, last, weigh=False)[..., idx] + fwd[..., w - 1 - idx]
+    while terms.shape[-1] > 1:
+        n = terms.shape[-1]
+        half = n // 2
+        folded = combine(terms[..., :half], terms[..., n - half :])
+        terms = np.concatenate([folded, terms[..., half : n - half]], axis=-1)
+    return terms[..., 0]
 
 
 @given(
@@ -161,6 +193,94 @@ def test_logaddexp_helper_matches_numpy():
 def test_scan_maximum_mode():
     logw = np.ones((4, 6))
     assert scan_rectangle(logw, np.maximum, include_start=True) == pytest.approx(9.0)
+
+
+def _mpmath_log_z(logw, include_start):
+    """log Z of one rectangle by the row-wise DP in 40-digit mpmath."""
+    w, h = logw.shape
+    with mpmath.workdps(40):
+        z = [[mpmath.mpf(0)] * h for _ in range(w)]
+        for i in range(w):
+            for j in range(h):
+                if i == j == 0:
+                    z[0][0] = mpmath.exp(logw[0, 0]) if include_start else mpmath.mpf(1)
+                    continue
+                into = (z[i - 1][j] if i else 0) + (z[i][j - 1] if j else 0)
+                z[i][j] = into * mpmath.exp(logw[i, j])
+        return mpmath.log(z[-1][-1])
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (1, 8), (8, 1), (2, 2), (2, 3), (5, 4), (6, 6), (9, 4), (3, 12)])
+@pytest.mark.parametrize("include_start", [False, True])
+def test_scan_matches_40_digit_dp(w, h, include_start):
+    # shapes with w + h odd and even, so the backward scan takes the extra
+    # step or not, and meeting diagonals of one cell up to min(w, h)
+    rng = np.random.default_rng(1000 * w + h)
+    for _ in range(5):
+        logw = rng.standard_normal((w, h))
+        want = _mpmath_log_z(logw, include_start)
+        got = float(scan_rectangle(logw, include_start=include_start))
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(float(want)))
+
+
+def _row_wise_max_plus(logw, include_start):
+    w, h = logw.shape
+    g = np.full((w, h), -np.inf)
+    g[0, 0] = logw[0, 0] if include_start else 0.0
+    for i in range(w):
+        for j in range(h):
+            if i or j:
+                g[i, j] = max(g[i - 1, j] if i else -np.inf, g[i, j - 1] if j else -np.inf) + logw[i, j]
+    return g[-1, -1]
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (1, 9), (9, 1), (2, 2), (4, 7), (8, 8), (13, 6)])
+@pytest.mark.parametrize("include_start", [False, True])
+def test_scan_max_plus_exact_on_integer_weights(w, h, include_start):
+    # every partial sum of small integers is exact, so any association order
+    # gives the same float
+    rng = np.random.default_rng(7 * w + h)
+    for _ in range(5):
+        logw = rng.integers(-50, 50, size=(w, h)).astype(float)
+        got = scan_rectangle(logw, np.maximum, include_start)
+        assert got == _row_wise_max_plus(logw, include_start)
+
+
+@pytest.mark.parametrize("combine", [_logaddexp, np.logaddexp, np.maximum])
+@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+def test_scan_batch_lanes_equal_unbatched_calls_bitwise(combine, batch):
+    rng = np.random.default_rng(11)
+    for w, h in [(1, 1), (1, 5), (5, 1), (2, 2), (6, 9), (10, 7)]:
+        for include_start in (False, True):
+            logw = 2.0 * rng.standard_normal(batch + (w, h))
+            got = scan_rectangle(logw, combine, include_start)
+            assert got.shape == batch
+            for lane in np.ndindex(batch):
+                assert got[lane] == scan_rectangle(logw[lane], combine, include_start)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0), (2, 0, 4), (2, 4, 0)])
+def test_scan_refuses_an_empty_rectangle(shape):
+    with pytest.raises(DomainError):
+        scan_rectangle(np.zeros(shape))
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (1, 30), (30, 1), (2, 2), (5, 9), (40, 40), (64, 17), (100, 300)])
+def test_scan_makes_half_the_combine_calls(w, h):
+    # about (w + h - 2) / 2 steps, each one combine call with out=, plus a
+    # fold of the meeting diagonal in O(log min(w, h)) calls; a sequential
+    # scan makes w + h - 2 steps
+    calls = {"step": 0, "fold": 0}
+
+    def counting(a, b, out=None):
+        calls["fold" if out is None else "step"] += 1
+        return _logaddexp(a, b, out=out)
+
+    logw = np.random.default_rng(w * h).standard_normal((w, h))
+    assert scan_rectangle(logw, counting) == scan_rectangle(logw)
+    assert calls["step"] <= math.ceil((w + h - 2) / 2) + 1
+    assert calls["step"] >= math.ceil((w + h - 2) / 2)
+    assert calls["fold"] <= math.ceil(math.log2(min(w, h)))
 
 
 def test_lgv_k1_matches_single_path():
