@@ -14,7 +14,10 @@ and a pinning term exp(-phi(N,N)) at the corner, normalized by
 Gamma(mu)^(N^2) (``interface_log_density``).  gRSK is a volume-preserving
 bijection that carries the inverse-gamma weights onto this density, so
 phi of an environment is an exact draw of the law, and the package samples
-it by no other route (``gibbs_sampler``, ``phi_moments_mc``).  The large-mu
+it by no other route (``gibbs_sampler``, ``phi_moments_mc``).  ``_phi_batch``
+checks each batch of gRSK draws for finiteness once, as a whole block; the
+grids handed out from it (``build_phi``, ``gibbs_sampler``) are views of
+their block that are not checked again.  The large-mu
 tilt theta and its deterministic limit theta_min (the minimizer of the
 discrete energy), the small-mu coupling to last passage, Gelfand-Tsetlin
 volumes, and the GL(2) Whittaker integral live here too.
@@ -36,7 +39,13 @@ from .special import bessel_k0, log_factorial, log_gamma, log_superfactorial
 
 @dataclass
 class InterfaceGrid:
-    """Real-valued function on the N x N square; 1-based accessors."""
+    """Real-valued function on the N x N square; 1-based accessors.
+
+    The public constructor validates its input: it converts values to a
+    float array and raises DomainError unless it is (n, n) and finite.
+    InterfaceGrid._checked skips those checks and accepts only _phi_batch
+    output, a float (n, n) lane of a block that has already been checked.
+    """
 
     n: int
     values: np.ndarray  # shape (n, n); [i-1, j-1] holds phi(i, j)
@@ -48,7 +57,16 @@ class InterfaceGrid:
         if not np.isfinite(self.values).all():
             raise DomainError("interface values must be finite")
 
+    @classmethod
+    def _checked(cls, n: int, values: np.ndarray) -> InterfaceGrid:
+        grid = object.__new__(cls)
+        grid.n = n
+        grid.values = values
+        return grid
+
     def at(self, i: int, j: int) -> float:
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise DomainError(f"InterfaceGrid.at needs 1 <= i, j <= {self.n}, got ({i}, {j})")
         return float(self.values[i - 1, j - 1])
 
     def diagonal(self) -> np.ndarray:
@@ -69,7 +87,9 @@ class InterfaceGrid:
 
 def _phi_batch(field, mu: float, n: int) -> np.ndarray:
     """phi of a UniformField, or of each seed lane stacked along a leading
-    axis: one batched gRSK call, phi(i, j) = T[N+1-i, N+1-j]."""
+    axis: one batched gRSK call, phi(i, j) = T[N+1-i, N+1-j].  The one
+    finiteness check of the batch: it raises DomainError if any lane holds
+    a non-finite value."""
     phi = grsk(loggamma_rectangle(field, mu, n, n))[..., ::-1, ::-1]
     if not np.all(np.isfinite(phi)):
         raise DomainError("interface values must be finite")
@@ -80,7 +100,7 @@ def build_phi(field: UniformField, mu: float, n: int) -> InterfaceGrid:
     """phi(i,j) = log(tau(N-j+i, i) / tau(N-j+i, i-1)) above the diagonal
     and the tilde version below it, read off the gRSK pattern of the
     N x N weights; no determinant is formed, so no precision is lost."""
-    return InterfaceGrid(n, _phi_batch(field, mu, n))
+    return InterfaceGrid._checked(n, _phi_batch(field, mu, n))
 
 
 def phi_inversion_residual(field: UniformField, mu: float, n: int) -> float:
@@ -125,13 +145,15 @@ def gibbs_sampler(n: int, mu: float, sweeps: int, seed: int, burn_in: int | None
     interface workload, the last caller, and goes with this function
     (ROADMAP items 1 and 2).  The draws are made lazily, one batched gRSK
     call per about _DRAW_SITES sites (at least one lane), so memory stays
-    flat at any n and sweeps.
+    flat at any n and sweeps.  _phi_batch checks each block once, before
+    its first draw is yielded; each draw is a view of its block, not a
+    copy, and is not checked again.
     """
     lanes = max(1, _DRAW_SITES // max(1, n * n))
     for lo in range(0, sweeps, lanes):
         block = derive_seeds(seed, _PHI_STREAM, np.arange(lo, min(lo + lanes, sweeps)))
         for phi in _phi_batch(block, mu, n):
-            yield InterfaceGrid(n, phi)
+            yield InterfaceGrid._checked(n, phi)
 
 
 def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
@@ -151,12 +173,15 @@ def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _tilt(n: int, mu: float) -> np.ndarray:
+    # (2N + 1 - i - j) log mu over the N x N square
+    i = np.arange(1, n + 1)
+    return (2 * n + 1 - (i[:, None] + i[None, :])) * math.log(mu)
+
+
 def theta_rescale(grid: InterfaceGrid, mu: float) -> InterfaceGrid:
     """theta(i,j) = phi(i,j) + (2N + 1 - i - j) log mu."""
-    n = grid.n
-    i = np.arange(1, n + 1)
-    tilt = (2 * n + 1 - (i[:, None] + i[None, :])) * math.log(mu)
-    return InterfaceGrid(n, grid.values + tilt)
+    return InterfaceGrid(grid.n, grid.values + _tilt(grid.n, mu))
 
 
 def theta_min(n: int) -> InterfaceGrid:
@@ -164,6 +189,10 @@ def theta_min(n: int) -> InterfaceGrid:
     log[(i-1)! (2N-j-i+1)! (2N-j-i)! / ((2N-j)! (N-j)! (N-i)!)],
     extended symmetrically.  Equivalently log of the ratio of path counts
     Gamma(N-j+i, i) / Gamma(N-j+i, i-1)."""
+    return InterfaceGrid(n, _theta_min_values(n))
+
+
+def _theta_min_values(n: int) -> np.ndarray:
     vals = np.empty((n, n))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -177,7 +206,7 @@ def theta_min(n: int) -> InterfaceGrid:
             )
             vals[i - 1, j - 1] = v
             vals[j - 1, i - 1] = v
-    return InterfaceGrid(n, vals)
+    return vals
 
 
 def energy_F(grid: InterfaceGrid) -> float:
@@ -221,14 +250,15 @@ def theta_min_log_count_form(n: int, i: int, j: int) -> float:
 
 def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     """Sup-norm distance of the tilted interface from theta_min per sample,
-    for each mu; medians should decrease along an increasing mu_list."""
-    tmin = theta_min(n).values
+    for each mu; medians should decrease along an increasing mu_list.
+    Each mu tilts its whole checked gRSK batch at once, bitwise as
+    theta_rescale does one grid."""
+    tmin = _theta_min_values(n)
     lanes = derive_seeds(seed, 0x3C, np.arange(seeds))
     sup = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
-        for r, phi in enumerate(_phi_batch(lanes, mu, n)):
-            th = theta_rescale(InterfaceGrid(n, phi), mu).values
-            sup[a, r] = np.abs(th - tmin).max()
+        th = _phi_batch(lanes, mu, n) + _tilt(n, mu)
+        sup[a] = np.abs(th - tmin).max(axis=(-2, -1))
     med = np.median(sup, axis=1)
     return {
         "mu": list(mu_list),

@@ -500,7 +500,10 @@ def tropical_rsk(e: np.ndarray) -> np.ndarray:
 
 def corner_diagonal_sum(t: np.ndarray, k: int) -> np.ndarray:
     """sum_{l<k} T[n-l, m-l]: the first k entries of the diagonal ending at
-    the far corner of an (..., n, m) RSK output."""
+    the far corner of an (..., n, m) RSK output; 0 <= k <= min(n, m), else
+    DomainError (k = 0 gives 0)."""
+    if not 0 <= k <= min(t.shape[-2:]):
+        raise DomainError("corner_diagonal_sum needs 0 <= k <= min(n, m), got k = %d" % k)
     return np.diagonal(t[..., ::-1, ::-1], axis1=-2, axis2=-1)[..., :k].sum(axis=-1)
 
 

@@ -209,6 +209,55 @@ def test_interface_grid_refuses_non_finite_values_and_wrong_shapes():
     assert g.at(1, 1) == 1.0
 
 
+def test_interface_grid_at_is_one_based_and_bounded():
+    g = InterfaceGrid(3, np.arange(9.0).reshape(3, 3))
+    assert [g.at(1, 1), g.at(1, 3), g.at(3, 1), g.at(3, 3)] == [0.0, 2.0, 6.0, 8.0]
+    # at(0, 0) once returned phi(N, N), at(-1, 1) another site, and
+    # at(n + 1, 1) a bare IndexError
+    for i, j in [(0, 0), (0, 1), (1, 0), (-1, 1), (1, -1), (4, 1), (1, 4), (4, 4)]:
+        with pytest.raises(DomainError):
+            g.at(i, j)
+
+
+def test_batch_producers_check_each_block_once(monkeypatch):
+    # _phi_batch checks the whole gRSK block, so no grid handed out from it
+    # runs the public constructor's checks again
+    calls = []
+    post_init = InterfaceGrid.__post_init__
+
+    def counted(self):
+        calls.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(InterfaceGrid, "__post_init__", counted)
+    draws = list(gibbs_sampler(8, 1.5, 300, 3))
+    g = build_phi(UniformField(5), 1.5, 8)
+    large_mu_convergence(3, [1e2, 1e3], seeds=4, seed=21)
+    assert calls == []
+    # each draw is an (n, n) float view of its block, not a copy
+    assert len(draws) == 300 and g.values.shape == (8, 8)
+    assert all(d.n == 8 and d.values.shape == (8, 8) and d.values.dtype == float for d in draws)
+    assert draws[0].values.base is not None and draws[0].values.base is draws[1].values.base
+    InterfaceGrid(2, np.zeros((2, 2)))
+    assert calls == [2]
+
+
+def test_a_non_finite_lane_fails_the_first_draw(monkeypatch):
+    # the block check in _phi_batch is the only guard of the draws
+    real_grsk = interface.grsk
+
+    def one_nan_lane(logw):
+        out = real_grsk(logw)
+        out.flat[-1] = np.nan  # one site of the last lane
+        return out
+
+    monkeypatch.setattr(interface, "grsk", one_nan_lane)
+    with pytest.raises(DomainError):
+        next(gibbs_sampler(8, 1.5, 300, 3))
+    with pytest.raises(DomainError):
+        build_phi(UniformField(5), 1.5, 8)
+
+
 def test_phi_moments_mc_n1_mean():
     # phi(1,1) at N = 1 is one log inverse-gamma weight, of mean -psi(mu)
     mu = 2.0
@@ -301,6 +350,18 @@ def test_theta_rescale():
 def test_large_mu_convergence():
     r = large_mu_convergence(3, [1e2, 1e3, 1e4], seeds=6, seed=21)
     assert r["decreasing"], r["medians"]
+
+
+def test_large_mu_convergence_is_the_per_draw_theta_rescale_route():
+    n, mu_list, seeds, seed = 4, [3.0, 1e2, 1e5], 7, 21
+    r = large_mu_convergence(n, mu_list, seeds=seeds, seed=seed)
+    tmin = theta_min(n).values
+    want = np.empty((len(mu_list), seeds))
+    for a, mu in enumerate(mu_list):
+        for s in range(seeds):
+            phi = build_phi(UniformField(derive_seed(seed, 0x3C, s)), mu, n).values
+            want[a, s] = np.abs(theta_rescale(InterfaceGrid(n, phi), mu).values - tmin).max()
+    assert r["sup_norms"].tobytes() == want.tobytes()
 
 
 def test_large_mu_frozen_field_per_site_limit():

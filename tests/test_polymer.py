@@ -708,6 +708,19 @@ def test_last_passage_needs_k_at_most_min_side():
         last_passage(UniformField(1), 3, 2, 0)
 
 
+def test_corner_diagonal_sum_needs_k_within_the_shorter_side():
+    # on a 3 x 4 (and a batched 2 x 3 x 4) output, k runs over 0..3; k = 4
+    # once returned the k = 3 sum and k = -1 the first two entries
+    t = np.arange(12.0).reshape(3, 4)
+    assert [float(corner_diagonal_sum(t, k)) for k in range(4)] == [0.0, 11.0, 17.0, 18.0]
+    tb = np.stack([t, -t])
+    assert corner_diagonal_sum(tb, 3).tolist() == [18.0, -18.0]
+    for bad in (-1, 4, 5):
+        for arr in (t, tb, t.T):
+            with pytest.raises(DomainError):
+                corner_diagonal_sum(arr, bad)
+
+
 def test_sepp_free_energy_closed_forms():
     assert sepp_free_energy(2.0, 1.0) == pytest.approx(2 * GAMMA, abs=1e-10)
     # psi0(1/2) = -gamma - 2 ln 2
