@@ -22,15 +22,12 @@ computed in.
 
 omega_grid takes one UniformField, or a 1-D sequence of integer seeds
 (seed lanes) that adds a leading axis, one lane per seed; a batched driver
-makes one lane call where it would loop over fields.  omega_grid and
-uniform_many share one blocked body: it splits the sites along the first
-axis into blocks of about 2^16 sites, or along the next, lane by lane, for
-a single seed lane or for lanes of more than a block each.  With two blocks
-or more, each runs as one task on the shared thread pool of
-special._run_chunked, one thread per available core, and hashes its block
-and applies the law's transform there, so the hash and the transform run on
-all cores and stay cache-sized.  Smaller inputs run the same body on the
-calling thread.
+makes one lane call where it would loop over fields.  This module owns the
+site-parallel work: UniformField.uniform, uniform_many and omega_grid share
+one body, _hash_blocked, the only code that blocks sites or uses the thread
+pool (one thread per available core).  Each block hashes its sites and
+applies the law's transform, so both run on all cores and stay cache-sized;
+inputs under two blocks of 2^16 sites stay on the calling thread.
 
 Child seeds come from the same splitmix chain: derive_seeds(seed, *indices)
 runs it over numpy-broadcast uint64 arrays, so one call gives a seed per
@@ -42,14 +39,16 @@ its scalar form.  Seeds and coordinates must be integers; they wrap mod
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sps
 
-from . import special
 from .errors import DomainError
-from .special import _LOG_DBL_MAX, _log_inv_gamma_quantile_body, _quantile_table, _run_chunked
+from .special import _LOG_DBL_MAX, _log_inv_gamma_quantile_body, _quantile_table
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -94,14 +93,19 @@ def _as_u64(values) -> np.ndarray:
     return flat.reshape(arr.shape)
 
 
+def _chain(seed, *indices):
+    # the splitmix chain behind child seeds and the uniform field
+    h = _mix(_as_u64(seed))
+    for ix in indices:
+        h = _mix(h ^ _as_u64(ix))
+    return h
+
+
 def derive_seeds(seed, *indices) -> np.ndarray:
     """Child seeds for broadcast integer arrays of seeds and indices, as a
     uint64 array: derive_seeds(s, 0x10, np.arange(n))[i] is
     derive_seed(s, 0x10, i), bit for bit."""
-    h = _mix(_as_u64(seed))
-    for ix in indices:
-        h = _mix(h ^ _as_u64(ix))
-    return np.asarray(h)
+    return np.asarray(_chain(seed, *indices))
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -117,8 +121,9 @@ class UniformField:
     seed: int
 
     def uniform(self, x1, x2) -> np.ndarray:
-        """Uniform variates at sites (x1, x2); arguments broadcast like numpy."""
-        return _uniform(self.seed, x1, x2)
+        """Uniform variates at sites (x1, x2); arguments broadcast like numpy.
+        Blocked like omega_grid, by the same body (_hash_blocked)."""
+        return _hash_blocked(_as_u64(self.seed), _as_u64(x1), _as_u64(x2))
 
     def derive(self, *indices: int) -> "UniformField":
         return UniformField(derive_seed(self.seed, *indices))
@@ -132,7 +137,7 @@ def uniform_at(field: UniformField, z: tuple) -> float:
 def uniform_many(seeds, x1, x2) -> np.ndarray:
     """Uniform variates for an array of seeds; seeds and coordinates
     broadcast together, e.g. seeds[:,None,None] with x1[None,:,None].
-    Blocked like omega_grid, by the same body."""
+    Blocked like omega_grid, by the same body (_hash_blocked)."""
     return _hash_blocked(_as_u64(seeds), _as_u64(x1), _as_u64(x2))
 
 
@@ -140,10 +145,7 @@ def _uniform(seed, x1, x2, out=None) -> np.ndarray:
     """The counter hash behind UniformField.uniform, uniform_many and
     omega_grid, into out when given (of the broadcast shape); pool tasks
     call it directly, never the public names."""
-    h = _mix(_as_u64(seed))
-    h = _mix(h ^ _as_u64(x1))
-    h = _mix(h ^ _as_u64(x2))
-    return _hash_to_unit(h, out)
+    return _hash_to_unit(_chain(seed, x1, x2), out)
 
 
 # the largest double below 1
@@ -224,20 +226,6 @@ def coupled_exponential(field: UniformField, z: tuple) -> float:
     return float(omega_grid(field, WeightSpec("exp1"), z[0], z[1]))
 
 
-def _rows(x: np.ndarray, ndim: int, lo: int, hi: int) -> np.ndarray:
-    # rows lo..hi of x broadcast to ndim axes; a broadcast first axis stays
-    if ndim and x.ndim == ndim and x.shape[0] > 1:
-        return x[lo:hi]
-    return x
-
-
-def _entry(x: np.ndarray, ndim: int, i: int) -> np.ndarray:
-    # entry i along the first of the ndim axes that x broadcasts to
-    if x.ndim < ndim:
-        return x
-    return x[i if x.shape[0] > 1 else 0]
-
-
 def _law_transform(spec: WeightSpec):
     """(u, out) -> None writing omega = F^{-1}(u) into out, for flat float64
     u and out alike; it may overwrite u."""
@@ -259,40 +247,75 @@ def _law_transform(spec: WeightSpec):
     raise DomainError("unknown weight law %r" % (spec.law,))
 
 
-def _hash_blocked(seeds, x1, x2, transform=None) -> np.ndarray:
-    """The body of uniform_many and omega_grid: the uniforms of the broadcast
-    uint64 seeds and sites, or transform(u, out) of them, split along the
-    first axis into blocks of about special._CHUNK sites.  A first axis of
-    size one (a single seed lane) is dropped, and a first axis whose entries
-    each hold more than a block (a few seed lanes of large grids) is split
-    into its entries, each blocked along the next axis.  Each block hashes
-    its rows into the result, on the shared pool when there are two blocks
-    or more.  Every step is elementwise, so the values are bitwise
-    independent of the blocking."""
-    out = np.empty(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape))
-    if not out.size:
-        return out
-    body, inputs = out, (seeds, x1, x2)
-    while body.ndim > 1 and body.shape[0] == 1:
-        inputs = tuple(_entry(x, body.ndim, 0) for x in inputs)
-        body = body[0]
-    if body.ndim > 1 and math.prod(body.shape[1:]) > special._CHUNK:
-        lanes = [(body[i], tuple(_entry(x, body.ndim, i) for x in inputs)) for i in range(body.shape[0])]
-    else:
-        lanes = [(body, inputs)]
-    shape = lanes[0][0].shape
-    ndim = len(shape)
+# sites per pool task; inputs under two chunks stay on the caller
+_CHUNK = 1 << 16
+_pool = None
+_pool_lock = threading.Lock()
 
-    def block(lane, lo, hi):
-        dest, lane_inputs = lanes[lane]
-        dest = dest[lo:hi] if ndim else dest
-        args = (_rows(x, ndim, lo, hi) for x in lane_inputs)
+
+def _forget_pool() -> None:
+    # a forked child inherits the executor but not its threads
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _site_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="nipoly-quantile")
+        return _pool
+
+
+def _hash_blocked(seeds, x1, x2, transform=None) -> np.ndarray:
+    """The body of UniformField.uniform, uniform_many and omega_grid: the
+    uniforms of the broadcast uint64 seeds and sites, or transform(u, out)
+    of them.  Under two chunks of sites it is one call on the caller.
+    Otherwise it blocks along the first axis whose trailing axes hold at
+    most _CHUNK sites, about a chunk per block, once per index of the axes
+    before it, runs the blocks on the shared pool (the ufuncs release the
+    GIL), waits for all of them and re-raises the first failure.  Tasks
+    call private bodies only: bench/spans.py wraps the public names with a
+    span stack that is not thread-safe.  Every step is elementwise, so the
+    values are bitwise independent of the blocking."""
+    out = np.empty(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape))
+    # every input keeps every axis; a block slices those of size above one
+    inputs = [np.reshape(x, (1,) * (out.ndim - np.ndim(x)) + np.shape(x)) for x in (seeds, x1, x2)]
+
+    def block(key):
+        args = [x[tuple(k if n > 1 else slice(None) for k, n in zip(key, x.shape))] for x in inputs]
+        dest = out[key + (Ellipsis,)]
         if transform is None:
             _uniform(*args, out=dest)
         else:
             transform(_uniform(*args).reshape(-1), dest.reshape(-1))
 
-    _run_chunked(block, shape[0] if ndim else 1, math.prod(shape[1:]), len(lanes))
+    if out.size < 2 * _CHUNK:
+        if out.size:
+            block(())
+        return out
+    axis = 0
+    while math.prod(out.shape[axis + 1 :]) > _CHUNK:
+        axis += 1
+    step = _CHUNK // math.prod(out.shape[axis + 1 :])
+    keys = [
+        tuple(slice(i, i + 1) for i in outer) + (slice(lo, lo + step),)
+        for outer in np.ndindex(out.shape[:axis])
+        for lo in range(0, out.shape[axis], step)
+    ]
+    pool = _site_pool()
+    futures = [pool.submit(block, key) for key in keys]
+    wait(futures)
+    for future in futures:
+        future.result()
     return out
 
 
@@ -303,8 +326,8 @@ def omega_grid(field, spec: WeightSpec, x1, x2) -> np.ndarray:
 
     field is a UniformField, or a 1-D sequence of integer seeds (seed
     lanes), which adds a leading axis: lane i is the grid of
-    UniformField(seeds[i]), bit for bit.  The sites are blocked as in
-    _hash_blocked."""
+    UniformField(seeds[i]), bit for bit.  The sites are blocked, and run
+    on the pool when large, by _hash_blocked."""
     x1, x2 = _as_u64(x1), _as_u64(x2)
     if isinstance(field, UniformField):
         seeds = _as_u64(field.seed)

@@ -34,7 +34,7 @@ from .environment import UniformField, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
 from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage_batch, loggamma_rectangle
-from .special import bessel_k0, log_factorial, log_gamma, log_superfactorial
+from .special import _LOG_DBL_MAX, bessel_k0, log_bessel_k0, log_factorial, log_gamma, log_superfactorial
 
 
 @dataclass
@@ -333,20 +333,27 @@ def whittaker_gl2_bessel(lam1: float, lam2: float) -> float:
     return 2.0 * bessel_k0(2.0 * math.exp(0.5 * (lam2 - lam1)))
 
 
+def _exp(x: float) -> float:
+    # math.exp, with inf where it would raise OverflowError
+    return math.inf if x > _LOG_DBL_MAX else math.exp(x)
+
+
 def whittaker_measure_logdensity(lam, mu: float, n: int) -> float:
     """Log density of the diagonal marginal (the Whittaker measure with
     constant parameter mu) at lam, for n in {1, 2}:
-    -e^(-lam_n) - mu sum lam + 2 log g(lam) - n^2 log Gamma(mu)."""
+    -e^(-lam_n) - mu sum lam + 2 log g(lam) - n^2 log Gamma(mu), with
+    g = whittaker_gl2_bessel taken in logs (special.log_bessel_k0), so that
+    no gap lam_2 - lam_1 underflows K0.  It is -inf only where the density
+    lies below exp(-DBL_MAX): where e^(-lam_n) or the Bessel argument
+    overflows."""
     lam = list(lam)
     if n not in (1, 2) or len(lam) != n:
         raise DomainError("whittaker_measure_logdensity supports n in {1, 2}")
-    if n == 1:
-        log_g = 0.0
-    else:
-        log_g = math.log(whittaker_gl2_bessel(lam[0], lam[1]))
-    return (
-        -math.exp(-lam[-1])
-        - mu * sum(lam)
-        + 2.0 * log_g
-        - n * n * log_gamma(mu)
-    )
+    log_g = 0.0
+    if n == 2:
+        half = 0.5 * (lam[1] - lam[0])
+        z = 2.0 * _exp(half)
+        # where z underflows to 0, K0(z) = -log(z / 2) - gamma = -half - gamma
+        # to double precision
+        log_g = math.log(2.0) + (log_bessel_k0(z) if z > 0.0 else math.log(-half - np.euler_gamma))
+    return -_exp(-lam[-1]) - mu * sum(lam) + 2.0 * log_g - n * n * log_gamma(mu)

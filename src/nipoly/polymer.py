@@ -698,13 +698,15 @@ def jensen_sandwich_check(
     """MC mean of (1/varpi) ln(Z(beta)/Z(0)) against the bracket
     [beta nu, log G(beta)], where varpi counts the environment weights of a
     k-path (start points excluded)."""
+    if replicas < 2:
+        raise DomainError("jensen_sandwich_check needs at least 2 replicas")
     varpi = sum(abs(y[0] - x[0]) + abs(y[1] - x[1]) for x, y in zip(xs, ys))
     log_z0 = kpath_logZ(None, None, 0.0, xs, ys)
     vals = np.empty(replicas)
     for r, s in enumerate(derive_seeds(seed, _SANDWICH_STREAM, np.arange(replicas))):
         vals[r] = (kpath_logZ(UniformField(int(s)), spec, beta, xs, ys) - log_z0) / varpi
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
     lo, hi = beta * spec.nu(), spec.log_mgf(beta)
     return {
         "mean": mean,
@@ -800,6 +802,8 @@ def k_linearity_probe(
 ) -> dict:
     """MC comparison of the 2-path rate against twice the 1-path rate along
     diagonal 2-points; the limits satisfy f_c(2) = 2 f_c(1)."""
+    if replicas < 2:
+        raise DomainError("k_linearity_probe needs at least 2 replicas")
     m = int(math.floor(c * n))
     xs2 = stack_diag((1, 1), 2)
     ys2 = tuple((p[0] + n, p[1] + m) for p in xs2)

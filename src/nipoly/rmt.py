@@ -117,7 +117,7 @@ def hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:
 def gue_matrix(n: int, seed: int) -> np.ndarray:
     """Hermitian matrix with density exp(-Tr H^2 / 2): N(0,1) diagonal and
     complex off-diagonal entries of unit mean square modulus."""
-    lanes = _seed_lane(seed, np.array([_RE_LANE, _IM_LANE]))
+    lanes = derive_seeds(seed, np.array([_RE_LANE, _IM_LANE]))
     g_re, g_im = omega_grid(lanes, _GAUSS, np.arange(n)[:, None], np.arange(n))
     h = np.zeros((n, n), dtype=complex)
     iu = np.triu_indices(n, k=1)
@@ -148,14 +148,10 @@ def lue_matrix_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
     if m > n:
         raise DomainError("LUE sampling requires m <= n")
     # lanes [0, B) draw the real parts and [B, 2B) the imaginary parts
-    lanes = _seed_lane(seeds, np.array([[_RE_LANE], [_IM_LANE]])).reshape(-1)
+    lanes = derive_seeds(seeds, np.array([[_RE_LANE], [_IM_LANE]])).reshape(-1)
     g_re, g_im = omega_grid(lanes, _GAUSS, np.arange(m)[:, None], np.arange(n)).reshape(2, -1, m, n)
     x = (g_re + 1j * g_im) / math.sqrt(2.0)
     return x @ np.conj(np.swapaxes(x, 1, 2))
-
-
-def _seed_lane(seeds: np.ndarray, lane) -> np.ndarray:
-    return derive_seeds(seeds, lane)
 
 
 def lue_sample_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:

@@ -22,28 +22,6 @@ from .rmt import gue_sample, lue_sample, lue_sample_batch
 from .special import digamma, log_superfactorial, trigamma
 
 
-class InfiniteTension:
-    """Explicit infinite surface tension outside the bead cone; a distinct
-    type rather than a sentinel float."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "InfiniteTension"
-
-
-INFINITE = InfiniteTension()
-
-
-def is_infinite(x) -> bool:
-    return isinstance(x, InfiniteTension)
-
-
 # brentq to float resolution: its finest relative tolerance, a negligible
 # absolute one
 _RTOL = 4.0 * np.finfo(float).eps
@@ -260,6 +238,8 @@ def diagonal_free_energy_check(
     """(1/N^2) log tau(cN, cN) is a plain average of log weights over the
     rectangle, so its MC mean must sit within the CLT band of -c psi0(mu)
     and its variance near c psi1(mu) / N^2."""
+    if replicas < 2:
+        raise DomainError("diagonal_free_energy_check needs at least 2 replicas")
     m = int(math.floor(c * n))
     seeds = derive_seeds(seed, 0xD1, np.arange(replicas))
     spec = WeightSpec("loggamma", mu=mu)
@@ -285,22 +265,22 @@ def diagonal_free_energy_check(
 # ---------------------------------------------------------------------------
 
 
-def bead_sigma_tilted(p: float, q: float):
+def bead_sigma_tilted(p: float, q: float) -> float:
     """Tilted bead surface tension -log(|p| cos(pi q / (2|p|))) on the cone
-    {p < 0, |q| < |p|}, rising to +infinity as |q| -> |p|; InfiniteTension
+    {p < 0, |q| < |p|}, rising to +infinity as |q| -> |p|; math.inf
     outside it."""
     if not (p < 0.0 and abs(q) < abs(p)):
-        return INFINITE
+        return math.inf
     return -math.log(abs(p) * math.cos(0.5 * math.pi * q / abs(p)))
 
 
-def bead_sigma(s: float, t: float):
+def bead_sigma(s: float, t: float) -> float:
     """Untilted bead surface tension -log(|s+t| sin(pi s / (s+t))): finite
-    only for s, t < 0, via p = s + t, q = t - s, which maps that quadrant
-    onto the whole tilted cone.  Symmetric in (s, t), and rising to
-    +infinity as s -> 0- or t -> 0-."""
+    only for s, t < 0 (math.inf elsewhere), via p = s + t, q = t - s, which
+    maps that quadrant onto the whole tilted cone.  Symmetric in (s, t),
+    and rising to +infinity as s -> 0- or t -> 0-."""
     if not (s < 0.0 and t < 0.0):
-        return INFINITE
+        return math.inf
     return bead_sigma_tilted(s + t, t - s)
 
 
@@ -402,7 +382,7 @@ def bead_scaling_residual(p: float, q: float, lam: float) -> float:
     """|sigma(lam p, lam q) - (-log lam + sigma(p, q))| inside the cone."""
     a = bead_sigma_tilted(lam * p, lam * q)
     b_ = bead_sigma_tilted(p, q)
-    if is_infinite(a) or is_infinite(b_):
+    if a == math.inf or b_ == math.inf:
         raise DomainError("scaling check needs cone-interior points")
     return abs(a - (-math.log(lam) + b_))
 
@@ -444,6 +424,8 @@ def lue_quantile_gap(n: int, m: int, seed: int) -> float:
 def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
     """Two-oracle comparison of L^N(m, k) with the sum of the k largest
     LUE(m; n) eigenvalues: means within combined stderr, two-sample KS."""
+    if samples < 2:
+        raise DomainError("johansson_check needs at least 2 samples")
     index = np.arange(samples)
     lvals = last_passage_batch(derive_seeds(seed, 0x10, index), n, m, k)
     seeds_e = derive_seeds(seed, 0x20, index)
@@ -492,6 +474,8 @@ def fluctuation_mc(
     consecutive t-blocks, the empirical mean against the t/(2 kappa)
     offset, and Gaussianity diagnostics.  Every t needs floor(t N) >= 1:
     H(0, 0) holds no weights."""
+    if samples < 2:
+        raise DomainError("fluctuation_mc needs at least 2 samples")
     if not kappa > 0.0:
         raise DomainError("fluctuation_mc needs kappa > 0")
     ms = [int(math.floor(t * n)) for t in t_grid]

@@ -8,21 +8,18 @@ by the float bits of v = min(u, 1 - u): the exponent and the top mantissa
 bits of v pick the interval, the low bits place v in it, and no
 transcendental is evaluated per site.  The table is built from scipy's
 incomplete-gamma inverses and checked against them; v below the table
-takes those inverses directly.  Every input size takes this one route.
-Large inputs run in blocks of about _CHUNK sites on one thread pool
-(_run_chunked), which the environment shares: its tasks hash their block
-of sites and apply the quantile body.  Every step is elementwise, so the
-result is bitwise independent of the batch and of the chunking.
+takes those inverses directly.  Every input size takes this one route,
+on the calling thread.  The environment owns the thread pool: its tasks
+hash their block of sites and apply the quantile body.  Every step is
+elementwise, so the result is bitwise independent of the batch and of the
+blocking.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.special as sps
@@ -110,57 +107,8 @@ def inv_gamma_cdf(mu: float, s: float) -> float:
     return gamma_q(mu, 1.0 / s)
 
 
-# sites per pool task; inputs under two chunks stay on the caller
-_CHUNK = 1 << 16
 _S_BAND = 4.5
 _U_BAND = float(sps.ndtr(_S_BAND))
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the executor but not its threads
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _quantile_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:
-                workers = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="nipoly-quantile")
-        return _pool
-
-
-def _run_chunked(task, rows: int, row_sites: int, lanes: int = 1) -> None:
-    """Call task(lane, lo, hi) on consecutive blocks [lo, hi) of rows rows of
-    row_sites sites each, about _CHUNK sites (at least one row) per block,
-    for each lane in range(lanes).  With two chunks of sites or more and two
-    blocks or more, the blocks run on the pool (the ufuncs release the GIL),
-    one thread per available core; otherwise task(lane, 0, rows) runs inline
-    for each lane.  Waits for every block and re-raises the first failure.
-    Tasks run on worker threads, so they call private bodies only, never
-    public functions that bench/spans.py wraps: its span stack is not
-    thread-safe."""
-    step = max(1, _CHUNK // max(1, row_sites))
-    blocks = [(lane, lo, min(lo + step, rows)) for lane in range(lanes) for lo in range(0, rows, step)]
-    if lanes * rows * row_sites < 2 * _CHUNK or len(blocks) < 2:
-        for lane in range(lanes):
-            task(lane, 0, rows)
-        return
-    pool = _quantile_pool()
-    futures = [pool.submit(task, *block) for block in blocks]
-    wait(futures)
-    for future in futures:
-        future.result()
 
 
 def _log_from_root(mu: float, y, log_p):
@@ -280,7 +228,7 @@ def _log_inv_gamma_quantile_body(mu: float, u: np.ndarray, out: np.ndarray) -> N
     DomainError for u outside (0, 1), NaN included, and for mu > 4e5 and
     u > ndtr(4.5), where scipy's inverse is not accurate.  Build the table
     on the calling thread (_quantile_table) before running this body on the
-    pool, so the chunks do not race for it."""
+    pool, so the blocks do not race for it."""
     if mu > _MU_ACCURATE and np.any(u > _U_BAND):
         raise DomainError(
             "log_inv_gamma_quantile: mu = %r > %g is inaccurate for u > ndtr(4.5)"
@@ -344,8 +292,9 @@ def log_inv_gamma_quantile(mu: float, u):
     1e-12 max(1, |value|) at either edge.
 
     Every input size, scalars included, takes the same route, so a site's
-    value does not depend on the batch it is computed in.  Inputs of two
-    chunks or more run in flat blocks on the shared pool (_run_chunked).
+    value does not depend on the batch it is computed in.  It runs on the
+    calling thread; environment.omega_grid runs the same body in blocks on
+    its pool.
     Raises DomainError for mu <= 0, for u outside (0, 1) (NaN included),
     and for mu > 4e5 and u > ndtr(4.5), where scipy's inverse is not
     accurate; above mu = 4e5 the table starts at the first interval edge
@@ -356,12 +305,7 @@ def log_inv_gamma_quantile(mu: float, u):
         raise DomainError("log_inv_gamma_quantile requires mu > 0, got %r" % (mu,))
     flat = np.asarray(u, dtype=np.float64).ravel()
     out = np.empty(flat.shape)
-    _quantile_table(mu)
-
-    def block(lane, lo, hi):
-        _log_inv_gamma_quantile_body(mu, flat[lo:hi], out[lo:hi])
-
-    _run_chunked(block, flat.size, 1)
+    _log_inv_gamma_quantile_body(mu, flat, out)
     return out.reshape(np.shape(u))
 
 
@@ -388,3 +332,14 @@ def bessel_k0(x: float) -> float:
     if not x > 0.0:
         raise DomainError("bessel_k0 requires x > 0")
     return float(sps.k0(x))
+
+
+def log_bessel_k0(x: float) -> float:
+    """log K_0(x) for x > 0, as log(k0e(x)) - x: the scaled k0e = e^x K_0
+    stays normal where K_0 itself is subnormal (x above about 708) or zero
+    (above about 745).  -inf at x = inf."""
+    if not x > 0.0:
+        raise DomainError("log_bessel_k0 requires x > 0")
+    if x == math.inf:
+        return -math.inf
+    return math.log(float(sps.k0e(x))) - x

@@ -18,7 +18,7 @@ from nipoly.environment import (
     uniform_at,
     weight_at,
 )
-from nipoly import environment, special
+from nipoly import environment, polymer, rmt
 from nipoly.errors import DomainError
 from nipoly.special import digamma, inv_gamma_quantile, log_inv_gamma_quantile
 
@@ -315,7 +315,7 @@ def test_log_inv_gamma_quantile_matches_gammainccinv_at_large_mu(mu):
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     x=st.integers(min_value=-10**6, max_value=10**6),
     y=st.integers(min_value=-10**6, max_value=10**6),
-    offset=st.integers(min_value=0, max_value=2 * special._CHUNK),
+    offset=st.integers(min_value=0, max_value=2 * environment._CHUNK),
     mu=st.sampled_from([1e-3, 0.5, 2.0, 5.0, 2000.0]),
 )
 @settings(max_examples=25, deadline=None)
@@ -327,7 +327,7 @@ def test_environment_is_independent_of_evaluation_order(seed, x, y, offset, mu):
     alone = np.float64(log_inv_gamma_quantile(mu, uniform_at(f, (x, y))))
     d = np.arange(-1, 2)
     block = omega_grid(f, spec, x + d[:, None], y + d[None, :])[1, 1]
-    row = omega_grid(f, spec, x, y - offset + np.arange(2 * special._CHUNK + 1))[offset]
+    row = omega_grid(f, spec, x, y - offset + np.arange(2 * environment._CHUNK + 1))[offset]
     bits = {np.float64(v).view(np.uint64) for v in (alone, block, row)}
     assert len(bits) == 1
 
@@ -363,9 +363,9 @@ def test_blocked_omega_grid_equals_inline_route_bitwise(law, seed, chunk, kind, 
     else:
         x1, x2 = x0, h
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(special, "_CHUNK", 1 << 40)
+        mp.setattr(environment, "_CHUNK", 1 << 40)
         inline = omega_grid(f, spec, x1, x2)
-        mp.setattr(special, "_CHUNK", chunk)
+        mp.setattr(environment, "_CHUNK", chunk)
         blocked = omega_grid(f, spec, x1, x2)
     assert blocked.shape == inline.shape == np.broadcast_shapes(np.shape(x1), np.shape(x2))
     assert blocked.dtype == inline.dtype == np.float64
@@ -388,7 +388,7 @@ def test_blocked_omega_grid_raises_from_a_pool_task(monkeypatch):
     f = UniformField(3)
     i = int(np.argmax(f.uniform(np.arange(2 * 10**6), 0)))
     assert f.uniform(i, 0) > sps.ndtr(4.5)
-    monkeypatch.setattr(special, "_CHUNK", 8)
+    monkeypatch.setattr(environment, "_CHUNK", 8)
     with pytest.raises(DomainError):
         omega_grid(f, WeightSpec("loggamma", mu=2e6), i + np.arange(-60, 40), 0)
 
@@ -432,7 +432,7 @@ def test_omega_grid_seed_lanes_stack_the_fields_bitwise(law, seeds, form, chunk,
     x1, x2 = np.arange(w)[:, None], np.arange(h)
     want = np.stack([omega_grid(UniformField(int(s)), spec, x1, x2) for s in lanes])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(special, "_CHUNK", chunk)
+        mp.setattr(environment, "_CHUNK", chunk)
         got = omega_grid(lanes, spec, x1, x2)
     assert got.shape == (len(lanes), w, h) and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
@@ -459,7 +459,7 @@ def test_single_seed_lane_blocks_along_the_sites_on_the_pool(monkeypatch):
         return private(*args, **kwargs)
 
     monkeypatch.setattr(environment, "_uniform", spy)
-    monkeypatch.setattr(special, "_CHUNK", 8)
+    monkeypatch.setattr(environment, "_CHUNK", 8)
     cases = [
         (lambda: environment.uniform_many(np.array([5])[:, None, None], x1, x2), want),
         (lambda: environment.uniform_many([[[5]]], x1[None], x2[None, None]), want),
@@ -490,7 +490,7 @@ def test_short_lane_axis_blocks_each_lane_along_its_rows(monkeypatch):
         return u
 
     monkeypatch.setattr(environment, "_uniform", spy)
-    monkeypatch.setattr(special, "_CHUNK", 4096)
+    monkeypatch.setattr(environment, "_CHUNK", 4096)
     for run, ref in (
         (lambda: omega_grid([5, 6], spec, x1, x2), want),
         (lambda: environment.uniform_many(np.array([5, 6])[:, None, None], x1, x2), want_u),
@@ -531,10 +531,37 @@ def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):
     small = uniform_many(seeds[:3, None, None], np.arange(12)[:, None], np.arange(12))
     assert threads == [threading.current_thread()]
     assert np.array_equal(small, private(seeds[:3, None, None], np.arange(12)[:, None], np.arange(12)))
-    monkeypatch.setattr(special, "_CHUNK", 8)
+    monkeypatch.setattr(environment, "_CHUNK", 8)
     for case, want in zip(cases, wants):
         threads.clear()
         got = uniform_many(*case)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert len(threads) > 1
         assert all(t.name.startswith("nipoly-quantile") for t in threads)
+
+
+def test_block_plan_of_the_benchmark_sizes(monkeypatch):
+    # a 1000 x 1000 grid runs as 16 pool blocks of 65 rows (the last 25);
+    # an interface draw (256 lanes of 8 x 8) and an LUE draw (600 lanes of
+    # 12 x 12) each run as one call on the caller
+    private = environment._uniform
+    calls = []
+
+    def spy(*args, **kwargs):
+        u = private(*args, **kwargs)
+        calls.append((threading.current_thread(), np.shape(u)))
+        return u
+
+    monkeypatch.setattr(environment, "_uniform", spy)
+    x = np.arange(1000)
+    grid = omega_grid(UniformField(4), WeightSpec("loggamma", mu=2.0), x[:, None], x)
+    assert grid.shape == (1000, 1000)
+    assert sorted(shape for _, shape in calls) == sorted([(65, 1000)] * 15 + [(25, 1000)])
+    assert all(t.name.startswith("nipoly-quantile") for t, _ in calls)
+    for draw, shape in (
+        (lambda: polymer.loggamma_rectangle(np.arange(256), 2.0, 8, 8), (256, 8, 8)),
+        (lambda: rmt.lue_matrix_batch(12, 12, np.arange(300)), (600, 12, 12)),
+    ):
+        calls.clear()
+        draw()
+        assert calls == [(threading.current_thread(), shape)]

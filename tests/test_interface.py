@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -489,6 +490,33 @@ def test_whittaker_measure_n2_total_mass():
     )
     total = float(w @ dens @ w)
     assert total == pytest.approx(1.0, abs=1e-4)
+
+
+def _whittaker_n2_mpmath(lam1, lam2, mu):
+    lam1, lam2 = mpmath.mpf(lam1), mpmath.mpf(lam2)
+    g = 2 * mpmath.besselk(0, 2 * mpmath.exp((lam2 - lam1) / 2))
+    return -mpmath.exp(-lam2) - mu * (lam1 + lam2) + 2 * mpmath.log(g) - 4 * mpmath.loggamma(mu)
+
+
+@pytest.mark.parametrize("gap", [-60.0, 0.0, 11.80, 11.833, 20.0, 100.0, 1400.0, -1600.0])
+def test_whittaker_measure_logdensity_is_total(gap):
+    # K0 is subnormal from a gap of about 11.80 and 0.0 from 11.833, where
+    # math.log of it lost digits or raised; lam_1 = 0.5 keeps lam_2 - lam_1
+    # exact, and at -1600 the Bessel argument underflows to 0.0
+    lam1 = 1000.0 if gap == -1600.0 else 0.5
+    lam2 = lam1 + gap
+    with mpmath.workdps(40):
+        want = _whittaker_n2_mpmath(lam1, lam2, 2.0)
+        got = whittaker_measure_logdensity([lam1, lam2], 2.0, 2)
+        assert abs((got - want) / want) <= 1e-14, (gap, got, want)
+
+
+def test_whittaker_measure_logdensity_is_minus_inf_below_the_float_range():
+    # e^800 and the Bessel argument 2 e^750 overflow: the log density lies
+    # below -DBL_MAX, and no OverflowError is raised
+    assert whittaker_measure_logdensity([0.5, -800.0], 2.0, 2) == -math.inf
+    assert whittaker_measure_logdensity([0.5, 1500.5], 2.0, 2) == -math.inf
+    assert whittaker_measure_logdensity([-800.0], 2.0, 1) == -math.inf
 
 
 @given(

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from nipoly import environment, rmt, shapes
-from nipoly.environment import UniformField, derive_seed
+from nipoly.environment import UniformField, WeightSpec, derive_seed
 from nipoly.errors import DomainError
-from nipoly.polymer import last_passage, rost_ell
+from nipoly.lattice import stack_diag
+from nipoly.polymer import jensen_sandwich_check, k_linearity_probe, last_passage, rost_ell
 from nipoly.shapes import (
-    INFINITE,
     affine_wulff_check,
     bead_scaling_residual,
     bead_sigma,
@@ -17,7 +17,6 @@ from nipoly.shapes import (
     diagonal_free_energy_check,
     fluctuation_mc,
     gue_quantile_gap,
-    is_infinite,
     johansson_check,
     lue_quantile_gap,
     mp_edges,
@@ -245,14 +244,14 @@ def test_diagonal_free_energy():
 
 def test_bead_sigma_cone():
     assert bead_sigma_tilted(-1.0, 0.0) == pytest.approx(0.0)
-    assert is_infinite(bead_sigma_tilted(1.0, 0.0))
-    assert is_infinite(bead_sigma_tilted(-1.0, 1.5))
-    assert is_infinite(bead_sigma_tilted(-1.0, 1.0))
+    assert bead_sigma_tilted(1.0, 0.0) == math.inf
+    assert bead_sigma_tilted(-1.0, 1.5) == math.inf
+    assert bead_sigma_tilted(-1.0, 1.0) == math.inf
     # q -> |p| sends the tension to +infinity continuously
     vals = [bead_sigma_tilted(-1.0, q) for q in (0.9, 0.99, 0.999)]
     assert vals[0] < vals[1] < vals[2]
     assert bead_sigma(-0.5, -0.5) == pytest.approx(bead_sigma_tilted(-1.0, 0.0))
-    assert is_infinite(bead_sigma(-1.0, 0.5))
+    assert bead_sigma(-1.0, 0.5) == math.inf
 
 
 def test_bead_scaling_identity():
@@ -486,3 +485,26 @@ def test_lue_quantile_gap_trims_a_twentieth_at_m_20():
     eigs = rmt.lue_sample(n, m, seed) / n
     want = max(abs(eigs[i] - mp_quantile(c, c * (i + 0.5) / m)) for i in range(1, m - 1))
     assert lue_quantile_gap(n, m, seed) == want
+
+
+_XS2 = stack_diag((1, 1), 2)
+_YS2 = tuple((x + 3, y + 3) for x, y in _XS2)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda r: jensen_sandwich_check(WeightSpec("gauss"), 1.0, _XS2, _YS2, r, seed=2),
+        lambda r: k_linearity_probe(WeightSpec("loggamma", mu=2.0), 1.0, 1.0, 6, r, seed=13),
+        lambda r: diagonal_free_energy_check(2.0, 1.0, 6, replicas=r, seed=5),
+        lambda r: johansson_check(4, 2, 1, samples=r, seed=13),
+        lambda r: fluctuation_mc(1.0, 4, [0.5, 1.0], samples=r, seed=17),
+    ],
+    ids=["jensen_sandwich_check", "k_linearity_probe", "diagonal_free_energy_check", "johansson_check", "fluctuation_mc"],
+)
+def test_statistics_need_two_replicas(driver, count):
+    # one replica has no standard error: the drivers returned stderr 0.0
+    # (and ok True) or NaN statistics behind a RuntimeWarning
+    with pytest.raises(DomainError):
+        driver(count)

@@ -13,8 +13,8 @@ import pytest
 import scipy.special as sps
 
 import nipoly
-from nipoly import special
-from nipoly.environment import UniformField
+from nipoly import environment, special
+from nipoly.environment import UniformField, WeightSpec, omega_grid
 from nipoly.errors import DomainError, PrecisionLossError
 from nipoly.special import (
     bessel_k0,
@@ -22,6 +22,7 @@ from nipoly.special import (
     gamma_q,
     inv_gamma_cdf,
     inv_gamma_quantile,
+    log_bessel_k0,
     log_binomial,
     log_gamma,
     log_inv_gamma_quantile,
@@ -279,23 +280,43 @@ def test_quantile_table_build_stays_within_10000_exact_points(monkeypatch, mu):
     assert 0 < sum(points) <= 10000
 
 
+def _patched_uniform(monkeypatch, edit):
+    # every block's uniforms pass through edit(u, x1) before the law's
+    # transform: a site's value there is set from its own coordinate, so it
+    # does not depend on the blocking
+    private = environment._uniform
+
+    def spy(seed, x1, x2, out=None):
+        u = np.asarray(private(seed, x1, x2, out))
+        edit(u, np.broadcast_to(x1, np.shape(u)))
+        return u
+
+    monkeypatch.setattr(environment, "_uniform", spy)
+    return spy
+
+
 @pytest.mark.parametrize("mu", [1e-3, 2.0, 1000.0, 2e6])
-def test_log_inv_gamma_quantile_refuses_u_outside_the_open_unit_interval(mu):
+def test_log_inv_gamma_quantile_refuses_u_outside_the_open_unit_interval(mu, monkeypatch):
     bad = [0.0, -0.0, 1.0, -0.25, 1.5, -5e-324, float("nan"), float("inf"), float("-inf")]
     for u in bad:
         with pytest.raises(DomainError):
             log_inv_gamma_quantile(mu, u)
     # two chunks and more run on the pool; the error comes from the block
-    # that holds the bad site
-    n = 2 * special._CHUNK + 77
+    # that holds the bad site and reaches the caller
+    n = 2 * environment._CHUNK + 77
+    spec = WeightSpec("loggamma", mu=mu)
     for u in bad:
-        for at in (0, special._CHUNK + 5, n - 1):
-            arr = np.full(n, 0.3)
-            arr[at] = u
+        for at in (0, environment._CHUNK + 5, n - 1):
+
+            def edit(v, x1):
+                v[...] = 0.3
+                v[x1 == at] = u
+
+            _patched_uniform(monkeypatch, edit)
             with pytest.raises(DomainError):
-                log_inv_gamma_quantile(mu, arr)
+                omega_grid(UniformField(1), spec, np.arange(n), 0)
             with pytest.raises(DomainError):
-                log_inv_gamma_quantile(mu, arr.reshape(1, n))
+                omega_grid([1], spec, np.arange(n), 0)
 
 
 def test_log_inv_gamma_quantile_refuses_nonpositive_mu():
@@ -324,22 +345,26 @@ def _chunk_shapes(c):
     [
         # 1001 sites start the chunks off the SIMD alignment
         (1001, _chunk_shapes(1001)),
-        (special._CHUNK, [(2 * special._CHUNK + 777,), (257, 513)]),
+        (environment._CHUNK, [(2 * environment._CHUNK + 777,), (257, 513)]),
     ],
     ids=["chunk1001", "chunk65536"],
 )
 def test_chunked_quantile_bitwise_equals_one_evaluation(monkeypatch, mu, chunk, shapes):
-    # every 500th site sits at s = ndtri(1e-18) = -8.76, beyond the table,
-    # and takes the exact route
-    monkeypatch.setattr(special, "_CHUNK", chunk)
-    field = UniformField(91)
+    # omega_grid's blocks give the quantile body on the whole input, bit for
+    # bit; every 500th site (by x1, the flat index) sits at
+    # s = ndtri(1e-18) = -8.76, beyond the table, and takes the exact route
+    def edit(u, x1):
+        u[x1 % 500 == 0] = 1e-18
+
+    uniform = _patched_uniform(monkeypatch, edit)
+    monkeypatch.setattr(environment, "_CHUNK", chunk)
+    spec = WeightSpec("loggamma", mu=mu)
     for shape in shapes:
-        u = field.uniform(np.arange(int(np.prod(shape))).reshape(shape), 7)
-        u.reshape(-1)[::500] = 1e-18
-        for arr in (u, u.T):  # the transpose is not contiguous
-            got = log_inv_gamma_quantile(mu, arr)
-            ref = _one_evaluation(mu, arr)
-            assert got.shape == ref.shape == arr.shape
+        x1 = np.arange(int(np.prod(shape))).reshape(shape)
+        for x in (x1, x1.T):  # the transpose is not contiguous
+            got = omega_grid(UniformField(91), spec, x, 7)
+            ref = _one_evaluation(mu, uniform(91, x, 7))
+            assert got.shape == ref.shape == x.shape
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
 
@@ -361,20 +386,21 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         tables.append(build(mu))
         return tables[-1]
 
-    monkeypatch.setattr(special, "_CHUNK", 1001)
-    monkeypatch.setattr(special, "_pool", None)
-    monkeypatch.setattr(special, "ThreadPoolExecutor", counting_executor)
+    monkeypatch.setattr(environment, "_CHUNK", 1001)
+    monkeypatch.setattr(environment, "_pool", None)
+    monkeypatch.setattr(environment, "ThreadPoolExecutor", counting_executor)
+    monkeypatch.setattr(environment, "_quantile_table", recording_table)
     monkeypatch.setattr(special, "_quantile_table", recording_table)
-    us = [UniformField(s).uniform(np.arange(5000), 3) for s in range(8)]
-    results = [None] * len(us)
+    spec = WeightSpec("loggamma", mu=2.0)
+    results = [None] * 8
 
     def call(i):
-        results[i] = log_inv_gamma_quantile(2.0, us[i])
+        results[i] = omega_grid(UniformField(i), spec, np.arange(5000), 3)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(us))]
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
         for t in callers:
             t.start()
         for t in callers:
@@ -389,21 +415,20 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
     for base, coef in tables:
         assert base == tables[0][0]
         assert np.array_equal(coef, tables[0][1])
-    for u, got in zip(us, results):
-        assert np.array_equal(got, _one_evaluation(2.0, u))
+    for i, got in enumerate(results):
+        assert np.array_equal(got, _one_evaluation(2.0, environment._uniform(i, np.arange(5000), 3)))
 
 
 def _quantile_in_fork_child():
-    u = UniformField(5).uniform(np.arange(10**6), 0)
-    out = log_inv_gamma_quantile(2.0, u)
+    out = omega_grid(UniformField(5), WeightSpec("loggamma", mu=2.0), np.arange(10**6), 0)
     sys.exit(0 if np.isfinite(out).all() else 1)
 
 
 def test_quantile_pool_survives_fork():
     # the parent's pool and its threads exist before the fork; the child
     # must not submit to an executor whose threads it did not inherit
-    log_inv_gamma_quantile(2.0, np.full(2 * special._CHUNK, 0.5))
-    assert special._pool is not None
+    omega_grid(UniformField(5), WeightSpec("loggamma", mu=2.0), np.arange(2 * environment._CHUNK), 0)
+    assert environment._pool is not None
     child = multiprocessing.get_context("fork").Process(target=_quantile_in_fork_child)
     child.start()
     child.join(timeout=60)
@@ -417,15 +442,14 @@ def test_quantile_pool_survives_fork():
 
 def test_small_work_starts_no_thread():
     # in a fresh interpreter: importing nipoly and a free energy at N = 8
-    # leave the main thread alone, and two chunks of quantiles start the pool
+    # leave the main thread alone, and two chunks of sites start the pool
     code = (
         "import threading, numpy as np\n"
-        "from nipoly.environment import WeightSpec\n"
+        "from nipoly.environment import _CHUNK, UniformField, WeightSpec, omega_grid\n"
         "from nipoly.polymer import free_energy_mc\n"
-        "from nipoly.special import _CHUNK, log_inv_gamma_quantile\n"
         "free_energy_mc(WeightSpec('loggamma', mu=2.0), 1.0, 1.0, 8, 3, 1)\n"
         "print(threading.active_count())\n"
-        "log_inv_gamma_quantile(2.0, np.full(2 * _CHUNK, 0.5))\n"
+        "omega_grid(UniformField(1), WeightSpec('loggamma', mu=2.0), np.arange(2 * _CHUNK), 0)\n"
         "print(threading.active_count())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(nipoly.__file__)))
@@ -467,6 +491,19 @@ def test_gamma_q_huge_a_band():
                 ref = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
                 assert float(abs(gamma_q(a, x) - ref) / ref) <= 1e-12, (a, s)
     assert gamma_q(4e5, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("gap", [-60.0, 0.0, 11.80, 11.833, 20.0, 100.0, 1400.0])
+def test_log_bessel_k0_matches_mpmath(gap):
+    # the Whittaker density's argument 2 e^(gap / 2); K0 itself is
+    # subnormal from a gap of about 11.80 and 0.0 from 11.833
+    x = 2.0 * math.exp(0.5 * gap)
+    with mpmath.workdps(40):
+        want = mpmath.log(mpmath.besselk(0, x))
+        assert abs((log_bessel_k0(x) - want) / want) <= 1e-14
+    assert log_bessel_k0(math.inf) == -math.inf
+    with pytest.raises(DomainError):
+        log_bessel_k0(0.0)
 
 
 def test_bessel_k0_quadrature_oracle():
