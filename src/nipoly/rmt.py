@@ -1,19 +1,28 @@
 """Random matrix sampling oracles: GUE and LUE ensembles.
 
 Eigenvalues come from LAPACK (``np.linalg.eigvalsh``, a divide-and-conquer
-``heevd``) on the complex Hermitian matrix itself, singly or over a stack.
-Matrix entries are Gaussian quantile transforms of the same counter-based
-uniform field used everywhere else, so samples are a pure function of the
-seed.
+``heevd``/``syevd``) on the matrix itself, singly or over a stack.  Matrix
+entries are quantile transforms of the same counter-based uniform field
+used everywhere else, so samples are a pure function of the seed.
+
+The GUE is sampled densely: ``gue_matrix`` draws its real and imaginary
+parts as two seed lanes of one ``omega_grid`` call under the ``gauss``
+law, and ``minors_process`` needs that full matrix.  The LUE is sampled
+through the beta = 2 Laguerre tridiagonal model of Dumitriu and Edelman
+(arXiv:math-ph/0206043): ``L = B B^T`` with B lower bidiagonal, its squared
+diagonal Gamma(n - i, 1) for i = 0..m-1 and its squared sub-diagonal
+Gamma(m - 1 - i, 1) for i = 0..m-2.  The eigenvalues of L are equal in law
+to those of the complex Wishart matrix X X* (X m x n, standard complex
+Gaussian entries), and E tr L = m n as for X X*.  ``lue_matrix_batch``
+draws the m n exponentials that sum to those gammas as one seed lane per
+sample of one ``omega_grid`` call under the ``exp1`` law; ``lue_matrix``
+is one lane of it.
 
 ``jacobi_eigvalsh_batch`` (cyclic Jacobi over a stack of real symmetric
 matrices) runs on no sampling path; ``jacobi_eigvalsh`` is one lane of it.
 The scalar form stays as the independent oracle of the LAPACK route on the
 real doubling of a Hermitian matrix, and the benchmark's tracer binds both
-by name.  Each sampler has one route: ``gue_matrix`` and
-``lue_matrix_batch`` draw their real and imaginary parts as seed lanes of
-one ``omega_grid`` call under the ``gauss`` law, and ``lue_matrix`` is one
-lane of ``lue_matrix_batch``.
+by name.
 """
 
 from __future__ import annotations
@@ -27,7 +36,9 @@ from .errors import DomainError, JacobiConvergenceError
 
 _RE_LANE = 0x61
 _IM_LANE = 0x62
+_GAMMA_LANE = 0x63
 _GAUSS = WeightSpec("gauss")
+_EXP1 = WeightSpec("exp1")
 
 
 def _off_norm_batch(a: np.ndarray) -> np.ndarray:
@@ -104,8 +115,8 @@ def jacobi_eigvalsh_batch(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 3
 
 
 def hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues (decreasing) of a complex Hermitian matrix, or of each
-    matrix in a (..., n, n) stack."""
+    """Eigenvalues (decreasing) of a complex Hermitian or real symmetric
+    matrix, or of each matrix in a (..., n, n) stack."""
     return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
@@ -133,25 +144,45 @@ def gue_sample(n: int, seed: int) -> np.ndarray:
 
 
 def lue_matrix(n: int, m: int, seed: int) -> np.ndarray:
-    """m x m Laguerre (complex Wishart) matrix X X* with underlying
-    parameter n: X is m x n with standard complex Gaussian entries."""
+    """m x m real symmetric tridiagonal Laguerre matrix with parameter n
+    (m <= n), whose eigenvalues are equal in law to those of the complex
+    Wishart matrix X X*, X m x n with standard complex Gaussian entries
+    (Dumitriu-Edelman, beta = 2).  One lane of lue_matrix_batch."""
     return lue_matrix_batch(n, m, [seed])[0]
 
 
 def lue_sample(n: int, m: int, seed: int) -> np.ndarray:
-    """Eigenvalues of one LUE(m, parameter n) matrix, sorted decreasing."""
+    """Eigenvalues of one LUE(m, parameter n) matrix, sorted decreasing:
+    LAPACK on the real tridiagonal lue_matrix, equal in law to the
+    eigenvalues of X X*."""
     return hermitian_eigvalsh(lue_matrix(n, m, seed))
 
 
 def lue_matrix_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
-    """lue_matrix for each seed, stacked along a leading axis."""
+    """lue_matrix for each seed, stacked along a leading axis.
+
+    L = B B^T for B lower bidiagonal with B_ii^2 = d_i ~ Gamma(n - i, 1),
+    i = 0..m-1, and B_(i+1)i^2 = o_i ~ Gamma(m - 1 - i, 1), i = 0..m-2, all
+    independent: L has diagonal d_i + o_(i-1) and off-diagonal
+    sqrt(o_i d_i), and E tr L = m n (Dumitriu and Edelman,
+    arXiv:math-ph/0206043).  Each gamma is a sum of exponentials, m n of
+    them per sample, from one seed lane per sample."""
     if m > n:
         raise DomainError("LUE sampling requires m <= n")
-    # lanes [0, B) draw the real parts and [B, 2B) the imaginary parts
-    lanes = derive_seeds(seeds, np.array([[_RE_LANE], [_IM_LANE]])).reshape(-1)
-    g_re, g_im = omega_grid(lanes, _GAUSS, np.arange(m)[:, None], np.arange(n)).reshape(2, -1, m, n)
-    x = (g_re + 1j * g_im) / math.sqrt(2.0)
-    return x @ np.conj(np.swapaxes(x, 1, 2))
+    lanes = derive_seeds(seeds, _GAMMA_LANE)
+    e = omega_grid(lanes, _EXP1, np.arange(m)[:, None], np.arange(n)).reshape(len(lanes), m * n)
+    # the gamma shapes, diagonal then sub-diagonal, sum to m n
+    shapes = np.concatenate([np.arange(n, n - m, -1), np.arange(m - 1, 0, -1)])
+    g = np.add.reduceat(e, np.cumsum(shapes) - shapes, axis=1)
+    d, o = g[:, :m], g[:, m:]
+    i = np.arange(m)
+    lmat = np.zeros((len(lanes), m, m))
+    lmat[:, i, i] = d
+    lmat[:, i[1:], i[1:]] += o
+    off = np.sqrt(o * d[:, :-1])
+    lmat[:, i[1:], i[:-1]] = off
+    lmat[:, i[:-1], i[1:]] = off
+    return lmat
 
 
 def lue_sample_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:

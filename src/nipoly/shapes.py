@@ -112,18 +112,24 @@ def _sc_upper_quantile(x: float) -> float:
     """sc_quantile for 0 <= x <= 1/2."""
     if x == 0.0:
         return 2.0
-    # rho = 2 cos(psi) has mass (2 psi - sin 2 psi) / (2 pi) above it; in
-    # psi = pi/2 - phi the upper tail x -> 0 stays resolved, and the cube
-    # roots (mass ~ psi^3 there) keep the root-finder off bisection
-    cbrt_x = x ** (1.0 / 3.0)
-    psi = brentq(
-        lambda p: (_t_minus_sin(2.0 * p) / (2.0 * math.pi)) ** (1.0 / 3.0) - cbrt_x,
-        0.0,
-        math.pi,
-        xtol=_XTOL,
-        rtol=_RTOL,
-    )
-    return 2.0 * math.cos(psi)
+    # rho = 2 cos(psi) has mass T(2 psi) / (2 pi) above it, T(t) = t - sin t;
+    # in psi = pi/2 - phi the upper tail x -> 0 stays resolved.  T(2p) is
+    # increasing and convex on [0, pi/2] with derivative 4 sin^2 p, so
+    # Newton from p0 (at most psi, as T(t) <= t^3 / 6) lands right of psi
+    # and then falls to it monotonically: a later step that does not fall
+    # by more than a few ulps is rounding, and ends the iteration
+    target = 2.0 * math.pi * x
+
+    def newton(p):
+        step = (_t_minus_sin(2.0 * p) - target) / (4.0 * math.sin(p) ** 2)
+        return min(0.5 * math.pi, max(0.0, p - step))
+
+    p = newton(min(0.5 * math.pi, (1.5 * math.pi * x) ** (1.0 / 3.0)))
+    while True:
+        p_next = newton(p)
+        if p - p_next <= _RTOL * p:
+            return 2.0 * math.cos(p_next)
+        p = p_next
 
 
 def sc_quantile(x: float) -> float:

@@ -542,8 +542,8 @@ def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):
 
 def test_block_plan_of_the_benchmark_sizes(monkeypatch):
     # a 1000 x 1000 grid runs as 16 pool blocks of 65 rows (the last 25);
-    # an interface draw (256 lanes of 8 x 8) and an LUE draw (600 lanes of
-    # 12 x 12) each run as one call on the caller
+    # an interface draw (256 lanes of 8 x 8) and an LUE draw (300 lanes of
+    # 12 x 12 exponentials) each run as one call on the caller
     private = environment._uniform
     calls = []
 
@@ -560,7 +560,7 @@ def test_block_plan_of_the_benchmark_sizes(monkeypatch):
     assert all(t.name.startswith("nipoly-quantile") for t, _ in calls)
     for draw, shape in (
         (lambda: polymer.loggamma_rectangle(np.arange(256), 2.0, 8, 8), (256, 8, 8)),
-        (lambda: rmt.lue_matrix_batch(12, 12, np.arange(300)), (600, 12, 12)),
+        (lambda: rmt.lue_matrix_batch(12, 12, np.arange(300)), (300, 12, 12)),
     ):
         calls.clear()
         draw()

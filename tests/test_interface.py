@@ -463,6 +463,20 @@ def test_whittaker_gl2_monotone_and_shift():
     assert a == pytest.approx(b, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "lam1, lam2", [(0.0, 1500.0), (1500.0, 0.0), (0.0, 11.9), (0.5, -0.3), (0.0, 10.0), (40.0, 0.0)]
+)
+def test_whittaker_gl2_is_total(lam1, lam2):
+    # at (0, 1500) e^750 overflows, at (1500, 0) e^-750 underflows to 0.0
+    # where K0 is -log(z / 2) - gamma, and at (0, 11.9) the true value
+    # e^-769.9 rounds to 0.0.  The exponential of log g carries about
+    # |log g| eps of relative error: under 2e-13 down to the float range
+    with mpmath.workdps(40):
+        want = float(2 * mpmath.besselk(0, 2 * mpmath.exp((mpmath.mpf(lam2) - lam1) / 2)))
+    got = whittaker_gl2_bessel(lam1, lam2)
+    assert got == pytest.approx(want, rel=2e-13, abs=0.0), (got, want)
+
+
 def test_whittaker_measure_n1_reduces_to_interface():
     mu = 2.0
     for lam in (-1.0, 0.0, 2.0):

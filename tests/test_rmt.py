@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+import scipy.stats
 
-from nipoly.environment import UniformField, derive_seed
+from nipoly.environment import UniformField, WeightSpec, derive_seed, derive_seeds, omega_grid
 from nipoly.errors import DomainError, JacobiConvergenceError
 from nipoly.rmt import (
     _IM_LANE,
@@ -142,6 +143,64 @@ def test_lue_batch_matches_scalar():
     batch = lue_sample_batch(6, 3, seeds)
     for i, s in enumerate(seeds):
         np.testing.assert_array_equal(batch[i], lue_sample(6, 3, int(s)))
+
+
+def _wishart_batch(n, m, seeds):
+    """The dense complex Wishart matrices X X*, X m x n with standard complex
+    Gaussian entries (E|x|^2 = 1): the law oracle of the tridiagonal LUE."""
+    lanes = derive_seeds(seeds, np.array([[_RE_LANE], [_IM_LANE]])).reshape(-1)
+    g = omega_grid(lanes, WeightSpec("gauss"), np.arange(m)[:, None], np.arange(n))
+    g_re, g_im = g.reshape(2, -1, m, n)
+    x = (g_re + 1j * g_im) / math.sqrt(2.0)
+    return x @ np.conj(np.swapaxes(x, 1, 2))
+
+
+def _within_4se(samples, want):
+    # samples along axis 0; one standard error per column
+    samples = np.asarray(samples, dtype=float)
+    se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    return np.all(np.abs(samples.mean(axis=0) - want) <= 4.0 * se)
+
+
+_LAW_SHAPES = [(12, 12), (8, 4), (7, 5), (6, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("sampler", [lue_matrix_batch, _wishart_batch], ids=["tridiagonal", "wishart"])
+@pytest.mark.parametrize("n, m", _LAW_SHAPES)
+def test_lue_trace_moments(sampler, n, m):
+    # E tr L = m n and E tr L^2 = m n (m + n), for the model and its oracle
+    mats = sampler(n, m, np.arange(4000))
+    assert _within_4se(np.trace(mats, axis1=1, axis2=2).real, m * n)
+    assert _within_4se(np.einsum("bij,bji->b", mats, mats).real, m * n * (m + n))
+
+
+@pytest.mark.parametrize("n, m", _LAW_SHAPES)
+def test_lue_diagonal_means(n, m):
+    # L_00 = d_0 ~ Gamma(n); L_ii = d_i + o_(i-1) has mean (n - i) + (m - i)
+    diag = np.diagonal(lue_matrix_batch(n, m, np.arange(4000)), axis1=1, axis2=2)
+    i = np.arange(m)
+    assert _within_4se(diag, np.where(i == 0, n, (n - i) + (m - i)))
+
+
+@pytest.mark.parametrize("n, m", [(12, 12), (8, 4), (7, 5)])
+def test_lue_edge_eigenvalues_match_the_wishart_oracle(n, m):
+    # two-sample KS of the largest and smallest eigenvalue, fixed seeds
+    got = lue_sample_batch(n, m, np.arange(3000))
+    want = hermitian_eigvalsh(_wishart_batch(n, m, np.arange(3000, 6000)))
+    for k in (0, -1):
+        assert scipy.stats.ks_2samp(got[:, k], want[:, k]).pvalue > 1e-3, k
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_lue_single_row_is_a_gamma(n):
+    # m = 1: L is the 1 x 1 matrix [|x|^2], |x|^2 ~ Gamma(n, 1); n = 1 is Exp(1)
+    mats = lue_matrix_batch(n, 1, np.arange(3000))
+    assert mats.shape == (3000, 1, 1)
+    eigs = lue_sample_batch(n, 1, np.arange(3000))
+    assert np.array_equal(eigs, mats[:, 0])
+    assert scipy.stats.kstest(eigs[:, 0], scipy.stats.gamma(n).cdf).pvalue > 1e-3
+    oracle = _wishart_batch(n, 1, np.arange(3000, 6000))[:, 0, 0].real
+    assert scipy.stats.ks_2samp(eigs[:, 0], oracle).pvalue > 1e-3
 
 
 def test_minors_interlacing():

@@ -322,7 +322,11 @@ def test_gue_quantile_gap_small():
 
 
 def test_lue_quantile_gap_small():
-    assert lue_quantile_gap(150, 75, seed=11) < 0.08
+    # the gap of one sample exceeds 0.08 with probability about 0.2 (1000
+    # seeds, dense X X* and tridiagonal samplers alike; its mean is 0.064),
+    # so the bound holds for the mean over 100 seeds
+    gaps = [lue_quantile_gap(150, 75, seed=s) for s in range(11, 111)]
+    assert np.mean(gaps) < 0.08
 
 
 def test_johansson_trivial_k_equals_m():
