@@ -8,15 +8,17 @@ kpath_logZ) for k non-intersecting paths between general endpoints, which
 the series/parallel/Jensen inequality test-bed and the small-size tau
 oracle TauTable use.  All three only add, multiply and divide positive
 numbers, so nothing cancels.  Brute-force enumeration is kept as the
-small-instance oracle.
+small-instance oracle.  Every engine takes (..., W, H) log weights whose
+leading axes are lanes, each bitwise equal to its unbatched call, and adds
+in log space with _logaddexp; np.logaddexp is left only in the logZ_grid
+oracle.  single_path_logZ and kpath_logZ take seed lanes as omega_grid
+does, so a driver draws all its replicas in one call.
 
-The single-path scan meets in the middle: a forward scan from the near
-corner and a backward scan from the far one (the forward scan of the
-reversed grid) run as the two lanes of one lanes-last state, so each
-anti-diagonal step is one combine call over both, and about (W + H) / 2
-steps reach the meeting diagonal, where the two sides are joined and folded.
-It adds in a different order from a sequential corner-to-corner scan, so
-its log Z can differ from one in the last bits.
+The single-path scan meets in the middle: a forward and a backward scan (the
+forward scan of the reversed grid) run as two lanes of one state and meet
+on the middle anti-diagonal after about (W + H) / 2 steps.  It adds in a
+different order from a sequential corner-to-corner scan, so its log Z can
+differ from one in the last bits.
 
 Conventions: Z excludes the starting weights (the energy of a path omits its
 start site); the tau partition functions of the interface construction
@@ -71,7 +73,7 @@ def _logaddexp(a, b, out=None):
     with numpy's SIMD exp and log1p in place of scalar libm calls.  Within
     2 eps max(1, |result|) of np.logaddexp.  Equal infinities give a NaN gap
     and raise numpy's invalid flag: run it under np.errstate(invalid="ignore"),
-    as scan_rectangle does once per scan.  The clamp sends that NaN gap to
+    as the scans do once per call.  The clamp sends that NaN gap to
     -inf, so (-inf, -inf) -> -inf and (inf, inf) -> inf; a NaN argument gives
     NaN.  Allocates one temporary, the gap."""
     big = np.maximum(a, b, out=out)
@@ -176,11 +178,11 @@ def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:
 
 
 def _rectangle_logw(field, spec, beta, x: Point, y: Point) -> np.ndarray:
-    w, h = y[0] - x[0] + 1, y[1] - x[1] + 1
-    if beta == 0.0 or spec is None:
-        return np.zeros((w, h))
     x1 = np.arange(x[0], y[0] + 1)
     x2 = np.arange(x[1], y[1] + 1)
+    if beta == 0.0 or spec is None:
+        lanes = () if field is None or isinstance(field, UniformField) else (len(field),)
+        return np.zeros(lanes + (x1.size, x2.size))
     logw = omega_grid(field, spec, x1[:, None], x2[None, :])
     logw *= beta
     return logw
@@ -193,15 +195,14 @@ def single_path_logZ(
     x: Point,
     y: Point,
     include_start: bool = False,
-) -> float:
-    """log Z for the single-pair polymer from x to y.
-
-    Start weight excluded unless include_start (the tau convention).
-    """
+) -> float | np.ndarray:
+    """log Z for the single-pair polymer from x to y: a float for a
+    UniformField, an array for seed lanes (as in omega_grid).  Start weight
+    excluded unless include_start (the tau convention)."""
     if not leq(x, y):
         raise NoPathError("no path from %s to %s" % (x, y))
     logw = _rectangle_logw(field, spec, beta, x, y)
-    return float(scan_rectangle(logw, _logaddexp, include_start))
+    return scan_rectangle(logw, _logaddexp, include_start)
 
 
 def _check_kpoints(xs: KPoint, ys: KPoint) -> None:
@@ -224,7 +225,8 @@ _KPATH_MAX_CELLS = 2**22
 def _advance(state: np.ndarray, axis: int, old: tuple, new: tuple) -> np.ndarray:
     """Move the path of one state axis east or north: the axis covers the
     x1 band old = (lo, hi) and comes out covering new = (lo', hi'), where
-    lo' - lo and hi' - hi are 0 or 1."""
+    lo' - lo and hi' - hi are 0 or 1; axes before it ride along.  Call it
+    under np.errstate(invalid="ignore"), which _logaddexp needs."""
     (lo, hi), (lo2, hi2) = old, new
 
     def along(start, stop):
@@ -233,7 +235,7 @@ def _advance(state: np.ndarray, axis: int, old: tuple, new: tuple) -> np.ndarray
     out = np.empty(state.shape[:axis] + (hi2 - lo2 + 1,) + state.shape[axis + 1 :])
     # x1 in [a, b] is reached north from x1 and east from x1 - 1
     a, b = max(lo2, lo + 1), min(hi2, hi)
-    np.logaddexp(
+    _logaddexp(
         state[along(a - lo, b - lo + 1)],
         state[along(a - lo - 1, b - lo)],
         out=out[along(a - lo2, b - lo2 + 1)],
@@ -245,41 +247,44 @@ def _advance(state: np.ndarray, axis: int, old: tuple, new: tuple) -> np.ndarray
     return out
 
 
-def kpath_scan(logw: np.ndarray, xs: KPoint, ys: KPoint, include_start: bool = False) -> float:
+def kpath_scan(
+    logw: np.ndarray, xs: KPoint, ys: KPoint, include_start: bool = False
+) -> float | np.ndarray:
     """log Z of k non-intersecting paths, path i from xs[i] to ys[i], over a
-    W x H array of per-site log weights; logw[a, b] belongs to site (a, b).
+    (..., W, H) array of per-site log weights; logw[..., a, b] belongs to
+    site (a, b).  Each lane of the leading axes is bitwise equal to its
+    unbatched call, since every operation is elementwise.
 
     A transfer along anti-diagonals t = x1 + x2.  Path i is on the lattice
     for sum(xs[i]) <= t <= sum(ys[i]), and the state at t is a dense
-    log-space array over the x1 positions of the k paths: axis i spans the
-    band of x1 that path i can reach from xs[i] and still leave toward
-    ys[i] (the one cell of xs[i] before it enters, of ys[i] after it
-    leaves).  A step moves each path on the lattice at t and t + 1 east or
-    north, one axis at a time (two shifted slices and logaddexp), adds the
-    weights of anti-diagonal t + 1 and sets to -inf every state in which two
-    paths on the lattice share a site.  Two paths cannot swap sides without
-    sharing a site, so this sums exactly the vertex-disjoint k-tuples of
-    brute_force_kpath_logZ, and only positive terms are ever added: nothing
-    cancels, at any spread of the weights.
+    log-space array, lanes first, over the x1 positions of the k paths:
+    axis i of the last k spans the band of x1 that path i can reach from
+    xs[i] and still leave toward ys[i] (the one cell of xs[i] before it
+    enters, of ys[i] after it leaves).  A step moves each path on the
+    lattice at t and t + 1 east or north, one axis at a time (two shifted
+    slices and _logaddexp), adds the weights of anti-diagonal t + 1 and sets
+    to -inf every state in which two paths on the lattice share a site.  Two
+    paths cannot swap sides without sharing a site, so this sums exactly the
+    vertex-disjoint k-tuples of brute_force_kpath_logZ, and only positive
+    terms are ever added: nothing cancels, at any spread of the weights.
 
     Start weights are excluded unless include_start (the tau convention).
-    Endpoints with no k-path give -inf.  The state holds at most
-    prod_i (the widest band of path i) <= W^k cells; more than 2^22 raises
-    DomainError.
+    Endpoints with no k-path give -inf.  The state holds at most lanes x
+    prod_i (the widest band of path i) <= lanes x W^k cells; more than 2^22
+    raises DomainError.
     """
     _check_kpoints(xs, ys)
     k = len(xs)
-    w, h = logw.shape
+    lead = logw.shape[:-2]
+    w, h = logw.shape[-2:]
     for x, y in zip(xs, ys):
         if not leq(x, y):
             raise NoPathError("no path from %s to %s" % (x, y))
         if min(x) < 0 or y[0] >= w or y[1] >= h:
             raise DomainError("k-points outside the %d x %d weight array" % (w, h))
-    cells = math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
+    cells = math.prod(lead) * math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
     if cells > _KPATH_MAX_CELLS:
-        raise DomainError(
-            "kpath_scan needs %d cells, above the cap %d" % (cells, _KPATH_MAX_CELLS)
-        )
+        raise DomainError("kpath_scan needs %d cells, above the cap %d" % (cells, _KPATH_MAX_CELLS))
     enter = [x[0] + x[1] for x in xs]
     leave = [y[0] + y[1] for y in ys]
 
@@ -288,7 +293,7 @@ def kpath_scan(logw: np.ndarray, xs: KPoint, ys: KPoint, include_start: bool = F
         return max(xs[i][0], t - ys[i][1]), min(ys[i][0], t - xs[i][1])
 
     def along(i, v):
-        return v.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
+        return v.reshape(v.shape[:-1] + (1,) * i + (-1,) + (1,) * (k - 1 - i))
 
     def land(state, t):
         # the weights and the collisions of anti-diagonal t
@@ -298,22 +303,23 @@ def kpath_scan(logw: np.ndarray, xs: KPoint, ys: KPoint, include_start: bool = F
             lo, hi = band(i, t)
             pos[i] = np.arange(lo, hi + 1)
             if t > enter[i] or include_start:
-                state += along(i, logw[pos[i], t - pos[i]])
+                state += along(i, logw[..., pos[i], t - pos[i]])
         for p, i in enumerate(live):
             for j in live[p + 1 :]:
                 if pos[i][0] <= pos[j][-1] and pos[j][0] <= pos[i][-1]:
                     np.copyto(state, -np.inf, where=along(i, pos[i]) == along(j, pos[j]))
 
-    state = np.zeros((1,) * k)
+    state = np.zeros(lead + (1,) * k)
     t0, t1 = min(enter), max(leave)
     land(state, t0)
-    for t in range(t0, t1):
-        for i in range(k):
-            if enter[i] <= t < leave[i]:
-                state = _advance(state, i, band(i, t), band(i, t + 1))
-        land(state, t + 1)
+    with np.errstate(invalid="ignore"):
+        for t in range(t0, t1):
+            for i in range(k):
+                if enter[i] <= t < leave[i]:
+                    state = _advance(state, len(lead) + i, band(i, t), band(i, t + 1))
+            land(state, t + 1)
     # every band ends on the single cell of its ys[i]
-    return float(state.reshape(()))
+    return state.reshape(lead)[()]
 
 
 def kpath_logZ(
@@ -323,15 +329,16 @@ def kpath_logZ(
     xs: KPoint,
     ys: KPoint,
     include_start: bool = False,
-) -> float:
+) -> float | np.ndarray:
     """log Z of k non-intersecting paths, path i from xs[i] to ys[i]:
     kpath_scan over one omega_grid call on the bounding box of the
-    endpoints.  Start weights excluded unless include_start."""
+    endpoints; a float for a UniformField, an array for seed lanes.  Start
+    weights excluded unless include_start."""
     _check_kpoints(xs, ys)
     lo, hi = _bounding_box(xs, ys)
     logw = _rectangle_logw(field, spec, beta, lo, hi)
     val = kpath_scan(logw, _shift(xs, lo), _shift(ys, lo), include_start)
-    if val == -math.inf:
+    if np.any(val == -np.inf):
         raise NoPathError("no k-path between the given k-points")
     return val
 
@@ -659,11 +666,13 @@ def free_energy_mc(
 ) -> FreeEnergyEstimate:
     """Quenched Monte Carlo of (1/N) log Z_(1,1)->(N, cN) over disjoint seed
     streams; averages (1/N) log Z, never the log of averaged Z."""
+    if replicas < 2:
+        raise DomainError("free_energy_mc needs at least 2 replicas")
     m = int(math.floor(c * n))
     vals = np.empty(replicas)
     for r, s in enumerate(derive_seeds(seed, _FE_STREAM, np.arange(replicas))):
         vals[r] = single_path_logZ(UniformField(int(s)), spec, beta, (1, 1), (n, m)) / n
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else math.inf
+    stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
     return FreeEnergyEstimate(float(vals.mean()), stderr, n, replicas, vals)
 
 
@@ -697,14 +706,15 @@ def jensen_sandwich_check(
 ) -> dict:
     """MC mean of (1/varpi) ln(Z(beta)/Z(0)) against the bracket
     [beta nu, log G(beta)], where varpi counts the environment weights of a
-    k-path (start points excluded)."""
+    k-path (start points excluded); the replicas are seed lanes."""
     if replicas < 2:
         raise DomainError("jensen_sandwich_check needs at least 2 replicas")
     varpi = sum(abs(y[0] - x[0]) + abs(y[1] - x[1]) for x, y in zip(xs, ys))
+    if varpi == 0:
+        raise DomainError("jensen_sandwich_check needs k-paths with at least one step")
     log_z0 = kpath_logZ(None, None, 0.0, xs, ys)
-    vals = np.empty(replicas)
-    for r, s in enumerate(derive_seeds(seed, _SANDWICH_STREAM, np.arange(replicas))):
-        vals[r] = (kpath_logZ(UniformField(int(s)), spec, beta, xs, ys) - log_z0) / varpi
+    seeds = derive_seeds(seed, _SANDWICH_STREAM, np.arange(replicas))
+    vals = (kpath_logZ(seeds, spec, beta, xs, ys) - log_z0) / varpi
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
     lo, hi = beta * spec.nu(), spec.log_mgf(beta)
@@ -761,39 +771,30 @@ def parallel_series_bound_mc(
 ) -> dict:
     """Per-sample exact verification of the series, parallel, and Hadamard
     inequalities on a small rectangle; returns the violation counts, which
-    must be zero, along with the worst slack observed."""
+    must be zero, along with the worst slack observed; the replicas are
+    seed lanes."""
+    if replicas < 1:
+        raise DomainError("parallel_series_bound_mc needs at least 1 replica")
     tol = 1e-9
-    violations = {"series": 0, "parallel": 0, "hadamard": 0}
-    min_slack = math.inf
     base = (1, 1)
     xs = stack_up(base, k)
     mid = stack_up((base[0] + size, base[1] + size), k)
     zs = stack_up((base[0] + 2 * size, base[1] + 2 * size), k)
     ysep = stack_up((base[0] + size, base[1] + size), k + 1)
     xsep = stack_up(base, k + 1)
-    for field_seed in derive_seeds(seed, _BOUNDS_STREAM, np.arange(replicas)):
-        f = UniformField(int(field_seed))
-        lz = lambda a, b: kpath_logZ(f, spec, beta, a, b)
+    seeds = derive_seeds(seed, _BOUNDS_STREAM, np.arange(replicas))
+    lz = lambda a, b: kpath_logZ(seeds, spec, beta, a, b)
+    z_mid = lz(xs, mid)
+    slacks = {
         # series: Z_{x->z} >= Z_{x->y} Z_{y->z} for the nice intermediate
-        s = lz(xs, zs) - (lz(xs, mid) + lz(mid, zs))
-        if s < -tol:
-            violations["series"] += 1
-        min_slack = min(min_slack, s)
+        "series": lz(xs, zs) - (z_mid + lz(mid, zs)),
         # parallel: Z_{x->y} <= Z_{x'->y'} Z_{x''->y''}
-        whole = lz(xsep, ysep)
-        split = lz(xsep[:k], ysep[:k]) + lz(xsep[k:], ysep[k:])
-        p = split - whole
-        if p < -tol:
-            violations["parallel"] += 1
-        min_slack = min(min_slack, p)
+        "parallel": lz(xsep[:k], ysep[:k]) + lz(xsep[k:], ysep[k:]) - lz(xsep, ysep),
         # Hadamard analogue: Z <= prod_i Z_{x_i -> y_i}
-        prod = sum(
-            single_path_logZ(f, spec, beta, xi, yi) for xi, yi in zip(xs, mid)
-        )
-        hdm = prod - lz(xs, mid)
-        if hdm < -tol:
-            violations["hadamard"] += 1
-        min_slack = min(min_slack, hdm)
+        "hadamard": sum(single_path_logZ(seeds, spec, beta, a, b) for a, b in zip(xs, mid)) - z_mid,
+    }
+    violations = {name: int((v < -tol).sum()) for name, v in slacks.items()}
+    min_slack = float(min(v.min() for v in slacks.values()))
     return {"violations": violations, "min_slack": min_slack, "replicas": replicas}
 
 
@@ -801,15 +802,16 @@ def k_linearity_probe(
     spec: WeightSpec, beta: float, c: float, n: int, replicas: int, seed: int
 ) -> dict:
     """MC comparison of the 2-path rate against twice the 1-path rate along
-    diagonal 2-points; the limits satisfy f_c(2) = 2 f_c(1)."""
+    diagonal 2-points; the limits satisfy f_c(2) = 2 f_c(1).  The replicas
+    are seed lanes: replicas x (min(n, m) + 1)^2 <= kpath_scan's cap."""
     if replicas < 2:
         raise DomainError("k_linearity_probe needs at least 2 replicas")
     m = int(math.floor(c * n))
     xs2 = stack_diag((1, 1), 2)
     ys2 = tuple((p[0] + n, p[1] + m) for p in xs2)
-    fields = [UniformField(int(s)) for s in derive_seeds(seed, 0x2B, np.arange(replicas))]
-    one = np.array([single_path_logZ(f, spec, beta, (1, 1), (1 + n, 1 + m)) / n for f in fields])
-    two = np.array([kpath_logZ(f, spec, beta, xs2, ys2) / n for f in fields])
+    seeds = derive_seeds(seed, 0x2B, np.arange(replicas))
+    one = single_path_logZ(seeds, spec, beta, (1, 1), (1 + n, 1 + m)) / n
+    two = kpath_logZ(seeds, spec, beta, xs2, ys2) / n
     se1 = one.std(ddof=1) / math.sqrt(replicas)
     se2 = two.std(ddof=1) / math.sqrt(replicas)
     gap = float(two.mean() - 2.0 * one.mean())

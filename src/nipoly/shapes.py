@@ -414,14 +414,18 @@ def _sup_gap(eigs: np.ndarray, quantile, trim: float) -> float:
 
 def gue_quantile_gap(n: int, seed: int) -> float:
     """Sup gap between scaled GUE eigenvalues and the semicircle quantiles
-    at mass (i - 1/2)/n, over all indices."""
+    at mass (i - 1/2)/n, over all indices; n >= 1."""
+    if n < 1:
+        raise DomainError("gue_quantile_gap needs n >= 1")
     eigs = gue_sample(n, seed) / math.sqrt(n)
     return _sup_gap(eigs, lambda i: sc_quantile((i + 0.5) / n), _GUE_TRIM)
 
 
 def lue_quantile_gap(n: int, m: int, seed: int) -> float:
     """Sup gap between scaled LUE eigenvalues and mp_quantile(c, alpha) at
-    alpha = c (i - 1/2)/m, over the central 90% of indices."""
+    alpha = c (i - 1/2)/m, over the central 90% of indices; 1 <= m <= n."""
+    if not 1 <= m <= n:
+        raise DomainError("lue_quantile_gap needs 1 <= m <= n")
     c = m / n
     eigs = lue_sample(n, m, seed) / n
     return _sup_gap(eigs, lambda i: mp_quantile(c, c * (i + 0.5) / m), _LUE_TRIM)
@@ -434,13 +438,7 @@ def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
         raise DomainError("johansson_check needs at least 2 samples")
     index = np.arange(samples)
     lvals = last_passage_batch(derive_seeds(seed, 0x10, index), n, m, k)
-    seeds_e = derive_seeds(seed, 0x20, index)
-    chunks = []
-    for start in range(0, samples, 20000):
-        part = seeds_e[start : start + 20000]
-        eigs = lue_sample_batch(n, m, part)
-        chunks.append(eigs[:, :k].sum(axis=1))
-    evals = np.concatenate(chunks)
+    evals = lue_sample_batch(n, m, derive_seeds(seed, 0x20, index))[:, :k].sum(axis=1)
     mean_l, mean_e = float(lvals.mean()), float(evals.mean())
     se_l = float(lvals.std(ddof=1) / math.sqrt(samples))
     se_e = float(evals.std(ddof=1) / math.sqrt(samples))
@@ -471,15 +469,17 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def fluctuation_mc(
-    kappa: float, n: int, t_grid, samples: int, seed: int, chunk: int = 50
-) -> dict:
+_FLUCT_SITES = 1 << 18  # sites per omega_grid call of fluctuation_mc: blocks near 2 MB
+
+
+def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dict:
     """Samples of H(t,t) = t N^2 log(kappa N^2) + log tau(tN, tN) along the
     diagonal, where tau(m, m) is the full-rectangle product; reports the
     variance of sqrt(kappa) H against t, increment correlations over
     consecutive t-blocks, the empirical mean against the t/(2 kappa)
     offset, and Gaussianity diagnostics.  Every t needs floor(t N) >= 1:
-    H(0, 0) holds no weights."""
+    H(0, 0) holds no weights.  The samples are omega_grid seed lanes, drawn
+    in blocks of about _FLUCT_SITES sites (at least one sample each)."""
     if samples < 2:
         raise DomainError("fluctuation_mc needs at least 2 samples")
     if not kappa > 0.0:
@@ -494,15 +494,12 @@ def fluctuation_mc(
     h_vals = np.empty((samples, len(ms)))
     x1 = np.arange(1, n + 1)[:, None]
     x2 = np.arange(1, m_max + 1)
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
-        seeds = derive_seeds(seed, 0xF1, np.arange(done, done + b))
+    block = max(1, _FLUCT_SITES // (n * m_max))
+    for done in range(0, samples, block):
+        seeds = derive_seeds(seed, 0xF1, np.arange(done, min(done + block, samples)))
         lw = omega_grid(seeds, spec, x1, x2)
         row_cum = (lw + log_mu).sum(axis=1).cumsum(axis=1)  # over x2 rows
-        for a, m in enumerate(ms):
-            h_vals[done : done + b, a] = row_cum[:, m - 1]
-        done += b
+        h_vals[done : done + len(seeds)] = row_cum[:, np.array(ms) - 1]
     scaled = math.sqrt(kappa) * h_vals
     var = scaled.var(axis=0, ddof=1)
     mean = scaled.mean(axis=0)

@@ -390,6 +390,34 @@ def test_kpath_scan_matches_enumeration(k, draws, include_start, seed):
         assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+@given(
+    lead=st.sampled_from([(), (3,), (2, 2)]),
+    k=st.integers(min_value=1, max_value=3),
+    draws=st.lists(st.integers(min_value=0, max_value=99), min_size=9, max_size=9),
+    include_start=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_kpath_scan_lanes_equal_their_unbatched_calls(lead, k, draws, include_start, seed):
+    xs, ys = _random_kpoints(draws, k)
+    (w, h) = (max(y[0] for y in ys) + 1, max(y[1] for y in ys) + 1)
+    logw = 50.0 * np.random.default_rng(seed).standard_normal(lead + (w, h))
+    got = kpath_scan(logw, xs, ys, include_start)
+    assert np.shape(got) == lead
+    want = [kpath_scan(logw[lane], xs, ys, include_start) for lane in np.ndindex(lead)]
+    assert np.asarray(got).tobytes() == np.array(want).tobytes()
+
+
+def test_kpath_scan_cap_counts_cells_times_lanes(monkeypatch):
+    # two paths in 4-wide bands hold 16 cells per lane
+    xs, ys = ((1, 0), (0, 1)), ((4, 3), (3, 4))
+    logw = np.zeros((3, 5, 5))
+    monkeypatch.setattr(polymer, "_KPATH_MAX_CELLS", 32)
+    assert kpath_scan(logw[:2], xs, ys).shape == (2,)
+    with pytest.raises(DomainError):
+        kpath_scan(logw, xs, ys)
+
+
 def test_kpath_scan_refuses_bad_input():
     logw = np.zeros((8, 8))
     with pytest.raises(DomainError):
@@ -817,14 +845,16 @@ def test_k_linearity_probe():
 
 
 def test_polymer_drivers_take_replica_seeds_from_one_array_call(monkeypatch):
-    # each driver makes one derive_seeds call; replica r still gets the
-    # field UniformField(derive_seed(seed, stream, r)), a Python int seed
+    # each driver makes one derive_seeds call; free_energy_mc gives replica
+    # r the field UniformField(derive_seed(seed, stream, r)), a Python int
+    # seed, and the other drivers pass every engine call the seed lanes
+    # derive_seed(seed, stream, r), r = 0..replicas - 1, and no UniformField
     seen, calls = [], []
     for name in ("single_path_logZ", "kpath_logZ"):
 
         def probe(field, *args, fn=getattr(polymer, name)):
             if field is not None:
-                seen.append(field.seed)
+                seen.append(field)
             return fn(field, *args)
 
         monkeypatch.setattr(polymer, name, probe)
@@ -848,8 +878,12 @@ def test_polymer_drivers_take_replica_seeds_from_one_array_call(monkeypatch):
         want = [derive_seed(13, stream, r) for r in range(5)]
         assert min(want) < 2**63 < max(want)
         assert len(calls) == 1
-        assert list(dict.fromkeys(seen)) == want
-        assert all(type(s) is int for s in seen)
         if stream == polymer._FE_STREAM:
             # one single_path_logZ call per replica, in order
-            assert seen == want
+            assert [f.seed for f in seen] == want
+            assert all(type(f.seed) is int for f in seen)
+        else:
+            assert seen
+            for lanes in seen:
+                assert not isinstance(lanes, UniformField)
+                np.testing.assert_array_equal(lanes, np.array(want, dtype=np.uint64))

@@ -8,7 +8,14 @@ from nipoly import environment, rmt, shapes
 from nipoly.environment import UniformField, WeightSpec, derive_seed
 from nipoly.errors import DomainError
 from nipoly.lattice import stack_diag
-from nipoly.polymer import jensen_sandwich_check, k_linearity_probe, last_passage, rost_ell
+from nipoly.polymer import (
+    free_energy_mc,
+    jensen_sandwich_check,
+    k_linearity_probe,
+    last_passage,
+    parallel_series_bound_mc,
+    rost_ell,
+)
 from nipoly.shapes import (
     affine_wulff_check,
     bead_scaling_residual,
@@ -380,7 +387,9 @@ def test_johansson_batch_seeds_equal_the_scalar_loop(monkeypatch):
 def test_fluctuation_mc_chunk_seeds_equal_the_scalar_loop(monkeypatch):
     calls = []
     _record(monkeypatch, shapes, "omega_grid", calls)
-    fluctuation_mc(1.0, 4, [0.5, 1.0], samples=7, seed=17, chunk=3)
+    # 16 sites per sample at n = 4: blocks of 3 samples
+    monkeypatch.setattr(shapes, "_FLUCT_SITES", 48)
+    fluctuation_mc(1.0, 4, [0.5, 1.0], samples=7, seed=17)
     got = np.concatenate([args[0].ravel() for _, args in calls])
     want = np.array([derive_seed(17, 0xF1, s) for s in range(7)], dtype=np.uint64)
     assert [args[0].shape for _, args in calls] == [(3,), (3,), (1,)]
@@ -432,6 +441,16 @@ def test_domain_errors():
         affine_wulff_check(1.0)
     with pytest.raises(DomainError):
         omega_identity_pv_check(1.57079)  # the pole r is 0 in floating point
+    # inputs with nothing to measure: no eigenvalue, no weight on the
+    # k-path (varpi = 0), no replica
+    with pytest.raises(DomainError):
+        gue_quantile_gap(0, seed=1)
+    with pytest.raises(DomainError):
+        lue_quantile_gap(4, 0, seed=1)
+    with pytest.raises(DomainError):
+        jensen_sandwich_check(WeightSpec("gauss"), 1.0, _XS2, _XS2, 5, seed=2)
+    with pytest.raises(DomainError):
+        parallel_series_bound_mc(WeightSpec("gauss"), 1.0, replicas=0, seed=2)
 
 
 def test_fluctuation_mc_refuses_an_empty_diagonal():
@@ -504,11 +523,19 @@ _YS2 = tuple((x + 3, y + 3) for x, y in _XS2)
         lambda r: diagonal_free_energy_check(2.0, 1.0, 6, replicas=r, seed=5),
         lambda r: johansson_check(4, 2, 1, samples=r, seed=13),
         lambda r: fluctuation_mc(1.0, 4, [0.5, 1.0], samples=r, seed=17),
+        lambda r: free_energy_mc(WeightSpec("loggamma", mu=2.0), 1.0, 1.0, 6, r, seed=5),
     ],
-    ids=["jensen_sandwich_check", "k_linearity_probe", "diagonal_free_energy_check", "johansson_check", "fluctuation_mc"],
+    ids=[
+        "jensen_sandwich_check",
+        "k_linearity_probe",
+        "diagonal_free_energy_check",
+        "johansson_check",
+        "fluctuation_mc",
+        "free_energy_mc",
+    ],
 )
 def test_statistics_need_two_replicas(driver, count):
     # one replica has no standard error: the drivers returned stderr 0.0
-    # (and ok True) or NaN statistics behind a RuntimeWarning
+    # (and ok True), inf, or NaN statistics behind a RuntimeWarning
     with pytest.raises(DomainError):
         driver(count)
