@@ -34,6 +34,11 @@ runs it over numpy-broadcast uint64 arrays, so one call gives a seed per
 sample, e.g. derive_seeds(seed, 0x10, np.arange(samples)); derive_seed is
 its scalar form.  Seeds and coordinates must be integers; they wrap mod
 2^64, and floats are refused.
+
+Replica lanes: each Monte Carlo driver but the lazy gibbs_sampler takes its
+replicas from _replica_lanes (lane r is derive_seed(seed, stream, r); fewer
+than least replicas raise DomainError, least = 2 where a standard error is
+taken) and its standard error from _mean_stderr.
 """
 
 from __future__ import annotations
@@ -112,6 +117,18 @@ def derive_seed(seed: int, *indices: int) -> int:
     """Derive a decorrelated child seed, e.g. one per replica.  For one seed
     per sample, make one derive_seeds call over an index array instead."""
     return int(derive_seeds(seed, *indices))
+
+
+def _replica_lanes(seed, stream, count: int, least: int = 2) -> np.ndarray:
+    """derive_seeds(seed, stream, np.arange(count)); DomainError below least."""
+    if count < least:
+        raise DomainError("at least %d replicas needed, got %d" % (least, count))
+    return derive_seeds(seed, stream, np.arange(count))
+
+
+def _mean_stderr(values: np.ndarray, axis: int = 0):
+    """The mean along axis and its standard error, std(ddof=1) / sqrt(count)."""
+    return values.mean(axis=axis), values.std(axis=axis, ddof=1) / math.sqrt(values.shape[axis])
 
 
 @dataclass(frozen=True)

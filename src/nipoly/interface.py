@@ -3,9 +3,9 @@
 phi(i,j), a log ratio of tau partition functions, is exactly the geometric
 RSK (gRSK) output pattern of the N x N weight matrix read from the far
 corner: phi(i,j) = T[N+1-i, N+1-j].  gRSK is the engine, batched over
-environments: a Monte Carlo driver derives one seed per environment in one
-array call and, for each mu, draws all their weights in one seed-lane call
-of ``polymer.loggamma_rectangle`` (``environment.omega_grid``).  The tau
+environments: a Monte Carlo driver takes one replica lane per environment
+and, for each mu, draws all their weights in one seed-lane call of
+``polymer.loggamma_rectangle`` (``environment.omega_grid``).  The tau
 tables of ``polymer.TauTable``, from the k-path transfer, remain only as
 the small-size oracle (``phi_inversion_residual``).
 The law of phi is a Gibbs measure on the N x N square with exponential
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import UniformField, derive_seeds
+from .environment import UniformField, _mean_stderr, _replica_lanes, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
 from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage_batch, loggamma_rectangle
@@ -160,12 +160,9 @@ def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
     """Per-site means and standard errors of phi over seeds independent
     polymer environments, from one batched gRSK call; the draws are those
     gibbs_sampler yields.  The standard error needs seeds >= 2."""
-    if seeds < 2:
-        raise DomainError("phi_moments_mc needs at least 2 seeds")
-    phis = _phi_batch(derive_seeds(seed, _PHI_STREAM, np.arange(seeds)), mu, n)
-    mean = phis.mean(axis=0)
-    var = phis.var(axis=0, ddof=1)
-    return {"mean": mean, "stderr": np.sqrt(var / seeds), "seeds": seeds}
+    phis = _phi_batch(_replica_lanes(seed, _PHI_STREAM, seeds), mu, n)
+    mean, stderr = _mean_stderr(phis)
+    return {"mean": mean, "stderr": stderr, "seeds": seeds}
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +249,9 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     """Sup-norm distance of the tilted interface from theta_min per sample,
     for each mu; medians should decrease along an increasing mu_list.
     Each mu tilts its whole checked gRSK batch at once, bitwise as
-    theta_rescale does one grid."""
+    theta_rescale does one grid; seeds >= 1 replica lanes."""
+    lanes = _replica_lanes(seed, 0x3C, seeds, least=1)
     tmin = _theta_min_values(n)
-    lanes = derive_seeds(seed, 0x3C, np.arange(seeds))
     sup = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
         th = _phi_batch(lanes, mu, n) + _tilt(n, mu)
@@ -272,10 +269,10 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
 def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) -> dict:
     """Per-seed |mu log tau(m,k) - L(m,k)| with coupled exponential weights,
     for each mu in decreasing order; also returns the samples for
-    distributional comparison."""
+    distributional comparison; seeds >= 1 replica lanes."""
     if not 1 <= k <= m <= n:
         raise DomainError("need 1 <= k <= m <= N")
-    field_seeds = derive_seeds(seed, 0x5C, np.arange(seeds))
+    field_seeds = _replica_lanes(seed, 0x5C, seeds, least=1)
     lvals = last_passage_batch(field_seeds, n, m, k)
     mu_log_tau = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):

@@ -35,13 +35,14 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .environment import UniformField, WeightSpec, derive_seeds, omega_grid
+from .environment import UniformField, WeightSpec, _mean_stderr, _replica_lanes, omega_grid
 from .errors import DomainError, NoPathError
 from .lattice import (
     KPoint,
     Point,
     enumerate_kpaths,
     leq,
+    macmahon_log_count,
     stack_diag,
     stack_down,
     stack_up,
@@ -177,12 +178,15 @@ def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:
     return g
 
 
+def _lanes(field) -> tuple:
+    return () if field is None or isinstance(field, UniformField) else (len(field),)
+
+
 def _rectangle_logw(field, spec, beta, x: Point, y: Point) -> np.ndarray:
     x1 = np.arange(x[0], y[0] + 1)
     x2 = np.arange(x[1], y[1] + 1)
     if beta == 0.0 or spec is None:
-        lanes = () if field is None or isinstance(field, UniformField) else (len(field),)
-        return np.zeros(lanes + (x1.size, x2.size))
+        return np.zeros(_lanes(field) + (x1.size, x2.size))
     logw = omega_grid(field, spec, x1[:, None], x2[None, :])
     logw *= beta
     return logw
@@ -208,6 +212,9 @@ def single_path_logZ(
 def _check_kpoints(xs: KPoint, ys: KPoint) -> None:
     if not xs or len(xs) != len(ys):
         raise DomainError("need two k-points of equal length k >= 1")
+    for x, y in zip(xs, ys):
+        if not leq(x, y):
+            raise NoPathError("no path from %s to %s" % (x, y))
 
 
 def _bounding_box(xs: KPoint, ys: KPoint) -> tuple[Point, Point]:
@@ -220,6 +227,13 @@ def _shift(v: KPoint, origin: Point) -> KPoint:
 
 
 _KPATH_MAX_CELLS = 2**22
+
+
+def _check_kpath_cells(lanes: int, xs: KPoint, ys: KPoint) -> None:
+    # the k-path state holds at most lanes x prod_i (the widest band of path i) cells
+    cells = lanes * math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
+    if cells > _KPATH_MAX_CELLS:
+        raise DomainError("kpath_scan needs %d cells, above the cap %d" % (cells, _KPATH_MAX_CELLS))
 
 
 def _advance(state: np.ndarray, axis: int, old: tuple, new: tuple) -> np.ndarray:
@@ -271,20 +285,16 @@ def kpath_scan(
     Start weights are excluded unless include_start (the tau convention).
     Endpoints with no k-path give -inf.  The state holds at most lanes x
     prod_i (the widest band of path i) <= lanes x W^k cells; more than 2^22
-    raises DomainError.
+    raises DomainError (_check_kpath_cells).
     """
     _check_kpoints(xs, ys)
     k = len(xs)
     lead = logw.shape[:-2]
     w, h = logw.shape[-2:]
     for x, y in zip(xs, ys):
-        if not leq(x, y):
-            raise NoPathError("no path from %s to %s" % (x, y))
         if min(x) < 0 or y[0] >= w or y[1] >= h:
             raise DomainError("k-points outside the %d x %d weight array" % (w, h))
-    cells = math.prod(lead) * math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
-    if cells > _KPATH_MAX_CELLS:
-        raise DomainError("kpath_scan needs %d cells, above the cap %d" % (cells, _KPATH_MAX_CELLS))
+    _check_kpath_cells(math.prod(lead), xs, ys)
     enter = [x[0] + x[1] for x in xs]
     leave = [y[0] + y[1] for y in ys]
 
@@ -333,8 +343,10 @@ def kpath_logZ(
     """log Z of k non-intersecting paths, path i from xs[i] to ys[i]:
     kpath_scan over one omega_grid call on the bounding box of the
     endpoints; a float for a UniformField, an array for seed lanes.  Start
-    weights excluded unless include_start."""
+    weights excluded unless include_start.  The cap is checked before any
+    weight is drawn."""
     _check_kpoints(xs, ys)
+    _check_kpath_cells(math.prod(_lanes(field)), xs, ys)
     lo, hi = _bounding_box(xs, ys)
     logw = _rectangle_logw(field, spec, beta, lo, hi)
     val = kpath_scan(logw, _shift(xs, lo), _shift(ys, lo), include_start)
@@ -358,21 +370,12 @@ def brute_force_kpath_logZ(
     paths = enumerate_kpaths(xs, ys, cap=cap)
     if not paths:
         raise NoPathError("no k-path between the given k-points")
-    weighted = beta != 0.0 and spec is not None
-    if weighted:
-        (lo1, lo2), (hi1, hi2) = _bounding_box(xs, ys)
-        x1 = np.arange(lo1, hi1 + 1)
-        x2 = np.arange(lo2, hi2 + 1)
-        omega = omega_grid(field, spec, x1[:, None], x2[None, :])
+    lo, hi = _bounding_box(xs, ys)
+    logw = _rectangle_logw(field, spec, beta, lo, hi)
     logs = []
     for kp in paths:
-        total = 0.0
-        if weighted:
-            for comp in kp:
-                sites = comp if include_start else comp[1:]
-                for z in sites:
-                    total += float(omega[z[0] - lo1, z[1] - lo2])
-        logs.append(beta * total)
+        sites = [z for comp in kp for z in (comp if include_start else comp[1:])]
+        logs.append(sum(float(logw[z[0] - lo[0], z[1] - lo[1]]) for z in sites))
     return float(logsumexp(logs))
 
 
@@ -571,27 +574,26 @@ def _check_tau_args(n: int, m: int, k: int) -> None:
         raise DomainError("need 1 <= k <= m <= N")
 
 
-def _corner_tau(field: UniformField, mu: float, width: int, height: int, k: int) -> float:
-    # the k-path log partition function across the width x height rectangle
+def _corner_tau(field: UniformField, mu: float, n: int, m: int, k: int, tilde: bool) -> float:
+    # the k-path log partition function across the N x m rectangle, or the
+    # m x N one for tau~; 0 at k = 0
+    if k == 0:
+        return 0.0
+    _check_tau_args(n, m, k)
+    width, height = (m, n) if tilde else (n, m)
     return float(corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, width, height)), k))
 
 
 def log_tau(field: UniformField, mu: float, n: int, m: int, k: int) -> float:
     """log tau(m, k): k paths from stack_up((1,1),k) to stack_down((N,m),k)
     across the N-wide, m-tall rectangle, start weights included (gRSK)."""
-    if k == 0:
-        return 0.0
-    _check_tau_args(n, m, k)
-    return _corner_tau(field, mu, n, m, k)
+    return _corner_tau(field, mu, n, m, k, False)
 
 
 def log_tau_tilde(field: UniformField, mu: float, n: int, m: int, k: int) -> float:
     """log tau~(m, k): k paths from stack_up((1,1),k) to stack_down((m,N),k)
     across the m-wide, N-tall rectangle, start weights included (gRSK)."""
-    if k == 0:
-        return 0.0
-    _check_tau_args(n, m, k)
-    return _corner_tau(field, mu, m, n, k)
+    return _corner_tau(field, mu, n, m, k, True)
 
 
 def last_passage(field: UniformField, n: int, m: int, k: int = 1) -> float:
@@ -665,15 +667,15 @@ def free_energy_mc(
     seed: int,
 ) -> FreeEnergyEstimate:
     """Quenched Monte Carlo of (1/N) log Z_(1,1)->(N, cN) over disjoint seed
-    streams; averages (1/N) log Z, never the log of averaged Z."""
-    if replicas < 2:
-        raise DomainError("free_energy_mc needs at least 2 replicas")
+    streams; averages (1/N) log Z, never the log of averaged Z.  Replica r
+    is a single_path_logZ call on UniformField(replica lane r)."""
+    lanes = _replica_lanes(seed, _FE_STREAM, replicas)
     m = int(math.floor(c * n))
     vals = np.empty(replicas)
-    for r, s in enumerate(derive_seeds(seed, _FE_STREAM, np.arange(replicas))):
+    for r, s in enumerate(lanes):
         vals[r] = single_path_logZ(UniformField(int(s)), spec, beta, (1, 1), (n, m)) / n
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
-    return FreeEnergyEstimate(float(vals.mean()), stderr, n, replicas, vals)
+    mean, stderr = _mean_stderr(vals)
+    return FreeEnergyEstimate(float(mean), float(stderr), n, replicas, vals)
 
 
 def ineq_theorem_check(mu: float, c: float, cp: float, tol: float = 1e-10) -> dict:
@@ -707,16 +709,13 @@ def jensen_sandwich_check(
     """MC mean of (1/varpi) ln(Z(beta)/Z(0)) against the bracket
     [beta nu, log G(beta)], where varpi counts the environment weights of a
     k-path (start points excluded); the replicas are seed lanes."""
-    if replicas < 2:
-        raise DomainError("jensen_sandwich_check needs at least 2 replicas")
+    seeds = _replica_lanes(seed, _SANDWICH_STREAM, replicas)
     varpi = sum(abs(y[0] - x[0]) + abs(y[1] - x[1]) for x, y in zip(xs, ys))
     if varpi == 0:
         raise DomainError("jensen_sandwich_check needs k-paths with at least one step")
     log_z0 = kpath_logZ(None, None, 0.0, xs, ys)
-    seeds = derive_seeds(seed, _SANDWICH_STREAM, np.arange(replicas))
     vals = (kpath_logZ(seeds, spec, beta, xs, ys) - log_z0) / varpi
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
+    mean, stderr = map(float, _mean_stderr(vals))
     lo, hi = beta * spec.nu(), spec.log_mgf(beta)
     return {
         "mean": mean,
@@ -752,8 +751,6 @@ def w_limit(c: float, alpha: float) -> float:
 
 
 def scaled_k_check(n: int, c: float, alpha: float) -> dict:
-    from .lattice import macmahon_log_count
-
     m = int(math.floor(c * n))
     k = int(math.floor(alpha * n))
     per_site = macmahon_log_count(n, m, k) / (n * n)
@@ -772,9 +769,8 @@ def parallel_series_bound_mc(
     """Per-sample exact verification of the series, parallel, and Hadamard
     inequalities on a small rectangle; returns the violation counts, which
     must be zero, along with the worst slack observed; the replicas are
-    seed lanes."""
-    if replicas < 1:
-        raise DomainError("parallel_series_bound_mc needs at least 1 replica")
+    seed lanes, at least 1."""
+    seeds = _replica_lanes(seed, _BOUNDS_STREAM, replicas, least=1)
     tol = 1e-9
     base = (1, 1)
     xs = stack_up(base, k)
@@ -782,7 +778,6 @@ def parallel_series_bound_mc(
     zs = stack_up((base[0] + 2 * size, base[1] + 2 * size), k)
     ysep = stack_up((base[0] + size, base[1] + size), k + 1)
     xsep = stack_up(base, k + 1)
-    seeds = derive_seeds(seed, _BOUNDS_STREAM, np.arange(replicas))
     lz = lambda a, b: kpath_logZ(seeds, spec, beta, a, b)
     z_mid = lz(xs, mid)
     slacks = {
@@ -802,23 +797,22 @@ def k_linearity_probe(
     spec: WeightSpec, beta: float, c: float, n: int, replicas: int, seed: int
 ) -> dict:
     """MC comparison of the 2-path rate against twice the 1-path rate along
-    diagonal 2-points; the limits satisfy f_c(2) = 2 f_c(1).  The replicas
-    are seed lanes: replicas x (min(n, m) + 1)^2 <= kpath_scan's cap."""
-    if replicas < 2:
-        raise DomainError("k_linearity_probe needs at least 2 replicas")
+    diagonal 2-points; the limits satisfy f_c(2) = 2 f_c(1); n >= 1.  The
+    replicas are seed lanes: replicas x (min(n, m) + 1)^2 <= kpath_scan's
+    cap, checked by the 2-path call before any weight is drawn."""
+    if n < 1:
+        raise DomainError("k_linearity_probe needs n >= 1")
+    seeds = _replica_lanes(seed, 0x2B, replicas)
     m = int(math.floor(c * n))
     xs2 = stack_diag((1, 1), 2)
     ys2 = tuple((p[0] + n, p[1] + m) for p in xs2)
-    seeds = derive_seeds(seed, 0x2B, np.arange(replicas))
-    one = single_path_logZ(seeds, spec, beta, (1, 1), (1 + n, 1 + m)) / n
-    two = kpath_logZ(seeds, spec, beta, xs2, ys2) / n
-    se1 = one.std(ddof=1) / math.sqrt(replicas)
-    se2 = two.std(ddof=1) / math.sqrt(replicas)
-    gap = float(two.mean() - 2.0 * one.mean())
+    mean2, se2 = _mean_stderr(kpath_logZ(seeds, spec, beta, xs2, ys2) / n)
+    mean1, se1 = _mean_stderr(single_path_logZ(seeds, spec, beta, (1, 1), (1 + n, 1 + m)) / n)
+    gap = float(mean2 - 2.0 * mean1)
     sigma = float(math.sqrt(se2**2 + 4.0 * se1**2))
     return {
-        "rate_k1": float(one.mean()),
-        "rate_k2": float(two.mean()),
+        "rate_k1": float(mean1),
+        "rate_k2": float(mean2),
         "gap": gap,
         "sigma": sigma,
         "ok": abs(gap) <= 3.0 * sigma + 0.05,

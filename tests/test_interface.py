@@ -177,7 +177,7 @@ def test_gibbs_sampler_mean_is_phi_moments_mc_mean():
     pm = phi_moments_mc(n, mu, sweeps, seed)
     assert pm["seeds"] == sweeps
     assert np.array_equal(draws.mean(axis=0), pm["mean"])
-    assert np.array_equal(np.sqrt(draws.var(axis=0, ddof=1) / sweeps), pm["stderr"])
+    assert np.array_equal(draws.std(axis=0, ddof=1) / math.sqrt(sweeps), pm["stderr"])
 
 
 def test_phi_moments_mc_needs_two_seeds():
@@ -441,6 +441,14 @@ def test_gt_volume_rejection_mc_oracle():
 def test_gt_interlacing_of_minors_process():
     grid = minors_process(gue_matrix(6, seed=44))
     assert is_gt_pattern(grid, 6, tol=1e-10)
+
+
+def test_gt_pattern_refuses_an_increase_along_either_step():
+    # (1, 2) -> (2, 2) and (1, 1) -> (1, 2) rise by 1: refused, unless
+    # the tolerance covers the rise
+    for tri in ({(1, 2): 0.0, (2, 2): 1.0}, {(1, 1): 0.0, (1, 2): 1.0}):
+        assert not is_gt_pattern(tri, 2)
+        assert is_gt_pattern(tri, 2, tol=1.0)
 
 
 def test_whittaker_gl2_values():

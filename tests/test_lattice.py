@@ -114,6 +114,13 @@ def test_every_enumerated_kpath_disjoint():
         assert len(p) == 2
 
 
+def test_kpath_sharing_a_site_is_not_disjoint():
+    a = ((1, 1), (2, 1), (2, 2))
+    b = ((1, 2), (2, 2), (2, 3))
+    assert not kpath_is_disjoint((a, b))
+    assert not kpath_is_disjoint((a, a))
+
+
 def test_krattenthaler_hand_case():
     # det [[2,1],[1,2]] = 3 = (2/1)(3/2) * 1
     assert krattenthaler_log_rhs(2, 1, 1) == pytest.approx(math.log(3.0), abs=1e-12)

@@ -446,8 +446,9 @@ def test_tau_trivial_cases():
     f = UniformField(9)
     mu = 1.5
     t = TauTable(f, mu, 3)
-    # tau(m, 0) = 1
+    # tau(m, 0) = 1, on both routes
     assert t.log_tau(2, 0) == 0.0
+    assert log_tau(f, mu, 3, 2, 0) == 0.0 and log_tau_tilde(f, mu, 3, 2, 0) == 0.0
     # N = m = k = 1: tau = zeta(1,1)
     t1 = TauTable(f, mu, 1)
     from nipoly.environment import omega_grid
@@ -844,8 +845,24 @@ def test_k_linearity_probe():
     assert r["ok"], r
 
 
+def test_over_cap_kpath_calls_draw_no_weight(monkeypatch):
+    # the cell cap is checked from the endpoints and the lane count before
+    # omega_grid runs: 113 lanes x 193^2 cells exceed 2^22
+    def refuse(*args):
+        raise AssertionError("omega_grid ran before the cap check")
+
+    monkeypatch.setattr(polymer, "omega_grid", refuse)
+    lanes = derive_seeds(11, 0x2B, np.arange(113))
+    xs2 = stack_diag((1, 1), 2)
+    ys2 = tuple((p[0] + 192, p[1] + 192) for p in xs2)
+    with pytest.raises(DomainError):
+        kpath_logZ(lanes, LG2, 1.0, xs2, ys2)
+    with pytest.raises(DomainError):
+        k_linearity_probe(LG2, 1.0, 1.0, 192, 113, seed=11)
+
+
 def test_polymer_drivers_take_replica_seeds_from_one_array_call(monkeypatch):
-    # each driver makes one derive_seeds call; free_energy_mc gives replica
+    # each driver makes one _replica_lanes call; free_energy_mc gives replica
     # r the field UniformField(derive_seed(seed, stream, r)), a Python int
     # seed, and the other drivers pass every engine call the seed lanes
     # derive_seed(seed, stream, r), r = 0..replicas - 1, and no UniformField
@@ -859,11 +876,11 @@ def test_polymer_drivers_take_replica_seeds_from_one_array_call(monkeypatch):
 
         monkeypatch.setattr(polymer, name, probe)
 
-    def counted(*args, fn=polymer.derive_seeds):
+    def counted(*args, fn=polymer._replica_lanes, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(polymer, "derive_seeds", counted)
+    monkeypatch.setattr(polymer, "_replica_lanes", counted)
     xs, ys = rectangle_endpoints(3, 3, 2)
     runs = [
         (lambda: free_energy_mc(LG2, 1.0, 1.0, 6, 5, seed=13), polymer._FE_STREAM),

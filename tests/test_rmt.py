@@ -57,6 +57,16 @@ def test_jacobi_nonconvergence_raises():
         jacobi_eigvalsh_batch(stack, max_sweeps=1)
 
 
+def test_jacobi_checks_convergence_after_its_last_sweep():
+    # one rotation diagonalizes a 2 x 2 matrix: max_sweeps = 1 converges,
+    # and max_sweeps = 0 accepts only a matrix that is already diagonal
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_allclose(jacobi_eigvalsh(a, max_sweeps=1), [3.0, 1.0], rtol=1e-15)
+    with pytest.raises(JacobiConvergenceError):
+        jacobi_eigvalsh(a, max_sweeps=0)
+    assert list(jacobi_eigvalsh(np.diag([1.0, 4.0]), max_sweeps=0)) == [4.0, 1.0]
+
+
 def test_hermitian_eigvalsh():
     rng = np.random.default_rng(3)
     for n in (2, 4, 9):

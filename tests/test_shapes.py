@@ -7,6 +7,7 @@ import pytest
 from nipoly import environment, rmt, shapes
 from nipoly.environment import UniformField, WeightSpec, derive_seed
 from nipoly.errors import DomainError
+from nipoly.interface import large_mu_convergence, phi_moments_mc, small_mu_coupling
 from nipoly.lattice import stack_diag
 from nipoly.polymer import (
     free_energy_mc,
@@ -166,6 +167,14 @@ def test_sc_cdf_quadrature_residual():
 def test_xi_sc_symmetric():
     assert xi_sc(0.2, 0.6) == pytest.approx(xi_sc(0.6, 0.2))
     assert xi_sc(0.0, 0.0) == pytest.approx(2.0)
+    assert xi_sc(0.0, 1.0) == 0.0 and xi_sc(1.0, 0.0) == 0.0
+
+
+def test_sc_cdf_is_0_and_1_outside_the_support():
+    for x in (-2.0, -2.5, -1e300):
+        assert sc_cdf(x) == 0.0
+    for x in (2.0, 2.5, 1e300):
+        assert sc_cdf(x) == 1.0
 
 
 def test_xi_ht_values():
@@ -385,8 +394,9 @@ def test_johansson_batch_seeds_equal_the_scalar_loop(monkeypatch):
 
 
 def test_fluctuation_mc_chunk_seeds_equal_the_scalar_loop(monkeypatch):
-    calls = []
-    _record(monkeypatch, shapes, "omega_grid", calls)
+    calls, derivations = [], []
+    _record(monkeypatch, shapes, "loggamma_rectangle", calls)
+    _record(monkeypatch, shapes, "_replica_lanes", derivations)
     # 16 sites per sample at n = 4: blocks of 3 samples
     monkeypatch.setattr(shapes, "_FLUCT_SITES", 48)
     fluctuation_mc(1.0, 4, [0.5, 1.0], samples=7, seed=17)
@@ -394,6 +404,7 @@ def test_fluctuation_mc_chunk_seeds_equal_the_scalar_loop(monkeypatch):
     want = np.array([derive_seed(17, 0xF1, s) for s in range(7)], dtype=np.uint64)
     assert [args[0].shape for _, args in calls] == [(3,), (3,), (1,)]
     np.testing.assert_array_equal(got, want)
+    assert len(derivations) == 1
 
 
 def test_johansson_derives_seeds_in_array_calls(monkeypatch):
@@ -451,6 +462,23 @@ def test_domain_errors():
         jensen_sandwich_check(WeightSpec("gauss"), 1.0, _XS2, _XS2, 5, seed=2)
     with pytest.raises(DomainError):
         parallel_series_bound_mc(WeightSpec("gauss"), 1.0, replicas=0, seed=2)
+    # the limit shapes live on the unit square
+    for shape, s, t in ((xi_sc, 0.2, 1.5), (xi_ht, 0.5, 3.0), (xi_ht, -1.0, 0.5)):
+        with pytest.raises(DomainError):
+            shape(s, t)
+    # an empty rectangle, grid or t_grid: floor(cN) = 0, N = 0
+    with pytest.raises(DomainError):
+        diagonal_free_energy_check(2.0, 0.05, 10, 4, 1)
+    with pytest.raises(DomainError):
+        diagonal_free_energy_check(2.0, 1.0, 0, 4, 1)
+    with pytest.raises(DomainError):
+        fluctuation_mc(1.0, 5, [], 3, 1)
+    with pytest.raises(DomainError):
+        omega_identity_check([])
+    with pytest.raises(DomainError):
+        k_linearity_probe(WeightSpec("loggamma", mu=2.0), 1.0, 1.0, 0, 3, seed=1)
+    with pytest.raises(DomainError):
+        theta_min_vs_xi_ht_gap(0)
 
 
 def test_fluctuation_mc_refuses_an_empty_diagonal():
@@ -524,6 +552,7 @@ _YS2 = tuple((x + 3, y + 3) for x, y in _XS2)
         lambda r: johansson_check(4, 2, 1, samples=r, seed=13),
         lambda r: fluctuation_mc(1.0, 4, [0.5, 1.0], samples=r, seed=17),
         lambda r: free_energy_mc(WeightSpec("loggamma", mu=2.0), 1.0, 1.0, 6, r, seed=5),
+        lambda r: phi_moments_mc(3, 1.5, r, seed=8),
     ],
     ids=[
         "jensen_sandwich_check",
@@ -532,6 +561,7 @@ _YS2 = tuple((x + 3, y + 3) for x, y in _XS2)
         "johansson_check",
         "fluctuation_mc",
         "free_energy_mc",
+        "phi_moments_mc",
     ],
 )
 def test_statistics_need_two_replicas(driver, count):
@@ -539,3 +569,20 @@ def test_statistics_need_two_replicas(driver, count):
     # (and ok True), inf, or NaN statistics behind a RuntimeWarning
     with pytest.raises(DomainError):
         driver(count)
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda r: parallel_series_bound_mc(WeightSpec("gauss"), 1.0, replicas=r, seed=2, size=2),
+        lambda r: large_mu_convergence(3, [1e2, 1e3], r, seed=1),
+        lambda r: small_mu_coupling(3, 2, 1, [1.0, 0.5], r, seed=1),
+    ],
+    ids=["parallel_series_bound_mc", "large_mu_convergence", "small_mu_coupling"],
+)
+def test_lane_drivers_need_one_replica(driver):
+    # these take no standard error: one replica suffices, and none returned
+    # NaN statistics behind a RuntimeWarning
+    with pytest.raises(DomainError):
+        driver(0)
+    driver(1)
