@@ -38,7 +38,12 @@ its scalar form.  Seeds and coordinates must be integers; they wrap mod
 Replica lanes: each Monte Carlo driver but the lazy gibbs_sampler takes its
 replicas from _replica_lanes (lane r is derive_seed(seed, stream, r); fewer
 than least replicas raise DomainError, least = 2 where a standard error is
-taken) and its standard error from _mean_stderr.
+taken) and its standard error from _mean_stderr.  _lane_blocks is the one
+rule that blocks lanes under a budget of sites or cells, for its four users:
+_hash_blocked (_CHUNK, 2^16 sites per pool task), interface.gibbs_sampler
+(_DRAW_SITES, 2^14 sites per gRSK call), shapes.fluctuation_mc
+(_FLUCT_SITES, 2^18 sites per omega_grid call) and polymer.kpath_logZ
+(_KPATH_MAX_CELLS, 2^22 k-path state cells per kpath_scan call).
 """
 
 from __future__ import annotations
@@ -124,6 +129,14 @@ def _replica_lanes(seed, stream, count: int, least: int = 2) -> np.ndarray:
     if count < least:
         raise DomainError("at least %d replicas needed, got %d" % (least, count))
     return derive_seeds(seed, stream, np.arange(count))
+
+
+def _lane_blocks(count: int, per_lane: int, budget: int):
+    """Slices of range(count) in order, lazily, max(1, budget // per_lane)
+    lanes each (per_lane counts as at least 1); the last may be shorter.
+    A lane that alone exceeds the budget gets a block of its own."""
+    step = max(1, budget // max(1, per_lane))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def _mean_stderr(values: np.ndarray, axis: int = 0):
@@ -297,12 +310,12 @@ def _hash_blocked(seeds, x1, x2, transform=None) -> np.ndarray:
     uniforms of the broadcast uint64 seeds and sites, or transform(u, out)
     of them.  Under two chunks of sites it is one call on the caller.
     Otherwise it blocks along the first axis whose trailing axes hold at
-    most _CHUNK sites, about a chunk per block, once per index of the axes
-    before it, runs the blocks on the shared pool (the ufuncs release the
-    GIL), waits for all of them and re-raises the first failure.  Tasks
-    call private bodies only: bench/spans.py wraps the public names with a
-    span stack that is not thread-safe.  Every step is elementwise, so the
-    values are bitwise independent of the blocking."""
+    most _CHUNK sites, in _lane_blocks of about a chunk, once per index of
+    the axes before it, runs the blocks on the shared pool (the ufuncs
+    release the GIL), waits for all of them and re-raises the first
+    failure.  Tasks call private bodies only: bench/spans.py wraps the
+    public names with a span stack that is not thread-safe.  Every step is
+    elementwise, so the values are bitwise independent of the blocking."""
     out = np.empty(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape))
     # every input keeps every axis; a block slices those of size above one
     inputs = [np.reshape(x, (1,) * (out.ndim - np.ndim(x)) + np.shape(x)) for x in (seeds, x1, x2)]
@@ -322,11 +335,11 @@ def _hash_blocked(seeds, x1, x2, transform=None) -> np.ndarray:
     axis = 0
     while math.prod(out.shape[axis + 1 :]) > _CHUNK:
         axis += 1
-    step = _CHUNK // math.prod(out.shape[axis + 1 :])
+    per_index = math.prod(out.shape[axis + 1 :])
     keys = [
-        tuple(slice(i, i + 1) for i in outer) + (slice(lo, lo + step),)
+        tuple(slice(i, i + 1) for i in outer) + (lanes,)
         for outer in np.ndindex(out.shape[:axis])
-        for lo in range(0, out.shape[axis], step)
+        for lanes in _lane_blocks(out.shape[axis], per_index, _CHUNK)
     ]
     pool = _site_pool()
     futures = [pool.submit(block, key) for key in keys]

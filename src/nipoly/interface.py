@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import UniformField, _mean_stderr, _replica_lanes, derive_seeds
+from .environment import UniformField, _lane_blocks, _mean_stderr, _replica_lanes, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
 from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage_batch, loggamma_rectangle
@@ -144,14 +144,13 @@ def gibbs_sampler(n: int, mu: float, sweeps: int, seed: int, burn_in: int | None
     need no burn-in, so burn_in has no effect; it stays for the benchmark's
     interface workload, the last caller, and goes with this function
     (ROADMAP items 1 and 2).  The draws are made lazily, one batched gRSK
-    call per about _DRAW_SITES sites (at least one lane), so memory stays
+    call per _lane_blocks block of about _DRAW_SITES sites, so memory stays
     flat at any n and sweeps.  _phi_batch checks each block once, before
     its first draw is yielded; each draw is a view of its block, not a
     copy, and is not checked again.
     """
-    lanes = max(1, _DRAW_SITES // max(1, n * n))
-    for lo in range(0, sweeps, lanes):
-        block = derive_seeds(seed, _PHI_STREAM, np.arange(lo, min(lo + lanes, sweeps)))
+    for lanes in _lane_blocks(sweeps, n * n, _DRAW_SITES):
+        block = derive_seeds(seed, _PHI_STREAM, np.arange(lanes.start, lanes.stop))
         for phi in _phi_batch(block, mu, n):
             yield InterfaceGrid._checked(n, phi)
 
@@ -249,7 +248,10 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     """Sup-norm distance of the tilted interface from theta_min per sample,
     for each mu; medians should decrease along an increasing mu_list.
     Each mu tilts its whole checked gRSK batch at once, bitwise as
-    theta_rescale does one grid; seeds >= 1 replica lanes."""
+    theta_rescale does one grid; seeds >= 1 replica lanes and a nonempty
+    mu_list."""
+    if len(mu_list) == 0:
+        raise DomainError("large_mu_convergence needs a nonempty mu_list")
     lanes = _replica_lanes(seed, 0x3C, seeds, least=1)
     tmin = _theta_min_values(n)
     sup = np.empty((len(mu_list), seeds))
@@ -269,9 +271,12 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
 def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) -> dict:
     """Per-seed |mu log tau(m,k) - L(m,k)| with coupled exponential weights,
     for each mu in decreasing order; also returns the samples for
-    distributional comparison; seeds >= 1 replica lanes."""
+    distributional comparison; seeds >= 1 replica lanes and a nonempty
+    mu_list."""
     if not 1 <= k <= m <= n:
         raise DomainError("need 1 <= k <= m <= N")
+    if len(mu_list) == 0:
+        raise DomainError("small_mu_coupling needs a nonempty mu_list")
     field_seeds = _replica_lanes(seed, 0x5C, seeds, least=1)
     lvals = last_passage_batch(field_seeds, n, m, k)
     mu_log_tau = np.empty((len(mu_list), seeds))

@@ -12,7 +12,8 @@ small-instance oracle.  Every engine takes (..., W, H) log weights whose
 leading axes are lanes, each bitwise equal to its unbatched call, and adds
 in log space with _logaddexp; np.logaddexp is left only in the logZ_grid
 oracle.  single_path_logZ and kpath_logZ take seed lanes as omega_grid
-does, so a driver draws all its replicas in one call.
+does, so a driver passes all its replicas in one call; kpath_logZ draws
+and scans them in lane blocks under its cell cap.
 
 The single-path scan meets in the middle: a forward and a backward scan (the
 forward scan of the reversed grid) run as two lanes of one state and meet
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .environment import UniformField, WeightSpec, _mean_stderr, _replica_lanes, omega_grid
+from .environment import UniformField, WeightSpec, _lane_blocks, _mean_stderr, _replica_lanes, omega_grid
 from .errors import DomainError, NoPathError
 from .lattice import (
     KPoint,
@@ -229,9 +230,13 @@ def _shift(v: KPoint, origin: Point) -> KPoint:
 _KPATH_MAX_CELLS = 2**22
 
 
+def _kpath_cells(xs: KPoint, ys: KPoint) -> int:
+    # a lane of the k-path state holds at most prod_i (the widest band of path i) cells
+    return math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
+
+
 def _check_kpath_cells(lanes: int, xs: KPoint, ys: KPoint) -> None:
-    # the k-path state holds at most lanes x prod_i (the widest band of path i) cells
-    cells = lanes * math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
+    cells = lanes * _kpath_cells(xs, ys)
     if cells > _KPATH_MAX_CELLS:
         raise DomainError("kpath_scan needs %d cells, above the cap %d" % (cells, _KPATH_MAX_CELLS))
 
@@ -341,15 +346,26 @@ def kpath_logZ(
     include_start: bool = False,
 ) -> float | np.ndarray:
     """log Z of k non-intersecting paths, path i from xs[i] to ys[i]:
-    kpath_scan over one omega_grid call on the bounding box of the
-    endpoints; a float for a UniformField, an array for seed lanes.  Start
-    weights excluded unless include_start.  The cap is checked before any
-    weight is drawn."""
+    kpath_scan over an omega_grid call on the bounding box of the
+    endpoints; a float for a UniformField, an array for seed lanes.  Seed
+    lanes are drawn and scanned one _lane_blocks block at a time under
+    _KPATH_MAX_CELLS, so any lane count runs, each lane bitwise its own
+    call; only a single lane above the cap raises DomainError, before any
+    weight is drawn.  Start weights excluded unless include_start."""
     _check_kpoints(xs, ys)
-    _check_kpath_cells(math.prod(_lanes(field)), xs, ys)
+    _check_kpath_cells(1, xs, ys)
     lo, hi = _bounding_box(xs, ys)
-    logw = _rectangle_logw(field, spec, beta, lo, hi)
-    val = kpath_scan(logw, _shift(xs, lo), _shift(ys, lo), include_start)
+    xs0, ys0 = _shift(xs, lo), _shift(ys, lo)
+
+    def logz(lanes):
+        return kpath_scan(_rectangle_logw(lanes, spec, beta, lo, hi), xs0, ys0, include_start)
+
+    if _lanes(field):
+        val = np.empty(len(field))
+        for block in _lane_blocks(len(field), _kpath_cells(xs, ys), _KPATH_MAX_CELLS):
+            val[block] = logz(field[block])
+    else:
+        val = logz(field)
     if np.any(val == -np.inf):
         raise NoPathError("no k-path between the given k-points")
     return val
@@ -708,7 +724,9 @@ def jensen_sandwich_check(
 ) -> dict:
     """MC mean of (1/varpi) ln(Z(beta)/Z(0)) against the bracket
     [beta nu, log G(beta)], where varpi counts the environment weights of a
-    k-path (start points excluded); the replicas are seed lanes."""
+    k-path (start points excluded); the replicas are seed lanes, any number
+    of them (kpath_logZ blocks them): only a single lane above the k-path
+    cell cap refuses."""
     seeds = _replica_lanes(seed, _SANDWICH_STREAM, replicas)
     varpi = sum(abs(y[0] - x[0]) + abs(y[1] - x[1]) for x, y in zip(xs, ys))
     if varpi == 0:
@@ -769,7 +787,8 @@ def parallel_series_bound_mc(
     """Per-sample exact verification of the series, parallel, and Hadamard
     inequalities on a small rectangle; returns the violation counts, which
     must be zero, along with the worst slack observed; the replicas are
-    seed lanes, at least 1."""
+    seed lanes, at least 1 and any number of them (kpath_logZ blocks them):
+    only a single lane above the k-path cell cap refuses."""
     seeds = _replica_lanes(seed, _BOUNDS_STREAM, replicas, least=1)
     tol = 1e-9
     base = (1, 1)
@@ -798,8 +817,9 @@ def k_linearity_probe(
 ) -> dict:
     """MC comparison of the 2-path rate against twice the 1-path rate along
     diagonal 2-points; the limits satisfy f_c(2) = 2 f_c(1); n >= 1.  The
-    replicas are seed lanes: replicas x (min(n, m) + 1)^2 <= kpath_scan's
-    cap, checked by the 2-path call before any weight is drawn."""
+    replicas are seed lanes, any number of them (kpath_logZ blocks them):
+    only a single lane above the cap, (min(n, m) + 1)^2 > 2^22 cells,
+    refuses, and it does so before any weight is drawn."""
     if n < 1:
         raise DomainError("k_linearity_probe needs n >= 1")
     seeds = _replica_lanes(seed, 0x2B, replicas)

@@ -16,7 +16,7 @@ import scipy.integrate
 from scipy.optimize import brentq
 
 # omega_grid is not called here: bench/test_bench.py expects this module to bind it
-from .environment import _mean_stderr, _replica_lanes, omega_grid  # noqa: F401
+from .environment import _lane_blocks, _mean_stderr, _replica_lanes, omega_grid  # noqa: F401
 from .errors import DomainError
 from .interface import theta_min
 from .polymer import last_passage_batch, loggamma_rectangle, sepp_free_energy
@@ -479,8 +479,8 @@ def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dic
     consecutive t-blocks, the empirical mean against the t/(2 kappa)
     offset, and Gaussianity diagnostics.  t_grid must be nonempty, and
     every t needs floor(t N) >= 1: H(0, 0) holds no weights.  The replica
-    lanes are sliced into blocks of about _FLUCT_SITES sites (at least one
-    sample each), one loggamma_rectangle call each."""
+    lanes are sliced by _lane_blocks into blocks of about _FLUCT_SITES
+    sites, one loggamma_rectangle call each."""
     lanes = _replica_lanes(seed, 0xF1, samples)
     if not kappa > 0.0:
         raise DomainError("fluctuation_mc needs kappa > 0")
@@ -491,11 +491,10 @@ def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dic
     m_max = max(ms)
     log_mu = math.log(mu)
     h_vals = np.empty((samples, len(ms)))
-    block = max(1, _FLUCT_SITES // (n * m_max))
-    for done in range(0, samples, block):
-        lw = loggamma_rectangle(lanes[done : done + block], mu, n, m_max)
+    for block in _lane_blocks(samples, n * m_max, _FLUCT_SITES):
+        lw = loggamma_rectangle(lanes[block], mu, n, m_max)
         row_cum = (lw + log_mu).sum(axis=1).cumsum(axis=1)  # over x2 rows
-        h_vals[done : done + len(lw)] = row_cum[:, np.array(ms) - 1]
+        h_vals[block] = row_cum[:, np.array(ms) - 1]
     scaled = math.sqrt(kappa) * h_vals
     var = scaled.var(axis=0, ddof=1)
     mean = scaled.mean(axis=0)

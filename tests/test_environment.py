@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nipoly.environment import (
     UniformField,
     WeightSpec,
+    _lane_blocks,
     coupled_exponential,
     derive_seed,
     derive_seeds,
@@ -495,6 +496,18 @@ def test_single_seed_lane_blocks_along_the_sites_on_the_pool(monkeypatch):
         assert got.shape == (1,) + ref.shape and got.tobytes() == ref.tobytes()
         assert len(threads) > 1
         assert all(t.name.startswith("nipoly-quantile") for t in threads)
+
+
+def test_lane_blocks_cover_the_lanes_in_budget_sized_slices():
+    def blocks(count, per_lane, budget):
+        return [(b.start, b.stop) for b in _lane_blocks(count, per_lane, budget)]
+
+    assert blocks(0, 10, 30) == []
+    # a lane above the budget gets a block of its own
+    assert blocks(3, 31, 30) == [(0, 1), (1, 2), (2, 3)]
+    assert blocks(6, 10, 30) == [(0, 3), (3, 6)]
+    assert blocks(7, 10, 30) == [(0, 3), (3, 6), (6, 7)]
+    assert blocks(7, 10, 29) == [(0, 2), (2, 4), (4, 6), (6, 7)]
 
 
 def test_short_lane_axis_blocks_each_lane_along_its_rows(monkeypatch):

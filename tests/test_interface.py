@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nipoly import interface
-from nipoly.environment import UniformField, WeightSpec, derive_seed, omega_grid
+from nipoly.environment import UniformField, WeightSpec, _lane_blocks, derive_seed, omega_grid
 from nipoly.errors import DomainError
 from nipoly.interface import (
     InterfaceGrid,
@@ -155,7 +155,8 @@ def _stacked_draws(n, mu, sweeps, seed):
 def test_gibbs_sampler_yields_the_build_phi_lanes_bitwise(n):
     # sweeps of 0, 1, one block and one block + 1
     mu, seed = 1.5, 31
-    block = max(1, interface._DRAW_SITES // (n * n))
+    # the lanes of a full block, as gibbs_sampler cuts them
+    block = next(_lane_blocks(2**40, n * n, interface._DRAW_SITES)).stop
     for sweeps in (0, 1, block, block + 1):
         draws = list(gibbs_sampler(n, mu, sweeps, seed, burn_in=7))
         assert len(draws) == sweeps
@@ -192,6 +193,11 @@ def test_phi_of_an_empty_square_raises():
         build_phi(UniformField(1), 1.0, 0)
     with pytest.raises(DomainError):
         next(gibbs_sampler(0, 1.0, 3, 1))
+    # nor over an empty mu_list, which once gave decreasing: True over no mu
+    with pytest.raises(DomainError):
+        large_mu_convergence(3, [], 2, 1)
+    with pytest.raises(DomainError):
+        small_mu_coupling(3, 2, 1, [], 2, 1)
 
 
 def test_interface_grid_refuses_non_finite_values_and_wrong_shapes():

@@ -845,20 +845,55 @@ def test_k_linearity_probe():
     assert r["ok"], r
 
 
+def _diagonal_2points(n):
+    # two paths over an n x n square: (n + 1)^2 k-path state cells a lane
+    xs2 = stack_diag((1, 1), 2)
+    return xs2, tuple((p[0] + n, p[1] + n) for p in xs2)
+
+
 def test_over_cap_kpath_calls_draw_no_weight(monkeypatch):
-    # the cell cap is checked from the endpoints and the lane count before
-    # omega_grid runs: 113 lanes x 193^2 cells exceed 2^22
+    # only a single lane above the cell cap refuses, and the cap is checked
+    # from the endpoints before omega_grid runs, whatever the lane count
     def refuse(*args):
         raise AssertionError("omega_grid ran before the cap check")
 
     monkeypatch.setattr(polymer, "omega_grid", refuse)
-    lanes = derive_seeds(11, 0x2B, np.arange(113))
-    xs2 = stack_diag((1, 1), 2)
-    ys2 = tuple((p[0] + 192, p[1] + 192) for p in xs2)
-    with pytest.raises(DomainError):
-        kpath_logZ(lanes, LG2, 1.0, xs2, ys2)
-    with pytest.raises(DomainError):
-        k_linearity_probe(LG2, 1.0, 1.0, 192, 113, seed=11)
+    monkeypatch.setattr(polymer, "_KPATH_MAX_CELLS", 48)
+    xs2, ys2 = _diagonal_2points(6)  # 49 cells a lane
+    for field in (UniformField(11), derive_seeds(11, 0x2B, np.arange(1)), derive_seeds(11, 0x2B, np.arange(5))):
+        with pytest.raises(DomainError):
+            kpath_logZ(field, LG2, 1.0, xs2, ys2)
+    for driver in (
+        lambda: k_linearity_probe(LG2, 1.0, 1.0, 6, 5, seed=11),
+        lambda: jensen_sandwich_check(LG2, 1.0, xs2, ys2, 5, seed=11),
+        lambda: parallel_series_bound_mc(LG2, 1.0, replicas=5, seed=11, size=6),
+    ):
+        with pytest.raises(DomainError):
+            driver()
+
+
+def test_kpath_logZ_draws_and_scans_lane_blocks(monkeypatch):
+    # 49 cells a lane under a cap of 150: 7 lanes run as blocks of 3, 3 and
+    # 1, one omega_grid call each, and every lane is bitwise its own call
+    xs2, ys2 = _diagonal_2points(6)
+    lanes = derive_seeds(11, 0x2B, np.arange(7))
+    want = np.array([kpath_logZ(UniformField(int(s)), LG2, 1.0, xs2, ys2) for s in lanes])
+    probe = k_linearity_probe(LG2, 1.0, 1.0, 6, 7, seed=11)
+    calls = []
+
+    def counted(field, *args, fn=polymer.omega_grid):
+        calls.append(len(field))
+        return fn(field, *args)
+
+    monkeypatch.setattr(polymer, "omega_grid", counted)
+    monkeypatch.setattr(polymer, "_KPATH_MAX_CELLS", 150)
+    got = kpath_logZ(lanes, LG2, 1.0, xs2, ys2)
+    assert calls == [3, 3, 1]
+    assert got.tobytes() == want.tobytes()
+    assert k_linearity_probe(LG2, 1.0, 1.0, 6, 7, seed=11) == probe
+    calls.clear()
+    empty = kpath_logZ(lanes[:0], LG2, 1.0, xs2, ys2)
+    assert empty.shape == (0,) and calls == []
 
 
 def test_polymer_drivers_take_replica_seeds_from_one_array_call(monkeypatch):
