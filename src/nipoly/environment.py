@@ -9,7 +9,8 @@ weight law is realized as a quantile transform of the same uniform field,
 which is what makes the mu-couplings hold sample by sample, and this module
 is the one place that applies those transforms (_law_transform): every
 sampler in the package, the random matrices of rmt included, draws its
-weights through omega_grid.
+weights through omega_grid.  The scalar weight_at is the one exception: it
+is special.inv_gamma_quantile of uniform_at, bitwise exp of omega_grid.
 The loggamma transform evaluates a cached per-mu table
 (special.log_inv_gamma_quantile) indexed by the float bits of
 v = min(u, 1 - u): 30-40 ns a site on one core of a Xeon VM, with no
@@ -58,7 +59,7 @@ import numpy as np
 import scipy.special as sps
 
 from .errors import DomainError
-from .special import _LOG_DBL_MAX, _log_inv_gamma_quantile_body, _quantile_table
+from .special import _log_inv_gamma_quantile_body, _quantile_table, inv_gamma_quantile
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -139,9 +140,9 @@ def _lane_blocks(count: int, per_lane: int, budget: int):
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def _mean_stderr(values: np.ndarray, axis: int = 0):
-    """The mean along axis and its standard error, std(ddof=1) / sqrt(count)."""
-    return values.mean(axis=axis), values.std(axis=axis, ddof=1) / math.sqrt(values.shape[axis])
+def _mean_stderr(values: np.ndarray):
+    """The mean along axis 0 and its standard error, std(ddof=1) / sqrt(count)."""
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(len(values))
 
 
 @dataclass(frozen=True)
@@ -242,13 +243,13 @@ class WeightSpec:
 
 
 def weight_at(field: UniformField, spec: WeightSpec, z: tuple) -> float:
-    """The multiplicative site weight at z; for loggamma this is zeta_mu(z)."""
+    """The multiplicative site weight zeta_mu(z) of the loggamma law, for
+    one UniformField (no seed lanes): special.inv_gamma_quantile of the
+    site's uniform, which owns the quantile and its float-overflow
+    DomainError; bitwise exp of omega_grid's log weight."""
     if spec.law != "loggamma":
         raise DomainError("weight_at returns the multiplicative weight of the loggamma law")
-    log_zeta = float(omega_grid(field, spec, z[0], z[1]))
-    if not log_zeta < _LOG_DBL_MAX:
-        raise DomainError("weight_at: zeta_mu = exp(%.6g) overflows a float" % log_zeta)
-    return math.exp(log_zeta)
+    return inv_gamma_quantile(spec.mu, uniform_at(field, z))
 
 
 def coupled_exponential(field: UniformField, z: tuple) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 from .environment import UniformField, _lane_blocks, _mean_stderr, _replica_lanes, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
-from .polymer import TauTable, corner_diagonal_sum, grsk, last_passage_batch, loggamma_rectangle
+from .polymer import TauTable, _check_tau_args, grsk, last_passage_batch, log_tau, loggamma_rectangle
 from .special import _LOG_DBL_MAX, log_bessel_k0, log_factorial, log_gamma, log_superfactorial
 
 
@@ -99,7 +99,11 @@ def _phi_batch(field, mu: float, n: int) -> np.ndarray:
 def build_phi(field: UniformField, mu: float, n: int) -> InterfaceGrid:
     """phi(i,j) = log(tau(N-j+i, i) / tau(N-j+i, i-1)) above the diagonal
     and the tilde version below it, read off the gRSK pattern of the
-    N x N weights; no determinant is formed, so no precision is lost."""
+    N x N weights; no determinant is formed, so no precision is lost.
+    One UniformField only: seed lanes raise DomainError, and
+    phi_moments_mc is their route."""
+    if not isinstance(field, UniformField):
+        raise DomainError("build_phi takes one UniformField; phi_moments_mc takes seed lanes")
     return InterfaceGrid._checked(n, _phi_batch(field, mu, n))
 
 
@@ -273,15 +277,14 @@ def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) ->
     for each mu in decreasing order; also returns the samples for
     distributional comparison; seeds >= 1 replica lanes and a nonempty
     mu_list."""
-    if not 1 <= k <= m <= n:
-        raise DomainError("need 1 <= k <= m <= N")
+    _check_tau_args(n, m, k)
     if len(mu_list) == 0:
         raise DomainError("small_mu_coupling needs a nonempty mu_list")
     field_seeds = _replica_lanes(seed, 0x5C, seeds, least=1)
     lvals = last_passage_batch(field_seeds, n, m, k)
     mu_log_tau = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
-        mu_log_tau[a] = mu * corner_diagonal_sum(grsk(loggamma_rectangle(field_seeds, mu, n, m)), k)
+        mu_log_tau[a] = mu * log_tau(field_seeds, mu, n, m, k)
     gaps = np.abs(mu_log_tau - lvals)
     mean_gaps = gaps.mean(axis=1)
     frac_down = [

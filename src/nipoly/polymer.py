@@ -11,9 +11,11 @@ numbers, so nothing cancels.  Brute-force enumeration is kept as the
 small-instance oracle.  Every engine takes (..., W, H) log weights whose
 leading axes are lanes, each bitwise equal to its unbatched call, and adds
 in log space with _logaddexp; np.logaddexp is left only in the logZ_grid
-oracle.  single_path_logZ and kpath_logZ take seed lanes as omega_grid
-does, so a driver passes all its replicas in one call; kpath_logZ draws
-and scans them in lane blocks under its cell cap.
+oracle.  single_path_logZ, kpath_logZ, log_tau, log_tau_tilde and
+last_passage take seed lanes as omega_grid does (_lanes), so a driver
+passes all its replicas in one call; every rectangle is drawn by
+_rectangle_logw, and kpath_logZ draws and scans lanes in blocks under its
+cell cap.
 
 The single-path scan meets in the middle: a forward and a backward scan (the
 forward scan of the reversed grid) run as two lanes of one state and meet
@@ -180,6 +182,7 @@ def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:
 
 
 def _lanes(field) -> tuple:
+    # the field rule: a UniformField (or None) adds no axis, seed lanes one
     return () if field is None or isinstance(field, UniformField) else (len(field),)
 
 
@@ -541,11 +544,8 @@ def corner_diagonal_sum(t: np.ndarray, k: int) -> np.ndarray:
 def loggamma_rectangle(field, mu: float, width: int, height: int) -> np.ndarray:
     """Log inverse-gamma weights of the sites [1..width] x [1..height];
     entry [a-1, b-1] belongs to site (a, b).  field is a UniformField or
-    seed lanes, as in omega_grid."""
-    spec = WeightSpec("loggamma", mu=mu)
-    x1 = np.arange(1, width + 1)
-    x2 = np.arange(1, height + 1)
-    return omega_grid(field, spec, x1[:, None], x2[None, :])
+    seed lanes (_lanes), drawn by _rectangle_logw at beta = 1."""
+    return _rectangle_logw(field, WeightSpec("loggamma", mu=mu), 1.0, (1, 1), (width, height))
 
 
 _TAU_TABLE_MAX_N = 6
@@ -590,47 +590,55 @@ def _check_tau_args(n: int, m: int, k: int) -> None:
         raise DomainError("need 1 <= k <= m <= N")
 
 
-def _corner_tau(field: UniformField, mu: float, n: int, m: int, k: int, tilde: bool) -> float:
+def _corner_tau(field, mu: float, n: int, m: int, k: int, tilde: bool) -> float | np.ndarray:
     # the k-path log partition function across the N x m rectangle, or the
     # m x N one for tau~; 0 at k = 0
     if k == 0:
-        return 0.0
-    _check_tau_args(n, m, k)
-    width, height = (m, n) if tilde else (n, m)
-    return float(corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, width, height)), k))
+        val = np.zeros(_lanes(field))
+    else:
+        _check_tau_args(n, m, k)
+        width, height = (m, n) if tilde else (n, m)
+        val = corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, width, height)), k)
+    return val if _lanes(field) else float(val)
 
 
-def log_tau(field: UniformField, mu: float, n: int, m: int, k: int) -> float:
+def log_tau(field, mu: float, n: int, m: int, k: int) -> float | np.ndarray:
     """log tau(m, k): k paths from stack_up((1,1),k) to stack_down((N,m),k)
-    across the N-wide, m-tall rectangle, start weights included (gRSK)."""
+    across the N-wide, m-tall rectangle, start weights included (gRSK).
+    field is a UniformField (a float) or seed lanes (an array, each lane
+    bitwise its own call), as _lanes tells them apart; _check_tau_args
+    owns the range of (m, k), and k = 0 gives zeros."""
     return _corner_tau(field, mu, n, m, k, False)
 
 
-def log_tau_tilde(field: UniformField, mu: float, n: int, m: int, k: int) -> float:
+def log_tau_tilde(field, mu: float, n: int, m: int, k: int) -> float | np.ndarray:
     """log tau~(m, k): k paths from stack_up((1,1),k) to stack_down((m,N),k)
-    across the m-wide, N-tall rectangle, start weights included (gRSK)."""
+    across the m-wide, N-tall rectangle, start weights included (gRSK).
+    Fields, lanes and ranges as in log_tau."""
     return _corner_tau(field, mu, n, m, k, True)
 
 
-def last_passage(field: UniformField, n: int, m: int, k: int = 1) -> float:
+def last_passage(field, n: int, m: int, k: int = 1) -> float | np.ndarray:
     """L^N(m,k): max total of coupled exponential weights over the k-paths
     of the N-wide, m-tall rectangle, start weights included (tau convention).
 
-    One lane of last_passage_batch on field.seed, so the two agree bit for
-    bit at any size; the rectangle holds no k-path for k > min(n, m).
+    last_passage_batch owns the route and the range 1 <= k <= min(n, m): a
+    UniformField is its one lane on field.seed, a float, so the two agree
+    bit for bit at any size; seed lanes (_lanes) are passed on whole.
     """
-    if not 1 <= k <= min(n, m):
-        raise DomainError("last_passage needs 1 <= k <= min(n, m)")
+    if _lanes(field):
+        return last_passage_batch(field, n, m, k)
     return float(last_passage_batch([field.seed], n, m, k)[0])
 
 
 def last_passage_batch(seeds: np.ndarray, n: int, m: int, k: int = 1) -> np.ndarray:
     """last_passage(UniformField(s), n, m, k) for each seed s, over one
     batched max-plus scan (k = 1) or tropical RSK (2 <= k <= min(n, m)) over
-    the coupled exponential weights e = -log(1 - U) of the seed lanes."""
+    the coupled exponential weights e = -log(1 - U) of the seed lanes, drawn
+    by _rectangle_logw."""
     if not 1 <= k <= min(n, m):
         raise DomainError("last_passage_batch needs 1 <= k <= min(n, m)")
-    e = omega_grid(seeds, WeightSpec("exp1"), np.arange(1, n + 1)[:, None], np.arange(1, m + 1))
+    e = _rectangle_logw(seeds, WeightSpec("exp1"), 1.0, (1, 1), (n, m))
     if k == 1:
         return scan_rectangle(e, np.maximum, include_start=True)
     return corner_diagonal_sum(tropical_rsk(e), k)
@@ -670,7 +678,9 @@ def infinite_temperature_free_energy(c: float) -> float:
 
 
 def rost_ell(c: float) -> float:
-    """Zero-temperature constant for exponential weights: (1 + sqrt(c))^2."""
+    """Zero-temperature constant for exponential weights: (1 + sqrt(c))^2, c >= 0."""
+    if not c >= 0.0:
+        raise DomainError("rost_ell requires c >= 0")
     return (1.0 + math.sqrt(c)) ** 2
 
 

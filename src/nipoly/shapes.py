@@ -87,10 +87,13 @@ def _check_unit_square(name: str, s: float, t: float) -> None:
 
 def xi_mp(s: float, t: float) -> float:
     """Zero-temperature limit shape: the symmetric function equal to
-    mp_quantile(1 - t + s, s) on {s <= t}."""
+    mp_quantile(1 - t + s, s) on {s <= t} of the unit square; 1 at (0, 1),
+    its limit there and rost_ell(0)."""
+    _check_unit_square("xi_mp", s, t)
     if s > t:
         s, t = t, s
-    return mp_quantile(1.0 - t + s, s)
+    c = 1.0 - t + s
+    return mp_quantile(c, s) if c > 0.0 else 1.0
 
 
 def sc_cdf(x: float) -> float:
@@ -208,7 +211,9 @@ def xi_edge_bottom(mu: float, t: float) -> float:
 
 
 def xi_edge_top(mu: float, t: float) -> float:
-    """Boundary curve sup_{theta > 0} (t psi0(theta) - psi0(mu + theta))."""
+    """Boundary curve sup_{theta > 0} (t psi0(theta) - psi0(mu + theta)), mu > 0."""
+    if not mu > 0.0:
+        raise DomainError("xi_edge_top requires mu > 0")
     if not 0.0 <= t <= 1.0:
         raise DomainError("t must lie in [0, 1]")
     if t == 0.0:
@@ -477,16 +482,17 @@ def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dic
     diagonal, where tau(m, m) is the full-rectangle product; reports the
     variance of sqrt(kappa) H against t, increment correlations over
     consecutive t-blocks, the empirical mean against the t/(2 kappa)
-    offset, and Gaussianity diagnostics.  t_grid must be nonempty, and
-    every t needs floor(t N) >= 1: H(0, 0) holds no weights.  The replica
-    lanes are sliced by _lane_blocks into blocks of about _FLUCT_SITES
-    sites, one loggamma_rectangle call each."""
+    offset, and Gaussianity diagnostics.  t_grid must be nonempty, with
+    floor(t N) strictly increasing within [1, N]: H(0, 0) holds no weights,
+    tau(m, m) needs m <= N, and a repeated m gives a zero increment.  The
+    replica lanes are sliced by _lane_blocks into blocks of about
+    _FLUCT_SITES sites, one loggamma_rectangle call each."""
     lanes = _replica_lanes(seed, 0xF1, samples)
     if not kappa > 0.0:
         raise DomainError("fluctuation_mc needs kappa > 0")
     ms = [int(math.floor(t * n)) for t in t_grid]
-    if not ms or min(ms) < 1:
-        raise DomainError("fluctuation_mc needs a nonempty t_grid with floor(t N) >= 1 for every t")
+    if not ms or ms[0] < 1 or ms[-1] > n or any(a >= b for a, b in zip(ms, ms[1:])):
+        raise DomainError("fluctuation_mc needs a nonempty t_grid with floor(t N) strictly increasing in [1, N]")
     mu = kappa * n * n
     m_max = max(ms)
     log_mu = math.log(mu)

@@ -193,6 +193,15 @@ def test_weight_at_refuses_a_weight_beyond_the_float_range():
         weight_at(f, WeightSpec("loggamma", mu=1e-3), (7, 0))
 
 
+def test_weight_at_is_inv_gamma_quantile_of_the_site_uniform():
+    for seed in (1, 3, 2**64 - 1):
+        f = UniformField(seed)
+        for mu in (0.2, 1.0, 7.5):
+            for z in ((0, 0), (-2, 7), (5, 1000)):
+                want = inv_gamma_quantile(mu, uniform_at(f, z))
+                assert weight_at(f, WeightSpec("loggamma", mu=mu), z) == want
+
+
 def test_weight_monotone_in_u():
     us = [0.1, 0.3, 0.5, 0.7, 0.9]
     zs = [inv_gamma_quantile(2.0, u) for u in us]

@@ -7,7 +7,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nipoly import interface
+from nipoly import interface, polymer
 from nipoly.environment import UniformField, WeightSpec, _lane_blocks, derive_seed, omega_grid
 from nipoly.errors import DomainError
 from nipoly.interface import (
@@ -395,6 +395,25 @@ def test_small_mu_coupling_uses_the_derive_seed_streams():
     r = small_mu_coupling(4, 3, 2, [0.1], seeds=6, seed=31)
     want = [last_passage(UniformField(derive_seed(31, 0x5C, i)), 4, 3, 2) for i in range(6)]
     np.testing.assert_array_equal(r["last_passage"], want)
+
+
+def test_small_mu_coupling_checks_its_range_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("omega_grid ran before the range check")
+
+    monkeypatch.setattr(polymer, "omega_grid", refuse)
+    # m > N: the 3 x 4 rectangle holds 2-paths, so only the tau range refuses
+    for n, m, k in ((3, 4, 2), (4, 3, 0), (4, 2, 3)):
+        with pytest.raises(DomainError, match="1 <= k <= m <= N"):
+            small_mu_coupling(n, m, k, [0.1], 4, 1)
+
+
+def test_build_phi_refuses_seed_lanes():
+    lanes = np.array([1, 2, 3], dtype=np.uint64)
+    with pytest.raises(DomainError, match="phi_moments_mc"):
+        build_phi(lanes, 2.0, 4)
+    with pytest.raises(DomainError):
+        phi_inversion_residual(lanes, 2.0, 4)
 
 
 def test_small_mu_full_rectangle_exact_coupling():

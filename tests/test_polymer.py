@@ -729,6 +729,26 @@ def test_last_passage_on_wide_seeds_matches_enumeration(seed):
         assert got == float(want)
 
 
+def test_tau_layer_lanes_are_bitwise_their_own_calls():
+    # a UniformField gives a float; seed lanes one value per lane, each
+    # bitwise its per-field call, k = 0 included
+    seeds = derive_seeds(7, 0x27, np.arange(3))
+    fields = [UniformField(int(s)) for s in seeds]
+    n = 4
+    for m in range(1, n + 1):
+        for k in range(0, m + 1):
+            for fn in (log_tau, log_tau_tilde):
+                got = fn(seeds, 1.5, n, m, k)
+                want = [fn(f, 1.5, n, m, k) for f in fields]
+                assert all(type(w) is float for w in want)
+                assert got.shape == (3,) and got.tolist() == want
+    for k in (1, 2, 3):
+        got = last_passage(seeds, 5, 3, k)
+        want = [last_passage(f, 5, 3, k) for f in fields]
+        assert all(type(w) is float for w in want)
+        assert got.tolist() == want
+
+
 def test_last_passage_needs_k_at_most_min_side():
     # the 3 x 2 rectangle holds no 3-path
     with pytest.raises(DomainError):
@@ -772,6 +792,12 @@ def test_infinite_temperature_value():
 def test_rost_ell():
     assert rost_ell(1.0) == 4.0
     assert rost_ell(0.25) == pytest.approx(2.25)
+
+
+def test_rost_ell_refuses_negative_slopes():
+    assert rost_ell(0.0) == 1.0  # the limit stays
+    with pytest.raises(DomainError):
+        rost_ell(-1.0)
 
 
 def test_ineq_theorem():

@@ -116,6 +116,22 @@ def test_xi_mp_matches_rost():
         assert xi_mp(0.0, 1.0 - c) == pytest.approx(rost_ell(c), abs=1e-9)
 
 
+def test_xi_mp_on_the_unit_square():
+    # 1 at (0, 1), the limit of both MP edges, and rost_ell(0)
+    assert xi_mp(0.0, 1.0) == xi_mp(1.0, 0.0) == rost_ell(0.0) == 1.0
+    assert xi_mp(1e-9, 1.0) == pytest.approx(1.0, abs=1e-3)
+    for s, t in ((0.5, 1.2), (-0.1, 0.5), (0.5, -0.1)):
+        with pytest.raises(DomainError, match="unit square"):
+            xi_mp(s, t)
+
+
+def test_xi_edge_top_checks_mu_first():
+    for mu in (0.0, -1.0):
+        for t in (0.0, 0.5, 1.0):
+            with pytest.raises(DomainError, match="mu > 0"):
+                xi_edge_top(mu, t)
+
+
 def test_sc_quantile_values():
     assert sc_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
     assert sc_quantile(0.0) == 2.0
@@ -487,6 +503,12 @@ def test_fluctuation_mc_refuses_an_empty_diagonal():
         fluctuation_mc(1.0, 10, [0.05, 1.0], samples=4, seed=3)
     with pytest.raises(DomainError):
         fluctuation_mc(0.0, 10, [0.5, 1.0], samples=4, seed=3)
+    # floor(1.5 * 4) = 6 > N: tau(6, 6) needs 6 <= N
+    with pytest.raises(DomainError):
+        fluctuation_mc(1.0, 4, [0.5, 1.5], samples=3, seed=1)
+    # floor(0.5 * 8) = floor(0.55 * 8) = 4: a zero increment, a NaN correlation
+    with pytest.raises(DomainError):
+        fluctuation_mc(1.0, 8, [0.5, 0.55], samples=3, seed=1)
     r = fluctuation_mc(1.0, 10, [0.1, 1.0], samples=4, seed=3)
     assert np.all(np.isfinite(r["var_over_t"]))
 
