@@ -23,12 +23,11 @@ computed in.
 
 omega_grid takes one UniformField, or a 1-D sequence of integer seeds
 (seed lanes) that adds a leading axis, one lane per seed; a batched driver
-makes one lane call where it would loop over fields.  This module owns the
-site-parallel work: UniformField.uniform, uniform_many and omega_grid share
-one body, _hash_blocked, the only code that blocks sites or uses the thread
-pool (one thread per available core).  Each block hashes its sites and
-applies the law's transform, so both run on all cores and stay cache-sized;
-inputs under two blocks of 2^16 sites stay on the calling thread.
+makes one lane call where it would loop over fields.  UniformField.uniform,
+uniform_many and omega_grid share one body, _hash_blocked, the only code
+that blocks sites.  Each block of at most 2^16 sites hashes its sites and
+applies the law's transform, so the temporaries stay cache-sized; the
+blocks run in order on the calling thread, and nipoly starts no thread.
 
 Child seeds come from the same splitmix chain: derive_seeds(seed, *indices)
 runs it over numpy-broadcast uint64 arrays, so one call gives a seed per
@@ -41,7 +40,7 @@ replicas from _replica_lanes (lane r is derive_seed(seed, stream, r); fewer
 than least replicas raise DomainError, least = 2 where a standard error is
 taken) and its standard error from _mean_stderr.  _lane_blocks is the one
 rule that blocks lanes under a budget of sites or cells, for its four users:
-_hash_blocked (_CHUNK, 2^16 sites per pool task), interface.gibbs_sampler
+_hash_blocked (_CHUNK, 2^16 sites per block), interface.gibbs_sampler
 (_DRAW_SITES, 2^14 sites per gRSK call), shapes.fluctuation_mc
 (_FLUCT_SITES, 2^18 sites per omega_grid call) and polymer.kpath_logZ
 (_KPATH_MAX_CELLS, 2^22 k-path state cells per kpath_scan call).
@@ -50,16 +49,13 @@ _hash_blocked (_CHUNK, 2^16 sites per pool task), interface.gibbs_sampler
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sps
 
 from .errors import DomainError
-from .special import _log_inv_gamma_quantile_body, _quantile_table, inv_gamma_quantile
+from .special import _log_inv_gamma_quantile_body, inv_gamma_quantile
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -160,8 +156,15 @@ class UniformField:
         return UniformField(derive_seed(self.seed, *indices))
 
 
+def _check_field(field, name: str) -> None:
+    # the scalar site functions take one field; seed lanes go to omega_grid
+    if not isinstance(field, UniformField):
+        raise DomainError("%s takes one UniformField; omega_grid takes seed lanes" % name)
+
+
 def uniform_at(field: UniformField, z: tuple) -> float:
     """Scalar convenience wrapper around UniformField.uniform."""
+    _check_field(field, "uniform_at")
     return float(field.uniform(z[0], z[1]))
 
 
@@ -174,8 +177,8 @@ def uniform_many(seeds, x1, x2) -> np.ndarray:
 
 def _uniform(seed, x1, x2, out=None) -> np.ndarray:
     """The counter hash behind UniformField.uniform, uniform_many and
-    omega_grid, into out when given (of the broadcast shape); pool tasks
-    call it directly, never the public names."""
+    omega_grid, into out when given (of the broadcast shape); the blocks of
+    _hash_blocked call it directly, never the public names."""
     return _hash_to_unit(_chain(seed, x1, x2), out)
 
 
@@ -247,6 +250,7 @@ def weight_at(field: UniformField, spec: WeightSpec, z: tuple) -> float:
     one UniformField (no seed lanes): special.inv_gamma_quantile of the
     site's uniform, which owns the quantile and its float-overflow
     DomainError; bitwise exp of omega_grid's log weight."""
+    _check_field(field, "weight_at")
     if spec.law != "loggamma":
         raise DomainError("weight_at returns the multiplicative weight of the loggamma law")
     return inv_gamma_quantile(spec.mu, uniform_at(field, z))
@@ -254,6 +258,7 @@ def weight_at(field: UniformField, spec: WeightSpec, z: tuple) -> float:
 
 def coupled_exponential(field: UniformField, z: tuple) -> float:
     """e(z) = -log(1 - U(z)): the mu->0 quantile-coupled limit of mu log zeta_mu."""
+    _check_field(field, "coupled_exponential")
     return float(omega_grid(field, WeightSpec("exp1"), z[0], z[1]))
 
 
@@ -262,7 +267,6 @@ def _law_transform(spec: WeightSpec):
     u and out alike; it may overwrite u."""
     if spec.law == "loggamma":
         mu = float(spec.mu)
-        _quantile_table(mu)  # built once here, not raced for by the blocks
         return lambda u, out: _log_inv_gamma_quantile_body(mu, u, out)
     if spec.law == "exp1":
 
@@ -278,75 +282,42 @@ def _law_transform(spec: WeightSpec):
     raise DomainError("unknown weight law %r" % (spec.law,))
 
 
-# sites per pool task; inputs under two chunks stay on the caller
+# sites per block, so each block's temporaries stay cache-sized
 _CHUNK = 1 << 16
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the executor but not its threads
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _site_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:
-                workers = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="nipoly-quantile")
-        return _pool
 
 
 def _hash_blocked(seeds, x1, x2, transform=None) -> np.ndarray:
     """The body of UniformField.uniform, uniform_many and omega_grid: the
     uniforms of the broadcast uint64 seeds and sites, or transform(u, out)
-    of them.  Under two chunks of sites it is one call on the caller.
-    Otherwise it blocks along the first axis whose trailing axes hold at
-    most _CHUNK sites, in _lane_blocks of about a chunk, once per index of
-    the axes before it, runs the blocks on the shared pool (the ufuncs
-    release the GIL), waits for all of them and re-raises the first
-    failure.  Tasks call private bodies only: bench/spans.py wraps the
-    public names with a span stack that is not thread-safe.  Every step is
-    elementwise, so the values are bitwise independent of the blocking."""
+    of them.  An input of at most _CHUNK sites is one block.  A larger one
+    blocks along the first axis whose trailing axes hold at most _CHUNK
+    sites, in _lane_blocks of about a chunk, once per index of the axes
+    before it.  The blocks run in order on the calling thread.  They call
+    private bodies only, so a tracer that wraps the public names
+    (bench/spans.py) sees one call.  Every step is elementwise, so the
+    values are bitwise independent of the blocking."""
     out = np.empty(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape))
     # every input keeps every axis; a block slices those of size above one
     inputs = [np.reshape(x, (1,) * (out.ndim - np.ndim(x)) + np.shape(x)) for x in (seeds, x1, x2)]
-
-    def block(key):
+    if out.size <= _CHUNK:
+        keys = [()]
+    else:
+        axis = 0
+        while math.prod(out.shape[axis + 1 :]) > _CHUNK:
+            axis += 1
+        per_index = math.prod(out.shape[axis + 1 :])
+        keys = (
+            tuple(slice(i, i + 1) for i in outer) + (lanes,)
+            for outer in np.ndindex(out.shape[:axis])
+            for lanes in _lane_blocks(out.shape[axis], per_index, _CHUNK)
+        )
+    for key in keys:
         args = [x[tuple(k if n > 1 else slice(None) for k, n in zip(key, x.shape))] for x in inputs]
         dest = out[key + (Ellipsis,)]
         if transform is None:
             _uniform(*args, out=dest)
         else:
             transform(_uniform(*args).reshape(-1), dest.reshape(-1))
-
-    if out.size < 2 * _CHUNK:
-        if out.size:
-            block(())
-        return out
-    axis = 0
-    while math.prod(out.shape[axis + 1 :]) > _CHUNK:
-        axis += 1
-    per_index = math.prod(out.shape[axis + 1 :])
-    keys = [
-        tuple(slice(i, i + 1) for i in outer) + (lanes,)
-        for outer in np.ndindex(out.shape[:axis])
-        for lanes in _lane_blocks(out.shape[axis], per_index, _CHUNK)
-    ]
-    pool = _site_pool()
-    futures = [pool.submit(block, key) for key in keys]
-    wait(futures)
-    for future in futures:
-        future.result()
     return out
 
 
@@ -357,8 +328,8 @@ def omega_grid(field, spec: WeightSpec, x1, x2) -> np.ndarray:
 
     field is a UniformField, or a 1-D sequence of integer seeds (seed
     lanes), which adds a leading axis: lane i is the grid of
-    UniformField(seeds[i]), bit for bit.  The sites are blocked, and run
-    on the pool when large, by _hash_blocked."""
+    UniformField(seeds[i]), bit for bit.  The sites are blocked by
+    _hash_blocked."""
     x1, x2 = _as_u64(x1), _as_u64(x2)
     if isinstance(field, UniformField):
         seeds = _as_u64(field.seed)

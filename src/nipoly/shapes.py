@@ -202,7 +202,9 @@ def xi_ht(s: float, t: float) -> float:
 
 def xi_edge_bottom(mu: float, t: float) -> float:
     """Boundary curve -sup_{theta in [0, mu]} ((1-t) psi0(theta) + psi0(mu - theta)):
-    the solvable free energy sepp_free_energy(mu, 1 - t) for t < 1."""
+    the solvable free energy sepp_free_energy(mu, 1 - t) for t < 1, mu > 0."""
+    if not mu > 0.0:
+        raise DomainError("xi_edge_bottom requires mu > 0")
     if not 0.0 <= t <= 1.0:
         raise DomainError("t must lie in [0, 1]")
     if t == 1.0:

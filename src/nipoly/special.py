@@ -9,10 +9,9 @@ bits of v pick the interval, the low bits place v in it, and no
 transcendental is evaluated per site.  The table is built from scipy's
 incomplete-gamma inverses and checked against them; v below the table
 takes those inverses directly.  Every input size takes this one route,
-on the calling thread.  The environment owns the thread pool: its tasks
-hash their block of sites and apply the quantile body.  Every step is
-elementwise, so the result is bitwise independent of the batch and of the
-blocking.
+on the calling thread; the environment applies the quantile body to its
+blocks of sites.  Every step is elementwise, so the result is bitwise
+independent of the batch and of the blocking.
 """
 
 from __future__ import annotations
@@ -226,9 +225,7 @@ def _log_inv_gamma_quantile_body(mu: float, u: np.ndarray, out: np.ndarray) -> N
     """Write log F_mu^{-1}(u) into out, for flat float64 u and out alike:
     Horner's rule on the table, and the exact route below it.  Raises
     DomainError for u outside (0, 1), NaN included, and for mu > 4e5 and
-    u > ndtr(4.5), where scipy's inverse is not accurate.  Build the table
-    on the calling thread (_quantile_table) before running this body on the
-    pool, so the blocks do not race for it."""
+    u > ndtr(4.5), where scipy's inverse is not accurate."""
     if mu > _MU_ACCURATE and np.any(u > _U_BAND):
         raise DomainError(
             "log_inv_gamma_quantile: mu = %r > %g is inaccurate for u > ndtr(4.5)"
@@ -292,9 +289,8 @@ def log_inv_gamma_quantile(mu: float, u):
     1e-12 max(1, |value|) at either edge.
 
     Every input size, scalars included, takes the same route, so a site's
-    value does not depend on the batch it is computed in.  It runs on the
-    calling thread; environment.omega_grid runs the same body in blocks on
-    its pool.
+    value does not depend on the batch it is computed in.
+    environment.omega_grid runs the same body in blocks of sites.
     Raises DomainError for mu <= 0, for u outside (0, 1) (NaN included),
     and for mu > 4e5 and u > ndtr(4.5), where scipy's inverse is not
     accurate; above mu = 4e5 the table starts at the first interval edge

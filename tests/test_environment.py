@@ -202,6 +202,18 @@ def test_weight_at_is_inv_gamma_quantile_of_the_site_uniform():
                 assert weight_at(f, WeightSpec("loggamma", mu=mu), z) == want
 
 
+@pytest.mark.parametrize("lanes", [np.array([1, 2, 3], dtype=np.uint64), [1, 2, 3]], ids=["uint64", "ints"])
+def test_scalar_site_functions_refuse_seed_lanes(lanes):
+    spec = WeightSpec("loggamma", mu=2.0)
+    for call in (
+        lambda: weight_at(lanes, spec, (1, 1)),
+        lambda: uniform_at(lanes, (1, 1)),
+        lambda: coupled_exponential(lanes, (1, 1)),
+    ):
+        with pytest.raises(DomainError, match="omega_grid takes seed lanes"):
+            call()
+
+
 def test_weight_monotone_in_u():
     us = [0.1, 0.3, 0.5, 0.7, 0.9]
     zs = [inv_gamma_quantile(2.0, u) for u in us]
@@ -387,8 +399,8 @@ _LAWS = [
 )
 @settings(max_examples=60, deadline=None)
 def test_blocked_omega_grid_equals_inline_route_bitwise(law, seed, chunk, kind, w, h, x0):
-    # small chunks make many pool tasks with a ragged last block; a chunk
-    # larger than the input keeps the whole grid on the calling thread
+    # small chunks make many blocks with a ragged last one; a chunk larger
+    # than the input makes the whole grid one block
     spec, f = _LAWS[law], UniformField(seed)
     if kind == "grid":
         x1, x2 = x0 + np.arange(w)[:, None], np.arange(h)[None, :]
@@ -418,7 +430,7 @@ def test_blocked_omega_grid_equals_inline_route_bitwise(law, seed, chunk, kind, 
 
 def test_blocked_omega_grid_raises_from_a_pool_task(monkeypatch):
     # above mu = 4e5 a uniform beyond ndtr(4.5) is refused; the refusal is
-    # raised in one pool task and must reach the caller
+    # raised in one block and must reach the caller
     f = UniformField(3)
     i = int(np.argmax(f.uniform(np.arange(2 * 10**6), 0)))
     assert f.uniform(i, 0) > sps.ndtr(4.5)
@@ -428,8 +440,8 @@ def test_blocked_omega_grid_raises_from_a_pool_task(monkeypatch):
 
 
 def test_omega_grid_does_not_enter_the_public_hash(monkeypatch):
-    # pool tasks must call the private hash: a tracer wrapping the public
-    # names keeps one span stack that worker threads must not touch
+    # the blocks must call the private hash: a tracer wrapping the public
+    # names must see one call, not one per block
     def refuse(*args, **kwargs):
         raise AssertionError("omega_grid entered a public hash")
 
@@ -478,18 +490,18 @@ def test_omega_grid_refuses_seed_lanes_that_are_not_a_1d_integer_sequence(lanes)
         omega_grid(lanes, WeightSpec("exp1"), np.arange(3), 0)
 
 
-def test_single_seed_lane_blocks_along_the_sites_on_the_pool(monkeypatch):
+def test_single_seed_lane_blocks_along_the_sites(monkeypatch):
     # one seed lane makes a first axis of size one: the blocks split the
-    # next axis, run on the pool and give the unblocked hash bit for bit
+    # next axis and give the unblocked hash bit for bit
     spec = WeightSpec("loggamma", mu=2.0)
     x1, x2 = np.arange(-3, 9)[:, None], np.arange(7)
     want = environment._uniform(5, x1, x2)
     want_law = log_inv_gamma_quantile(spec.mu, want)
     private = environment._uniform
-    threads = []
+    calls = []
 
     def spy(*args, **kwargs):
-        threads.append(threading.current_thread())
+        calls.append(args)
         return private(*args, **kwargs)
 
     monkeypatch.setattr(environment, "_uniform", spy)
@@ -500,11 +512,10 @@ def test_single_seed_lane_blocks_along_the_sites_on_the_pool(monkeypatch):
         (lambda: omega_grid([5], spec, x1, x2), want_law),
     ]
     for run, ref in cases:
-        threads.clear()
+        calls.clear()
         got = run()
         assert got.shape == (1,) + ref.shape and got.tobytes() == ref.tobytes()
-        assert len(threads) > 1
-        assert all(t.name.startswith("nipoly-quantile") for t in threads)
+        assert len(calls) > 1
 
 
 def test_lane_blocks_cover_the_lanes_in_budget_sized_slices():
@@ -549,9 +560,9 @@ def test_short_lane_axis_blocks_each_lane_along_its_rows(monkeypatch):
     assert omega_grid(np.array([], dtype=np.uint64), spec, x1, x2).shape == (0, 300, 300)
 
 
-def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):
-    # the blocks run on the pool, call only the private hash, and give the
-    # unblocked hash bit for bit
+def test_uniform_many_blocks_bitwise(monkeypatch):
+    # the blocks call only the private hash and give the unblocked hash bit
+    # for bit
     seeds = np.array([2**63 + 5, 3, 2**64 - 1, 0, 17, 2**62, 9], dtype=np.uint64)
     x1, x2 = np.arange(-2, 3)[None, :, None], np.arange(6)[None, None, :]
     cases = [
@@ -561,10 +572,10 @@ def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):
     ]
     wants = [environment._uniform(*case) for case in cases]
     uniform_many, private = environment.uniform_many, environment._uniform
-    threads = []
+    calls = []
 
     def spy(*args, **kwargs):
-        threads.append(threading.current_thread())
+        calls.append(args)
         return private(*args, **kwargs)
 
     def refuse(*args, **kwargs):
@@ -573,23 +584,22 @@ def test_uniform_many_blocks_on_the_pool_bitwise(monkeypatch):
     monkeypatch.setattr(environment, "_uniform", spy)
     monkeypatch.setattr(UniformField, "uniform", refuse)
     monkeypatch.setattr(environment, "uniform_many", refuse)
-    # the benchmark's rmt size, 300 seeds x 12 x 12, stays on the caller
+    # the benchmark's rmt size, 300 seeds x 12 x 12, is one block
     small = uniform_many(seeds[:3, None, None], np.arange(12)[:, None], np.arange(12))
-    assert threads == [threading.current_thread()]
+    assert len(calls) == 1
     assert np.array_equal(small, private(seeds[:3, None, None], np.arange(12)[:, None], np.arange(12)))
     monkeypatch.setattr(environment, "_CHUNK", 8)
     for case, want in zip(cases, wants):
-        threads.clear()
+        calls.clear()
         got = uniform_many(*case)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert len(threads) > 1
-        assert all(t.name.startswith("nipoly-quantile") for t in threads)
+        assert len(calls) > 1
 
 
 def test_block_plan_of_the_benchmark_sizes(monkeypatch):
-    # a 1000 x 1000 grid runs as 16 pool blocks of 65 rows (the last 25);
-    # an interface draw (256 lanes of 8 x 8) and an LUE draw (300 lanes of
-    # 12 x 12 exponentials) each run as one call on the caller
+    # a 1000 x 1000 grid runs as 16 blocks of 65 rows (the last 25); an
+    # interface draw (256 lanes of 8 x 8) and an LUE draw (300 lanes of
+    # 12 x 12 exponentials) each run as one call; all on the calling thread
     private = environment._uniform
     calls = []
 
@@ -602,8 +612,8 @@ def test_block_plan_of_the_benchmark_sizes(monkeypatch):
     x = np.arange(1000)
     grid = omega_grid(UniformField(4), WeightSpec("loggamma", mu=2.0), x[:, None], x)
     assert grid.shape == (1000, 1000)
-    assert sorted(shape for _, shape in calls) == sorted([(65, 1000)] * 15 + [(25, 1000)])
-    assert all(t.name.startswith("nipoly-quantile") for t, _ in calls)
+    assert [shape for _, shape in calls] == [(65, 1000)] * 15 + [(25, 1000)]
+    assert all(t is threading.current_thread() for t, _ in calls)
     for draw, shape in (
         (lambda: polymer.loggamma_rectangle(np.arange(256), 2.0, 8, 8), (256, 8, 8)),
         (lambda: rmt.lue_matrix_batch(12, 12, np.arange(300)), (300, 12, 12)),

@@ -132,6 +132,13 @@ def test_xi_edge_top_checks_mu_first():
                 xi_edge_top(mu, t)
 
 
+def test_xi_edge_bottom_checks_mu_first():
+    for mu in (0.0, -0.5, -1.0):
+        for t in (0.5, 1.0):
+            with pytest.raises(DomainError, match="xi_edge_bottom requires mu > 0"):
+                xi_edge_bottom(mu, t)
+
+
 def test_sc_quantile_values():
     assert sc_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
     assert sc_quantile(0.0) == 2.0

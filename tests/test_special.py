@@ -1,11 +1,9 @@
 import functools
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -301,7 +299,7 @@ def test_log_inv_gamma_quantile_refuses_u_outside_the_open_unit_interval(mu, mon
     for u in bad:
         with pytest.raises(DomainError):
             log_inv_gamma_quantile(mu, u)
-    # two chunks and more run on the pool; the error comes from the block
+    # two chunks and more run as blocks; the error comes from the block
     # that holds the bad site and reaches the caller
     n = 2 * environment._CHUNK + 77
     spec = WeightSpec("loggamma", mu=mu)
@@ -369,17 +367,12 @@ def test_chunked_quantile_bitwise_equals_one_evaluation(monkeypatch, mu, chunk, 
             assert np.array_equal(got, ref)
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    # more caller threads than cores race to create the lazy pool and the
-    # table of a new mu; exactly one pool must come of it, any table built
-    # twice must be identical, and every result must stay bitwise exact
-    created = []
+def test_concurrent_callers_build_equal_tables(monkeypatch):
+    # more caller threads than cores race on the table of a new mu: any
+    # table built twice must be identical, and every result must stay
+    # bitwise exact
     tables = []
     build = special._quantile_table.__wrapped__
-
-    def counting_executor(*args, **kwargs):
-        created.append(ThreadPoolExecutor(*args, **kwargs))
-        return created[-1]
 
     @functools.lru_cache(maxsize=64)
     def recording_table(mu):
@@ -387,9 +380,6 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr(environment, "_CHUNK", 1001)
-    monkeypatch.setattr(environment, "_pool", None)
-    monkeypatch.setattr(environment, "ThreadPoolExecutor", counting_executor)
-    monkeypatch.setattr(environment, "_quantile_table", recording_table)
     monkeypatch.setattr(special, "_quantile_table", recording_table)
     spec = WeightSpec("loggamma", mu=2.0)
     results = [None] * 8
@@ -408,9 +398,6 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         assert not any(t.is_alive() for t in callers)
     finally:
         sys.setswitchinterval(interval)
-        for pool in created:
-            pool.shutdown()
-    assert len(created) == 1
     assert tables
     for base, coef in tables:
         assert base == tables[0][0]
@@ -419,37 +406,17 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         assert np.array_equal(got, _one_evaluation(2.0, environment._uniform(i, np.arange(5000), 3)))
 
 
-def _quantile_in_fork_child():
-    out = omega_grid(UniformField(5), WeightSpec("loggamma", mu=2.0), np.arange(10**6), 0)
-    sys.exit(0 if np.isfinite(out).all() else 1)
-
-
-def test_quantile_pool_survives_fork():
-    # the parent's pool and its threads exist before the fork; the child
-    # must not submit to an executor whose threads it did not inherit
-    omega_grid(UniformField(5), WeightSpec("loggamma", mu=2.0), np.arange(2 * environment._CHUNK), 0)
-    assert environment._pool is not None
-    child = multiprocessing.get_context("fork").Process(target=_quantile_in_fork_child)
-    child.start()
-    child.join(timeout=60)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join(timeout=10)
-    assert not hung
-    assert child.exitcode == 0
-
-
 def test_small_work_starts_no_thread():
-    # in a fresh interpreter: importing nipoly and a free energy at N = 8
-    # leave the main thread alone, and two chunks of sites start the pool
+    # in a fresh interpreter: importing nipoly, a free energy at N = 8 and
+    # a 1000 x 1000 grid leave the main thread alone
     code = (
         "import threading, numpy as np\n"
-        "from nipoly.environment import _CHUNK, UniformField, WeightSpec, omega_grid\n"
+        "from nipoly.environment import UniformField, WeightSpec, omega_grid\n"
         "from nipoly.polymer import free_energy_mc\n"
         "free_energy_mc(WeightSpec('loggamma', mu=2.0), 1.0, 1.0, 8, 3, 1)\n"
         "print(threading.active_count())\n"
-        "omega_grid(UniformField(1), WeightSpec('loggamma', mu=2.0), np.arange(2 * _CHUNK), 0)\n"
+        "x = np.arange(1000)\n"
+        "omega_grid(UniformField(1), WeightSpec('loggamma', mu=2.0), x[:, None], x)\n"
         "print(threading.active_count())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(nipoly.__file__)))
@@ -457,9 +424,7 @@ def test_small_work_starts_no_thread():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    small, large = (int(v) for v in out.stdout.split())
-    assert small == 1
-    assert large > 1
+    assert [int(v) for v in out.stdout.split()] == [1, 1]
 
 
 def test_gamma_q_consistency():
