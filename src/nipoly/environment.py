@@ -23,11 +23,14 @@ computed in.
 
 omega_grid takes one UniformField, or a 1-D sequence of integer seeds
 (seed lanes) that adds a leading axis, one lane per seed; a batched driver
-makes one lane call where it would loop over fields.  UniformField.uniform,
-uniform_many and omega_grid share one body, _hash_blocked, the only code
-that blocks sites.  Each block of at most 2^16 sites hashes its sites and
-applies the law's transform, so the temporaries stay cache-sized; the
-blocks run in order on the calling thread, and nipoly starts no thread.
+makes one lane call where it would loop over fields.  This module owns
+that field rule: _on_lanes runs each polymer entry point's lane body, a
+UniformField as the one lane [seed], and _check_field refuses seed lanes
+where one field is taken.  UniformField.uniform, uniform_many and
+omega_grid share one body, _hash_blocked, the only code that blocks
+sites.  Each block of at most 2^16 sites hashes its sites and applies the
+law's transform, so the temporaries stay cache-sized; the blocks run in
+order on the calling thread, and nipoly starts no thread.
 
 Child seeds come from the same splitmix chain: derive_seeds(seed, *indices)
 runs it over numpy-broadcast uint64 arrays, so one call gives a seed per
@@ -156,10 +159,22 @@ class UniformField:
         return UniformField(derive_seed(self.seed, *indices))
 
 
-def _check_field(field, name: str) -> None:
-    # the scalar site functions take one field; seed lanes go to omega_grid
+def _check_field(field, name: str, route: str = "omega_grid") -> None:
     if not isinstance(field, UniformField):
-        raise DomainError("%s takes one UniformField; omega_grid takes seed lanes" % name)
+        raise DomainError("%s takes one UniformField; %s takes seed lanes" % (name, route))
+
+
+def _lanes(field) -> tuple:
+    # the leading axis a field adds: none for a UniformField (or None), one for seed lanes
+    return () if field is None or isinstance(field, UniformField) else (len(field),)
+
+
+def _on_lanes(field, body):
+    """body(lanes) on seed lanes as given, or float(body([field.seed])[0]) for one
+    UniformField.  None (no environment) is the lane [None]: any draw raises DomainError."""
+    if _lanes(field):
+        return body(field)
+    return float(body([None if field is None else field.seed])[0])
 
 
 def uniform_at(field: UniformField, z: tuple) -> float:

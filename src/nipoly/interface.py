@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import UniformField, _lane_blocks, _mean_stderr, _replica_lanes, derive_seeds
+from .environment import UniformField, _check_field, _lane_blocks, _mean_stderr, _replica_lanes, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
 from .polymer import TauTable, _check_tau_args, grsk, last_passage_batch, log_tau, loggamma_rectangle
@@ -72,13 +72,6 @@ class InterfaceGrid:
     def diagonal(self) -> np.ndarray:
         return self.values.diagonal().copy()
 
-    def edge_differences(self):
-        """Differences phi(y) - phi(x) over the directed north/east edges."""
-        v = self.values
-        east = v[1:, :] - v[:-1, :]
-        north = v[:, 1:] - v[:, :-1]
-        return east, north
-
 
 # ---------------------------------------------------------------------------
 # The polymer construction of phi
@@ -100,10 +93,8 @@ def build_phi(field: UniformField, mu: float, n: int) -> InterfaceGrid:
     """phi(i,j) = log(tau(N-j+i, i) / tau(N-j+i, i-1)) above the diagonal
     and the tilde version below it, read off the gRSK pattern of the
     N x N weights; no determinant is formed, so no precision is lost.
-    One UniformField only: seed lanes raise DomainError, and
-    phi_moments_mc is their route."""
-    if not isinstance(field, UniformField):
-        raise DomainError("build_phi takes one UniformField; phi_moments_mc takes seed lanes")
+    One UniformField only: phi_moments_mc is the route of seed lanes."""
+    _check_field(field, "build_phi", "phi_moments_mc")
     return InterfaceGrid._checked(n, _phi_batch(field, mu, n))
 
 
@@ -126,15 +117,19 @@ def phi_inversion_residual(field: UniformField, mu: float, n: int) -> float:
 
 def interface_log_density(grid: InterfaceGrid, mu: float) -> float:
     """Log of the interface density of Prop-interface form:
-    -sum_edges e^(dphi) - mu sum_i phi(i,i) - e^(-phi(N,N)) - N^2 log Gamma(mu)."""
-    east, north = grid.edge_differences()
-    v = grid.values
-    return float(
-        -np.exp(east).sum()
-        - np.exp(north).sum()
-        - mu * np.diagonal(v).sum()
-        - math.exp(-v[-1, -1])
-        - grid.n**2 * log_gamma(mu)
+    -F_mu(phi) - N^2 log Gamma(mu), with the energy F_mu of _energy."""
+    return float(-_energy(grid.values, mu) - grid.n**2 * log_gamma(mu))
+
+
+def _energy(values: np.ndarray, mu: float) -> float:
+    """F_mu(v) = sum_edges e^(dv) + mu sum_i v(i,i) + e^(-v(N,N)) over the
+    north/east edges of the square: the energy of interface_log_density,
+    and energy_F at mu = 1."""
+    return (
+        np.exp(values[1:, :] - values[:-1, :]).sum()
+        + np.exp(values[:, 1:] - values[:, :-1]).sum()
+        + mu * np.diagonal(values).sum()
+        + math.exp(-values[-1, -1])
     )
 
 
@@ -210,15 +205,9 @@ def _theta_min_values(n: int) -> np.ndarray:
 
 
 def energy_F(grid: InterfaceGrid) -> float:
-    """Discrete energy e^(-theta(N,N)) + sum_diag theta + sum_edges e^(dtheta)."""
-    east, north = grid.edge_differences()
-    v = grid.values
-    return float(
-        math.exp(-v[-1, -1])
-        + np.diagonal(v).sum()
-        + np.exp(east).sum()
-        + np.exp(north).sum()
-    )
+    """Discrete energy e^(-theta(N,N)) + sum_diag theta + sum_edges e^(dtheta):
+    _energy at mu = 1."""
+    return float(_energy(grid.values, 1.0))
 
 
 def grad_F(grid: InterfaceGrid) -> InterfaceGrid:

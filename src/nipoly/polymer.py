@@ -12,10 +12,10 @@ small-instance oracle.  Every engine takes (..., W, H) log weights whose
 leading axes are lanes, each bitwise equal to its unbatched call, and adds
 in log space with _logaddexp; np.logaddexp is left only in the logZ_grid
 oracle.  single_path_logZ, kpath_logZ, log_tau, log_tau_tilde and
-last_passage take seed lanes as omega_grid does (_lanes), so a driver
-passes all its replicas in one call; every rectangle is drawn by
-_rectangle_logw, and kpath_logZ draws and scans lanes in blocks under its
-cell cap.
+last_passage take seed lanes as omega_grid does, so a driver passes all
+its replicas in one call; each has one lane body, run by the field rule
+of environment (_on_lanes).  Every rectangle is drawn by _rectangle_logw,
+and kpath_logZ draws and scans lanes in blocks under its cell cap.
 
 The single-path scan meets in the middle: a forward and a backward scan (the
 forward scan of the reversed grid) run as two lanes of one state and meet
@@ -39,6 +39,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .environment import UniformField, WeightSpec, _lane_blocks, _mean_stderr, _replica_lanes, omega_grid
+from .environment import _check_field, _lanes, _on_lanes
 from .errors import DomainError, NoPathError
 from .lattice import (
     KPoint,
@@ -55,6 +56,7 @@ from .special import digamma, trigamma
 _FE_STREAM = 0x0F0E
 _SANDWICH_STREAM = 0x5A4D
 _BOUNDS_STREAM = 0xB0DD
+_INEQ_TOL = 1e-10  # the slack ineq_theorem_check allows each inequality
 
 
 @dataclass
@@ -122,6 +124,9 @@ def scan_rectangle(logw: np.ndarray, combine=_logaddexp, include_start: bool = F
     if w == 0 or h == 0:
         raise DomainError("scan_rectangle needs a nonempty rectangle, got %d x %d" % (w, h))
     lead = logw.shape[:-2]
+    if lead and math.prod(lead) == 1:
+        # one lane scans plain 2-D views: a ufunc call on (1, n) views costs ~1 us more
+        return scan_rectangle(logw.reshape(w, h), combine, include_start).reshape(lead)
     # state[..., i + 1, lane] holds row i of the lane's latest anti-diagonal:
     # lane 0 scans logw from (0, 0), lane 1 scans it from (W - 1, H - 1).
     # state[..., 0, :] is the -inf west neighbour of row 0, and the south
@@ -181,11 +186,6 @@ def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:
     return g
 
 
-def _lanes(field) -> tuple:
-    # the field rule: a UniformField (or None) adds no axis, seed lanes one
-    return () if field is None or isinstance(field, UniformField) else (len(field),)
-
-
 def _rectangle_logw(field, spec, beta, x: Point, y: Point) -> np.ndarray:
     x1 = np.arange(x[0], y[0] + 1)
     x2 = np.arange(x[1], y[1] + 1)
@@ -209,8 +209,8 @@ def single_path_logZ(
     excluded unless include_start (the tau convention)."""
     if not leq(x, y):
         raise NoPathError("no path from %s to %s" % (x, y))
-    logw = _rectangle_logw(field, spec, beta, x, y)
-    return scan_rectangle(logw, _logaddexp, include_start)
+    logz = lambda lanes: scan_rectangle(_rectangle_logw(lanes, spec, beta, x, y), _logaddexp, include_start)
+    return _on_lanes(field, logz)
 
 
 def _check_kpoints(xs: KPoint, ys: KPoint) -> None:
@@ -360,18 +360,16 @@ def kpath_logZ(
     lo, hi = _bounding_box(xs, ys)
     xs0, ys0 = _shift(xs, lo), _shift(ys, lo)
 
-    def logz(lanes):
-        return kpath_scan(_rectangle_logw(lanes, spec, beta, lo, hi), xs0, ys0, include_start)
+    def body(lanes):
+        val = np.empty(len(lanes))
+        for block in _lane_blocks(len(lanes), _kpath_cells(xs, ys), _KPATH_MAX_CELLS):
+            logw = _rectangle_logw(lanes[block], spec, beta, lo, hi)
+            val[block] = kpath_scan(logw, xs0, ys0, include_start)
+        if np.any(val == -np.inf):
+            raise NoPathError("no k-path between the given k-points")
+        return val
 
-    if _lanes(field):
-        val = np.empty(len(field))
-        for block in _lane_blocks(len(field), _kpath_cells(xs, ys), _KPATH_MAX_CELLS):
-            val[block] = logz(field[block])
-    else:
-        val = logz(field)
-    if np.any(val == -np.inf):
-        raise NoPathError("no k-path between the given k-points")
-    return val
+    return _on_lanes(field, body)
 
 
 def brute_force_kpath_logZ(
@@ -380,13 +378,15 @@ def brute_force_kpath_logZ(
     beta: float,
     xs: KPoint,
     ys: KPoint,
-    cap: int = 100000,
     include_start: bool = False,
 ) -> float:
     """log of the sum over explicitly enumerated k-paths; the oracle of the
     k-path engines.  The site weights come from one omega_grid call over the
-    bounding box of the endpoints."""
-    paths = enumerate_kpaths(xs, ys, cap=cap)
+    bounding box of the endpoints.  One UniformField or None: seed lanes
+    raise DomainError, and kpath_logZ takes them."""
+    if field is not None:
+        _check_field(field, "brute_force_kpath_logZ", "kpath_logZ")
+    paths = enumerate_kpaths(xs, ys)
     if not paths:
         raise NoPathError("no k-path between the given k-points")
     lo, hi = _bounding_box(xs, ys)
@@ -544,7 +544,7 @@ def corner_diagonal_sum(t: np.ndarray, k: int) -> np.ndarray:
 def loggamma_rectangle(field, mu: float, width: int, height: int) -> np.ndarray:
     """Log inverse-gamma weights of the sites [1..width] x [1..height];
     entry [a-1, b-1] belongs to site (a, b).  field is a UniformField or
-    seed lanes (_lanes), drawn by _rectangle_logw at beta = 1."""
+    seed lanes (environment._lanes), drawn by _rectangle_logw at beta = 1."""
     return _rectangle_logw(field, WeightSpec("loggamma", mu=mu), 1.0, (1, 1), (width, height))
 
 
@@ -594,20 +594,18 @@ def _corner_tau(field, mu: float, n: int, m: int, k: int, tilde: bool) -> float 
     # the k-path log partition function across the N x m rectangle, or the
     # m x N one for tau~; 0 at k = 0
     if k == 0:
-        val = np.zeros(_lanes(field))
-    else:
-        _check_tau_args(n, m, k)
-        width, height = (m, n) if tilde else (n, m)
-        val = corner_diagonal_sum(grsk(loggamma_rectangle(field, mu, width, height)), k)
-    return val if _lanes(field) else float(val)
+        return _on_lanes(field, lambda lanes: np.zeros(len(lanes)))
+    _check_tau_args(n, m, k)
+    w, h = (m, n) if tilde else (n, m)
+    return _on_lanes(field, lambda lanes: corner_diagonal_sum(grsk(loggamma_rectangle(lanes, mu, w, h)), k))
 
 
 def log_tau(field, mu: float, n: int, m: int, k: int) -> float | np.ndarray:
     """log tau(m, k): k paths from stack_up((1,1),k) to stack_down((N,m),k)
     across the N-wide, m-tall rectangle, start weights included (gRSK).
     field is a UniformField (a float) or seed lanes (an array, each lane
-    bitwise its own call), as _lanes tells them apart; _check_tau_args
-    owns the range of (m, k), and k = 0 gives zeros."""
+    bitwise its own call), as environment._on_lanes runs them;
+    _check_tau_args owns the range of (m, k), and k = 0 gives zeros."""
     return _corner_tau(field, mu, n, m, k, False)
 
 
@@ -622,13 +620,11 @@ def last_passage(field, n: int, m: int, k: int = 1) -> float | np.ndarray:
     """L^N(m,k): max total of coupled exponential weights over the k-paths
     of the N-wide, m-tall rectangle, start weights included (tau convention).
 
-    last_passage_batch owns the route and the range 1 <= k <= min(n, m): a
-    UniformField is its one lane on field.seed, a float, so the two agree
-    bit for bit at any size; seed lanes (_lanes) are passed on whole.
+    last_passage_batch, the lane body, owns the route and the range
+    1 <= k <= min(n, m): a UniformField is its one lane, a float, so the
+    two agree bit for bit at any size.
     """
-    if _lanes(field):
-        return last_passage_batch(field, n, m, k)
-    return float(last_passage_batch([field.seed], n, m, k)[0])
+    return _on_lanes(field, lambda lanes: last_passage_batch(lanes, n, m, k))
 
 
 def last_passage_batch(seeds: np.ndarray, n: int, m: int, k: int = 1) -> np.ndarray:
@@ -704,7 +700,7 @@ def free_energy_mc(
     return FreeEnergyEstimate(float(mean), float(stderr), n, replicas, vals)
 
 
-def ineq_theorem_check(mu: float, c: float, cp: float, tol: float = 1e-10) -> dict:
+def ineq_theorem_check(mu: float, c: float, cp: float) -> dict:
     """Slope-comparison inequalities for the exactly solvable free energy:
     f_c + (c'-c) beta nu <= f_c' <= (c'/c) f_c - ((c'/c) - 1) beta nu,
     with beta nu = -psi0(mu) for the log-gamma log-weight mean."""
@@ -720,7 +716,7 @@ def ineq_theorem_check(mu: float, c: float, cp: float, tol: float = 1e-10) -> di
         "f_cp": f_cp,
         "lower": lower,
         "upper": upper,
-        "ok": lower <= f_cp + tol and f_cp <= upper + tol,
+        "ok": lower <= f_cp + _INEQ_TOL and f_cp <= upper + _INEQ_TOL,
     }
 
 

@@ -428,7 +428,7 @@ def test_blocked_omega_grid_equals_inline_route_bitwise(law, seed, chunk, kind, 
     assert np.array_equal(inline, want)
 
 
-def test_blocked_omega_grid_raises_from_a_pool_task(monkeypatch):
+def test_blocked_omega_grid_raises_from_one_block(monkeypatch):
     # above mu = 4e5 a uniform beyond ndtr(4.5) is refused; the refusal is
     # raised in one block and must reach the caller
     f = UniformField(3)
@@ -621,3 +621,19 @@ def test_block_plan_of_the_benchmark_sizes(monkeypatch):
         calls.clear()
         draw()
         assert calls == [(threading.current_thread(), shape)]
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        pytest.param(
+            lambda: weight_at(UniformField(1), WeightSpec("exp1"), (1, 1)), DomainError, "loggamma", id="weight_at_exp1"
+        ),
+        pytest.param(
+            lambda: weight_at(UniformField(1), WeightSpec("gauss"), (1, 1)), DomainError, "loggamma", id="weight_at_gauss"
+        ),
+    ],
+)
+def test_environment_refusals_are_typed(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

@@ -596,3 +596,22 @@ def test_grsk_jacobian_has_unit_determinant(shape):
         out = grsk(pert.reshape((2 * d,) + shape)).reshape(2, d, d)
         jac = (out[0] - out[1]) / (2.0 * h)
         assert abs(abs(np.linalg.det(jac)) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        pytest.param(lambda: theta_min_log_count_form(3, 2, 1), DomainError, "1 <= i <= j <= n", id="count_form_i_gt_j"),
+        pytest.param(lambda: theta_min_log_count_form(3, 0, 1), DomainError, "1 <= i <= j <= n", id="count_form_i_0"),
+        pytest.param(lambda: theta_min_log_count_form(3, 1, 4), DomainError, "1 <= i <= j <= n", id="count_form_j_big"),
+        pytest.param(
+            lambda: whittaker_measure_logdensity([1.0, 0.5, 0.0], 2.0, 3), DomainError, "n in", id="whittaker_n3"
+        ),
+        pytest.param(
+            lambda: whittaker_measure_logdensity([1.0], 2.0, 2), DomainError, "n in", id="whittaker_short_lam"
+        ),
+    ],
+)
+def test_interface_refusals_are_typed(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

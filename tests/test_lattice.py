@@ -200,3 +200,22 @@ def test_leading_minors_match_rational_elimination(rows):
     # zero-rich matrices: pivots vanish, and the elimination swaps rows
     want = [_fraction_det([r[:s] for r in rows[:s]]) for s in range(1, len(rows) + 1)]
     assert leading_minors(rows) == want
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        pytest.param(lambda: stack_up((0, 0), 0), DomainError, "stack size must be >= 1", id="stack_up"),
+        pytest.param(lambda: stack_down((0, 0), 0), DomainError, "stack size must be >= 1", id="stack_down"),
+        pytest.param(lambda: stack_diag((0, 0), -1), DomainError, "stack size must be >= 1", id="stack_diag"),
+        pytest.param(
+            lambda: enumerate_kpaths(((0, 0),), ((1, 1), (2, 2))), DomainError, "equal length", id="enumerate_kpaths"
+        ),
+        pytest.param(lambda: rectangle_endpoints(3, 2, 3), DomainError, "need 1 <= k", id="rectangle_endpoints_big"),
+        pytest.param(lambda: rectangle_endpoints(3, 3, 0), DomainError, "need 1 <= k", id="rectangle_endpoints_0"),
+        pytest.param(lambda: krattenthaler_check(9, 1, 1), DomainError, "desk-scale", id="krattenthaler_check"),
+    ],
+)
+def test_lattice_refusals_are_typed(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

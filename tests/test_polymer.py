@@ -247,7 +247,7 @@ def test_scan_max_plus_exact_on_integer_weights(w, h, include_start):
 
 
 @pytest.mark.parametrize("combine", [_logaddexp, np.logaddexp, np.maximum])
-@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+@pytest.mark.parametrize("batch", [(4,), (2, 3), (1,), (1, 1)])
 def test_scan_batch_lanes_equal_unbatched_calls_bitwise(combine, batch):
     rng = np.random.default_rng(11)
     for w, h in [(1, 1), (1, 5), (5, 1), (2, 2), (6, 9), (10, 7)]:
@@ -734,6 +734,12 @@ def test_tau_layer_lanes_are_bitwise_their_own_calls():
     # bitwise its per-field call, k = 0 included
     seeds = derive_seeds(7, 0x27, np.arange(3))
     fields = [UniformField(int(s)) for s in seeds]
+    for include_start in (False, True):
+        got = single_path_logZ(seeds, LG2, 0.8, (1, 2), (7, 5), include_start)
+        assert got.tolist() == [single_path_logZ(f, LG2, 0.8, (1, 2), (7, 5), include_start) for f in fields]
+        xs, ys = stack_up((1, 1), 2), stack_up((5, 6), 2)
+        got = kpath_logZ(seeds, LG2, 0.8, xs, ys, include_start)
+        assert got.tolist() == [kpath_logZ(f, LG2, 0.8, xs, ys, include_start) for f in fields]
     n = 4
     for m in range(1, n + 1):
         for k in range(0, m + 1):
@@ -965,3 +971,63 @@ def test_polymer_drivers_take_replica_seeds_from_one_array_call(monkeypatch):
             for lanes in seen:
                 assert not isinstance(lanes, UniformField)
                 np.testing.assert_array_equal(lanes, np.array(want, dtype=np.uint64))
+
+
+def test_entry_points_return_a_float_for_one_field():
+    f = UniformField(12)
+    xs, ys = stack_up((1, 1), 2), stack_up((4, 5), 2)
+    values = [
+        single_path_logZ(f, LG2, 1.0, (1, 1), (6, 4)),
+        single_path_logZ(None, None, 1.0, (1, 1), (6, 4)),
+        kpath_logZ(f, LG2, 1.0, xs, ys),
+        kpath_logZ(None, None, 0.0, xs, ys),
+        log_tau(f, 2.0, 4, 3, 2),
+        log_tau_tilde(f, 2.0, 4, 3, 2),
+        log_tau(f, 2.0, 4, 3, 0),
+    ] + [last_passage(f, 5, 4, k) for k in (1, 2, 3)]
+    assert all(type(v) is float for v in values)
+    # no environment counts paths: C(8, 3) up-right paths across 6 x 4
+    assert values[1] == pytest.approx(math.log(56.0), rel=1e-15)
+
+
+def test_no_environment_draws_nothing_and_refuses_weights():
+    # None means no environment: zero weights under spec=None or beta=0,
+    # a DomainError wherever a weight would be drawn, never a default seed
+    xs, ys = stack_up((1, 1), 2), stack_up((4, 5), 2)
+    assert kpath_logZ(None, LG2, 0.0, xs, ys) == kpath_logZ(None, None, 1.0, xs, ys)
+    for call in (
+        lambda: single_path_logZ(None, LG2, 1.0, (1, 1), (4, 4)),
+        lambda: kpath_logZ(None, LG2, 1.0, xs, ys),
+        lambda: log_tau(None, 2.0, 4, 3, 2),
+        lambda: last_passage(None, 4, 3, 1),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("lanes", [np.array([1, 2, 3], dtype=np.uint64), [1, 2, 3]], ids=["uint64", "ints"])
+def test_brute_force_refuses_seed_lanes(lanes):
+    with pytest.raises(DomainError, match="kpath_logZ takes seed lanes"):
+        brute_force_kpath_logZ(lanes, LG2, 1.0, stack_up((1, 1), 2), stack_up((3, 4), 2))
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        pytest.param(
+            lambda: brute_force_kpath_logZ(UniformField(1), LG2, 1.0, ((2, 2),), ((1, 1),)),
+            NoPathError,
+            "no k-path",
+            id="brute_force_no_path",
+        ),
+        pytest.param(lambda: sepp_free_energy(0.0, 1.0), DomainError, "mu > 0, c > 0", id="sepp_mu"),
+        pytest.param(lambda: sepp_free_energy(2.0, -1.0), DomainError, "mu > 0, c > 0", id="sepp_c"),
+        pytest.param(lambda: infinite_temperature_free_energy(0.0), DomainError, "c > 0", id="infinite_temperature"),
+        pytest.param(lambda: ineq_theorem_check(2.0, 1.0, 1.0), DomainError, "0 < c < c'", id="ineq_theorem_check"),
+        pytest.param(lambda: w_limit(1.0, 0.0), DomainError, "0 < alpha", id="w_limit_0"),
+        pytest.param(lambda: w_limit(0.5, 0.7), DomainError, "0 < alpha", id="w_limit_big"),
+    ],
+)
+def test_polymer_refusals_are_typed(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

@@ -615,3 +615,26 @@ def test_lane_drivers_need_one_replica(driver):
     with pytest.raises(DomainError):
         driver(0)
     driver(1)
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        pytest.param(lambda: mp_edges(0.0), DomainError, "c must be in", id="mp_edges_0"),
+        pytest.param(lambda: mp_edges(1.5), DomainError, "c must be in", id="mp_edges_big"),
+        pytest.param(lambda: sc_cdf_check(0.5 * math.pi), DomainError, "interior", id="sc_cdf_check"),
+        pytest.param(lambda: bead_scaling_residual(1.0, 0.0, 2.0), DomainError, "cone-interior", id="bead_scaling"),
+        pytest.param(
+            lambda: superfactorial_asymptotic_check(0.1, 10), DomainError, r"p\*N >= 2", id="superfactorial"
+        ),
+        pytest.param(lambda: xi_edge_top(2.0, 1.5), DomainError, r"t must lie in \[0, 1\]", id="xi_edge_top_big"),
+        pytest.param(lambda: xi_edge_top(2.0, -0.1), DomainError, r"t must lie in \[0, 1\]", id="xi_edge_top_neg"),
+    ],
+)
+def test_shapes_refusals_are_typed(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
+def test_xi_edge_top_is_zero_at_t_one():
+    assert xi_edge_top(2.0, 1.0) == 0.0

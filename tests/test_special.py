@@ -481,3 +481,23 @@ def test_bessel_k0_quadrature_oracle():
     assert bessel_k0(2.0) == pytest.approx(0.1138938727495334, abs=1e-10)
     assert bessel_k0(1.0) == pytest.approx(0.4210244382407083, abs=1e-10)
     assert bessel_k0(3.0) < bessel_k0(2.0)
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        pytest.param(lambda: special.log_factorial(-1), DomainError, "requires n >= 0", id="log_factorial"),
+        pytest.param(lambda: log_superfactorial(-1), DomainError, "requires n >= 0", id="log_superfactorial"),
+        pytest.param(lambda: gamma_q(0.0, 1.0), DomainError, "requires a > 0", id="gamma_q_a"),
+        pytest.param(lambda: gamma_q(1.0, -1.0), DomainError, "requires x >= 0", id="gamma_q_x"),
+        pytest.param(lambda: inv_gamma_cdf(0.0, 1.0), DomainError, "requires mu > 0", id="inv_gamma_cdf"),
+        pytest.param(lambda: inv_gamma_quantile(-1.0, 0.5), DomainError, "requires mu > 0", id="inv_gamma_quantile"),
+    ],
+)
+def test_special_refusals_are_typed(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
+def test_inv_gamma_cdf_is_zero_at_the_origin():
+    assert inv_gamma_cdf(2.0, 0.0) == 0.0

@@ -260,3 +260,26 @@ def test_many_paths_rate_matches_closed_forms():
     sym = symbol_from_geometry((4, 5), (-1, 2))
     assert r["c0"] == log_coefficients(sym)[0]
     assert r["strong_szego"] == strong_szego_constant(sym)
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        pytest.param(
+            lambda: symbol_from_geometry((3, 2), (2, 2)), DomainError, "h1 < 0 < h2", id="symbol_from_geometry"
+        ),
+        pytest.param(lambda: winding_number(Symbol({})), ZeroOnCircleError, "zero symbol", id="winding_number"),
+        pytest.param(
+            lambda: log_coefficients(Symbol({1: 1.0})), DomainError, "winding number zero", id="log_coefficients"
+        ),
+        pytest.param(lambda: toeplitz_det(WORKED, 0), DomainError, "k >= 1 required", id="toeplitz_det"),
+    ],
+)
+def test_szego_refusals_are_typed(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
+def test_zero_symbol_support_is_the_origin():
+    assert Symbol({}).support() == (0, 0)
+    assert Symbol({3: 0.0}).support() == (0, 0)
