@@ -9,10 +9,8 @@ weight law is realized as a quantile transform of the same uniform field,
 which is what makes the mu-couplings hold sample by sample, and this module
 is the one place that applies those transforms (_law_transform): every
 sampler in the package, the random matrices of rmt included, draws its
-weights through omega_grid.  The scalar weight_at is the one exception: it
-is special.inv_gamma_quantile of uniform_at, bitwise exp of omega_grid.
-The loggamma transform evaluates a cached per-mu table
-(special.log_inv_gamma_quantile) indexed by the float bits of
+weights through omega_grid.  The loggamma transform evaluates a cached
+per-mu table (special.log_inv_gamma_quantile) indexed by the float bits of
 v = min(u, 1 - u): 30-40 ns a site on one core of a Xeon VM, with no
 transcendental per site, and within 1e-13 relative of 40-digit mpmath.
 Building the table costs 6-14 ms there (8 502 exact evaluations), once per
@@ -24,7 +22,9 @@ computed in.
 omega_grid takes one UniformField, or a 1-D sequence of integer seeds
 (seed lanes) that adds a leading axis, one lane per seed; a batched driver
 makes one lane call where it would loop over fields.  This module owns
-that field rule: _on_lanes runs each polymer entry point's lane body, a
+that field rule, and _lanes is the one reader of a field argument: None or
+one UniformField adds no axis, seed lanes add one, and anything else
+raises DomainError.  _on_lanes runs each polymer entry point's lane body, a
 UniformField as the one lane [seed], and _check_field refuses seed lanes
 where one field is taken.  UniformField.uniform, uniform_many and
 omega_grid share one body, _hash_blocked, the only code that blocks
@@ -58,7 +58,7 @@ import numpy as np
 import scipy.special as sps
 
 from .errors import DomainError
-from .special import _log_inv_gamma_quantile_body, inv_gamma_quantile
+from .special import _log_inv_gamma_quantile_body
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -155,9 +155,6 @@ class UniformField:
         Blocked like omega_grid, by the same body (_hash_blocked)."""
         return _hash_blocked(_as_u64(self.seed), _as_u64(x1), _as_u64(x2))
 
-    def derive(self, *indices: int) -> "UniformField":
-        return UniformField(derive_seed(self.seed, *indices))
-
 
 def _check_field(field, name: str, route: str = "omega_grid") -> None:
     if not isinstance(field, UniformField):
@@ -165,8 +162,19 @@ def _check_field(field, name: str, route: str = "omega_grid") -> None:
 
 
 def _lanes(field) -> tuple:
-    # the leading axis a field adds: none for a UniformField (or None), one for seed lanes
-    return () if field is None or isinstance(field, UniformField) else (len(field),)
+    """The leading axis a field adds: none for None or one UniformField, one
+    for seed lanes.  Any other shape (an int, a 2-D array, a string) raises
+    DomainError; _as_u64 checks that the seeds are integers when they are
+    drawn, so the lane [None] of _on_lanes passes here."""
+    if field is None or isinstance(field, UniformField):
+        return ()
+    try:
+        shape = np.shape(field)
+    except ValueError:  # a ragged sequence
+        shape = ()
+    if len(shape) != 1:
+        raise DomainError("a field is one UniformField or seed lanes (a 1-D integer sequence), not %r" % (field,))
+    return shape
 
 
 def _on_lanes(field, body):
@@ -175,12 +183,6 @@ def _on_lanes(field, body):
     if _lanes(field):
         return body(field)
     return float(body([None if field is None else field.seed])[0])
-
-
-def uniform_at(field: UniformField, z: tuple) -> float:
-    """Scalar convenience wrapper around UniformField.uniform."""
-    _check_field(field, "uniform_at")
-    return float(field.uniform(z[0], z[1]))
 
 
 def uniform_many(seeds, x1, x2) -> np.ndarray:
@@ -260,23 +262,6 @@ class WeightSpec:
         return beta * self.c
 
 
-def weight_at(field: UniformField, spec: WeightSpec, z: tuple) -> float:
-    """The multiplicative site weight zeta_mu(z) of the loggamma law, for
-    one UniformField (no seed lanes): special.inv_gamma_quantile of the
-    site's uniform, which owns the quantile and its float-overflow
-    DomainError; bitwise exp of omega_grid's log weight."""
-    _check_field(field, "weight_at")
-    if spec.law != "loggamma":
-        raise DomainError("weight_at returns the multiplicative weight of the loggamma law")
-    return inv_gamma_quantile(spec.mu, uniform_at(field, z))
-
-
-def coupled_exponential(field: UniformField, z: tuple) -> float:
-    """e(z) = -log(1 - U(z)): the mu->0 quantile-coupled limit of mu log zeta_mu."""
-    _check_field(field, "coupled_exponential")
-    return float(omega_grid(field, WeightSpec("exp1"), z[0], z[1]))
-
-
 def _law_transform(spec: WeightSpec):
     """(u, out) -> None writing omega = F^{-1}(u) into out, for flat float64
     u and out alike; it may overwrite u."""
@@ -343,16 +328,14 @@ def omega_grid(field, spec: WeightSpec, x1, x2) -> np.ndarray:
 
     field is a UniformField, or a 1-D sequence of integer seeds (seed
     lanes), which adds a leading axis: lane i is the grid of
-    UniformField(seeds[i]), bit for bit.  The sites are blocked by
+    UniformField(seeds[i]), bit for bit.  None, no environment, has no
+    weights to draw and raises DomainError.  The sites are blocked by
     _hash_blocked."""
+    if field is None:
+        raise DomainError("omega_grid draws weights: None is no environment, and has none")
+    lanes = _lanes(field)
     x1, x2 = _as_u64(x1), _as_u64(x2)
-    if isinstance(field, UniformField):
-        seeds = _as_u64(field.seed)
-    else:
-        seeds = _as_u64(field)
-        if seeds.ndim != 1:
-            raise DomainError("seed lanes must be a 1-D sequence, got shape %s" % (seeds.shape,))
-        seeds = seeds.reshape(seeds.shape + (1,) * max(x1.ndim, x2.ndim))
+    seeds = _as_u64(field if lanes else field.seed).reshape(lanes + (1,) * max(x1.ndim, x2.ndim))
     if spec.law == "const":
         return np.full(np.broadcast_shapes(seeds.shape, x1.shape, x2.shape), spec.c)
     return _hash_blocked(seeds, x1, x2, _law_transform(spec))

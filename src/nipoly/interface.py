@@ -51,7 +51,10 @@ class InterfaceGrid:
     values: np.ndarray  # shape (n, n); [i-1, j-1] holds phi(i, j)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        try:
+            self.values = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):  # ragged or not numbers
+            raise DomainError("interface values must be an (n, n) array of numbers") from None
         if self.values.shape != (self.n, self.n):
             raise DomainError("grid shape must be (n, n)")
         if not np.isfinite(self.values).all():
@@ -170,6 +173,8 @@ def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
 
 def _tilt(n: int, mu: float) -> np.ndarray:
     # (2N + 1 - i - j) log mu over the N x N square
+    if not mu > 0.0:
+        raise DomainError("the theta tilt needs mu > 0, got %r" % (mu,))
     i = np.arange(1, n + 1)
     return (2 * n + 1 - (i[:, None] + i[None, :])) * math.log(mu)
 

@@ -170,8 +170,8 @@ def krattenthaler_log_rhs(k: int, a: int, b: int) -> float:
 def krattenthaler_check(k: int, a: int, b: int) -> bool:
     """det C(a+b, a+j-i) against the triple-product identity, both exactly:
     an integer Bareiss determinant and a product of fractions."""
-    if max(k, a, b) > 8:
-        raise DomainError("desk-scale check: k, a, b <= 8")
+    if not (1 <= k <= 8 and 0 <= a <= 8 and 0 <= b <= 8):
+        raise DomainError("desk-scale check: 1 <= k <= 8 and 0 <= a, b <= 8")
     mat = [
         [math.comb(a + b, a + j - i) if 0 <= a + j - i <= a + b else 0 for j in range(k)]
         for i in range(k)

@@ -56,6 +56,7 @@ from .special import digamma, trigamma
 _FE_STREAM = 0x0F0E
 _SANDWICH_STREAM = 0x5A4D
 _BOUNDS_STREAM = 0xB0DD
+_BOUNDS_K = 2  # the paths of parallel_series_bound_mc
 _INEQ_TOL = 1e-10  # the slack ineq_theorem_check allows each inequality
 
 
@@ -668,8 +669,8 @@ def sepp_free_energy(mu: float, c: float) -> float:
 
 def infinite_temperature_free_energy(c: float) -> float:
     """f_c(0) = (c+1) log(c+1) - c log c."""
-    if c <= 0:
-        raise DomainError("c > 0 required")
+    if not 0.0 < c < math.inf:
+        raise DomainError("finite c > 0 required")
     return (c + 1.0) * math.log(c + 1.0) - c * math.log(c)
 
 
@@ -762,8 +763,8 @@ def _Q(u: float) -> float:
 
 def w_limit(c: float, alpha: float) -> float:
     """Scaled infinite-temperature growth constant w(c, alpha)."""
-    if not (0 < alpha <= min(c, 1.0)):
-        raise DomainError("need 0 < alpha <= min(c, 1)")
+    if not (0 < alpha <= min(c, 1.0) and c < math.inf):
+        raise DomainError("need 0 < alpha <= min(c, 1) and a finite c")
     return (
         _Q(1.0 + c - alpha)
         + _Q(1.0 - alpha)
@@ -775,10 +776,10 @@ def w_limit(c: float, alpha: float) -> float:
 
 
 def scaled_k_check(n: int, c: float, alpha: float) -> dict:
+    w = w_limit(c, alpha)
     m = int(math.floor(c * n))
     k = int(math.floor(alpha * n))
     per_site = macmahon_log_count(n, m, k) / (n * n)
-    w = w_limit(c, alpha)
     return {"n": n, "macmahon_per_site": per_site, "w": w, "gap": abs(per_site - w)}
 
 
@@ -788,15 +789,18 @@ def parallel_series_bound_mc(
     replicas: int,
     seed: int,
     size: int = 4,
-    k: int = 2,
 ) -> dict:
     """Per-sample exact verification of the series, parallel, and Hadamard
-    inequalities on a small rectangle; returns the violation counts, which
-    must be zero, along with the worst slack observed; the replicas are
-    seed lanes, at least 1 and any number of them (kpath_logZ blocks them):
-    only a single lane above the k-path cell cap refuses."""
+    inequalities for two paths (_BOUNDS_K) over size x size steps, size >= 1;
+    returns the violation counts, which must be zero, along with the worst
+    slack observed; the replicas are seed lanes, at least 1 and any number
+    of them (kpath_logZ blocks them): only a single lane above the k-path
+    cell cap refuses."""
+    if size < 1:
+        raise DomainError("parallel_series_bound_mc needs size >= 1, got %r" % (size,))
     seeds = _replica_lanes(seed, _BOUNDS_STREAM, replicas, least=1)
     tol = 1e-9
+    k = _BOUNDS_K
     base = (1, 1)
     xs = stack_up(base, k)
     mid = stack_up((base[0] + size, base[1] + size), k)

@@ -531,9 +531,9 @@ def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dic
 
 def superfactorial_asymptotic_check(p: float, n: int) -> dict:
     """|(1/N^2) log H(pN) - (p^2/2 log p + p^2/2 log N - 3 p^2/4)|."""
-    pn = int(round(p * n))
+    pn = int(round(p * n)) if math.isfinite(p * n) else 0
     if pn < 2:
-        raise DomainError("need p*N >= 2")
+        raise DomainError("need a finite p*N >= 2")
     exact = log_superfactorial(pn) / (n * n)
     pred = 0.5 * p * p * math.log(p) + 0.5 * p * p * math.log(n) - 0.75 * p * p
     return {"exact": exact, "predicted": pred, "residual": abs(exact - pred)}

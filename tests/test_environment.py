@@ -12,12 +12,9 @@ from nipoly.environment import (
     UniformField,
     WeightSpec,
     _lane_blocks,
-    coupled_exponential,
     derive_seed,
     derive_seeds,
     omega_grid,
-    uniform_at,
-    weight_at,
 )
 from nipoly import environment, polymer, rmt
 from nipoly.errors import DomainError
@@ -26,9 +23,9 @@ from nipoly.special import digamma, inv_gamma_quantile, log_inv_gamma_quantile
 
 def test_determinism():
     f = UniformField(7)
-    assert uniform_at(f, (3, -5)) == uniform_at(f, (3, -5))
+    assert f.uniform(3, -5) == f.uniform(3, -5)
     g = UniformField(7)
-    assert uniform_at(g, (3, -5)) == uniform_at(f, (3, -5))
+    assert g.uniform(3, -5) == f.uniform(3, -5)
 
 
 def test_strictly_inside_unit_interval():
@@ -77,9 +74,9 @@ def test_seed_decorrelation():
 
 def test_derive_seed_changes_field():
     f = UniformField(5)
-    g = f.derive(1)
+    g = UniformField(derive_seed(f.seed, 1))
     assert g.seed != f.seed
-    assert derive_seed(5, 1) == g.seed
+    assert g.uniform(0, 0) != f.uniform(0, 0)
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
 
 
@@ -173,45 +170,38 @@ def test_scalar_vector_agree():
     ys = np.array([2, -2, 9])
     vec = f.uniform(xs, ys)
     for i in range(3):
-        assert vec[i] == uniform_at(f, (int(xs[i]), int(ys[i])))
+        assert vec[i] == f.uniform(int(xs[i]), int(ys[i]))
 
 
 def test_weight_at_closed_form_mu1():
+    # the weight at a site: at mu = 1 the inverse-gamma quantile is -1 / log u
     f = UniformField(11)
     z = (4, 9)
-    u = uniform_at(f, z)
-    assert weight_at(f, WeightSpec("loggamma", mu=1.0), z) == pytest.approx(
-        -1.0 / math.log(u), rel=1e-10
-    )
+    u = float(f.uniform(*z))
+    zeta = math.exp(omega_grid(f, WeightSpec("loggamma", mu=1.0), *z))
+    assert zeta == pytest.approx(-1.0 / math.log(u), rel=1e-10)
 
 
 def test_weight_at_refuses_a_weight_beyond_the_float_range():
-    # at mu = 1e-3 the quantile leaves the float range from u = 0.6 on
+    # at mu = 1e-3 the quantile leaves the float range from u = 0.6 on; the
+    # log weight of omega_grid stays finite
     f = UniformField(3)
-    assert uniform_at(f, (7, 0)) > 0.6
-    with pytest.raises(DomainError):
-        weight_at(f, WeightSpec("loggamma", mu=1e-3), (7, 0))
+    u = float(f.uniform(7, 0))
+    assert u > 0.6
+    assert math.isfinite(omega_grid(f, WeightSpec("loggamma", mu=1e-3), 7, 0))
+    with pytest.raises(DomainError, match="overflows a float"):
+        inv_gamma_quantile(1e-3, u)
 
 
 def test_weight_at_is_inv_gamma_quantile_of_the_site_uniform():
+    # special.inv_gamma_quantile of a site's uniform is exp of the site's
+    # log weight in omega_grid, bit for bit
     for seed in (1, 3, 2**64 - 1):
         f = UniformField(seed)
         for mu in (0.2, 1.0, 7.5):
             for z in ((0, 0), (-2, 7), (5, 1000)):
-                want = inv_gamma_quantile(mu, uniform_at(f, z))
-                assert weight_at(f, WeightSpec("loggamma", mu=mu), z) == want
-
-
-@pytest.mark.parametrize("lanes", [np.array([1, 2, 3], dtype=np.uint64), [1, 2, 3]], ids=["uint64", "ints"])
-def test_scalar_site_functions_refuse_seed_lanes(lanes):
-    spec = WeightSpec("loggamma", mu=2.0)
-    for call in (
-        lambda: weight_at(lanes, spec, (1, 1)),
-        lambda: uniform_at(lanes, (1, 1)),
-        lambda: coupled_exponential(lanes, (1, 1)),
-    ):
-        with pytest.raises(DomainError, match="omega_grid takes seed lanes"):
-            call()
+                want = inv_gamma_quantile(mu, float(f.uniform(*z)))
+                assert math.exp(omega_grid(f, WeightSpec("loggamma", mu=mu), *z)) == want
 
 
 def test_weight_monotone_in_u():
@@ -235,8 +225,8 @@ def test_coupled_exponential():
     f = UniformField(8)
     # quantile inversion: u = 1 - e^-1 gives e = 1
     z = (0, 0)
-    u = uniform_at(f, z)
-    assert coupled_exponential(f, z) == pytest.approx(-math.log1p(-u))
+    u = float(f.uniform(*z))
+    assert omega_grid(f, WeightSpec("exp1"), *z) == pytest.approx(-math.log1p(-u))
     xs = np.arange(1000)
     e = omega_grid(f, WeightSpec("exp1"), xs[:, None], xs[None, :]).ravel()
     stderr = e.std(ddof=1) / math.sqrt(e.size)
@@ -246,15 +236,15 @@ def test_coupled_exponential():
 def test_coupling_limit_decreasing_in_mu():
     # the quantile curves can cross at isolated u's, so aggregate over sites
     f = UniformField(21)
-    sites = [(i, j) for i in range(10) for j in range(10)]
+    sites = np.arange(10)[:, None], np.arange(10)
+    us = f.uniform(*sites).ravel().tolist()
+    es = omega_grid(f, WeightSpec("exp1"), *sites).ravel().tolist()
     mean_gap = []
     frac_down = []
     gaps_prev = None
     for mu in (1.0, 0.1, 0.01):
         gaps = []
-        for z in sites:
-            u = uniform_at(f, z)
-            e = coupled_exponential(f, z)
+        for u, e in zip(us, es):
             gaps.append(abs(mu * math.log(inv_gamma_quantile(mu, u)) - e))
         mean_gap.append(sum(gaps) / len(gaps))
         if gaps_prev is not None:
@@ -270,7 +260,7 @@ def test_coupling_continuity_in_mu():
     # log of the quantile moves smoothly with mu: bounded increments that
     # shrink proportionally when the grid is refined
     f = UniformField(77)
-    u = uniform_at(f, (1, 1))
+    u = float(f.uniform(1, 1))
     mus = np.linspace(0.5, 5.0, 40)
     vals = np.array([inv_gamma_quantile(m, u) for m in mus])
     steps_coarse = np.abs(np.diff(np.log(vals)))
@@ -370,7 +360,7 @@ def test_environment_is_independent_of_evaluation_order(seed, x, y, offset, mu):
     # (where it lands in any chunk), gives the same bits every time
     f = UniformField(seed)
     spec = WeightSpec("loggamma", mu=mu)
-    alone = np.float64(log_inv_gamma_quantile(mu, uniform_at(f, (x, y))))
+    alone = np.float64(log_inv_gamma_quantile(mu, float(f.uniform(x, y))))
     d = np.arange(-1, 2)
     block = omega_grid(f, spec, x + d[:, None], y + d[None, :])[1, 1]
     row = omega_grid(f, spec, x, y - offset + np.arange(2 * environment._CHUNK + 1))[offset]
@@ -486,8 +476,19 @@ def test_omega_grid_seed_lanes_stack_the_fields_bitwise(law, seeds, form, chunk,
 
 @pytest.mark.parametrize("lanes", [5, np.zeros((2, 2), dtype=np.uint64), [1.5, 2]], ids=["int", "2-d", "float"])
 def test_omega_grid_refuses_seed_lanes_that_are_not_a_1d_integer_sequence(lanes):
-    with pytest.raises(DomainError):
-        omega_grid(lanes, WeightSpec("exp1"), np.arange(3), 0)
+    # omega_grid and every polymer entry point read a field by one rule
+    lg2 = WeightSpec("loggamma", mu=2.0)
+    xs, ys = ((1, 2), (2, 1)), ((3, 4), (4, 3))
+    for call in (
+        lambda: omega_grid(lanes, WeightSpec("exp1"), np.arange(3), 0),
+        lambda: polymer.single_path_logZ(lanes, lg2, 1.0, (1, 1), (3, 4)),
+        lambda: polymer.kpath_logZ(lanes, lg2, 1.0, xs, ys),
+        lambda: polymer.log_tau(lanes, 2.0, 4, 3, 2),
+        lambda: polymer.log_tau_tilde(lanes, 2.0, 4, 3, 2),
+        lambda: polymer.last_passage(lanes, 4, 3, 2),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_single_seed_lane_blocks_along_the_sites(monkeypatch):
@@ -627,10 +628,14 @@ def test_block_plan_of_the_benchmark_sizes(monkeypatch):
     "call, exc, match",
     [
         pytest.param(
-            lambda: weight_at(UniformField(1), WeightSpec("exp1"), (1, 1)), DomainError, "loggamma", id="weight_at_exp1"
+            lambda: omega_grid(None, WeightSpec("exp1"), 1, 1), DomainError, "None is no environment", id="omega_grid_none"
         ),
         pytest.param(
-            lambda: weight_at(UniformField(1), WeightSpec("gauss"), (1, 1)), DomainError, "loggamma", id="weight_at_gauss"
+            lambda: omega_grid(np.uint64(5), WeightSpec("exp1"), 1, 1), DomainError, "seed lanes", id="omega_grid_scalar"
+        ),
+        pytest.param(lambda: omega_grid("5", WeightSpec("exp1"), 1, 1), DomainError, "seed lanes", id="omega_grid_str"),
+        pytest.param(
+            lambda: omega_grid([[1, 2], [3]], WeightSpec("exp1"), 1, 1), DomainError, "seed lanes", id="omega_grid_ragged"
         ),
     ],
 )

@@ -610,6 +610,10 @@ def test_grsk_jacobian_has_unit_determinant(shape):
         pytest.param(
             lambda: whittaker_measure_logdensity([1.0], 2.0, 2), DomainError, "n in", id="whittaker_short_lam"
         ),
+        pytest.param(lambda: theta_rescale(theta_min(3), 0.0), DomainError, "mu > 0", id="theta_rescale_mu_0"),
+        pytest.param(lambda: theta_rescale(theta_min(3), -1.0), DomainError, "mu > 0", id="theta_rescale_mu_neg"),
+        pytest.param(lambda: InterfaceGrid(2, [[1.0, 2.0], [3.0]]), DomainError, "array of numbers", id="grid_ragged"),
+        pytest.param(lambda: InterfaceGrid(2, [["a", "b"], ["c", "d"]]), DomainError, "array of numbers", id="grid_text"),
     ],
 )
 def test_interface_refusals_are_typed(call, exc, match):

@@ -214,6 +214,9 @@ def test_leading_minors_match_rational_elimination(rows):
         pytest.param(lambda: rectangle_endpoints(3, 2, 3), DomainError, "need 1 <= k", id="rectangle_endpoints_big"),
         pytest.param(lambda: rectangle_endpoints(3, 3, 0), DomainError, "need 1 <= k", id="rectangle_endpoints_0"),
         pytest.param(lambda: krattenthaler_check(9, 1, 1), DomainError, "desk-scale", id="krattenthaler_check"),
+        pytest.param(lambda: krattenthaler_check(0, 1, 1), DomainError, "desk-scale", id="krattenthaler_check_k0"),
+        pytest.param(lambda: krattenthaler_check(2, -1, 1), DomainError, "desk-scale", id="krattenthaler_check_a_neg"),
+        pytest.param(lambda: krattenthaler_check(2, 1, -1), DomainError, "desk-scale", id="krattenthaler_check_b_neg"),
     ],
 )
 def test_lattice_refusals_are_typed(call, exc, match):

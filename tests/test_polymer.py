@@ -1023,6 +1023,20 @@ def test_brute_force_refuses_seed_lanes(lanes):
         pytest.param(lambda: sepp_free_energy(0.0, 1.0), DomainError, "mu > 0, c > 0", id="sepp_mu"),
         pytest.param(lambda: sepp_free_energy(2.0, -1.0), DomainError, "mu > 0, c > 0", id="sepp_c"),
         pytest.param(lambda: infinite_temperature_free_energy(0.0), DomainError, "c > 0", id="infinite_temperature"),
+        pytest.param(
+            lambda: infinite_temperature_free_energy(math.nan), DomainError, "c > 0", id="infinite_temperature_nan"
+        ),
+        pytest.param(
+            lambda: infinite_temperature_free_energy(math.inf), DomainError, "c > 0", id="infinite_temperature_inf"
+        ),
+        pytest.param(lambda: scaled_k_check(10, math.nan, 0.5), DomainError, "0 < alpha", id="scaled_k_check_nan"),
+        pytest.param(lambda: scaled_k_check(10, math.inf, 0.5), DomainError, "0 < alpha", id="scaled_k_check_inf"),
+        pytest.param(
+            lambda: parallel_series_bound_mc(LG2, 1.0, replicas=2, seed=1, size=0),
+            DomainError,
+            "size >= 1",
+            id="parallel_series_bound_mc_size_0",
+        ),
         pytest.param(lambda: ineq_theorem_check(2.0, 1.0, 1.0), DomainError, "0 < c < c'", id="ineq_theorem_check"),
         pytest.param(lambda: w_limit(1.0, 0.0), DomainError, "0 < alpha", id="w_limit_0"),
         pytest.param(lambda: w_limit(0.5, 0.7), DomainError, "0 < alpha", id="w_limit_big"),

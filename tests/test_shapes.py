@@ -627,6 +627,12 @@ def test_lane_drivers_need_one_replica(driver):
         pytest.param(
             lambda: superfactorial_asymptotic_check(0.1, 10), DomainError, r"p\*N >= 2", id="superfactorial"
         ),
+        pytest.param(
+            lambda: superfactorial_asymptotic_check(math.nan, 10), DomainError, r"p\*N >= 2", id="superfactorial_nan"
+        ),
+        pytest.param(
+            lambda: superfactorial_asymptotic_check(math.inf, 10), DomainError, r"p\*N >= 2", id="superfactorial_inf"
+        ),
         pytest.param(lambda: xi_edge_top(2.0, 1.5), DomainError, r"t must lie in \[0, 1\]", id="xi_edge_top_big"),
         pytest.param(lambda: xi_edge_top(2.0, -0.1), DomainError, r"t must lie in \[0, 1\]", id="xi_edge_top_neg"),
     ],
