@@ -24,7 +24,7 @@ omega_grid takes one UniformField, or a 1-D sequence of integer seeds
 makes one lane call where it would loop over fields.  This module owns
 that field rule, and _lanes is the one reader of a field argument: None or
 one UniformField adds no axis, seed lanes add one, and anything else
-raises DomainError.  _on_lanes runs each polymer entry point's lane body, a
+raises DomainError.  _on_lanes runs each lane route's body, a
 UniformField as the one lane [seed], and _check_field refuses seed lanes
 where one field is taken.  UniformField.uniform, uniform_many and
 omega_grid share one body, _hash_blocked, the only code that blocks
@@ -42,11 +42,11 @@ Replica lanes: each Monte Carlo driver but the lazy gibbs_sampler takes its
 replicas from _replica_lanes (lane r is derive_seed(seed, stream, r); fewer
 than least replicas raise DomainError, least = 2 where a standard error is
 taken) and its standard error from _mean_stderr.  _lane_blocks is the one
-rule that blocks lanes under a budget of sites or cells, for its four users:
-_hash_blocked (_CHUNK, 2^16 sites per block), interface.gibbs_sampler
-(_DRAW_SITES, 2^14 sites per gRSK call), shapes.fluctuation_mc
-(_FLUCT_SITES, 2^18 sites per omega_grid call) and polymer.kpath_logZ
-(_KPATH_MAX_CELLS, 2^22 k-path state cells per kpath_scan call).
+rule that blocks lanes under a budget of sites or cells, for three users:
+_on_lanes, the owner of the lane blocks of every lane route (_LANE_CELLS,
+2^22 cells per block), and two that block sites within one draw,
+_hash_blocked (_CHUNK, 2^16 sites per block) and the lazy
+interface.gibbs_sampler (_DRAW_SITES, 2^14 sites per gRSK call).
 """
 
 from __future__ import annotations
@@ -177,12 +177,18 @@ def _lanes(field) -> tuple:
     return shape
 
 
-def _on_lanes(field, body):
-    """body(lanes) on seed lanes as given, or float(body([field.seed])[0]) for one
-    UniformField.  None (no environment) is the lane [None]: any draw raises DomainError."""
-    if _lanes(field):
-        return body(field)
-    return float(body([None if field is None else field.seed])[0])
+def _on_lanes(field, body, per_lane: int):
+    """body on seed lanes, sliced as given, one _lane_blocks block of per_lane cells a lane
+    at a time, into one C-ordered result (zero lanes: an empty array, no body call);
+    float(body([field.seed])[0]) for one UniformField.  None is the lane [None]."""
+    if not _lanes(field):
+        return float(body([None if field is None else field.seed])[0])
+    out = np.empty(0)
+    for block in _lane_blocks(len(field), per_lane, _LANE_CELLS):
+        part = body(field[block])
+        out = out if block.start else np.empty((len(field),) + part.shape[1:])
+        out[block] = part
+    return out
 
 
 def uniform_many(seeds, x1, x2) -> np.ndarray:
@@ -284,6 +290,7 @@ def _law_transform(spec: WeightSpec):
 
 # sites per block, so each block's temporaries stay cache-sized
 _CHUNK = 1 << 16
+_LANE_CELLS = 1 << 22  # cells per lane block of _on_lanes; a lane above it runs alone
 
 
 def _hash_blocked(seeds, x1, x2, transform=None) -> np.ndarray:

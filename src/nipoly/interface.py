@@ -4,8 +4,8 @@ phi(i,j), a log ratio of tau partition functions, is exactly the geometric
 RSK (gRSK) output pattern of the N x N weight matrix read from the far
 corner: phi(i,j) = T[N+1-i, N+1-j].  gRSK is the engine, batched over
 environments: a Monte Carlo driver takes one replica lane per environment
-and, for each mu, draws all their weights in one seed-lane call of
-``polymer.loggamma_rectangle`` (``environment.omega_grid``).  The tau
+and, for each mu, draws their weights in lane blocks (``environment._on_lanes``)
+of ``polymer.loggamma_rectangle`` (``environment.omega_grid``).  The tau
 tables of ``polymer.TauTable``, from the k-path transfer, remain only as
 the small-size oracle (``phi_inversion_residual``).
 The law of phi is a Gibbs measure on the N x N square with exponential
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import UniformField, _check_field, _lane_blocks, _mean_stderr, _replica_lanes, derive_seeds
+from .environment import UniformField, _check_field, _lane_blocks, _mean_stderr, _on_lanes, _replica_lanes, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
-from .polymer import TauTable, _check_tau_args, grsk, last_passage_batch, log_tau, loggamma_rectangle
+from .polymer import TauTable, _check_tau_args, grsk, last_passage, log_tau, loggamma_rectangle
 from .special import _LOG_DBL_MAX, log_bessel_k0, log_factorial, log_gamma, log_superfactorial
 
 
@@ -159,9 +159,9 @@ def gibbs_sampler(n: int, mu: float, sweeps: int, seed: int, burn_in: int | None
 
 def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
     """Per-site means and standard errors of phi over seeds independent
-    polymer environments, from one batched gRSK call; the draws are those
-    gibbs_sampler yields.  The standard error needs seeds >= 2."""
-    phis = _phi_batch(_replica_lanes(seed, _PHI_STREAM, seeds), mu, n)
+    polymer environments, by batched gRSK in the lane blocks of _on_lanes;
+    the draws are those gibbs_sampler yields.  Needs seeds >= 2."""
+    phis = _on_lanes(_replica_lanes(seed, _PHI_STREAM, seeds), lambda lanes: _phi_batch(lanes, mu, n), n * n)
     mean, stderr = _mean_stderr(phis)
     return {"mean": mean, "stderr": stderr, "seeds": seeds}
 
@@ -254,7 +254,7 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     tmin = _theta_min_values(n)
     sup = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
-        th = _phi_batch(lanes, mu, n) + _tilt(n, mu)
+        th = _on_lanes(lanes, lambda block: _phi_batch(block, mu, n), n * n) + _tilt(n, mu)
         sup[a] = np.abs(th - tmin).max(axis=(-2, -1))
     med = np.median(sup, axis=1)
     return {
@@ -275,7 +275,7 @@ def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) ->
     if len(mu_list) == 0:
         raise DomainError("small_mu_coupling needs a nonempty mu_list")
     field_seeds = _replica_lanes(seed, 0x5C, seeds, least=1)
-    lvals = last_passage_batch(field_seeds, n, m, k)
+    lvals = last_passage(field_seeds, n, m, k)
     mu_log_tau = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
         mu_log_tau[a] = mu * log_tau(field_seeds, mu, n, m, k)

@@ -14,8 +14,8 @@ in log space with _logaddexp; np.logaddexp is left only in the logZ_grid
 oracle.  single_path_logZ, kpath_logZ, log_tau, log_tau_tilde and
 last_passage take seed lanes as omega_grid does, so a driver passes all
 its replicas in one call; each has one lane body, run by the field rule
-of environment (_on_lanes).  Every rectangle is drawn by _rectangle_logw,
-and kpath_logZ draws and scans lanes in blocks under its cell cap.
+of environment (_on_lanes), in lane blocks under environment._LANE_CELLS.
+Every rectangle is drawn by _rectangle_logw.
 
 The single-path scan meets in the middle: a forward and a backward scan (the
 forward scan of the reversed grid) run as two lanes of one state and meet
@@ -38,7 +38,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .environment import UniformField, WeightSpec, _lane_blocks, _mean_stderr, _replica_lanes, omega_grid
+from . import environment
+from .environment import UniformField, WeightSpec, _mean_stderr, _replica_lanes, omega_grid
 from .environment import _check_field, _lanes, _on_lanes
 from .errors import DomainError, NoPathError
 from .lattice import (
@@ -211,7 +212,7 @@ def single_path_logZ(
     if not leq(x, y):
         raise NoPathError("no path from %s to %s" % (x, y))
     logz = lambda lanes: scan_rectangle(_rectangle_logw(lanes, spec, beta, x, y), _logaddexp, include_start)
-    return _on_lanes(field, logz)
+    return _on_lanes(field, logz, (y[0] - x[0] + 1) * (y[1] - x[1] + 1))
 
 
 def _check_kpoints(xs: KPoint, ys: KPoint) -> None:
@@ -231,18 +232,15 @@ def _shift(v: KPoint, origin: Point) -> KPoint:
     return tuple((p[0] - origin[0], p[1] - origin[1]) for p in v)
 
 
-_KPATH_MAX_CELLS = 2**22
-
-
 def _kpath_cells(xs: KPoint, ys: KPoint) -> int:
     # a lane of the k-path state holds at most prod_i (the widest band of path i) cells
     return math.prod(min(y[0] - x[0], y[1] - x[1]) + 1 for x, y in zip(xs, ys))
 
 
 def _check_kpath_cells(lanes: int, xs: KPoint, ys: KPoint) -> None:
-    cells = lanes * _kpath_cells(xs, ys)
-    if cells > _KPATH_MAX_CELLS:
-        raise DomainError("kpath_scan needs %d cells, above the cap %d" % (cells, _KPATH_MAX_CELLS))
+    cells, cap = lanes * _kpath_cells(xs, ys), environment._LANE_CELLS  # read at call time
+    if cells > cap:
+        raise DomainError("kpath_scan needs %d cells, above the cap %d" % (cells, cap))
 
 
 def _advance(state: np.ndarray, axis: int, old: tuple, new: tuple) -> np.ndarray:
@@ -293,8 +291,8 @@ def kpath_scan(
 
     Start weights are excluded unless include_start (the tau convention).
     Endpoints with no k-path give -inf.  The state holds at most lanes x
-    prod_i (the widest band of path i) <= lanes x W^k cells; more than 2^22
-    raises DomainError (_check_kpath_cells).
+    prod_i (the widest band of path i) <= lanes x W^k cells; more than
+    environment._LANE_CELLS raises DomainError (_check_kpath_cells).
     """
     _check_kpoints(xs, ys)
     k = len(xs)
@@ -351,26 +349,23 @@ def kpath_logZ(
 ) -> float | np.ndarray:
     """log Z of k non-intersecting paths, path i from xs[i] to ys[i]:
     kpath_scan over an omega_grid call on the bounding box of the
-    endpoints; a float for a UniformField, an array for seed lanes.  Seed
-    lanes are drawn and scanned one _lane_blocks block at a time under
-    _KPATH_MAX_CELLS, so any lane count runs, each lane bitwise its own
-    call; only a single lane above the cap raises DomainError, before any
-    weight is drawn.  Start weights excluded unless include_start."""
+    endpoints; a float for a UniformField, an array for seed lanes, each
+    lane bitwise its own call.  A lane counts the larger of its weight and
+    k-path state cells in the lane blocks of _on_lanes; only a single lane
+    whose state is above the cap raises DomainError, before any weight is
+    drawn.  Start weights excluded unless include_start."""
     _check_kpoints(xs, ys)
     _check_kpath_cells(1, xs, ys)
     lo, hi = _bounding_box(xs, ys)
     xs0, ys0 = _shift(xs, lo), _shift(ys, lo)
 
     def body(lanes):
-        val = np.empty(len(lanes))
-        for block in _lane_blocks(len(lanes), _kpath_cells(xs, ys), _KPATH_MAX_CELLS):
-            logw = _rectangle_logw(lanes[block], spec, beta, lo, hi)
-            val[block] = kpath_scan(logw, xs0, ys0, include_start)
+        val = kpath_scan(_rectangle_logw(lanes, spec, beta, lo, hi), xs0, ys0, include_start)
         if np.any(val == -np.inf):
             raise NoPathError("no k-path between the given k-points")
         return val
 
-    return _on_lanes(field, body)
+    return _on_lanes(field, body, max(_kpath_cells(xs, ys), (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)))
 
 
 def brute_force_kpath_logZ(
@@ -595,10 +590,10 @@ def _corner_tau(field, mu: float, n: int, m: int, k: int, tilde: bool) -> float 
     # the k-path log partition function across the N x m rectangle, or the
     # m x N one for tau~; 0 at k = 0
     if k == 0:
-        return _on_lanes(field, lambda lanes: np.zeros(len(lanes)))
+        return _on_lanes(field, lambda lanes: np.zeros(len(lanes)), 1)
     _check_tau_args(n, m, k)
     w, h = (m, n) if tilde else (n, m)
-    return _on_lanes(field, lambda lanes: corner_diagonal_sum(grsk(loggamma_rectangle(lanes, mu, w, h)), k))
+    return _on_lanes(field, lambda lanes: corner_diagonal_sum(grsk(loggamma_rectangle(lanes, mu, w, h)), k), w * h)
 
 
 def log_tau(field, mu: float, n: int, m: int, k: int) -> float | np.ndarray:
@@ -621,11 +616,17 @@ def last_passage(field, n: int, m: int, k: int = 1) -> float | np.ndarray:
     """L^N(m,k): max total of coupled exponential weights over the k-paths
     of the N-wide, m-tall rectangle, start weights included (tau convention).
 
-    last_passage_batch, the lane body, owns the route and the range
-    1 <= k <= min(n, m): a UniformField is its one lane, a float, so the
-    two agree bit for bit at any size.
+    last_passage_batch, the lane body, owns the route: a UniformField is its
+    one lane, a float, so the two agree bit for bit at any size.  Both
+    refuse k outside 1 <= k <= min(n, m), zero lanes too (_check_lpp_range).
     """
-    return _on_lanes(field, lambda lanes: last_passage_batch(lanes, n, m, k))
+    _check_lpp_range(n, m, k)
+    return _on_lanes(field, lambda lanes: last_passage_batch(lanes, n, m, k), n * m)
+
+
+def _check_lpp_range(n: int, m: int, k: int) -> None:
+    if not 1 <= k <= min(n, m):
+        raise DomainError("last_passage_batch needs 1 <= k <= min(n, m)")
 
 
 def last_passage_batch(seeds: np.ndarray, n: int, m: int, k: int = 1) -> np.ndarray:
@@ -633,8 +634,7 @@ def last_passage_batch(seeds: np.ndarray, n: int, m: int, k: int = 1) -> np.ndar
     batched max-plus scan (k = 1) or tropical RSK (2 <= k <= min(n, m)) over
     the coupled exponential weights e = -log(1 - U) of the seed lanes, drawn
     by _rectangle_logw."""
-    if not 1 <= k <= min(n, m):
-        raise DomainError("last_passage_batch needs 1 <= k <= min(n, m)")
+    _check_lpp_range(n, m, k)
     e = _rectangle_logw(seeds, WeightSpec("exp1"), 1.0, (1, 1), (n, m))
     if k == 1:
         return scan_rectangle(e, np.maximum, include_start=True)
@@ -732,8 +732,7 @@ def jensen_sandwich_check(
     """MC mean of (1/varpi) ln(Z(beta)/Z(0)) against the bracket
     [beta nu, log G(beta)], where varpi counts the environment weights of a
     k-path (start points excluded); the replicas are seed lanes, any number
-    of them (kpath_logZ blocks them): only a single lane above the k-path
-    cell cap refuses."""
+    of them: only a single lane above the k-path cell cap refuses."""
     seeds = _replica_lanes(seed, _SANDWICH_STREAM, replicas)
     varpi = sum(abs(y[0] - x[0]) + abs(y[1] - x[1]) for x, y in zip(xs, ys))
     if varpi == 0:
@@ -794,8 +793,7 @@ def parallel_series_bound_mc(
     inequalities for two paths (_BOUNDS_K) over size x size steps, size >= 1;
     returns the violation counts, which must be zero, along with the worst
     slack observed; the replicas are seed lanes, at least 1 and any number
-    of them (kpath_logZ blocks them): only a single lane above the k-path
-    cell cap refuses."""
+    of them: only a single lane above the k-path cell cap refuses."""
     if size < 1:
         raise DomainError("parallel_series_bound_mc needs size >= 1, got %r" % (size,))
     seeds = _replica_lanes(seed, _BOUNDS_STREAM, replicas, least=1)
@@ -827,9 +825,9 @@ def k_linearity_probe(
 ) -> dict:
     """MC comparison of the 2-path rate against twice the 1-path rate along
     diagonal 2-points; the limits satisfy f_c(2) = 2 f_c(1); n >= 1.  The
-    replicas are seed lanes, any number of them (kpath_logZ blocks them):
-    only a single lane above the cap, (min(n, m) + 1)^2 > 2^22 cells,
-    refuses, and it does so before any weight is drawn."""
+    replicas are seed lanes, any number of them: only a single lane above
+    the cap, (min(n, m) + 1)^2 > 2^22 cells, refuses, and it does so before
+    any weight is drawn."""
     if n < 1:
         raise DomainError("k_linearity_probe needs n >= 1")
     seeds = _replica_lanes(seed, 0x2B, replicas)

@@ -16,7 +16,7 @@ import scipy.integrate
 from scipy.optimize import brentq
 
 # omega_grid is not called here: bench/test_bench.py expects this module to bind it
-from .environment import _lane_blocks, _mean_stderr, _replica_lanes, omega_grid  # noqa: F401
+from .environment import _mean_stderr, _on_lanes, _replica_lanes, omega_grid  # noqa: F401
 from .errors import DomainError
 from .interface import theta_min
 from .polymer import last_passage_batch, loggamma_rectangle, sepp_free_energy
@@ -254,12 +254,13 @@ def diagonal_free_energy_check(
     """(1/N^2) log tau(cN, cN) is a plain average of log weights over the
     rectangle, so its MC mean must sit within the CLT band of -c psi0(mu)
     and its variance near c psi1(mu) / N^2; N, floor(cN) >= 1.  The
-    replicas are the seed lanes of one loggamma_rectangle call."""
+    replicas are seed lanes of loggamma_rectangle, in lane blocks."""
     seeds = _replica_lanes(seed, 0xD1, replicas)
     m = int(math.floor(c * n))
     if n < 1 or m < 1:
         raise DomainError("diagonal_free_energy_check needs N >= 1 and floor(cN) >= 1")
-    vals = loggamma_rectangle(seeds, mu, n, m).reshape(replicas, -1).sum(axis=1) / (n * n)
+    body = lambda lanes: loggamma_rectangle(lanes, mu, n, m).reshape(len(lanes), -1).sum(axis=1) / (n * n)
+    vals = _on_lanes(seeds, body, n * m)
     mean, stderr = map(float, _mean_stderr(vals))
     target = -c * digamma(mu)
     var_pred = c * trigamma(mu) / (n * n)
@@ -476,9 +477,6 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-_FLUCT_SITES = 1 << 18  # sites per omega_grid call of fluctuation_mc: blocks near 2 MB
-
-
 def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dict:
     """Samples of H(t,t) = t N^2 log(kappa N^2) + log tau(tN, tN) along the
     diagonal, where tau(m, m) is the full-rectangle product; reports the
@@ -487,8 +485,7 @@ def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dic
     offset, and Gaussianity diagnostics.  t_grid must be nonempty, with
     floor(t N) strictly increasing within [1, N]: H(0, 0) holds no weights,
     tau(m, m) needs m <= N, and a repeated m gives a zero increment.  The
-    replica lanes are sliced by _lane_blocks into blocks of about
-    _FLUCT_SITES sites, one loggamma_rectangle call each."""
+    replica lanes are drawn by loggamma_rectangle in lane blocks."""
     lanes = _replica_lanes(seed, 0xF1, samples)
     if not kappa > 0.0:
         raise DomainError("fluctuation_mc needs kappa > 0")
@@ -497,12 +494,9 @@ def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dic
         raise DomainError("fluctuation_mc needs a nonempty t_grid with floor(t N) strictly increasing in [1, N]")
     mu = kappa * n * n
     m_max = max(ms)
-    log_mu = math.log(mu)
-    h_vals = np.empty((samples, len(ms)))
-    for block in _lane_blocks(samples, n * m_max, _FLUCT_SITES):
-        lw = loggamma_rectangle(lanes[block], mu, n, m_max)
-        row_cum = (lw + log_mu).sum(axis=1).cumsum(axis=1)  # over x2 rows
-        h_vals[block] = row_cum[:, np.array(ms) - 1]
+    idx = np.array(ms) - 1  # H at m: the x1 sums of the rows, cumulated over x2
+    body = lambda block: (loggamma_rectangle(block, mu, n, m_max) + math.log(mu)).sum(axis=1).cumsum(axis=1)[:, idx]
+    h_vals = _on_lanes(lanes, body, n * m_max)
     scaled = math.sqrt(kappa) * h_vals
     var = scaled.var(axis=0, ddof=1)
     mean = scaled.mean(axis=0)

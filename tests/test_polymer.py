@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from nipoly import polymer
+from nipoly import environment, polymer
 from nipoly.environment import UniformField, WeightSpec, derive_seed, derive_seeds, omega_grid
 from nipoly.errors import DomainError, NoPathError
 from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
@@ -412,7 +412,7 @@ def test_kpath_scan_cap_counts_cells_times_lanes(monkeypatch):
     # two paths in 4-wide bands hold 16 cells per lane
     xs, ys = ((1, 0), (0, 1)), ((4, 3), (3, 4))
     logw = np.zeros((3, 5, 5))
-    monkeypatch.setattr(polymer, "_KPATH_MAX_CELLS", 32)
+    monkeypatch.setattr(environment, "_LANE_CELLS", 32)
     assert kpath_scan(logw[:2], xs, ys).shape == (2,)
     with pytest.raises(DomainError):
         kpath_scan(logw, xs, ys)
@@ -884,13 +884,14 @@ def _diagonal_2points(n):
 
 
 def test_over_cap_kpath_calls_draw_no_weight(monkeypatch):
-    # only a single lane above the cell cap refuses, and the cap is checked
-    # from the endpoints before omega_grid runs, whatever the lane count
+    # only a single lane above the cell cap, the lane budget, refuses, and
+    # the cap is checked from the endpoints before omega_grid runs, whatever
+    # the lane count
     def refuse(*args):
         raise AssertionError("omega_grid ran before the cap check")
 
     monkeypatch.setattr(polymer, "omega_grid", refuse)
-    monkeypatch.setattr(polymer, "_KPATH_MAX_CELLS", 48)
+    monkeypatch.setattr(environment, "_LANE_CELLS", 48)
     xs2, ys2 = _diagonal_2points(6)  # 49 cells a lane
     for field in (UniformField(11), derive_seeds(11, 0x2B, np.arange(1)), derive_seeds(11, 0x2B, np.arange(5))):
         with pytest.raises(DomainError):
@@ -905,8 +906,9 @@ def test_over_cap_kpath_calls_draw_no_weight(monkeypatch):
 
 
 def test_kpath_logZ_draws_and_scans_lane_blocks(monkeypatch):
-    # 49 cells a lane under a cap of 150: 7 lanes run as blocks of 3, 3 and
-    # 1, one omega_grid call each, and every lane is bitwise its own call
+    # 49 state cells and 8 x 8 = 64 weight cells a lane under a budget of
+    # 200: 7 lanes run as blocks of 3, 3 and 1, one omega_grid call each,
+    # and every lane is bitwise its own call
     xs2, ys2 = _diagonal_2points(6)
     lanes = derive_seeds(11, 0x2B, np.arange(7))
     want = np.array([kpath_logZ(UniformField(int(s)), LG2, 1.0, xs2, ys2) for s in lanes])
@@ -918,7 +920,7 @@ def test_kpath_logZ_draws_and_scans_lane_blocks(monkeypatch):
         return fn(field, *args)
 
     monkeypatch.setattr(polymer, "omega_grid", counted)
-    monkeypatch.setattr(polymer, "_KPATH_MAX_CELLS", 150)
+    monkeypatch.setattr(environment, "_LANE_CELLS", 200)
     got = kpath_logZ(lanes, LG2, 1.0, xs2, ys2)
     assert calls == [3, 3, 1]
     assert got.tobytes() == want.tobytes()

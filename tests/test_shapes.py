@@ -420,8 +420,8 @@ def test_fluctuation_mc_chunk_seeds_equal_the_scalar_loop(monkeypatch):
     calls, derivations = [], []
     _record(monkeypatch, shapes, "loggamma_rectangle", calls)
     _record(monkeypatch, shapes, "_replica_lanes", derivations)
-    # 16 sites per sample at n = 4: blocks of 3 samples
-    monkeypatch.setattr(shapes, "_FLUCT_SITES", 48)
+    # 16 sites per sample at n = 4: lane blocks of 3 samples
+    monkeypatch.setattr(environment, "_LANE_CELLS", 48)
     fluctuation_mc(1.0, 4, [0.5, 1.0], samples=7, seed=17)
     got = np.concatenate([args[0].ravel() for _, args in calls])
     want = np.array([derive_seed(17, 0xF1, s) for s in range(7)], dtype=np.uint64)
