@@ -137,6 +137,8 @@ def _energy(values: np.ndarray, mu: float) -> float:
 
 
 _PHI_STREAM = 0x1F  # sample s is the field derive_seed(seed, _PHI_STREAM, s)
+_LARGE_MU_STREAM = 0x3C
+_SMALL_MU_STREAM = 0x5C
 _DRAW_SITES = 1 << 14  # sites per gRSK call of gibbs_sampler: its temporaries stay near 1 MB
 
 
@@ -250,7 +252,7 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     mu_list."""
     if len(mu_list) == 0:
         raise DomainError("large_mu_convergence needs a nonempty mu_list")
-    lanes = _replica_lanes(seed, 0x3C, seeds, least=1)
+    lanes = _replica_lanes(seed, _LARGE_MU_STREAM, seeds, least=1)
     tmin = _theta_min_values(n)
     sup = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
@@ -274,7 +276,7 @@ def small_mu_coupling(n: int, m: int, k: int, mu_list, seeds: int, seed: int) ->
     _check_tau_args(n, m, k)
     if len(mu_list) == 0:
         raise DomainError("small_mu_coupling needs a nonempty mu_list")
-    field_seeds = _replica_lanes(seed, 0x5C, seeds, least=1)
+    field_seeds = _replica_lanes(seed, _SMALL_MU_STREAM, seeds, least=1)
     lvals = last_passage(field_seeds, n, m, k)
     mu_log_tau = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):

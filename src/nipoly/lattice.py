@@ -162,7 +162,10 @@ def _krattenthaler_rhs(k: int, a: int, b: int) -> Fraction:
 
 
 def krattenthaler_log_rhs(k: int, a: int, b: int) -> float:
-    """log of the triple product prod_{r<=k, s<=a, t<=b} (r+s+t-1)/(r+s+t-2)."""
+    """log of the triple product prod_{r<=k, s<=a, t<=b} (r+s+t-1)/(r+s+t-2),
+    for k >= 1 and a, b >= 0; DomainError elsewhere."""
+    if not (k >= 1 and a >= 0 and b >= 0):
+        raise DomainError("krattenthaler_log_rhs needs k >= 1 and a, b >= 0, got (%r, %r, %r)" % (k, a, b))
     rhs = _krattenthaler_rhs(k, a, b)
     return math.log(rhs.numerator) - math.log(rhs.denominator)
 

@@ -15,7 +15,8 @@ oracle.  single_path_logZ, kpath_logZ, log_tau, log_tau_tilde and
 last_passage take seed lanes as omega_grid does, so a driver passes all
 its replicas in one call; each has one lane body, run by the field rule
 of environment (_on_lanes), in lane blocks under environment._LANE_CELLS.
-Every rectangle is drawn by _rectangle_logw.
+Every rectangle is drawn by _rectangle_logw, which refuses a non-finite
+beta; every engine refuses an array of fewer than two axes (_check_grid).
 
 The single-path scan meets in the middle: a forward and a backward scan (the
 forward scan of the reversed grid) run as two lanes of one state and meet
@@ -57,6 +58,7 @@ from .special import digamma, trigamma
 _FE_STREAM = 0x0F0E
 _SANDWICH_STREAM = 0x5A4D
 _BOUNDS_STREAM = 0xB0DD
+_KLIN_STREAM = 0x2B
 _BOUNDS_K = 2  # the paths of parallel_series_bound_mc
 _INEQ_TOL = 1e-10  # the slack ineq_theorem_check allows each inequality
 
@@ -73,6 +75,11 @@ class FreeEnergyEstimate:
 # ---------------------------------------------------------------------------
 # Dynamic programming scans
 # ---------------------------------------------------------------------------
+
+
+def _check_grid(a: np.ndarray, name: str) -> None:
+    if np.ndim(a) < 2:
+        raise DomainError("%s needs a (..., W, H) array, got shape %s" % (name, np.shape(a)))
 
 
 def _logaddexp(a, b, out=None):
@@ -122,6 +129,7 @@ def scan_rectangle(logw: np.ndarray, combine=_logaddexp, include_start: bool = F
     sequential corner-to-corner scan, so the result can differ from one in
     the last bits, max-plus included.
     """
+    _check_grid(logw, "scan_rectangle")
     w, h = logw.shape[-2], logw.shape[-1]
     if w == 0 or h == 0:
         raise DomainError("scan_rectangle needs a nonempty rectangle, got %d x %d" % (w, h))
@@ -189,6 +197,8 @@ def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:
 
 
 def _rectangle_logw(field, spec, beta, x: Point, y: Point) -> np.ndarray:
+    if not math.isfinite(beta):
+        raise DomainError("beta must be finite, got %r" % (beta,))
     x1 = np.arange(x[0], y[0] + 1)
     x2 = np.arange(x[1], y[1] + 1)
     if beta == 0.0 or spec is None:
@@ -196,6 +206,14 @@ def _rectangle_logw(field, spec, beta, x: Point, y: Point) -> np.ndarray:
     logw = omega_grid(field, spec, x1[:, None], x2[None, :])
     logw *= beta
     return logw
+
+
+def _floor_scaled(c: float, n: int) -> int:
+    """floor(c n), as for the slope c of a rectangle or a point t of a grid;
+    DomainError where c n is not finite."""
+    if not math.isfinite(c * n):
+        raise DomainError("need a finite multiple of N = %r, got %r" % (n, c))
+    return int(math.floor(c * n))
 
 
 def single_path_logZ(
@@ -294,6 +312,7 @@ def kpath_scan(
     prod_i (the widest band of path i) <= lanes x W^k cells; more than
     environment._LANE_CELLS raises DomainError (_check_kpath_cells).
     """
+    _check_grid(logw, "kpath_scan")
     _check_kpoints(xs, ys)
     k = len(xs)
     lead = logw.shape[:-2]
@@ -445,6 +464,7 @@ def _memo_steps(n: int, m: int) -> tuple:
 
 
 def _rsk(logw: np.ndarray, plus) -> np.ndarray:
+    _check_grid(logw, "RSK")
     n, m = logw.shape[-2], logw.shape[-1]
     if n == 0 or m == 0:
         raise DomainError("RSK needs at least one row and one column")
@@ -526,7 +546,8 @@ def tropical_rsk(e: np.ndarray) -> np.ndarray:
 def corner_diagonal_sum(t: np.ndarray, k: int) -> np.ndarray:
     """sum_{l<k} T[n-l, m-l]: the first k entries of the diagonal ending at
     the far corner of an (..., n, m) RSK output; 0 <= k <= min(n, m), else
-    DomainError (k = 0 gives 0)."""
+    DomainError (k = 0 gives 0), as is an array of fewer than two axes."""
+    _check_grid(t, "corner_diagonal_sum")
     if not 0 <= k <= min(t.shape[-2:]):
         raise DomainError("corner_diagonal_sum needs 0 <= k <= min(n, m), got k = %d" % k)
     return np.diagonal(t[..., ::-1, ::-1], axis1=-2, axis2=-1)[..., :k].sum(axis=-1)
@@ -540,7 +561,10 @@ def corner_diagonal_sum(t: np.ndarray, k: int) -> np.ndarray:
 def loggamma_rectangle(field, mu: float, width: int, height: int) -> np.ndarray:
     """Log inverse-gamma weights of the sites [1..width] x [1..height];
     entry [a-1, b-1] belongs to site (a, b).  field is a UniformField or
-    seed lanes (environment._lanes), drawn by _rectangle_logw at beta = 1."""
+    seed lanes (environment._lanes), drawn by _rectangle_logw at beta = 1.
+    A negative width or height raises DomainError."""
+    if width < 0 or height < 0:
+        raise DomainError("loggamma_rectangle needs width, height >= 0, got %r x %r" % (width, height))
     return _rectangle_logw(field, WeightSpec("loggamma", mu=mu), 1.0, (1, 1), (width, height))
 
 
@@ -693,7 +717,7 @@ def free_energy_mc(
     streams; averages (1/N) log Z, never the log of averaged Z.  Replica r
     is a single_path_logZ call on UniformField(replica lane r)."""
     lanes = _replica_lanes(seed, _FE_STREAM, replicas)
-    m = int(math.floor(c * n))
+    m = _floor_scaled(c, n)
     vals = np.empty(replicas)
     for r, s in enumerate(lanes):
         vals[r] = single_path_logZ(UniformField(int(s)), spec, beta, (1, 1), (n, m)) / n
@@ -830,8 +854,8 @@ def k_linearity_probe(
     any weight is drawn."""
     if n < 1:
         raise DomainError("k_linearity_probe needs n >= 1")
-    seeds = _replica_lanes(seed, 0x2B, replicas)
-    m = int(math.floor(c * n))
+    seeds = _replica_lanes(seed, _KLIN_STREAM, replicas)
+    m = _floor_scaled(c, n)
     xs2 = stack_diag((1, 1), 2)
     ys2 = tuple((p[0] + n, p[1] + m) for p in xs2)
     mean2, se2 = _mean_stderr(kpath_logZ(seeds, spec, beta, xs2, ys2) / n)

@@ -123,7 +123,9 @@ def hermitian_eigvalsh(h: np.ndarray) -> np.ndarray:
 
 def gue_matrix(n: int, seed: int) -> np.ndarray:
     """Hermitian matrix with density exp(-Tr H^2 / 2): N(0,1) diagonal and
-    complex off-diagonal entries of unit mean square modulus."""
+    complex off-diagonal entries of unit mean square modulus; n >= 1."""
+    if n < 1:
+        raise DomainError("a GUE matrix needs n >= 1, got %r" % (n,))
     lanes = derive_seeds(seed, np.array([_RE_LANE, _IM_LANE]))
     g_re, g_im = omega_grid(lanes, _GAUSS, np.arange(n)[:, None], np.arange(n))
     h = np.zeros((n, n), dtype=complex)
@@ -163,8 +165,8 @@ def lue_matrix_batch(n: int, m: int, seeds: np.ndarray) -> np.ndarray:
     sqrt(o_i d_i), and E tr L = m n (Dumitriu and Edelman,
     arXiv:math-ph/0206043).  Each gamma is a sum of exponentials, m n of
     them per sample, from one seed lane per sample."""
-    if m > n:
-        raise DomainError("LUE sampling requires m <= n")
+    if not 1 <= m <= n:
+        raise DomainError("LUE sampling requires 1 <= m <= n, got m = %r, n = %r" % (m, n))
     lanes = derive_seeds(seeds, _GAMMA_LANE)
     e = omega_grid(lanes, _EXP1, np.arange(m)[:, None], np.arange(n)).reshape(len(lanes), m * n)
     # the gamma shapes, diagonal then sub-diagonal, sum to m n
@@ -190,7 +192,9 @@ def minors_process(h: np.ndarray) -> dict[tuple[int, int], float]:
     """Triangular eigenvalue process of the principal minors: entry (i, j)
     with i <= j is the i-th largest eigenvalue of the minor of size
     N - j + i.  Satisfies the Gelfand-Tsetlin interlacing along north and
-    east steps by Cauchy's theorem."""
+    east steps by Cauchy's theorem.  h must be a square matrix."""
+    if np.ndim(h) != 2 or h.shape[0] != h.shape[1]:
+        raise DomainError("minors_process needs a square matrix, got shape %s" % (np.shape(h),))
     n = h.shape[0]
     eigs = {k: hermitian_eigvalsh(h[:k, :k]) for k in range(1, n + 1)}
     out = {}

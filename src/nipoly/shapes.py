@@ -19,7 +19,7 @@ from scipy.optimize import brentq
 from .environment import _mean_stderr, _on_lanes, _replica_lanes, omega_grid  # noqa: F401
 from .errors import DomainError
 from .interface import theta_min
-from .polymer import last_passage_batch, loggamma_rectangle, sepp_free_energy
+from .polymer import _floor_scaled, last_passage_batch, loggamma_rectangle, sepp_free_energy
 from .rmt import gue_sample, lue_sample, lue_sample_batch
 from .special import digamma, log_superfactorial, trigamma
 
@@ -28,6 +28,12 @@ from .special import digamma, log_superfactorial, trigamma
 # absolute one
 _RTOL = 4.0 * np.finfo(float).eps
 _XTOL = 1e-300
+
+# the replica streams of the Monte Carlo probes
+_DIAG_STREAM = 0xD1
+_LPP_STREAM = 0x10
+_LUE_STREAM = 0x20
+_FLUCT_STREAM = 0xF1
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +261,8 @@ def diagonal_free_energy_check(
     rectangle, so its MC mean must sit within the CLT band of -c psi0(mu)
     and its variance near c psi1(mu) / N^2; N, floor(cN) >= 1.  The
     replicas are seed lanes of loggamma_rectangle, in lane blocks."""
-    seeds = _replica_lanes(seed, 0xD1, replicas)
-    m = int(math.floor(c * n))
+    seeds = _replica_lanes(seed, _DIAG_STREAM, replicas)
+    m = _floor_scaled(c, n)
     if n < 1 or m < 1:
         raise DomainError("diagonal_free_energy_check needs N >= 1 and floor(cN) >= 1")
     body = lambda lanes: loggamma_rectangle(lanes, mu, n, m).reshape(len(lanes), -1).sum(axis=1) / (n * n)
@@ -446,8 +452,8 @@ def lue_quantile_gap(n: int, m: int, seed: int) -> float:
 def johansson_check(n: int, m: int, k: int, samples: int, seed: int) -> dict:
     """Two-oracle comparison of L^N(m, k) with the sum of the k largest
     LUE(m; n) eigenvalues: means within combined stderr, two-sample KS."""
-    lvals = last_passage_batch(_replica_lanes(seed, 0x10, samples), n, m, k)
-    evals = lue_sample_batch(n, m, _replica_lanes(seed, 0x20, samples))[:, :k].sum(axis=1)
+    lvals = last_passage_batch(_replica_lanes(seed, _LPP_STREAM, samples), n, m, k)
+    evals = lue_sample_batch(n, m, _replica_lanes(seed, _LUE_STREAM, samples))[:, :k].sum(axis=1)
     mean_l, se_l = map(float, _mean_stderr(lvals))
     mean_e, se_e = map(float, _mean_stderr(evals))
     combined = math.hypot(se_l, se_e)
@@ -486,10 +492,10 @@ def fluctuation_mc(kappa: float, n: int, t_grid, samples: int, seed: int) -> dic
     floor(t N) strictly increasing within [1, N]: H(0, 0) holds no weights,
     tau(m, m) needs m <= N, and a repeated m gives a zero increment.  The
     replica lanes are drawn by loggamma_rectangle in lane blocks."""
-    lanes = _replica_lanes(seed, 0xF1, samples)
+    lanes = _replica_lanes(seed, _FLUCT_STREAM, samples)
     if not kappa > 0.0:
         raise DomainError("fluctuation_mc needs kappa > 0")
-    ms = [int(math.floor(t * n)) for t in t_grid]
+    ms = [_floor_scaled(t, n) for t in t_grid]
     if not ms or ms[0] < 1 or ms[-1] > n or any(a >= b for a, b in zip(ms, ms[1:])):
         raise DomainError("fluctuation_mc needs a nonempty t_grid with floor(t N) strictly increasing in [1, N]")
     mu = kappa * n * n

@@ -58,8 +58,8 @@ def log_factorial(n: int) -> float:
 
 def log_superfactorial(n: int) -> float:
     """log of H(n) = product of j! for j = 0 .. n-1; H(0) = H(1) = 1."""
-    if n < 0:
-        raise DomainError("log_superfactorial requires n >= 0")
+    if not 0 <= n < math.inf:
+        raise DomainError("log_superfactorial requires n >= 0 and finite, got %r" % (n,))
     return float(sps.gammaln(np.arange(1.0, n + 1.0)).sum())
 
 

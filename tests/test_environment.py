@@ -16,7 +16,7 @@ from nipoly.environment import (
     derive_seeds,
     omega_grid,
 )
-from nipoly import environment, polymer, rmt
+from nipoly import environment, interface, polymer, rmt, shapes
 from nipoly.errors import DomainError
 from nipoly.special import digamma, inv_gamma_quantile, log_inv_gamma_quantile
 
@@ -529,6 +529,129 @@ def test_lane_blocks_cover_the_lanes_in_budget_sized_slices():
     assert blocks(6, 10, 30) == [(0, 3), (3, 6)]
     assert blocks(7, 10, 30) == [(0, 3), (3, 6), (6, 7)]
     assert blocks(7, 10, 29) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+
+
+_LG2 = WeightSpec("loggamma", mu=2.0)
+_LANES = derive_seeds(3, 0x77, np.arange(5))
+_KPOINTS = (((1, 1), (0, 2)), ((4, 4), (3, 5)))  # 16 state cells, a 5 x 5 box
+
+
+def _fields(stream):
+    # the five replica fields of a driver at seed 4
+    return [UniformField(int(s)) for s in derive_seeds(4, stream, np.arange(5))]
+
+
+def _phi_moments(per_field):
+    if per_field:
+        phis = np.stack([interface.build_phi(f, 2.0, 3).values for f in _fields(interface._PHI_STREAM)])
+        return np.stack(environment._mean_stderr(phis))
+    r = interface.phi_moments_mc(3, 2.0, 5, 4)
+    return np.stack([r["mean"], r["stderr"]])
+
+
+def _large_mu(per_field):
+    if per_field:
+        tmin = interface.theta_min(3).values
+        sup = lambda f, mu: np.abs(interface.theta_rescale(interface.build_phi(f, mu, 3), mu).values - tmin).max()
+        return np.array([[sup(f, mu) for f in _fields(0x3C)] for mu in (1e2, 1e4)])
+    return interface.large_mu_convergence(3, [1e2, 1e4], 5, 4)["sup_norms"]
+
+
+def _small_mu(per_field):
+    if per_field:
+        rows = [[polymer.last_passage(f, 4, 3, 2) for f in _fields(0x5C)]]
+        rows += [[mu * polymer.log_tau(f, mu, 4, 3, 2) for f in _fields(0x5C)] for mu in (1.0, 0.5)]
+        return np.array(rows)
+    r = interface.small_mu_coupling(4, 3, 2, [1.0, 0.5], 5, 4)
+    return np.vstack([r["last_passage"], r["mu_log_tau"]])
+
+
+def _diagonal(per_field):
+    if per_field:
+        vals = np.array([polymer.loggamma_rectangle(f, 2.0, 4, 4).sum() / 16 for f in _fields(0xD1)])
+        return np.array([*environment._mean_stderr(vals), vals.var(ddof=1)])
+    r = shapes.diagonal_free_energy_check(2.0, 1.0, 4, 5, 4)
+    return np.array([r["mean"], r["stderr"], r["var"]])
+
+
+def _fluctuation(per_field):
+    if per_field:
+        # H at m = 2 and 4 of the 4 x 4 rectangle at mu = 16
+        lw = [polymer.loggamma_rectangle(f, 16.0, 4, 4) + math.log(16.0) for f in _fields(0xF1)]
+        h = np.array([w.sum(axis=0).cumsum()[[1, 3]] for w in lw])
+        return np.stack([h.mean(axis=0), h.var(axis=0, ddof=1)])
+    r = shapes.fluctuation_mc(1.0, 4, [0.5, 1.0], 5, 4)
+    return np.stack([r["mean"], r["var"]])
+
+
+# route -> (cells per lane, the entry point on one field or seed lanes)
+_LANE_ENTRY_POINTS = {
+    "single_path_logZ": (20, lambda f: polymer.single_path_logZ(f, _LG2, 1.0, (1, 1), (5, 4))),
+    "kpath_logZ": (25, lambda f: polymer.kpath_logZ(f, _LG2, 1.0, *_KPOINTS)),
+    "last_passage": (20, lambda f: polymer.last_passage(f, 5, 4, 2)),
+    "log_tau": (20, lambda f: polymer.log_tau(f, 2.0, 5, 4, 2)),
+    "log_tau_tilde": (20, lambda f: polymer.log_tau_tilde(f, 2.0, 5, 4, 2)),
+}
+# route -> (cells per lane, driver(per_field): its values from the driver, or from per-field calls)
+_LANE_DRIVERS = {
+    "phi_moments_mc": (9, _phi_moments),
+    "large_mu_convergence": (9, _large_mu),
+    "small_mu_coupling": (12, _small_mu),
+    "diagonal_free_energy_check": (16, _diagonal),
+    "fluctuation_mc": (16, _fluctuation),
+}
+
+
+@pytest.mark.parametrize("route", list(_LANE_ENTRY_POINTS) + list(_LANE_DRIVERS))
+def test_lane_routes_run_in_lane_blocks_bitwise(route, monkeypatch):
+    # a budget of one lane's cells runs every draw on one lane, and each
+    # route gives the bytes of the default budget and of its per-field calls
+    if route in _LANE_ENTRY_POINTS:
+        cells, entry = _LANE_ENTRY_POINTS[route]
+        run = lambda per_field: np.array([entry(UniformField(int(s))) for s in _LANES]) if per_field else entry(_LANES)
+    else:
+        cells, run = _LANE_DRIVERS[route]
+    want = run(False)
+    assert want.flags.c_contiguous and want.dtype == np.float64
+    assert want.tobytes() == run(True).tobytes()
+    draws = []
+
+    def counted(field, *args, fn=polymer.omega_grid):
+        draws.append(len(field))
+        return fn(field, *args)
+
+    monkeypatch.setattr(polymer, "omega_grid", counted)
+    monkeypatch.setattr(environment, "_LANE_CELLS", cells)
+    got = run(False)
+    assert draws and set(draws) == {1}
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    if route in _LANE_ENTRY_POINTS:
+        monkeypatch.setattr(polymer, "omega_grid", None)  # zero lanes draw nothing
+        empty = entry(_LANES[:0])
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_on_lanes_writes_blocks_into_one_c_ordered_result(monkeypatch):
+    # an F-ordered block comes back C-ordered; lanes are sliced as given,
+    # so Python ints straddling 2^63 reach the body unrounded
+    lanes = [2**63 - 1, 2**63, 2**64 - 1, 5, 7]
+    seen = []
+
+    def body(block):
+        seen.append(block)
+        return np.asfortranarray(np.array([[s % 1000, s % 999] for s in block], dtype=float))
+
+    want = np.array([[s % 1000, s % 999] for s in lanes], dtype=float)
+    for budget, sizes in ((1 << 22, [5]), (4, [2, 2, 1])):
+        seen.clear()
+        monkeypatch.setattr(environment, "_LANE_CELLS", budget)
+        got = environment._on_lanes(lanes, body, 2)
+        assert [len(b) for b in seen] == sizes and sum(seen, []) == lanes
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    refuse = lambda block: pytest.fail("the body ran on zero lanes")
+    for empty in ([], np.array([], dtype=np.uint64)):
+        got = environment._on_lanes(empty, refuse, 2)
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 def test_short_lane_axis_blocks_each_lane_along_its_rows(monkeypatch):

@@ -1,8 +1,9 @@
-"""Every name a nipoly module imports is used in that module.
+"""Source checks over every nipoly module, by ast.
 
-No linter runs with the tests, so this is the package's unused-import check:
-it parses each module with ast and compares the names its imports bind with
-the names its code reads.
+Every name a module imports is used in that module: no linter runs with the
+tests, so this is the package's unused-import check; it compares the names
+a module's imports bind with the names its code reads.  And every seed
+stream and lane constant (_*_STREAM, _*_LANE) has a value of its own.
 """
 
 import ast
@@ -35,3 +36,20 @@ def test_every_imported_name_is_used():
     # the check itself: b is bound and never read
     tree = ast.parse("from __future__ import annotations\nimport numpy as np\nfrom .special import a, b\nx = a(np)\n")
     assert _unused_imports(tree) == {"b"}
+
+
+def test_seed_streams_and_lanes_are_distinct():
+    # a value bound twice would draw two drivers' replicas from one seed stream
+    consts = {
+        "%s.%s" % (path.stem, node.targets[0].id): ast.literal_eval(node.value)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id.startswith("_")
+        and node.targets[0].id.endswith(("_STREAM", "_LANE"))
+    }
+    assert len(consts) >= 14, consts
+    assert all(isinstance(v, int) for v in consts.values()), consts
+    assert len(set(consts.values())) == len(consts), consts

@@ -217,6 +217,11 @@ def test_leading_minors_match_rational_elimination(rows):
         pytest.param(lambda: krattenthaler_check(0, 1, 1), DomainError, "desk-scale", id="krattenthaler_check_k0"),
         pytest.param(lambda: krattenthaler_check(2, -1, 1), DomainError, "desk-scale", id="krattenthaler_check_a_neg"),
         pytest.param(lambda: krattenthaler_check(2, 1, -1), DomainError, "desk-scale", id="krattenthaler_check_b_neg"),
+        # each of these was the empty product, log 1 = 0.0
+        pytest.param(lambda: krattenthaler_log_rhs(-2, 3, 3), DomainError, "k >= 1", id="krattenthaler_log_rhs_k_neg"),
+        pytest.param(lambda: krattenthaler_log_rhs(3, -1, 4), DomainError, "k >= 1", id="krattenthaler_log_rhs_a_neg"),
+        pytest.param(lambda: krattenthaler_log_rhs(0, 2, 2), DomainError, "k >= 1", id="krattenthaler_log_rhs_k0"),
+        pytest.param(lambda: krattenthaler_log_rhs(2, 2, -3), DomainError, "k >= 1", id="krattenthaler_log_rhs_b_neg"),
     ],
 )
 def test_lattice_refusals_are_typed(call, exc, match):

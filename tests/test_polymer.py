@@ -1042,6 +1042,55 @@ def test_brute_force_refuses_seed_lanes(lanes):
         pytest.param(lambda: ineq_theorem_check(2.0, 1.0, 1.0), DomainError, "0 < c < c'", id="ineq_theorem_check"),
         pytest.param(lambda: w_limit(1.0, 0.0), DomainError, "0 < alpha", id="w_limit_0"),
         pytest.param(lambda: w_limit(0.5, 0.7), DomainError, "0 < alpha", id="w_limit_big"),
+        # a 1-D array is no (..., W, H) grid
+        pytest.param(lambda: scan_rectangle(np.zeros(3)), DomainError, r"\(\.\.\., W, H\)", id="scan_rectangle_1d"),
+        pytest.param(lambda: grsk(np.zeros(3)), DomainError, r"\(\.\.\., W, H\)", id="grsk_1d"),
+        pytest.param(lambda: tropical_rsk(np.zeros(3)), DomainError, r"\(\.\.\., W, H\)", id="tropical_rsk_1d"),
+        pytest.param(
+            lambda: corner_diagonal_sum(np.zeros(3), 1), DomainError, r"\(\.\.\., W, H\)", id="corner_diagonal_sum_1d"
+        ),
+        pytest.param(
+            lambda: kpath_scan(np.zeros(3), ((0, 0),), ((1, 1),)), DomainError, r"\(\.\.\., W, H\)", id="kpath_scan_1d"
+        ),
+        pytest.param(
+            lambda: loggamma_rectangle(UniformField(1), 2.0, -1, 3), DomainError, "width, height >= 0", id="loggamma_neg"
+        ),
+        pytest.param(
+            lambda: last_passage(derive_seeds(1, 2, np.arange(0)), 5, 4, 9),
+            DomainError,
+            "1 <= k <= min",
+            id="last_passage_zero_lanes_k_big",
+        ),
+        # non-finite slopes and inverse temperatures
+        pytest.param(lambda: free_energy_mc(LG2, 1.0, math.nan, 6, 2, 1), DomainError, "finite", id="free_energy_c_nan"),
+        pytest.param(lambda: free_energy_mc(LG2, 1.0, math.inf, 6, 2, 1), DomainError, "finite", id="free_energy_c_inf"),
+        pytest.param(
+            lambda: k_linearity_probe(LG2, 1.0, math.nan, 4, 2, 1), DomainError, "finite", id="k_linearity_c_nan"
+        ),
+        pytest.param(
+            lambda: single_path_logZ(UniformField(1), LG2, math.nan, (1, 1), (3, 3)),
+            DomainError,
+            "beta must be finite",
+            id="single_path_beta_nan",
+        ),
+        pytest.param(
+            lambda: single_path_logZ([1, 2], LG2, math.inf, (1, 1), (3, 3)),
+            DomainError,
+            "beta must be finite",
+            id="single_path_lanes_beta_inf",
+        ),
+        pytest.param(
+            lambda: kpath_logZ(UniformField(1), LG2, math.nan, *rectangle_endpoints(3, 3, 2)),
+            DomainError,
+            "beta must be finite",
+            id="kpath_beta_nan",
+        ),
+        pytest.param(
+            lambda: jensen_sandwich_check(LG2, math.nan, *rectangle_endpoints(3, 3, 2), 3, 1),
+            DomainError,
+            "beta must be finite",
+            id="jensen_beta_nan",
+        ),
     ],
 )
 def test_polymer_refusals_are_typed(call, exc, match):

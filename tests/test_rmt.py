@@ -254,3 +254,21 @@ def test_lue_batch_refuses_m_above_n():
     with pytest.raises(DomainError):
         lue_sample(3, 5, 1)
     assert lue_sample_batch(5, 5, seeds).shape == (4, 5)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: gue_sample(-1, 1), "n >= 1", id="gue_sample_neg"),
+        pytest.param(lambda: gue_matrix(0, 1), "n >= 1", id="gue_matrix_0"),
+        pytest.param(lambda: lue_sample(3, -1, 1), "1 <= m <= n", id="lue_sample_m_neg"),
+        pytest.param(lambda: lue_matrix_batch(3, 0, np.arange(2)), "1 <= m <= n", id="lue_matrix_batch_m0"),
+        pytest.param(lambda: lue_sample_batch(3, 5, np.arange(2)), "1 <= m <= n", id="lue_sample_batch_m_above_n"),
+        pytest.param(lambda: minors_process(np.eye(3)[0]), "square matrix", id="minors_process_1d"),
+        pytest.param(lambda: minors_process(np.zeros((2, 3))), "square matrix", id="minors_process_2x3"),
+        pytest.param(lambda: minors_process(np.zeros((2, 2, 2))), "square matrix", id="minors_process_3d"),
+    ],
+)
+def test_rmt_refusals_are_typed(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

@@ -635,6 +635,16 @@ def test_lane_drivers_need_one_replica(driver):
         ),
         pytest.param(lambda: xi_edge_top(2.0, 1.5), DomainError, r"t must lie in \[0, 1\]", id="xi_edge_top_big"),
         pytest.param(lambda: xi_edge_top(2.0, -0.1), DomainError, r"t must lie in \[0, 1\]", id="xi_edge_top_neg"),
+        pytest.param(
+            lambda: diagonal_free_energy_check(2.0, math.nan, 4, 3, 1), DomainError, "finite", id="diagonal_c_nan"
+        ),
+        pytest.param(
+            lambda: diagonal_free_energy_check(2.0, math.inf, 4, 3, 1), DomainError, "finite", id="diagonal_c_inf"
+        ),
+        pytest.param(lambda: fluctuation_mc(1.0, 4, [math.nan], 3, 1), DomainError, "finite", id="fluctuation_t_nan"),
+        pytest.param(
+            lambda: fluctuation_mc(1.0, 4, [0.5, math.inf], 3, 1), DomainError, "finite", id="fluctuation_t_inf"
+        ),
     ],
 )
 def test_shapes_refusals_are_typed(call, exc, match):

@@ -488,6 +488,8 @@ def test_bessel_k0_quadrature_oracle():
     [
         pytest.param(lambda: special.log_factorial(-1), DomainError, "requires n >= 0", id="log_factorial"),
         pytest.param(lambda: log_superfactorial(-1), DomainError, "requires n >= 0", id="log_superfactorial"),
+        pytest.param(lambda: log_superfactorial(math.nan), DomainError, "requires n >= 0", id="log_superfactorial_nan"),
+        pytest.param(lambda: log_superfactorial(math.inf), DomainError, "requires n >= 0", id="log_superfactorial_inf"),
         pytest.param(lambda: gamma_q(0.0, 1.0), DomainError, "requires a > 0", id="gamma_q_a"),
         pytest.param(lambda: gamma_q(1.0, -1.0), DomainError, "requires x >= 0", id="gamma_q_x"),
         pytest.param(lambda: inv_gamma_cdf(0.0, 1.0), DomainError, "requires mu > 0", id="inv_gamma_cdf"),
