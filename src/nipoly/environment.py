@@ -2,15 +2,16 @@
 
 A counter-based (hash) generator maps (seed, site) directly to a uniform
 variate, so environments need no storage between calls and results are
-bitwise independent of evaluation order.  The drivers still materialize the
-weights they scan: polymer.single_path_logZ builds the whole W x H grid
-(8 MB at N = 1000), and only the scan state on top of it is O(W).  Every
-weight law is realized as a quantile transform of the same uniform field,
-which is what makes the mu-couplings hold sample by sample, and this module
-is the one place that applies those transforms (_law_transform): every
-sampler in the package, the random matrices of rmt included, draws its
-weights through omega_grid.  The loggamma transform evaluates a cached
-per-mu table (special.log_inv_gamma_quantile) indexed by the float bits of
+bitwise independent of evaluation order.  A caller may draw any set of
+sites in any order: polymer.single_path_logZ draws a large rectangle one
+box of anti-diagonals at a time (about _CHUNK sites) and never holds the
+W x H grid.  Every weight law is realized as a quantile transform of the
+same uniform field, which is what makes the mu-couplings hold sample by
+sample, and this module is the one place that applies those transforms
+(_law_transform): every sampler in the package, the random matrices of
+rmt included, draws its weights through omega_grid.  The loggamma
+transform evaluates a cached per-mu table
+(special.log_inv_gamma_quantile) indexed by the float bits of
 v = min(u, 1 - u): 30-40 ns a site on one core of a Xeon VM, with no
 transcendental per site, and within 1e-13 relative of 40-digit mpmath.
 Building the table costs 6-14 ms there (8 502 exact evaluations), once per
@@ -91,7 +92,8 @@ def _as_u64(values) -> np.ndarray:
     if arr.dtype.kind == "u":
         return arr.astype(np.uint64, copy=False)
     if arr.dtype.kind in "ib":
-        return arr.astype(np.int64).astype(np.uint64)
+        # the two's-complement bits of int64 are the uint64 residue: a view, no copy
+        return arr.astype(np.int64, copy=False).view(np.uint64)
     if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
         arr = np.asarray(values, dtype=object)
     if arr.dtype.kind != "O":

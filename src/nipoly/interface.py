@@ -33,7 +33,7 @@ import numpy as np
 from .environment import UniformField, _check_field, _lane_blocks, _mean_stderr, _on_lanes, _replica_lanes, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
-from .polymer import TauTable, _check_tau_args, grsk, last_passage, log_tau, loggamma_rectangle
+from .polymer import TauTable, _check_tau_args, _rsk_cells, grsk, last_passage, log_tau, loggamma_rectangle
 from .special import _LOG_DBL_MAX, log_bessel_k0, log_factorial, log_gamma, log_superfactorial
 
 
@@ -163,7 +163,7 @@ def phi_moments_mc(n: int, mu: float, seeds: int, seed: int) -> dict:
     """Per-site means and standard errors of phi over seeds independent
     polymer environments, by batched gRSK in the lane blocks of _on_lanes;
     the draws are those gibbs_sampler yields.  Needs seeds >= 2."""
-    phis = _on_lanes(_replica_lanes(seed, _PHI_STREAM, seeds), lambda lanes: _phi_batch(lanes, mu, n), n * n)
+    phis = _on_lanes(_replica_lanes(seed, _PHI_STREAM, seeds), lambda lanes: _phi_batch(lanes, mu, n), _rsk_cells(n, n))
     mean, stderr = _mean_stderr(phis)
     return {"mean": mean, "stderr": stderr, "seeds": seeds}
 
@@ -256,7 +256,7 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     tmin = _theta_min_values(n)
     sup = np.empty((len(mu_list), seeds))
     for a, mu in enumerate(mu_list):
-        th = _on_lanes(lanes, lambda block: _phi_batch(block, mu, n), n * n) + _tilt(n, mu)
+        th = _on_lanes(lanes, lambda block: _phi_batch(block, mu, n), _rsk_cells(n, n)) + _tilt(n, mu)
         sup[a] = np.abs(th - tmin).max(axis=(-2, -1))
     med = np.median(sup, axis=1)
     return {

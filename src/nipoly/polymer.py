@@ -15,14 +15,20 @@ oracle.  single_path_logZ, kpath_logZ, log_tau, log_tau_tilde and
 last_passage take seed lanes as omega_grid does, so a driver passes all
 its replicas in one call; each has one lane body, run by the field rule
 of environment (_on_lanes), in lane blocks under environment._LANE_CELLS.
-Every rectangle is drawn by _rectangle_logw, which refuses a non-finite
-beta; every engine refuses an array of fewer than two axes (_check_grid).
+Every rectangle is drawn by _site_weights, which refuses a non-finite beta:
+whole by _rectangle_logw, or box by box by _rectangle_bands; every engine
+refuses an array of fewer than two axes (_check_grid).
 
 The single-path scan meets in the middle: a forward and a backward scan (the
 forward scan of the reversed grid) run as two lanes of one state and meet
 on the middle anti-diagonal after about (W + H) / 2 steps.  It adds in a
 different order from a sequential corner-to-corner scan, so its log Z can
-differ from one in the last bits.
+differ from one in the last bits.  It reads a held grid through strided
+views.  Above environment._CHUNK cells a lane, single_path_logZ passes it
+a band source (_Bands) instead, which draws boxes of consecutive
+anti-diagonals of both lanes, laid out in step order, with one omega_grid
+call each on the sheared sites of the box, so no W x H grid is held and
+the bytes of log Z do not change.
 
 Conventions: Z excludes the starting weights (the energy of a path omits its
 start site); the tau partition functions of the interface construction
@@ -101,14 +107,115 @@ def _logaddexp(a, b, out=None):
     return big
 
 
-def scan_rectangle(logw: np.ndarray, combine=_logaddexp, include_start: bool = False):
+@dataclass(frozen=True)
+class _Bands:
+    """A (..., W, H) array of log weights that scan_rectangle reads a box at
+    a time and never holds whole.  draw(a, b) gives the log weights of the
+    sites (a, b), broadcast int64 arrays of absolute coordinates, lanes
+    leading; near is the site of entry [..., 0, 0].  shape and size are
+    those of the array it stands for."""
+
+    shape: tuple
+    near: Point
+    draw: object
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+def _grid_reader(logw: np.ndarray, lanes: tuple, last: int):
+    """The corner weights of a held (..., W, H) grid, and the adder of
+    scan_rectangle's steps, which reads each anti-diagonal through strided
+    views, never copied: anti-diagonal d of logw is diagonal H - 1 - d of
+    its column-reversed view, and anti-diagonal d of the reversed grid that
+    of its row-reversed one."""
+    h = logw.shape[-1]
+    logw = logw.reshape(lanes + logw.shape[-2:])
+    fwd, bwd = logw[..., :, ::-1].diagonal, logw[..., ::-1, :].diagonal
+
+    def add(d, lo, hi, lane, out, cur):
+        if lane == 1:
+            np.add(out, bwd(h - 1 - d, -2, -1), out=cur)
+        else:
+            np.add(out[..., 0], fwd(h - 1 - d, -2, -1), out=cur[..., 0])
+            np.add(out[..., 1], bwd(h - 1 - d, -2, -1), out=cur[..., 1])
+
+    return (logw[..., 0, 0], logw[..., -1, -1]), add
+
+
+def _box_depth(w: int, h: int) -> int:
+    """Anti-diagonals per box of a band source: the most whose (K, rows, 2)
+    box holds at most environment._CHUNK sites a lane, and at least one.
+    K anti-diagonals span at most min(W, H + K - 1) rows."""
+    cells = environment._CHUNK // 2  # read at call time
+    b = h - 1
+    return max(1, cells // w, (math.isqrt(b * b + 4 * cells) - b) // 2)
+
+
+def _band_cells(w: int, h: int) -> int:
+    """The cells a lane of the streamed scan holds at its peak: its largest
+    box and the scan's state and buffer."""
+    depth = _box_depth(w, h)
+    return 2 * depth * min(w, h + depth - 1) + 2 * (2 * w + 1)
+
+
+def _band_reader(bands: _Bands, lanes: tuple, last: int):
+    """The corner weights of a band source, and the adder of scan_rectangle's
+    steps, which draws the weights in boxes (..., K, rows, 2): K consecutive
+    anti-diagonals of both lanes, row i of anti-diagonal d holding site
+    (i, d - i) for the forward lane and (W - 1 - i, H - 1 - d + i) for the
+    backward one, so each step adds one contiguous (rows, 2) block.  Boxes
+    cover the anti-diagonals 0 .. last - 1.  A box's corners off the
+    rectangle repeat a site of its edge, so every site drawn is one of the
+    rectangle (about 3% of them twice at 1000 x 1000)."""
+    w, h = bands.shape[-2:]
+    depth = _box_depth(w, h)
+    near0, near1 = bands.near
+    # shear[k, 2 r + lane] = +-(k - r): the column of row r on the k-th
+    # anti-diagonal of a box, from that of row 0 on the first, + for the
+    # forward lane and - for the backward one
+    rows = min(w, h + depth - 1)
+    shear = np.subtract.outer(np.arange(depth), np.repeat(np.arange(rows), 2)) * np.tile([1, -1], rows)
+
+    def box(d0):
+        # anti-diagonals d0 .. d1 - 1 of both lanes over rows lo .. hi
+        d1 = min(d0 + depth, last)
+        lo, hi = max(0, d0 - h + 1), min(w - 1, d1 - 1)
+        i = np.arange(lo, hi + 1)
+        a = np.stack([near0 + i, near0 + w - 1 - i], axis=-1)
+        b = shear[: d1 - d0, : 2 * i.size] + np.tile([near1 + d0 - lo, near1 + h - 1 - d0 + lo], i.size)
+        np.clip(b, near1, near1 + h - 1, out=b)
+        return bands.draw(a, b.reshape(d1 - d0, -1, 2)).reshape(lanes + (d1 - d0, i.size, 2)), lo, d0, d1
+
+    wts, row0, start, end = box(0)
+
+    def add(d, lo, hi, lane, out, cur):
+        nonlocal wts, row0, start, end
+        if d == end:
+            wts, row0, start, end = box(d)
+        np.add(out, wts[..., d - start, lo - row0 : hi - row0 + 1, lane], out=cur)
+
+    return (wts[..., 0, 0, 0], wts[..., 0, 0, 1]), add
+
+
+def scan_rectangle(logw, combine=_logaddexp, include_start: bool = False):
     """Corner-to-corner scan of a W x H rectangle of per-site log factors.
 
     combine gives the semiring: the default _logaddexp gives log Z (within
     2 eps per step of np.logaddexp, which also works), np.maximum gives
     last passage.  Its identity must be -inf, the value of every site off
-    the rectangle.  Works on (..., W, H) arrays; memory is O(W) per batch
-    lane, and logw is read through views, never copied.
+    the rectangle.  Works on (..., W, H) arrays, read through views and
+    never copied, or on a band source (_Bands) that stands for one and
+    draws its weights a box of anti-diagonals at a time, each step adding
+    one contiguous block (_band_reader); single_path_logZ passes one above
+    environment._CHUNK cells a lane.  Memory per lane is 2 (2W + 1) cells
+    of state and buffer, besides the held grid or a box of about _CHUNK
+    sites a lane (_band_cells).
 
     Meet in the middle: every up-right path crosses each anti-diagonal
     once, so with D = (W + H - 3) // 2,
@@ -120,57 +227,49 @@ def scan_rectangle(logw: np.ndarray, combine=_logaddexp, include_start: bool = F
     the far corner (both weights included).  B is the forward scan of
     logw[..., ::-1, ::-1], whose anti-diagonals span the same rows, so the
     two scans run as the two lanes of a lanes-last state (..., W + 1, 2):
-    one combine(south, west, out=buf) call and two adds per step, about
-    (W + H) / 2 steps in all, plus one step of the backward lane alone when
-    W + H - 3 is odd.  The meeting sum is folded pairwise by halves with
-    combine(left, right), which returns a fresh array, so any semiring works
-    and no weight is ever subtracted.  All of it runs under
+    one combine(south, west, out=buf) call and the weights' adds per step,
+    about (W + H) / 2 steps in all, plus one step of the backward lane
+    alone when W + H - 3 is odd.  The meeting sum is folded pairwise by
+    halves with combine(left, right), which returns a fresh array, so any
+    semiring works and no weight is ever subtracted.  All of it runs under
     np.errstate(invalid="ignore").  The sums associate differently from a
     sequential corner-to-corner scan, so the result can differ from one in
-    the last bits, max-plus included.
+    the last bits, max-plus included.  Each weight is added to the same
+    partial sum on both sources, so they give the same bytes.
     """
     _check_grid(logw, "scan_rectangle")
-    w, h = logw.shape[-2], logw.shape[-1]
+    lead, (w, h) = logw.shape[:-2], logw.shape[-2:]
     if w == 0 or h == 0:
         raise DomainError("scan_rectangle needs a nonempty rectangle, got %d x %d" % (w, h))
-    lead = logw.shape[:-2]
-    if lead and math.prod(lead) == 1:
-        # one lane scans plain 2-D views: a ufunc call on (1, n) views costs ~1 us more
-        return scan_rectangle(logw.reshape(w, h), combine, include_start).reshape(lead)
+    # one lane scans without a lane axis: a ufunc call on (1, n) views costs ~1 us more
+    lanes = () if math.prod(lead) == 1 else lead
+    meet = (w + h - 3) // 2
+    last = w + h - 2 - meet  # the backward lane's last diagonal, which takes no weight
+    reader = _band_reader if isinstance(logw, _Bands) else _grid_reader
+    (near, far), add = reader(logw, lanes, last)
     # state[..., i + 1, lane] holds row i of the lane's latest anti-diagonal:
     # lane 0 scans logw from (0, 0), lane 1 scans it from (W - 1, H - 1).
     # state[..., 0, :] is the -inf west neighbour of row 0, and the south
     # neighbour of the cell (d, 0) is the untouched -inf at state[..., d + 1, :]
-    state = np.full(lead + (w + 1, 2), -np.inf)
-    state[..., 1, 0] = logw[..., 0, 0] if include_start else 0.0
+    state = np.full(lanes + (w + 1, 2), -np.inf)
+    state[..., 1, 0] = near if include_start else 0.0
     if w == h == 1:
-        return state[..., 1, 0]
-    state[..., 1, 1] = logw[..., -1, -1]
-    buf = np.empty(lead + (w, 2))
-    # anti-diagonal d of logw is diagonal h - 1 - d of its column-reversed
-    # view, and anti-diagonal d of the reversed grid that of its row-reversed
-    fwd = logw[..., :, ::-1].diagonal
-    bwd = logw[..., ::-1, :].diagonal
-    meet = (w + h - 3) // 2
+        return state[..., 1, 0].reshape(lead)
+    state[..., 1, 1] = far
+    buf = np.empty(lanes + (w, 2))
     with np.errstate(invalid="ignore"):
-        for d in range(1, meet + 1):
+        # both lanes up to the meeting diagonal, then the backward lane alone:
+        # one more step when w + h - 3 is odd, then, on its diagonal last
+        # (diagonal meet of logw), the combine of each cell's two neighbours
+        # without the cell's weight
+        for d in range(1, last + 1):
             lo, hi = max(0, d - h + 1), min(w - 1, d)
-            cur = state[..., lo + 1 : hi + 2, :]
-            out = buf[..., : hi - lo + 1, :]
-            combine(cur, state[..., lo : hi + 1, :], out=out)
-            np.add(out[..., 0], fwd(h - 1 - d, -2, -1), out=cur[..., 0])
-            np.add(out[..., 1], bwd(h - 1 - d, -2, -1), out=cur[..., 1])
-        # the backward lane alone: one more step when w + h - 3 is odd, then,
-        # on its diagonal last (diagonal meet of logw), the combine of each
-        # cell's two neighbours without the cell's weight
-        last = w + h - 2 - meet
-        for d in range(meet + 1, last + 1):
-            lo, hi = max(0, d - h + 1), min(w - 1, d)
-            cur = state[..., lo + 1 : hi + 2, 1]
-            out = buf[..., : hi - lo + 1, 1]
-            combine(cur, state[..., lo : hi + 1, 1], out=out)
+            lane = slice(None) if d <= meet else 1
+            cur = state[..., lo + 1 : hi + 2, lane]
+            out = buf[..., : hi - lo + 1, lane]
+            combine(cur, state[..., lo : hi + 1, lane], out=out)
             if d < last:
-                np.add(out, bwd(h - 1 - d, -2, -1), out=cur)
+                add(d, lo, hi, lane, out, cur)
         # out[..., k] pairs with the forward cell of row w - 1 - (lo + k)
         t = np.add(out, state[..., w - hi : w - lo + 1, 0][..., ::-1])
         n = hi - lo + 1
@@ -178,7 +277,7 @@ def scan_rectangle(logw: np.ndarray, combine=_logaddexp, include_start: bool = F
             half = n // 2
             t[..., :half] = combine(t[..., :half], t[..., n - half : n])
             n -= half
-    return t[..., 0]
+    return t[..., 0].reshape(lead)
 
 
 def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:
@@ -196,16 +295,35 @@ def logZ_grid(logw: np.ndarray, include_start: bool = False) -> np.ndarray:
     return g
 
 
-def _rectangle_logw(field, spec, beta, x: Point, y: Point) -> np.ndarray:
+def _site_weights(field, spec, beta):
+    """(a, b) -> beta omega at the sites (a, b), broadcast integer arrays,
+    lanes leading as in omega_grid; zeros for beta 0 or spec None.  A
+    non-finite beta raises DomainError."""
     if not math.isfinite(beta):
         raise DomainError("beta must be finite, got %r" % (beta,))
-    x1 = np.arange(x[0], y[0] + 1)
-    x2 = np.arange(x[1], y[1] + 1)
     if beta == 0.0 or spec is None:
-        return np.zeros(_lanes(field) + (x1.size, x2.size))
-    logw = omega_grid(field, spec, x1[:, None], x2[None, :])
-    logw *= beta
-    return logw
+        lanes = _lanes(field)
+        return lambda a, b: np.zeros(lanes + np.broadcast_shapes(np.shape(a), np.shape(b)))
+
+    def draw(a, b):
+        logw = omega_grid(field, spec, a, b)
+        logw *= beta
+        return logw
+
+    return draw
+
+
+def _rectangle_logw(field, spec, beta, x: Point, y: Point) -> np.ndarray:
+    draw = _site_weights(field, spec, beta)
+    return draw(np.arange(x[0], y[0] + 1)[:, None], np.arange(x[1], y[1] + 1)[None, :])
+
+
+def _rectangle_bands(field, spec, beta, x: Point, y: Point) -> _Bands:
+    # the weights of _rectangle_logw, drawn box by box as scan_rectangle reads them
+    if not all(isinstance(c, (int, np.integer)) for c in (*x, *y)):
+        raise DomainError("a streamed rectangle needs integer corners, got %s and %s" % (x, y))
+    draw = _site_weights(field, spec, beta)
+    return _Bands(_lanes(field) + (y[0] - x[0] + 1, y[1] - x[1] + 1), x, draw)
 
 
 def _floor_scaled(c: float, n: int) -> int:
@@ -226,11 +344,18 @@ def single_path_logZ(
 ) -> float | np.ndarray:
     """log Z for the single-pair polymer from x to y: a float for a
     UniformField, an array for seed lanes (as in omega_grid).  Start weight
-    excluded unless include_start (the tau convention)."""
+    excluded unless include_start (the tau convention).  A rectangle of at
+    most environment._CHUNK cells is drawn whole; a larger one is streamed
+    to scan_rectangle as a band source, which draws one box of
+    anti-diagonals at a time, so its lanes hold no W x H grid.  Both give
+    the bytes of the scan of the held grid."""
     if not leq(x, y):
         raise NoPathError("no path from %s to %s" % (x, y))
-    logz = lambda lanes: scan_rectangle(_rectangle_logw(lanes, spec, beta, x, y), _logaddexp, include_start)
-    return _on_lanes(field, logz, (y[0] - x[0] + 1) * (y[1] - x[1] + 1))
+    w, h = y[0] - x[0] + 1, y[1] - x[1] + 1
+    held = w * h <= environment._CHUNK
+    weights = _rectangle_logw if held else _rectangle_bands
+    logz = lambda lanes: scan_rectangle(weights(lanes, spec, beta, x, y), _logaddexp, include_start)
+    return _on_lanes(field, logz, w * h if held else _band_cells(w, h))
 
 
 def _check_kpoints(xs: KPoint, ys: KPoint) -> None:
@@ -498,6 +623,15 @@ def _rsk(logw: np.ndarray, plus) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(lead + (n, m))
 
 
+def _rsk_cells(n: int, m: int) -> int:
+    """The cells one lane of a gRSK route (grsk of drawn n x m weights and
+    what is taken of it) holds at its peak, for the lane blocks of
+    _on_lanes: about eight n x m float arrays at once (the weights, the
+    table, the gathered rows, the output).  Under tracemalloc, one lane at
+    n = m = 48 peaked at 7.8 n m doubles and 64 lanes at 7.4 a lane."""
+    return 8 * n * m
+
+
 def grsk(logw: np.ndarray) -> np.ndarray:
     """Geometric RSK of an (..., n, m) array of log weights, in log space.
 
@@ -617,7 +751,8 @@ def _corner_tau(field, mu: float, n: int, m: int, k: int, tilde: bool) -> float 
         return _on_lanes(field, lambda lanes: np.zeros(len(lanes)), 1)
     _check_tau_args(n, m, k)
     w, h = (m, n) if tilde else (n, m)
-    return _on_lanes(field, lambda lanes: corner_diagonal_sum(grsk(loggamma_rectangle(lanes, mu, w, h)), k), w * h)
+    body = lambda lanes: corner_diagonal_sum(grsk(loggamma_rectangle(lanes, mu, w, h)), k)
+    return _on_lanes(field, body, _rsk_cells(w, h))
 
 
 def log_tau(field, mu: float, n: int, m: int, k: int) -> float | np.ndarray:
@@ -645,7 +780,8 @@ def last_passage(field, n: int, m: int, k: int = 1) -> float | np.ndarray:
     refuse k outside 1 <= k <= min(n, m), zero lanes too (_check_lpp_range).
     """
     _check_lpp_range(n, m, k)
-    return _on_lanes(field, lambda lanes: last_passage_batch(lanes, n, m, k), n * m)
+    cells = n * m if k == 1 else _rsk_cells(n, m)  # the scan holds its grid, tropical RSK its table
+    return _on_lanes(field, lambda lanes: last_passage_batch(lanes, n, m, k), cells)
 
 
 def _check_lpp_range(n: int, m: int, k: int) -> None:

@@ -118,6 +118,19 @@ def test_derive_seeds_equals_scalar_derive_seed(seed, a, b):
     assert derive_seeds(seed).shape == () and int(derive_seeds(seed)) == derive_seed(seed)
 
 
+def test_int64_coordinates_reach_the_hash_as_a_view():
+    # an int64 array is read as uint64 in place (two's complement); other
+    # integer and bool arrays are converted; each gives the residues mod
+    # 2^64 that a converting astype through int64 gives
+    edges = np.array([0, 1, -1, -(2**63), 2**63 - 1, -(2**62) - 3, 12345], dtype=np.int64)
+    got = environment._as_u64(edges)
+    assert got.dtype == np.uint64 and np.shares_memory(got, edges)
+    for values in (edges, edges.reshape(7, 1)[::2], edges.astype(np.int32), np.array([True, False, True])):
+        want = values.astype(np.int64).astype(np.uint64)
+        np.testing.assert_array_equal(environment._as_u64(values), want)
+        assert [int(v) for v in environment._as_u64(values).ravel()] == [int(v) & (2**64 - 1) for v in values.ravel()]
+
+
 def test_int_sequences_hash_exactly():
     # numpy stores these lists as float64, which rounds 2**63 + 1 to 2**63
     for values in ([1, 2**63 + 1], [-1, 2**63 + 1], [np.uint64(2**63 + 1), np.int64(-1)]):
@@ -588,15 +601,15 @@ def _fluctuation(per_field):
 _LANE_ENTRY_POINTS = {
     "single_path_logZ": (20, lambda f: polymer.single_path_logZ(f, _LG2, 1.0, (1, 1), (5, 4))),
     "kpath_logZ": (25, lambda f: polymer.kpath_logZ(f, _LG2, 1.0, *_KPOINTS)),
-    "last_passage": (20, lambda f: polymer.last_passage(f, 5, 4, 2)),
-    "log_tau": (20, lambda f: polymer.log_tau(f, 2.0, 5, 4, 2)),
-    "log_tau_tilde": (20, lambda f: polymer.log_tau_tilde(f, 2.0, 5, 4, 2)),
+    "last_passage": (160, lambda f: polymer.last_passage(f, 5, 4, 2)),
+    "log_tau": (160, lambda f: polymer.log_tau(f, 2.0, 5, 4, 2)),
+    "log_tau_tilde": (160, lambda f: polymer.log_tau_tilde(f, 2.0, 5, 4, 2)),
 }
 # route -> (cells per lane, driver(per_field): its values from the driver, or from per-field calls)
 _LANE_DRIVERS = {
-    "phi_moments_mc": (9, _phi_moments),
-    "large_mu_convergence": (9, _large_mu),
-    "small_mu_coupling": (12, _small_mu),
+    "phi_moments_mc": (72, _phi_moments),
+    "large_mu_convergence": (72, _large_mu),
+    "small_mu_coupling": (96, _small_mu),
     "diagonal_free_energy_check": (16, _diagonal),
     "fluctuation_mc": (16, _fluctuation),
 }
@@ -629,6 +642,32 @@ def test_lane_routes_run_in_lane_blocks_bitwise(route, monkeypatch):
         monkeypatch.setattr(polymer, "omega_grid", None)  # zero lanes draw nothing
         empty = entry(_LANES[:0])
         assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_grsk_routes_block_eight_cells_a_site(monkeypatch):
+    # a gRSK lane body holds about eight n x m arrays at its peak
+    # (polymer._rsk_cells), so a budget of 16 n m cells runs two lanes a
+    # block; the k = 1 scan of last_passage holds its one grid
+    blocks = []
+
+    def counted(field, *args, fn=polymer.omega_grid):
+        blocks.append(len(field))
+        return fn(field, *args)
+
+    monkeypatch.setattr(polymer, "omega_grid", counted)
+    routes = [
+        (9, lambda: interface.phi_moments_mc(3, 2.0, 5, 4), [2, 2, 1]),
+        (9, lambda: interface.large_mu_convergence(3, [1e2], 5, 4), [2, 2, 1]),
+        (20, lambda: polymer.log_tau(_LANES, 2.0, 5, 4, 2), [2, 2, 1]),
+        (20, lambda: polymer.log_tau_tilde(_LANES, 2.0, 5, 4, 2), [2, 2, 1]),
+        (20, lambda: polymer.last_passage(_LANES, 5, 4, 2), [2, 2, 1]),
+        (20, lambda: polymer.last_passage(_LANES, 5, 4, 1), [5]),
+    ]
+    for sites, route, sizes in routes:
+        blocks.clear()
+        monkeypatch.setattr(environment, "_LANE_CELLS", 16 * sites)
+        route()
+        assert blocks == sizes
 
 
 def test_on_lanes_writes_blocks_into_one_c_ordered_result(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -281,6 +282,127 @@ def test_scan_makes_half_the_combine_calls(w, h):
     assert calls["step"] <= math.ceil((w + h - 2) / 2) + 1
     assert calls["step"] >= math.ceil((w + h - 2) / 2)
     assert calls["fold"] <= math.ceil(math.log2(min(w, h)))
+
+
+# ---------------------------------------------------------------------------
+# The streamed scan: a _Bands source draws the weights box by box
+# ---------------------------------------------------------------------------
+
+
+def _stream_cases(lanes):
+    # (field, spec, beta): one field or seed lanes, loggamma at beta 1 and
+    # 0.5, the const law, beta 0 and spec None
+    field = UniformField(17) if lanes is None else derive_seeds(17, 0x5B, np.arange(lanes))
+    return [(field, LG2, 1.0), (field, LG2, 0.5), (field, WeightSpec("const", c=0.3), 1.0), (field, LG2, 0.0), (None, None, 0.0)]
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (7, 1), (1, 9), (2, 3), (6, 6), (9, 4), (4, 13), (40, 33), (33, 40), (45, 28)])
+@pytest.mark.parametrize("chunk", [64, 1 << 16])
+def test_streamed_scan_equals_the_held_grid_bitwise(w, h, chunk, monkeypatch):
+    # boxes of one or a few anti-diagonals (chunk 64) and of the whole
+    # rectangle; both parities of w + h, offsets with negative coordinates,
+    # include_start both ways, one field and seed lanes
+    monkeypatch.setattr(environment, "_CHUNK", chunk)
+    for x in ((1, 1), (-7, -3)):
+        y = (x[0] + w - 1, x[1] + h - 1)
+        for lanes in (None, 3):
+            for field, spec, beta in _stream_cases(lanes):
+                for include_start in (False, True):
+                    held = scan_rectangle(polymer._rectangle_logw(field, spec, beta, x, y), include_start=include_start)
+                    streamed = scan_rectangle(polymer._rectangle_bands(field, spec, beta, x, y), include_start=include_start)
+                    assert np.shape(streamed) == np.shape(held)
+                    assert streamed.tobytes() == held.tobytes()
+
+
+@pytest.mark.parametrize(
+    "w, h, include_start",
+    [(256, 256, False), (256, 257, True), (257, 256, False), (2**16 + 1, 1, True), (1, 2**16 + 1, False)],
+)
+def test_single_path_logZ_streams_above_a_chunk_bitwise(w, h, include_start):
+    # a rectangle of at most _CHUNK cells is drawn whole, a larger one box
+    # by box; both give the bytes of the scan of the held grid
+    f = UniformField(23)
+    x = (-40, 3)
+    y = (x[0] + w - 1, x[1] + h - 1)
+    want = scan_rectangle(polymer._rectangle_logw(f, LG2, 0.5, x, y), include_start=include_start)
+    got = single_path_logZ(f, LG2, 0.5, x, y, include_start)
+    assert isinstance(got, float) and got == float(want)
+
+
+def test_streamed_boxes_draw_only_sites_of_the_rectangle(monkeypatch):
+    # the corners of a box off the rectangle repeat a site of its edge, so
+    # a law that refuses some site refuses it on both routes alike
+    monkeypatch.setattr(environment, "_CHUNK", 200)
+    x, y = (-5, 2), (30, 20)
+    seen = []
+
+    def spy(field, spec, a, b, fn=polymer.omega_grid):
+        seen.append((np.broadcast_arrays(a, b)))
+        return fn(field, spec, a, b)
+
+    monkeypatch.setattr(polymer, "omega_grid", spy)
+    scan_rectangle(polymer._rectangle_bands(UniformField(2), LG2, 1.0, x, y))
+    assert len(seen) > 1
+    drawn = {(int(p), int(q)) for a, b in seen for p, q in zip(a.ravel(), b.ravel())}
+    assert drawn == {(p, q) for p in range(x[0], y[0] + 1) for q in range(x[1], y[1] + 1)}
+
+
+def test_streamed_lanes_run_in_lane_blocks_bitwise(monkeypatch):
+    # 5 seed lanes of 300 x 250 (above a chunk) under a budget of two
+    # streamed lanes: blocks of 2, 2 and 1, each scan_rectangle call stands
+    # for its block's lanes x W x H, and every lane is bitwise its own call
+    x, y = (1, 1), (300, 250)
+    lanes = derive_seeds(9, 0x51, np.arange(5))
+    want = np.array([single_path_logZ(UniformField(int(s)), LG2, 1.0, x, y) for s in lanes])
+    shapes = []
+
+    def counted(logw, *args, fn=polymer.scan_rectangle):
+        shapes.append((np.shape(logw), np.size(logw)))
+        return fn(logw, *args)
+
+    monkeypatch.setattr(polymer, "scan_rectangle", counted)
+    monkeypatch.setattr(environment, "_LANE_CELLS", 2 * polymer._band_cells(300, 250))
+    got = single_path_logZ(lanes, LG2, 1.0, x, y)
+    assert got.tobytes() == want.tobytes()
+    assert [shape[0] for shape, _ in shapes] == [2, 2, 1]
+    for shape, size in shapes:
+        assert shape[1:] == (300, 250) and size == shape[0] * 300 * 250
+
+
+def test_single_path_logZ_makes_one_scan_call_over_its_draws(monkeypatch):
+    # a tracer that wraps polymer.scan_rectangle sees one call that stands
+    # for the whole W x H rectangle, and one that wraps polymer.omega_grid
+    # sees the draws made under it
+    scans, draws = [], []
+
+    def scan(logw, *args, fn=polymer.scan_rectangle):
+        scans.append(np.size(logw))
+        return fn(logw, *args)
+
+    def draw(*args, fn=polymer.omega_grid):
+        out = fn(*args)
+        draws.append(out.size)
+        return out
+
+    monkeypatch.setattr(polymer, "scan_rectangle", scan)
+    monkeypatch.setattr(polymer, "omega_grid", draw)
+    single_path_logZ(UniformField(3), LG2, 1.0, (1, 1), (1000, 1000))
+    assert scans == [1000 * 1000]
+    assert len(draws) >= 1 and sum(draws) >= 1000 * 1000
+
+
+def test_one_streamed_field_holds_no_grid():
+    # the 2000 x 2000 grid alone is 32 MB; the streamed scan holds a box of
+    # at most _CHUNK sites and its state
+    f = UniformField(4)
+    single_path_logZ(f, LG2, 1.0, (1, 1), (300, 300))  # the quantile table is built outside the count
+    tracemalloc.start()
+    try:
+        single_path_logZ(f, LG2, 1.0, (1, 1), (2000, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_lgv_k1_matches_single_path():
@@ -1042,6 +1164,19 @@ def test_brute_force_refuses_seed_lanes(lanes):
         pytest.param(lambda: ineq_theorem_check(2.0, 1.0, 1.0), DomainError, "0 < c < c'", id="ineq_theorem_check"),
         pytest.param(lambda: w_limit(1.0, 0.0), DomainError, "0 < alpha", id="w_limit_0"),
         pytest.param(lambda: w_limit(0.5, 0.7), DomainError, "0 < alpha", id="w_limit_big"),
+        # non-integer corners, on a held and a streamed rectangle
+        pytest.param(
+            lambda: single_path_logZ(UniformField(1), LG2, 1.0, (1.0, 1), (30, 30)),
+            DomainError,
+            "must be integers",
+            id="single_path_float_corner_held",
+        ),
+        pytest.param(
+            lambda: single_path_logZ(UniformField(1), None, 0.0, (1.0, 1), (300, 300)),
+            DomainError,
+            "integer corners",
+            id="single_path_float_corner_streamed",
+        ),
         # a 1-D array is no (..., W, H) grid
         pytest.param(lambda: scan_rectangle(np.zeros(3)), DomainError, r"\(\.\.\., W, H\)", id="scan_rectangle_1d"),
         pytest.param(lambda: grsk(np.zeros(3)), DomainError, r"\(\.\.\., W, H\)", id="grsk_1d"),
