@@ -197,10 +197,12 @@ def _band_reader(bands: _Bands, lanes: tuple, last: int):
     def add(d, lo, hi, lane, out, cur):
         nonlocal wts, row0, start, end
         if d == end:
+            wts = None  # the spent box goes before the next is drawn
             wts, row0, start, end = box(d)
         np.add(out, wts[..., d - start, lo - row0 : hi - row0 + 1, lane], out=cur)
 
-    return (wts[..., 0, 0, 0], wts[..., 0, 0, 1]), add
+    # copies, so that the first box is not held for the whole scan
+    return (wts[..., 0, 0, 0].copy(), wts[..., 0, 0, 1].copy()), add
 
 
 def scan_rectangle(logw, combine=_logaddexp, include_start: bool = False):

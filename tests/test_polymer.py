@@ -405,6 +405,22 @@ def test_one_streamed_field_holds_no_grid():
     assert peak < 12 * 2**20
 
 
+def test_streamed_lanes_hold_one_box_at_a_time():
+    # 8 seed lanes of 700 x 700 (31 MB of grid) run as one lane block: the
+    # spent box is dropped before the next is drawn, and the corners are
+    # copied out of the first, so the scan never holds two boxes
+    lanes = derive_seeds(5, 1, np.arange(8))
+    single_path_logZ(lanes[:2], LG2, 1.0, (1, 1), (300, 300))  # the quantile table is built outside the count
+    box = 8 * 2 * polymer._box_depth(700, 700) * 700 * 8  # bytes
+    tracemalloc.start()
+    try:
+        single_path_logZ(lanes, LG2, 1.0, (1, 1), (700, 700))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * box
+
+
 def test_lgv_k1_matches_single_path():
     f = UniformField(5)
     got = kpath_logZ(f, LG2, 1.0, ((1, 1),), ((4, 4),))
