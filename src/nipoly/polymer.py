@@ -128,7 +128,7 @@ class _Bands:
         return math.prod(self.shape)
 
 
-def _grid_reader(logw: np.ndarray, lanes: tuple, last: int):
+def _grid_reader(logw: np.ndarray, lanes: tuple):
     """The corner weights of a held (..., W, H) grid, and the adder of
     scan_rectangle's steps, which reads each anti-diagonal through strided
     views, never copied: anti-diagonal d of logw is diagonal H - 1 - d of
@@ -247,8 +247,10 @@ def scan_rectangle(logw, combine=_logaddexp, include_start: bool = False):
     lanes = () if math.prod(lead) == 1 else lead
     meet = (w + h - 3) // 2
     last = w + h - 2 - meet  # the backward lane's last diagonal, which takes no weight
-    reader = _band_reader if isinstance(logw, _Bands) else _grid_reader
-    (near, far), add = reader(logw, lanes, last)
+    if isinstance(logw, _Bands):
+        (near, far), add = _band_reader(logw, lanes, last)
+    else:
+        (near, far), add = _grid_reader(logw, lanes)
     # state[..., i + 1, lane] holds row i of the lane's latest anti-diagonal:
     # lane 0 scans logw from (0, 0), lane 1 scans it from (W - 1, H - 1).
     # state[..., 0, :] is the -inf west neighbour of row 0, and the south
