@@ -337,7 +337,7 @@ def test_streamed_boxes_draw_only_sites_of_the_rectangle(monkeypatch):
     seen = []
 
     def spy(field, spec, a, b, fn=polymer.omega_grid):
-        seen.append((np.broadcast_arrays(a, b)))
+        seen.append(np.broadcast_arrays(a, b))
         return fn(field, spec, a, b)
 
     monkeypatch.setattr(polymer, "omega_grid", spy)
