@@ -33,7 +33,8 @@ import numpy as np
 from .environment import UniformField, _check_field, _lane_blocks, _mean_stderr, _on_lanes, _replica_lanes, derive_seeds
 from .errors import DomainError
 from .lattice import macmahon_log_count
-from .polymer import TauTable, _check_tau_args, _rsk_cells, grsk, last_passage, log_tau, loggamma_rectangle
+from .polymer import TauTable, _check_tau_args, last_passage, log_tau, loggamma_rectangle
+from .rsk import _rsk_cells, grsk
 from .special import _LOG_DBL_MAX, log_bessel_k0, log_factorial, log_gamma, log_superfactorial
 
 

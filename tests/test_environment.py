@@ -646,7 +646,7 @@ def test_lane_routes_run_in_lane_blocks_bitwise(route, monkeypatch):
 
 def test_grsk_routes_block_eight_cells_a_site(monkeypatch):
     # a gRSK lane body holds about eight n x m arrays at its peak
-    # (polymer._rsk_cells), so a budget of 16 n m cells runs two lanes a
+    # (rsk._rsk_cells), so a budget of 16 n m cells runs two lanes a
     # block; the k = 1 scan of last_passage holds its one grid
     blocks = []
 

@@ -33,12 +33,12 @@ from nipoly.lattice import stack_up
 from nipoly.polymer import (
     TauTable,
     brute_force_kpath_logZ,
-    grsk,
     last_passage,
     loggamma_rectangle,
     single_path_logZ,
 )
 from nipoly.rmt import gue_matrix, minors_process
+from nipoly.rsk import grsk
 from nipoly.special import bessel_k0, digamma, log_gamma, trigamma
 
 

@@ -9,22 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from nipoly import environment, polymer
+from nipoly import environment, polymer, rsk, scan
 from nipoly.environment import UniformField, WeightSpec, derive_seed, derive_seeds, omega_grid
 from nipoly.errors import DomainError, NoPathError
+from nipoly.kpath import kpath_scan
 from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
 from nipoly.polymer import (
-    _logaddexp,
     brute_force_kpath_logZ,
-    corner_diagonal_sum,
     free_energy_mc,
-    grsk,
     infinite_temperature_free_energy,
     ineq_theorem_check,
     jensen_sandwich_check,
     k_linearity_probe,
     kpath_logZ,
-    kpath_scan,
     last_passage,
     last_passage_batch,
     log_tau,
@@ -34,13 +31,13 @@ from nipoly.polymer import (
     parallel_series_bound_mc,
     rost_ell,
     scaled_k_check,
-    scan_rectangle,
     sepp_free_energy,
     single_path_logZ,
     TauTable,
-    tropical_rsk,
     w_limit,
 )
+from nipoly.rsk import corner_diagonal_sum, grsk, tropical_rsk
+from nipoly.scan import _logaddexp, scan_rectangle
 from nipoly.special import digamma, log_binomial
 
 GAMMA = 0.5772156649015329
@@ -361,7 +358,7 @@ def test_streamed_lanes_run_in_lane_blocks_bitwise(monkeypatch):
         return fn(logw, *args)
 
     monkeypatch.setattr(polymer, "scan_rectangle", counted)
-    monkeypatch.setattr(environment, "_LANE_CELLS", 2 * polymer._band_cells(300, 250))
+    monkeypatch.setattr(environment, "_LANE_CELLS", 2 * scan._band_cells(300, 250))
     got = single_path_logZ(lanes, LG2, 1.0, x, y)
     assert got.tobytes() == want.tobytes()
     assert [shape[0] for shape, _ in shapes] == [2, 2, 1]
@@ -375,7 +372,7 @@ def test_single_path_logZ_makes_one_scan_call_over_its_draws(monkeypatch):
     # sees the draws made under it
     scans, draws = [], []
 
-    def scan(logw, *args, fn=polymer.scan_rectangle):
+    def traced(logw, *args, fn=polymer.scan_rectangle):
         scans.append(np.size(logw))
         return fn(logw, *args)
 
@@ -384,7 +381,7 @@ def test_single_path_logZ_makes_one_scan_call_over_its_draws(monkeypatch):
         draws.append(out.size)
         return out
 
-    monkeypatch.setattr(polymer, "scan_rectangle", scan)
+    monkeypatch.setattr(polymer, "scan_rectangle", traced)
     monkeypatch.setattr(polymer, "omega_grid", draw)
     single_path_logZ(UniformField(3), LG2, 1.0, (1, 1), (1000, 1000))
     assert scans == [1000 * 1000]
@@ -411,7 +408,7 @@ def test_streamed_lanes_hold_one_box_at_a_time():
     # copied out of the first, so the scan never holds two boxes
     lanes = derive_seeds(5, 1, np.arange(8))
     single_path_logZ(lanes[:2], LG2, 1.0, (1, 1), (300, 300))  # the quantile table is built outside the count
-    box = 8 * 2 * polymer._box_depth(700, 700) * 700 * 8  # bytes
+    box = 8 * 2 * scan._box_depth(700, 700) * 700 * 8  # bytes
     tracemalloc.start()
     try:
         single_path_logZ(lanes, LG2, 1.0, (1, 1), (700, 700))
@@ -677,7 +674,7 @@ def test_tau_table_is_small_size_only():
 
 def _row_major_rsk(logw, plus):
     """The cell-by-cell gRSK loop in row-major order; the oracle of the
-    anti-diagonal (wavefront) order of polymer.grsk (plus = _logaddexp, run
+    anti-diagonal (wavefront) order of rsk.grsk (plus = _logaddexp, run
     under the errstate it needs) and tropical_rsk (plus = np.maximum)."""
     n, m = logw.shape[-2], logw.shape[-1]
     # one leading lane axis, so that every plus sees arrays
@@ -745,11 +742,11 @@ def test_rsk_batched_equals_unbatched_bitwise():
     for lanes in (1, 3, 4, 7, 8, 9, 17, 65):
         fields = [UniformField(derive_seed(43, r)) for r in range(lanes)]
         logw = np.stack([loggamma_rectangle(f, 0.7, 7, 5) for f in fields])
-        for rsk in (grsk, tropical_rsk):
-            batch = rsk(logw)
+        for engine in (grsk, tropical_rsk):
+            batch = engine(logw)
             assert batch.shape == logw.shape and batch.flags.c_contiguous
             for r in range(lanes):
-                one = rsk(logw[r])
+                one = engine(logw[r])
                 assert one.flags.c_contiguous
                 assert np.array_equal(batch[r], one)
     nested = grsk(logw.reshape(5, 13, 7, 5))
@@ -759,10 +756,10 @@ def test_rsk_batched_equals_unbatched_bitwise():
 
 def test_rsk_memoized_plan_equals_the_plan_built_per_step(monkeypatch):
     logw = 2.0 * np.random.default_rng(5).standard_normal((9, 6, 11))
-    assert polymer._plan_bytes(6, 11) <= polymer._PLAN_BUDGET
+    assert rsk._plan_bytes(6, 11) <= rsk._PLAN_BUDGET
     # the second memoized call reuses the cached plan
-    memo = [[rsk(logw) for rsk in (grsk, tropical_rsk)] for _ in range(2)]
-    monkeypatch.setattr(polymer, "_PLAN_BUDGET", 0)
+    memo = [[engine(logw) for engine in (grsk, tropical_rsk)] for _ in range(2)]
+    monkeypatch.setattr(rsk, "_PLAN_BUDGET", 0)
     for got in memo:
         assert np.array_equal(got[0], grsk(logw))
         assert np.array_equal(got[1], tropical_rsk(logw))
@@ -770,25 +767,25 @@ def test_rsk_memoized_plan_equals_the_plan_built_per_step(monkeypatch):
 
 def test_rsk_memoizes_only_plans_within_the_budget():
     for n, m in [(1, 1), (1, 9), (9, 1), (5, 7), (16, 16)]:
-        plan = sum(rows.nbytes for rows, _, _ in polymer._rsk_steps(n, m))
-        assert polymer._plan_bytes(n, m) == plan
-    assert polymer._plan_bytes(16, 16) < 100_000
-    assert polymer._plan_bytes(64, 80) > polymer._PLAN_BUDGET
-    before = polymer._memo_steps.cache_info()
+        plan = sum(rows.nbytes for rows, _, _ in rsk._rsk_steps(n, m))
+        assert rsk._plan_bytes(n, m) == plan
+    assert rsk._plan_bytes(16, 16) < 100_000
+    assert rsk._plan_bytes(64, 80) > rsk._PLAN_BUDGET
+    before = rsk._memo_steps.cache_info()
     grsk(np.zeros((2, 64, 80)))
-    assert polymer._memo_steps.cache_info() == before
-    polymer._memo_steps.cache_clear()
+    assert rsk._memo_steps.cache_info() == before
+    rsk._memo_steps.cache_clear()
     grsk(np.zeros((2, 16, 16)))
-    assert polymer._memo_steps.cache_info().currsize == 1
+    assert rsk._memo_steps.cache_info().currsize == 1
 
 
 def test_rsk_refuses_empty_shapes():
-    for rsk in (grsk, tropical_rsk):
+    for engine in (grsk, tropical_rsk):
         for shape in [(3, 0), (0, 3), (0, 0), (2, 0, 4), (2, 4, 0)]:
             with pytest.raises(DomainError):
-                rsk(np.zeros(shape))
+                engine(np.zeros(shape))
         # zero lanes are not an empty shape
-        assert rsk(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert engine(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 def test_grsk_diagonal_identities_on_the_square():
