@@ -196,6 +196,8 @@ def theta_min(n: int) -> InterfaceGrid:
 
 
 def _theta_min_values(n: int) -> np.ndarray:
+    if not (1 <= n < math.inf and n == int(n)):
+        raise DomainError("theta_min needs an integral n >= 1, got %r" % (n,))
     vals = np.empty((n, n))
     for i in range(1, n + 1):
         for j in range(i, n + 1):

@@ -57,9 +57,10 @@ def log_factorial(n: int) -> float:
 
 
 def log_superfactorial(n: int) -> float:
-    """log of H(n) = product of j! for j = 0 .. n-1; H(0) = H(1) = 1."""
-    if not 0 <= n < math.inf:
-        raise DomainError("log_superfactorial requires n >= 0 and finite, got %r" % (n,))
+    """log of H(n) = product of j! for j = 0 .. n-1; H(0) = H(1) = 1.  n is a
+    whole number (3 and 3.0 alike); any other n raises DomainError."""
+    if not (0 <= n < math.inf and n == int(n)):
+        raise DomainError("log_superfactorial requires n >= 0, finite and integral, got %r" % (n,))
     return float(sps.gammaln(np.arange(1.0, n + 1.0)).sum())
 
 

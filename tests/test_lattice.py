@@ -89,15 +89,6 @@ def test_macmahon_examples():
         macmahon_log_count(3, 3, 4)
 
 
-def test_macmahon_vs_enumeration_full_grid():
-    for n in range(1, 6):
-        for m in range(1, 6):
-            for k in range(1, min(n, m) + 1):
-                xs, ys = rectangle_endpoints(n, m, k)
-                count = len(enumerate_kpaths(xs, ys, cap=100000))
-                assert count == round(math.exp(macmahon_log_count(n, m, k)))
-
-
 def test_macmahon_monotone_in_k():
     for n, m in [(4, 4), (5, 3)]:
         prev = math.inf
@@ -222,6 +213,8 @@ def test_leading_minors_match_rational_elimination(rows):
         pytest.param(lambda: krattenthaler_log_rhs(3, -1, 4), DomainError, "k >= 1", id="krattenthaler_log_rhs_a_neg"),
         pytest.param(lambda: krattenthaler_log_rhs(0, 2, 2), DomainError, "k >= 1", id="krattenthaler_log_rhs_k0"),
         pytest.param(lambda: krattenthaler_log_rhs(2, 2, -3), DomainError, "k >= 1", id="krattenthaler_log_rhs_b_neg"),
+        # once the (3, 3, 1) count, 1.7918
+        pytest.param(lambda: macmahon_log_count(2.5, 3, 1), DomainError, "integral", id="macmahon_log_count_fraction"),
     ],
 )
 def test_lattice_refusals_are_typed(call, exc, match):

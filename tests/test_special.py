@@ -78,6 +78,9 @@ def test_log_superfactorial():
     assert log_superfactorial(1) == pytest.approx(0.0, abs=1e-14)
     assert log_superfactorial(3) == pytest.approx(math.log(2.0), abs=1e-13)
     assert log_superfactorial(5) == pytest.approx(math.log(288.0), rel=1e-13)
+    # a whole float keeps its value
+    assert log_superfactorial(3.0) == log_superfactorial(3)
+    assert log_superfactorial(np.int64(5)) == log_superfactorial(5)
 
 
 def test_log_superfactorial_recurrence():
@@ -490,6 +493,9 @@ def test_bessel_k0_quadrature_oracle():
         pytest.param(lambda: log_superfactorial(-1), DomainError, "requires n >= 0", id="log_superfactorial"),
         pytest.param(lambda: log_superfactorial(math.nan), DomainError, "requires n >= 0", id="log_superfactorial_nan"),
         pytest.param(lambda: log_superfactorial(math.inf), DomainError, "requires n >= 0", id="log_superfactorial_inf"),
+        # a fractional n once summed log j! up to its ceiling: H(2.5) read H(3)
+        pytest.param(lambda: log_superfactorial(2.5), DomainError, "integral", id="log_superfactorial_fraction"),
+        pytest.param(lambda: log_superfactorial(0.5), DomainError, "integral", id="log_superfactorial_half"),
         pytest.param(lambda: gamma_q(0.0, 1.0), DomainError, "requires a > 0", id="gamma_q_a"),
         pytest.param(lambda: gamma_q(1.0, -1.0), DomainError, "requires x >= 0", id="gamma_q_x"),
         pytest.param(lambda: inv_gamma_cdf(0.0, 1.0), DomainError, "requires mu > 0", id="inv_gamma_cdf"),
