@@ -23,6 +23,26 @@ from nipoly.rmt import (
 )
 
 
+def test_jacobi_against_numpy():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 5, 20):
+        m = rng.standard_normal((n, n))
+        a = (m + m.T) / 2
+        got = jacobi_eigvalsh(a)
+        want = np.sort(np.linalg.eigvalsh(a))[::-1]
+        assert np.allclose(got, want, atol=1e-10)
+
+
+def test_jacobi_batch_against_numpy():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((7, 6, 6))
+    a = (m + np.swapaxes(m, 1, 2)) / 2
+    got = jacobi_eigvalsh_batch(a)
+    for b in range(7):
+        want = np.sort(np.linalg.eigvalsh(a[b]))[::-1]
+        assert np.allclose(got[b], want, atol=1e-10)
+
+
 def test_jacobi_nonconvergence_raises():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((30, 30))
@@ -66,6 +86,19 @@ def test_hermitian_eigvalsh():
     for b in range(5):
         want = np.sort(np.linalg.eigvalsh(hb[b]))[::-1]
         assert np.allclose(got[b], want, atol=1e-9)
+
+
+def test_hermitian_eigvalsh_against_jacobi_on_real_doubling():
+    # H = A + iB and [[A, -B], [B, A]] share eigenvalues, each doubled there
+    rng = np.random.default_rng(4)
+    for n in range(1, 9):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (x + x.conj().T) / 2
+        doubled = np.block([[h.real, -h.imag], [h.imag, h.real]])
+        want = jacobi_eigvalsh(doubled)
+        assert np.abs(want[::2] - want[1::2]).max() <= 1e-10 * max(1.0, np.linalg.norm(h))
+        got = hermitian_eigvalsh(h)
+        assert np.abs(got - want[::2]).max() <= 1e-10 * max(1.0, np.linalg.norm(h))
 
 
 def test_gue_trace_preservation():
