@@ -192,12 +192,19 @@ def theta_min(n: int) -> InterfaceGrid:
     log[(i-1)! (2N-j-i+1)! (2N-j-i)! / ((2N-j)! (N-j)! (N-i)!)],
     extended symmetrically.  Equivalently log of the ratio of path counts
     Gamma(N-j+i, i) / Gamma(N-j+i, i-1)."""
+    n = _whole_n(n)
     return InterfaceGrid(n, _theta_min_values(n))
 
 
-def _theta_min_values(n: int) -> np.ndarray:
+def _whole_n(n) -> int:
+    """n as an int: a whole number >= 1, 3 and 3.0 alike; any other n
+    raises DomainError."""
     if not (1 <= n < math.inf and n == int(n)):
         raise DomainError("theta_min needs an integral n >= 1, got %r" % (n,))
+    return int(n)
+
+
+def _theta_min_values(n: int) -> np.ndarray:
     vals = np.empty((n, n))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -255,6 +262,7 @@ def large_mu_convergence(n: int, mu_list, seeds: int, seed: int) -> dict:
     mu_list."""
     if len(mu_list) == 0:
         raise DomainError("large_mu_convergence needs a nonempty mu_list")
+    n = _whole_n(n)
     lanes = _replica_lanes(seed, _LARGE_MU_STREAM, seeds, least=1)
     tmin = _theta_min_values(n)
     sup = np.empty((len(mu_list), seeds))

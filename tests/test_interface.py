@@ -240,6 +240,11 @@ def test_theta_min_hand_values_n2():
     assert t.at(1, 2) == pytest.approx(0.0, abs=1e-12)
     assert t.at(2, 1) == pytest.approx(0.0, abs=1e-12)
     assert t.at(2, 2) == pytest.approx(-math.log(2.0), abs=1e-12)
+    # a whole float keeps its value
+    for n in (2.0, np.int64(2)):
+        assert theta_min(n).n == 2 and theta_min(n).values.tobytes() == t.values.tobytes()
+    want = large_mu_convergence(2, [10.0], 2, 1)["sup_norms"]
+    assert large_mu_convergence(2.0, [10.0], 2, 1)["sup_norms"].tobytes() == want.tobytes()
 
 
 def test_theta_min_corner_is_central_binomial():

@@ -36,8 +36,8 @@ from nipoly.polymer import (
 )
 from nipoly.rsk import corner_diagonal_sum, grsk, tropical_rsk
 from nipoly.scan import _logaddexp, scan_rectangle
-from test_routes import _enumerated_last_passage, _mpmath_log_z, _random_kpoints
 from nipoly.special import log_binomial
+from test_routes import _mpmath_log_z, _random_kpoints
 
 GAMMA = 0.5772156649015329
 LG2 = WeightSpec("loggamma", mu=2.0)
@@ -514,6 +514,15 @@ def test_grsk_tau_matches_brute_force_and_lgv(seed, n, mu):
 def test_tau_table_is_small_size_only():
     with pytest.raises(DomainError):
         TauTable(UniformField(1), 2.0, 7)
+
+
+def _enumerated_last_passage(e, k):
+    n, m = e.shape
+    ys = tuple((n, m - k + 1 + i) for i in range(k))
+    return max(
+        sum(e[a - 1, b - 1] for comp in kp for a, b in comp)
+        for kp in enumerate_kpaths(stack_up((1, 1), k), ys)
+    )
 
 
 @pytest.mark.parametrize("k", [2, 3])

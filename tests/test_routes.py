@@ -8,14 +8,18 @@ ends; and so on.  OBJECTS lists each object's routes, each one an engine or
 an independent oracle, and its rows.  A row checks one route against
 another over hypothesis-drawn cases, with the ranges of the pairwise tests
 it replaced: bitwise for the lane, band and batch equivalences, and within
-a stated rounding bound across arithmetics.
+a stated rounding bound across arithmetics.  Where a pairwise test still
+checks a pair, its row names that test and draws no cases, so that no pair
+is checked twice.
 
-test_route runs every row.  The table tests check the table itself: every
-object has an oracle, every route is on a row, every engine route reaches
-an oracle through its rows, and every public engine of scan, rsk and kpath
-runs on some route, so a new engine must be added here.
+test_route runs every row that draws cases.  The table tests check the
+table itself: every object has an oracle, every route is on a row, every
+engine route reaches an oracle through its rows, every test a row names
+exists, and every public engine of scan, rsk and kpath runs on some route,
+so a new engine must be added here.
 """
 
+import importlib
 import inspect
 import math
 import re
@@ -28,18 +32,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from nipoly import environment, kpath, polymer, rsk, scan
 from nipoly.environment import UniformField, WeightSpec, derive_seed, derive_seeds
 from nipoly.interface import build_phi, phi_inversion_residual
 from nipoly.kpath import kpath_scan
-from nipoly.lattice import enumerate_kpaths, macmahon_log_count, rectangle_endpoints, stack_diag, stack_up
+from nipoly.lattice import enumerate_kpaths, macmahon_log_count, rectangle_endpoints, stack_up
 from nipoly.polymer import (
     brute_force_kpath_logZ,
     kpath_logZ,
     last_passage,
-    last_passage_batch,
     log_tau,
     log_tau_tilde,
     loggamma_rectangle,
@@ -47,15 +49,7 @@ from nipoly.polymer import (
     single_path_logZ,
     TauTable,
 )
-from nipoly.rmt import (
-    gue_matrix,
-    hermitian_eigvalsh,
-    jacobi_eigvalsh,
-    jacobi_eigvalsh_batch,
-    lue_matrix,
-    lue_sample,
-    lue_sample_batch,
-)
+from nipoly.rmt import gue_matrix, hermitian_eigvalsh, lue_matrix, lue_sample, lue_sample_batch
 from nipoly.rsk import corner_diagonal_sum, grsk, tropical_rsk
 from nipoly.scan import _logaddexp, scan_rectangle
 
@@ -65,28 +59,32 @@ ENGINE, ORACLE = "engine", "oracle"
 @dataclass(frozen=True)
 class Route:
     """One way to compute an object: run(case) gives its value for each
-    lane of the case.  uses names the public engines of scan, rsk and kpath
-    that it runs."""
+    lane of the case, or run is None for a route that only the pairwise
+    tests named on its rows compute.  uses names the public engines of
+    scan, rsk and kpath that it runs."""
 
     kind: str
-    run: Callable
+    run: Callable | None = None
     uses: tuple = ()
 
 
 @dataclass(frozen=True)
 class Row:
-    """route against a second route of the same object, over cases: bitwise
-    when bound is None, else |got - want| <= bound(want, case) elementwise.
-    examples run on every pass, before the drawn cases.  A row that replaced
-    a hypothesis test keeps its max_examples; one that replaced fixed cases
-    draws 10 more."""
+    """route against a second route of the same object.  A row with cases
+    checks them: bitwise when bound is None, else |got - want| <=
+    bound(want, case) elementwise; examples run on every pass, before the
+    drawn cases.  A row that replaced a hypothesis test keeps its
+    max_examples; one that replaced fixed cases draws 10 more.  A row with
+    by names the pairwise tests ("module::function") that check the pair
+    instead, and draws no cases."""
 
     route: str
     against: str
-    cases: st.SearchStrategy
+    cases: st.SearchStrategy | None = None
     bound: Callable | None = None
     examples: tuple = ()
     max_examples: int = 10
+    by: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -98,11 +96,6 @@ class Object:
 def _relative(tol):
     """tol max(1, |want|)."""
     return lambda want, case: tol * np.maximum(1.0, np.abs(want))
-
-
-def _approx(rel):
-    """rel |want|, and at least 1e-12: the bound of pytest.approx(want, rel=rel)."""
-    return lambda want, case: np.maximum(rel * np.abs(want), 1e-12)
 
 
 def _absolute(tol):
@@ -207,6 +200,10 @@ def _tall(cases):
     return cases.map(lambda c: c._replace(w=min(c.w, c.h), h=max(c.w, c.h)))
 
 
+def _square(cases):
+    return cases.map(lambda c: c._replace(h=c.w))
+
+
 # ---------------------------------------------------------------------------
 # Single-path log Z
 # ---------------------------------------------------------------------------
@@ -278,25 +275,10 @@ def _mpmath_log_z(logw, include_start):
         return mpmath.log(z[-1][-1])
 
 
-def _chunked(c, run):
+def _single_path(c, field):
     # _CHUNK is read at call time, by single_path_logZ and the band reader
     with mock.patch.object(environment, "_CHUNK", c.chunk):
-        return run()
-
-
-def _scan_bands(c):
-    bands = lambda: polymer._rectangle_bands(_field(c), *c.law, c.x, _far(c))
-    return _lanes(c, _chunked(c, lambda: scan_rectangle(bands(), c.combine, c.include_start)))
-
-
-def _log_tau(c, tilde):
-    """tau_k of the w-wide, h-tall rectangle from (1, 1): log_tau(N = w,
-    m = h), or log_tau_tilde(N = h, m = w); the law is loggamma at beta 1."""
-    spec, beta = c.law
-    assert spec.law == "loggamma" and beta == 1.0 and c.x == (1, 1)
-    if tilde:
-        return _lanes(c, log_tau_tilde(_field(c), spec.mu, c.h, c.w, c.k))
-    return _lanes(c, log_tau(_field(c), spec.mu, c.w, c.h, c.k))
+        return single_path_logZ(field, *c.law, c.x, _far(c), c.include_start)
 
 
 _GAUSS3 = (GAUSS, 3.0)
@@ -306,7 +288,6 @@ _FIELD_LAWS = (
     [(WeightSpec("loggamma", mu=mu), b) for mu in MUS for b in (1.0, 0.5)]
     + [(WeightSpec("const", c=0.3), 1.0), (LG2, 0.0), (None, 0.0), _GAUSS3]
 )
-_TAU_LAWS = [(WeightSpec("loggamma", mu=mu), 1.0) for mu in MUS]
 _LOG_COMBINES = st.sampled_from([_logaddexp, np.logaddexp])
 # 8 cells a box down to one anti-diagonal of a thin rectangle, 64 a few
 # anti-diagonals, 2^16 the whole rectangle
@@ -318,33 +299,23 @@ SINGLE_PATH = Object(
         "scan_rectangle/grid": Route(
             ENGINE, lambda c: scan_rectangle(_logw(c), c.combine, c.include_start), (scan_rectangle,)
         ),
-        "scan_rectangle/lanes": Route(
-            ENGINE,
-            lambda c: _per_lane(lambda a: scan_rectangle(a, c.combine, c.include_start), c.lead, _logw(c)),
-            (scan_rectangle,),
-        ),
-        "scan_rectangle/bands": Route(ENGINE, _scan_bands, (scan_rectangle,)),
-        "single_path_logZ": Route(
-            ENGINE,
-            lambda c: _lanes(
-                c, _chunked(c, lambda: single_path_logZ(_field(c), *c.law, c.x, _far(c), c.include_start))
-            ),
-            (scan_rectangle,),
+        "scan_rectangle/lanes": Route(ENGINE, uses=(scan_rectangle,)),
+        "scan_rectangle/bands": Route(ENGINE, uses=(scan_rectangle,)),
+        "single_path_logZ": Route(ENGINE, lambda c: _lanes(c, _single_path(c, _field(c))), (scan_rectangle,)),
+        "single_path_logZ/each_field": Route(
+            ENGINE, lambda c: _per_field(lambda f: _single_path(c, f), c), (scan_rectangle,)
         ),
         "kpath_logZ/k=1": Route(
             ENGINE,
             lambda c: _lanes(c, kpath_logZ(_field(c), *c.law, (c.x,), (_far(c),), c.include_start)),
             (kpath_scan,),
         ),
-        "log_tau/k=1": Route(ENGINE, lambda c: _log_tau(c, c.h > c.w), (grsk, corner_diagonal_sum)),
+        "log_tau/k=1": Route(ENGINE, uses=(grsk, corner_diagonal_sum)),
         "fancy_index_scan": Route(ORACLE, lambda c: _fancy_index_scan(_logw(c), c.combine, c.include_start)),
         "logZ_grid": Route(
             ORACLE, lambda c: _per_lane(lambda a: logZ_grid(a, c.include_start)[-1, -1], c.lead, _logw(c))
         ),
-        "brute_force_kpath_logZ": Route(
-            ORACLE,
-            lambda c: _per_field(lambda f: brute_force_kpath_logZ(f, *c.law, (c.x,), (_far(c),), c.include_start), c),
-        ),
+        "brute_force_kpath_logZ": Route(ORACLE),
         "mpmath_40_digits": Route(
             ORACLE, lambda c: _per_lane(lambda a: float(_mpmath_log_z(a, c.include_start)), c.lead, _logw(c))
         ),
@@ -363,29 +334,29 @@ SINGLE_PATH = Object(
             ),
             max_examples=60,
         ),
+        Row("scan_rectangle/grid", "mpmath_40_digits", by=("test_polymer::test_scan_matches_40_digit_dp",)),
         Row(
             "scan_rectangle/lanes",
             "scan_rectangle/grid",
-            _cases([_GAUSS3], lead=[(1,), (3,), (2, 2), (1, 1)], combine=_LOG_COMBINES),
-            examples=(Case((3,), (GAUSS, 1.0), 6, 4, 0), Case((3,), (GAUSS, 1.0), 6, 4, 0, True)),
+            by=("test_polymer::test_scan_batch_lanes_equal_unbatched_calls_bitwise",),
         ),
-        # the band reader: boxes of one, a few or all anti-diagonals, corners
-        # with negative coordinates, one field and seed lanes
         Row(
             "scan_rectangle/bands",
             "scan_rectangle/grid",
-            _cases(_FIELD_LAWS, lead=[(), (3,)], x=_CORNERS, chunk=_CHUNKS, combine=_LOG_COMBINES),
+            by=("test_polymer::test_streamed_scan_equals_the_held_grid_bitwise",),
         ),
-        # held at most _CHUNK cells, streamed above: 8 x 8 is a chunk of 64
         Row(
             "single_path_logZ",
             "scan_rectangle/grid",
-            _cases(_FIELD_LAWS, lead=[(), (3,)], x=_CORNERS, chunk=_CHUNKS),
-            examples=tuple(
-                Case((), (LG2, 0.5), w, h, 23, start, x=(-40, 3), chunk=64)
-                for w, h, start in [(8, 8, False), (8, 9, True), (9, 8, False), (65, 1, True), (1, 65, False)]
-            )
-            + (Case((3,), (LG2, 0.8), 7, 4, 7, False, x=(1, 2)), Case((3,), (LG2, 0.8), 7, 4, 7, True, x=(1, 2))),
+            by=("test_polymer::test_single_path_logZ_streams_above_a_chunk_bitwise",),
+        ),
+        # each seed lane is bitwise its own UniformField call, held or
+        # streamed: 8 x 8 is a chunk of 64
+        Row(
+            "single_path_logZ/each_field",
+            "single_path_logZ",
+            _cases(_FIELD_LAWS, lead=[(1,), (3,)], x=_CORNERS, chunk=_CHUNKS),
+            examples=(Case((3,), (LG2, 0.8), 7, 4, 7, False, x=(1, 2)), Case((3,), (LG2, 0.8), 7, 4, 7, True, x=(1, 2))),
         ),
         Row(
             "kpath_logZ/k=1",
@@ -394,31 +365,13 @@ SINGLE_PATH = Object(
             bound=_relative(1e-14),
             examples=(Case((), (LG2, 1.0), 4, 4, 5),),
         ),
-        Row(
-            "log_tau/k=1",
-            "mpmath_40_digits",
-            _cases(_TAU_LAWS, lead=[(), (3,)], side=9, include_start=True),
-            bound=_relative(1e-14),
-            examples=(Case((), (LG2, 1.0), 3, 2, 31, True),),
-        ),
-        Row(
-            "fancy_index_scan",
-            "mpmath_40_digits",
-            _cases(_FIELD_LAWS, side=9, combine=_LOG_COMBINES),
-            bound=_relative(1e-14),
-        ),
+        Row("log_tau/k=1", "brute_force_kpath_logZ", by=("test_polymer::test_tau_vs_brute_force",)),
         Row(
             "logZ_grid",
             "mpmath_40_digits",
             _cases(_FIELD_LAWS + [(GAUSS, 1.0)], side=9),
             bound=_relative(1e-14),
             examples=(Case((), (GAUSS, 1.0), 7, 5, 0), Case((), (GAUSS, 1.0), 7, 5, 0, True)),
-        ),
-        Row(
-            "brute_force_kpath_logZ",
-            "mpmath_40_digits",
-            _cases(_FIELD_LAWS, side=5, x=_CORNERS),
-            bound=_relative(1e-14),
         ),
     ),
 )
@@ -453,21 +406,6 @@ def _row_major_rsk(logw, plus):
     return t[:, 1:, 1:].reshape(logw.shape)
 
 
-def _enumerated_last_passage(e, k, include_start=True):
-    n, m = e.shape
-    ys = tuple((n, m - k + 1 + i) for i in range(k))
-    return max(
-        sum(e[a - 1, b - 1] for comp in kp for a, b in (comp if include_start else comp[1:]))
-        for kp in enumerate_kpaths(stack_up((1, 1), k), ys)
-    )
-
-
-def _seeds(c):
-    """The seeds of last_passage_batch: a list of one Python int, which may
-    be wide, for one field."""
-    return [c.seed] if c.lead == () else _field(c)
-
-
 _EXP = (EXP1, 1.0)
 # the RSK scales: small, moderate and large spreads of the log weights
 _RSK_LAWS = [(GAUSS, s) for s in (0.1, 3.0, 300.0)]
@@ -475,10 +413,7 @@ _RSK_LEAD = [(), (1,), (3,), (2, 2)]
 _RSK_EXAMPLES = tuple(
     Case(lead, (GAUSS, 3.0), n, m, 3) for lead, n, m in [((), 1, 9), ((3,), 9, 1), ((), 2, 9), ((2, 2), 9, 2)]
 )
-_WIDE_SEED_EXAMPLES = tuple(
-    Case((), _EXP, n, m, seed, True, k=k)
-    for seed, (n, m, k) in zip([1, -5, 2**63 + 5, 2**64 + 3], [(4, 3, 1), (3, 4, 2), (5, 4, 3), (4, 4, 4)])
-) + (Case((), _EXP, 1, 1, 2**64 + 3, True),)
+_WIDE_SEEDS_TEST = "test_polymer::test_last_passage_on_wide_seeds_matches_enumeration"
 
 LAST_PASSAGE = Object(
     routes={
@@ -486,21 +421,19 @@ LAST_PASSAGE = Object(
             ENGINE, lambda c: scan_rectangle(_logw(c), np.maximum, c.include_start), (scan_rectangle,)
         ),
         "tropical_rsk": Route(ENGINE, lambda c: tropical_rsk(_logw(c)), (tropical_rsk,)),
-        "corner_diagonal_sum(tropical_rsk)": Route(
-            ENGINE, lambda c: corner_diagonal_sum(tropical_rsk(_logw(c)), c.k), (tropical_rsk, corner_diagonal_sum)
-        ),
-        "last_passage": Route(ENGINE, lambda c: _lanes(c, last_passage(_field(c), c.w, c.h, c.k))),
-        "last_passage/each_field": Route(ENGINE, lambda c: _per_field(lambda f: last_passage(f, c.w, c.h, c.k), c)),
-        "last_passage_batch": Route(
+        "corner_diagonal_sum(tropical_rsk)": Route(ENGINE, uses=(tropical_rsk, corner_diagonal_sum)),
+        # a lane of last_passage_batch
+        "last_passage": Route(
             ENGINE,
-            lambda c: _lanes(c, last_passage_batch(_seeds(c), c.w, c.h, c.k)),
+            lambda c: _lanes(c, last_passage(_field(c), c.w, c.h, c.k)),
             (scan_rectangle, tropical_rsk, corner_diagonal_sum),
         ),
+        "last_passage/each_field": Route(ENGINE, lambda c: _per_field(lambda f: last_passage(f, c.w, c.h, c.k), c)),
+        "last_passage_batch": Route(ENGINE, uses=(scan_rectangle, tropical_rsk, corner_diagonal_sum)),
         "fancy_index_scan/max-plus": Route(ORACLE, lambda c: _fancy_index_scan(_logw(c), np.maximum, c.include_start)),
+        "row_wise_max_plus": Route(ORACLE),
         "row_major_tropical_rsk": Route(ORACLE, lambda c: _row_major_rsk(_logw(c), np.maximum)),
-        "enumeration": Route(
-            ORACLE, lambda c: _per_lane(lambda e: _enumerated_last_passage(e, c.k, c.include_start), c.lead, _logw(c))
-        ),
+        "enumeration": Route(ORACLE),
     },
     rows=(
         Row(
@@ -511,10 +444,9 @@ LAST_PASSAGE = Object(
             max_examples=60,
         ),
         Row(
-            "fancy_index_scan/max-plus",
-            "enumeration",
-            _cases([_EXP, _GAUSS3], lead=[(), (3,)], side=6),
-            bound=_approx(1e-14),
+            "scan_rectangle/max-plus",
+            "row_wise_max_plus",
+            by=("test_polymer::test_scan_max_plus_exact_on_integer_weights",),
         ),
         Row(
             "tropical_rsk",
@@ -526,36 +458,26 @@ LAST_PASSAGE = Object(
         Row(
             "corner_diagonal_sum(tropical_rsk)",
             "enumeration",
-            _with_k(_cases([_EXP], lead=[(), (3,)], side=6, include_start=True)),
-            bound=_approx(1e-14),
-            examples=(Case((), _EXP, 6, 5, 41, True, k=2), Case((), _EXP, 6, 5, 41, True, k=3)),
+            by=("test_polymer::test_tropical_rsk_matches_enumeration",),
         ),
-        # the two branches of the lane body: the max-plus scan at k = 1,
-        # tropical RSK above
+        # the two branches of the lane body, bitwise: the max-plus scan at
+        # k = 1, tropical RSK above
+        Row("last_passage", "scan_rectangle/max-plus", by=(_WIDE_SEEDS_TEST,)),
+        Row("last_passage", "corner_diagonal_sum(tropical_rsk)", by=(_WIDE_SEEDS_TEST,)),
         Row(
             "last_passage_batch",
-            "scan_rectangle/max-plus",
-            _cases([_EXP], lead=[(), (4,), (2, 2)], side=9, seeds=WIDE_SEEDS, include_start=True),
-            examples=(Case((4,), _EXP, 6, 4, 5, True),),
-        ),
-        Row(
-            "last_passage_batch",
-            "corner_diagonal_sum(tropical_rsk)",
-            _with_k(_cases([_EXP], lead=[(), (4,), (2, 2)], side=9, seeds=WIDE_SEEDS, include_start=True), least=2),
-            examples=(Case((4,), _EXP, 6, 4, 5, True, k=2), Case((4,), _EXP, 6, 4, 5, True, k=3)),
+            "last_passage/each_field",
+            by=(
+                "test_polymer::test_last_passage_batch_matches_scalar",
+                "test_polymer::test_last_passage_batch_takes_python_ints_straddling_2_63",
+            ),
         ),
         # each seed lane is bitwise its own UniformField call
         Row(
             "last_passage/each_field",
-            "last_passage_batch",
-            _with_k(_cases([_EXP], lead=[(), (3,), (4,)], side=9, seeds=WIDE_SEEDS, include_start=True)),
-            examples=_WIDE_SEED_EXAMPLES,
-        ),
-        Row(
             "last_passage",
-            "last_passage_batch",
-            _with_k(_cases([_EXP], lead=[(), (3,)], side=9, seeds=WIDE_SEEDS, include_start=True)),
-            examples=(Case((3,), _EXP, 5, 3, 7, True, k=3),),
+            _with_k(_cases([_EXP], lead=[(1,), (3,)], side=9, seeds=WIDE_SEEDS, include_start=True)),
+            examples=tuple(Case((3,), _EXP, 5, 3, 7, True, k=k) for k in (1, 2, 3)),
         ),
     ),
 )
@@ -567,8 +489,15 @@ LAST_PASSAGE = Object(
 # ---------------------------------------------------------------------------
 
 
-def _stacked_ends(c):
-    return stack_up(c.x, c.k), tuple((c.x[0] + c.w - 1, c.x[1] + c.h - c.k + i) for i in range(c.k))
+def _log_tau(c, tilde, field):
+    """tau_k on field of the w-wide, h-tall rectangle from (1, 1):
+    log_tau(N = w, m = h), or log_tau_tilde(N = h, m = w); the law is
+    loggamma at beta 1."""
+    spec, beta = c.law
+    assert spec.law == "loggamma" and beta == 1.0 and c.x == (1, 1)
+    if tilde:
+        return log_tau_tilde(field, spec.mu, c.h, c.w, c.k)
+    return log_tau(field, spec.mu, c.w, c.h, c.k)
 
 
 def _tau_table(c, tilde):
@@ -581,30 +510,31 @@ def _tau_table(c, tilde):
     return _lanes(c, TauTable(_field(c), spec.mu, c.w).log_tau(c.h, c.k))
 
 
-_TAU_CASES = _with_k(
-    _cases(_TAU_LAWS + [(WeightSpec("loggamma", mu=1.5), 1.0)], lead=[(), (3,)], side=4, include_start=True)
-)
-_TAU_EXAMPLES = (
-    Case((), (LG2, 1.0), 3, 2, 31, True, k=1),
-    Case((), (LG2, 1.0), 4, 3, 31, True, k=2),
-    Case((3,), (WeightSpec("loggamma", mu=1.5), 1.0), 4, 4, 7, True, k=4),
-)
+_LG15 = (WeightSpec("loggamma", mu=1.5), 1.0)
+_TAU_LAWS = [(WeightSpec("loggamma", mu=mu), 1.0) for mu in MUS] + [_LG15]
+_GRSK_TAU_TEST = "test_polymer::test_grsk_tau_matches_brute_force_and_lgv"
+# k = 0 gives 0 on every route
+_TAU_LANES = _with_k(_cases(_TAU_LAWS, lead=[(1,), (3,)], side=6, include_start=True), least=0)
 
 TAU = Object(
     routes={
         "grsk": Route(ENGINE, lambda c: grsk(_logw(c)), (grsk,)),
-        "grsk/lanes": Route(ENGINE, lambda c: _per_lane(grsk, c.lead, _logw(c)), (grsk,)),
-        "corner_diagonal_sum(grsk)": Route(
-            ENGINE, lambda c: corner_diagonal_sum(grsk(_logw(c)), c.k), (grsk, corner_diagonal_sum)
+        "grsk/lanes": Route(ENGINE, uses=(grsk,)),
+        # corner_diagonal_sum(grsk(...), k) of the loggamma rectangle
+        "log_tau": Route(ENGINE, lambda c: _lanes(c, _log_tau(c, False, _field(c))), (grsk, corner_diagonal_sum)),
+        "log_tau/each_field": Route(
+            ENGINE, lambda c: _per_field(lambda f: _log_tau(c, False, f), c), (grsk, corner_diagonal_sum)
         ),
-        "log_tau": Route(ENGINE, lambda c: _log_tau(c, False), (grsk, corner_diagonal_sum)),
-        "log_tau_tilde": Route(ENGINE, lambda c: _log_tau(c, True), (grsk, corner_diagonal_sum)),
+        "log_tau_tilde": Route(
+            ENGINE, lambda c: _lanes(c, _log_tau(c, True, _field(c))), (grsk, corner_diagonal_sum)
+        ),
+        "log_tau_tilde/each_field": Route(
+            ENGINE, lambda c: _per_field(lambda f: _log_tau(c, True, f), c), (grsk, corner_diagonal_sum)
+        ),
         "TauTable.log_tau": Route(ENGINE, lambda c: _tau_table(c, False), (kpath_scan,)),
         "TauTable.log_tau_tilde": Route(ENGINE, lambda c: _tau_table(c, True), (kpath_scan,)),
         "row_major_grsk": Route(ORACLE, lambda c: _row_major_rsk(_logw(c), _logaddexp)),
-        "brute_force_kpath_logZ": Route(
-            ORACLE, lambda c: _per_field(lambda f: brute_force_kpath_logZ(f, *c.law, *_stacked_ends(c), True), c)
-        ),
+        "brute_force_kpath_logZ": Route(ORACLE),
     },
     rows=(
         Row(
@@ -614,42 +544,31 @@ TAU = Object(
             examples=_RSK_EXAMPLES,
             max_examples=60,
         ),
-        Row("grsk/lanes", "grsk", _cases(_RSK_LAWS + _TAU_LAWS, lead=[(1,), (3,), (2, 2)], side=9)),
+        Row("grsk/lanes", "grsk", by=("test_polymer::test_rsk_batched_equals_unbatched_bitwise",)),
+        Row("log_tau", "brute_force_kpath_logZ", by=("test_polymer::test_tau_vs_brute_force", _GRSK_TAU_TEST)),
+        Row("log_tau_tilde", "brute_force_kpath_logZ", by=(_GRSK_TAU_TEST,)),
+        # each seed lane is bitwise its own UniformField call
         Row(
-            "corner_diagonal_sum(grsk)",
-            "brute_force_kpath_logZ",
-            _TAU_CASES,
-            bound=_relative(1e-13),
-            examples=_TAU_EXAMPLES,
-            max_examples=40,
-        ),
-        # k = 0 gives 0 on every route
-        Row(
+            "log_tau/each_field",
             "log_tau",
-            "corner_diagonal_sum(grsk)",
-            _wide(_with_k(_cases(_TAU_LAWS, lead=[(), (3,)], side=6, include_start=True), least=0)),
-            examples=_TAU_EXAMPLES[:2],
+            _wide(_TAU_LANES),
+            examples=tuple(Case((3,), _LG15, 4, m, 7, True, k=k) for m in range(1, 5) for k in range(m + 1)),
         ),
         Row(
+            "log_tau_tilde/each_field",
             "log_tau_tilde",
-            "corner_diagonal_sum(grsk)",
-            _tall(_with_k(_cases(_TAU_LAWS, lead=[(), (3,)], side=6, include_start=True), least=0)),
+            _tall(_TAU_LANES),
+            examples=tuple(Case((3,), _LG15, m, 4, 7, True, k=k) for m in range(1, 5) for k in range(m + 1)),
         ),
-        Row(
-            "TauTable.log_tau",
-            "brute_force_kpath_logZ",
-            _wide(_TAU_CASES),
-            bound=_relative(1e-13),
-            examples=_TAU_EXAMPLES,
-            max_examples=40,
-        ),
+        Row("TauTable.log_tau", "log_tau", by=(_GRSK_TAU_TEST,)),
+        Row("TauTable.log_tau_tilde", "log_tau_tilde", by=(_GRSK_TAU_TEST,)),
         # on the square, tau and tau~ are one object
         Row(
             "TauTable.log_tau_tilde",
-            "brute_force_kpath_logZ",
-            _tall(_TAU_CASES),
+            "TauTable.log_tau",
+            _with_k(_square(_cases(_TAU_LAWS, lead=[(), (3,)], side=4, include_start=True))),
             bound=_relative(1e-13),
-            examples=tuple(Case((), (WeightSpec("loggamma", mu=1.5), 1.0), n, n, 12, True, k=n) for n in (1, 2, 3, 4)),
+            examples=tuple(Case((), _LG15, n, n, 12, True, k=k) for n in range(1, 5) for k in range(1, n + 1)),
             max_examples=40,
         ),
     ),
@@ -673,15 +592,6 @@ def _random_kpoints(draw_ints, k):
     return xs, ys
 
 
-_DIAG = stack_diag((1, 1), 2)
-# the stacked ends of the 3 x 3 and 4 x 4 rectangles, and a diagonal 2-point
-_FIXED_ENDS = [
-    rectangle_endpoints(3, 3, 2),
-    rectangle_endpoints(4, 4, 2),
-    (_DIAG, tuple((p[0] + 3, p[1] + 3) for p in _DIAG)),
-]
-
-
 def _kpath_case(lead, law, ends, seed, include_start):
     """The case of k-paths between ends on their bounding box."""
     x1, x2 = zip(*(ends[0] + ends[1]))
@@ -692,24 +602,13 @@ def _kpath_case(lead, law, ends, seed, include_start):
 
 @st.composite
 def _kpath_cases(draw, laws, lead=((),)):
-    if draw(st.booleans()):
-        k = draw(st.integers(1, 3))
-        ends = _random_kpoints(draw(st.lists(st.integers(0, 99), min_size=9, max_size=9)), k)
-    else:
-        ends = draw(st.sampled_from(_FIXED_ENDS))
+    k = draw(st.integers(1, 3))
+    ends = _random_kpoints(draw(st.lists(st.integers(0, 99), min_size=9, max_size=9)), k)
     return _kpath_case(draw(st.sampled_from(lead)), draw(st.sampled_from(laws)), ends, draw(SEEDS), draw(st.booleans()))
 
 
 def _local_ends(c):
     return tuple(tuple((p[0] - c.x[0], p[1] - c.x[1]) for p in v) for v in c.ends)
-
-
-def _enumerated_logz(logw, ends, include_start):
-    totals = [
-        sum(logw[a, b] for comp in kp for a, b in (comp if include_start else comp[1:]))
-        for kp in enumerate_kpaths(*ends)
-    ]
-    return logsumexp(totals) if totals else -np.inf
 
 
 def _has_kpaths(c):
@@ -719,6 +618,7 @@ def _has_kpaths(c):
 # Gaussian weights of scale 50, mu = 1e-3 (where a float LGV determinant
 # cancels), and beta 0, 0.5 and 1 at mu = 2
 _KPATH_LAWS = [(GAUSS, 50.0), (WeightSpec("loggamma", mu=1e-3), 1.0)] + [(LG2, b) for b in (0.0, 0.5, 1.0)]
+_LANE_ENDS = (stack_up((1, 1), 2), stack_up((5, 6), 2))
 
 KPATH = Object(
     routes={
@@ -731,33 +631,30 @@ KPATH = Object(
         "kpath_logZ": Route(
             ENGINE, lambda c: _lanes(c, kpath_logZ(_field(c), *c.law, *c.ends, c.include_start)), (kpath_scan,)
         ),
-        "enumeration": Route(
-            ORACLE,
-            lambda c: _per_lane(lambda a: _enumerated_logz(a, _local_ends(c), c.include_start), c.lead, _logw(c)),
+        "kpath_logZ/each_field": Route(
+            ENGINE, lambda c: _per_field(lambda f: kpath_logZ(f, *c.law, *c.ends, c.include_start), c), (kpath_scan,)
         ),
-        "brute_force_kpath_logZ": Route(
-            ORACLE, lambda c: _per_field(lambda f: brute_force_kpath_logZ(f, *c.law, *c.ends, c.include_start), c)
-        ),
+        "enumeration": Route(ORACLE),
+        "brute_force_kpath_logZ": Route(ORACLE),
     },
     rows=(
-        Row("kpath_scan", "enumeration", _kpath_cases(_KPATH_LAWS, lead=[(), (3,)]), _relative(1e-13), max_examples=40),
-        Row("kpath_scan/lanes", "kpath_scan", _kpath_cases(_KPATH_LAWS, lead=[(), (3,), (2, 2)]), max_examples=40),
+        Row("kpath_scan", "enumeration", by=("test_polymer::test_kpath_scan_matches_enumeration",)),
+        Row("kpath_scan/lanes", "kpath_scan", _kpath_cases([(GAUSS, 50.0)], lead=[(), (3,), (2, 2)]), max_examples=40),
         Row(
             "kpath_logZ",
-            "kpath_scan",
-            _kpath_cases(_KPATH_LAWS, lead=[(), (3,)]).filter(_has_kpaths),
-            examples=(_kpath_case((3,), (LG2, 0.8), (stack_up((1, 1), 2), stack_up((5, 5), 2)), 7, False),),
-        ),
-        Row(
             "brute_force_kpath_logZ",
-            "enumeration",
-            _kpath_cases(_KPATH_LAWS).filter(_has_kpaths),
-            bound=_relative(1e-13),
-            examples=(
-                _kpath_case((), (LG2, 0.5), _FIXED_ENDS[0], derive_seed(100, 0), False),
-                _kpath_case((), (WeightSpec("loggamma", mu=1e-3), 1.0), _FIXED_ENDS[1], derive_seed(5, 0), False),
-                _kpath_case((), (LG2, 1.0), _FIXED_ENDS[2], derive_seed(7, 0), False),
+            by=(
+                "test_polymer::test_lgv_vs_brute_force",
+                "test_polymer::test_lgv_diagonal_endpoints",
+                "test_polymer::test_kpath_matches_brute_force_at_tiny_mu",
             ),
+        ),
+        # each seed lane is bitwise its own UniformField call
+        Row(
+            "kpath_logZ/each_field",
+            "kpath_logZ",
+            _kpath_cases(_KPATH_LAWS, lead=[(1,), (3,)]).filter(_has_kpaths),
+            examples=tuple(_kpath_case((3,), (LG2, 0.8), _LANE_ENDS, 7, start) for start in (False, True)),
         ),
     ),
 )
@@ -862,7 +759,7 @@ PHI = Object(
             "inversion_identity",
             _phi_cases(5),
             _absolute(1e-9),
-            examples=(Phi(derive_seed(9, 0), 1.5, 5), Phi(derive_seed(9, 1), 1.5, 5)),
+            examples=tuple(Phi(derive_seed(9, s), 1.5, 5) for s in range(5)),
         ),
     ),
 )
@@ -874,46 +771,37 @@ PHI = Object(
 
 
 class Eig(NamedTuple):
-    """kind of matrix, n x n, from seed; lead stacks seed, seed + 1, ..."""
+    """kind of matrix, n x n, from seed; lead stacks seed, seed + 1, ...;
+    an LUE matrix has parameter n + gap.  st.builds draws every field,
+    defaults too, so each strategy gives them all."""
 
     kind: str
     n: int
     seed: int
     lead: tuple = ()
+    gap: int = 2
 
 
-def _one_matrix(kind, n, seed):
-    if kind == "gue":
+def _one_matrix(c, seed):
+    n = c.n
+    if c.kind == "gue":
         return gue_matrix(n, seed)
-    if kind == "lue":  # the real tridiagonal model, parameter n + 2
-        return lue_matrix(n + 2, n, seed)
-    if kind == "rank_one":  # eigenvalue 1 with multiplicity n - 1, and 1 + |v|^2
+    if c.kind == "lue":  # the real tridiagonal model
+        return lue_matrix(n + c.gap, n, seed)
+    if c.kind == "rank_one":  # eigenvalue 1 with multiplicity n - 1, and 1 + |v|^2
         v = gue_matrix(n, seed)[:, 0]
         return np.eye(n) + np.outer(v, v.conj())
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n))
-    if kind == "hermitian":
+    if c.kind == "hermitian":
         x = x + 1j * rng.standard_normal((n, n))
         return (x + x.conj().T) / 2
     return (x + x.T) / 2  # symmetric
 
 
 def _matrix(c):
-    mats = [_one_matrix(c.kind, c.n, c.seed + i) for i in range(math.prod(c.lead))]
+    mats = [_one_matrix(c, c.seed + i) for i in range(math.prod(c.lead))]
     return np.stack(mats).reshape(c.lead + (c.n, c.n))
-
-
-def _jacobi(c):
-    """Cyclic Jacobi on the matrix, or on the real doubling [[A, -B], [B, A]]
-    of H = A + iB, which holds each eigenvalue of H twice."""
-    h = _matrix(c)
-    a = np.block([[h.real, -h.imag], [h.imag, h.real]]) if np.iscomplexobj(h) else h
-    m = a.shape[-1]
-    e = jacobi_eigvalsh(a) if c.lead == () else jacobi_eigvalsh_batch(a.reshape(-1, m, m)).reshape(c.lead + (m,))
-    if m == c.n:
-        return e
-    assert np.abs(e[..., ::2] - e[..., 1::2]).max() <= 1e-10
-    return e[..., ::2]
 
 
 def _mpmath_eigvalsh(c):
@@ -930,48 +818,53 @@ def _norm_bound(tol):
     return lambda want, c: tol * np.maximum(1.0, np.linalg.norm(_matrix(c), axis=(-2, -1)))[..., None]
 
 
+def _lue_seeds(c):
+    return np.arange(c.seed, c.seed + math.prod(c.lead))
+
+
 _KINDS = ["gue", "lue", "rank_one", "hermitian", "symmetric"]
+_GAPS = st.integers(0, 3)
 
 EIGENVALUES = Object(
     routes={
         "hermitian_eigvalsh": Route(ENGINE, lambda c: hermitian_eigvalsh(_matrix(c))),
-        "lue_sample_batch": Route(
-            ENGINE, lambda c: lue_sample_batch(c.n + 2, c.n, np.arange(c.seed, c.seed + math.prod(c.lead)))
-        ),
+        "lue_sample_batch": Route(ENGINE, lambda c: lue_sample_batch(c.n + c.gap, c.n, _lue_seeds(c))),
         "lue_sample/each_seed": Route(
-            ENGINE, lambda c: np.stack([lue_sample(c.n + 2, c.n, c.seed + i) for i in range(math.prod(c.lead))])
+            ENGINE, lambda c: np.stack([lue_sample(c.n + c.gap, c.n, int(s)) for s in _lue_seeds(c)])
         ),
         "mpmath_eighe": Route(ORACLE, _mpmath_eigvalsh),
-        "jacobi_eigvalsh": Route(ORACLE, _jacobi),
+        # cyclic Jacobi, on the real doubling [[A, -B], [B, A]] of H = A + iB
+        "jacobi_eigvalsh": Route(ORACLE),
+        "numpy_eigvalsh": Route(ORACLE),
     },
     rows=(
         Row(
             "hermitian_eigvalsh",
             "mpmath_eighe",
-            st.builds(Eig, st.sampled_from(_KINDS), st.integers(1, 8), SEEDS),
+            st.builds(Eig, st.sampled_from(_KINDS), st.integers(1, 8), SEEDS, st.just(()), _GAPS),
             _norm_bound(1e-12),
             examples=tuple(Eig("gue", n, 3 + n) for n in range(1, 7)) + (Eig("lue", 5, 4), Eig("rank_one", 6, 9)),
         ),
         Row(
             "hermitian_eigvalsh",
             "jacobi_eigvalsh",
-            st.one_of(
-                st.builds(Eig, st.sampled_from(_KINDS), st.integers(1, 8), SEEDS, st.sampled_from([(), (3,)])),
-                st.builds(Eig, st.just("symmetric"), st.integers(1, 20), SEEDS),
-            ),
-            _absolute(1e-10),
-            examples=(Eig("symmetric", 20, 0), Eig("symmetric", 6, 1, (7,)), Eig("hermitian", 8, 4)),
+            by=("test_rmt::test_hermitian_eigvalsh_against_jacobi_on_real_doubling",),
+        ),
+        Row(
+            "jacobi_eigvalsh",
+            "numpy_eigvalsh",
+            by=("test_rmt::test_jacobi_against_numpy", "test_rmt::test_jacobi_batch_against_numpy"),
         ),
         Row(
             "lue_sample_batch",
             "lue_sample/each_seed",
-            st.builds(Eig, st.just("lue"), st.integers(1, 8), SEEDS, st.sampled_from([(1,), (4,)])),
-            examples=(Eig("lue", 4, 50, (4,)),),
+            st.builds(Eig, st.just("lue"), st.integers(1, 8), SEEDS, st.sampled_from([(1,), (4,)]), _GAPS),
+            examples=(Eig("lue", 3, 50, (4,), gap=3),),
         ),
         Row(
             "lue_sample/each_seed",
             "mpmath_eighe",
-            st.builds(Eig, st.just("lue"), st.integers(1, 8), SEEDS, st.just((2,))),
+            st.builds(Eig, st.just("lue"), st.integers(1, 8), SEEDS, st.just((2,)), _GAPS),
             _norm_bound(1e-12),
         ),
     ),
@@ -987,7 +880,8 @@ OBJECTS = {
     "phi": PHI,
     "eigenvalues": EIGENVALUES,
 }
-ROWS = [(name, row) for name, obj in OBJECTS.items() for row in obj.rows]
+# the rows that draw cases; the others name the tests that check them
+ROWS = [(name, row) for name, obj in OBJECTS.items() for row in obj.rows if row.cases is not None]
 
 
 def _row_id(name, row):
@@ -1046,6 +940,11 @@ def _pinned(obj, route, seen=()):
     )
 
 
+def _named_test(name):
+    module, function = name.split("::")
+    return getattr(importlib.import_module(module), function, None)
+
+
 @pytest.mark.parametrize("name", OBJECTS)
 def test_every_object_has_an_oracle_and_every_route_a_row(name):
     obj = OBJECTS[name]
@@ -1054,6 +953,14 @@ def test_every_object_has_an_oracle_and_every_route_a_row(name):
     assert ORACLE in kinds
     assert {r for row in obj.rows for r in (row.route, row.against)} == set(obj.routes)
     assert [route for route in obj.routes if not _pinned(obj, route)] == []
+    # each pair is checked once: by the row's cases or by the tests it names
+    pairs = [(row.route, row.against) for row in obj.rows]
+    assert len(set(pairs)) == len(pairs)
+    for row in obj.rows:
+        assert (row.cases is None) == bool(row.by), _row_id(name, row)
+        if row.cases is not None:
+            assert obj.routes[row.route].run and obj.routes[row.against].run, _row_id(name, row)
+        assert [t for t in row.by if not (t.split("::")[1].startswith("test_") and callable(_named_test(t)))] == []
 
 
 def test_every_public_engine_is_on_a_route():
