@@ -236,10 +236,12 @@ class WeightSpec:
     c: float = 0.0
 
     def __post_init__(self):
-        if self.law == "loggamma" and not self.mu > 0.0:
-            raise DomainError("loggamma law requires mu > 0")
+        if self.law == "loggamma" and not 0.0 < self.mu < math.inf:
+            raise DomainError("loggamma law requires mu > 0, finite, got %r" % (self.mu,))
         if self.law == "bernoulli" and not 0.0 < self.p < 1.0:
             raise DomainError("bernoulli law requires 0 < p < 1")
+        if self.law == "const" and not math.isfinite(self.c):
+            raise DomainError("const law requires a finite c, got %r" % (self.c,))
         if self.law not in ("loggamma", "exp1", "gauss", "bernoulli", "const"):
             raise DomainError("unknown weight law %r" % (self.law,))
 

@@ -51,8 +51,10 @@ def trigamma(x: float) -> float:
 
 
 def log_factorial(n: int) -> float:
-    if n < 0:
-        raise DomainError("log_factorial requires n >= 0")
+    """log n! for a whole number n (3 and 3.0 alike); any other n raises
+    DomainError."""
+    if not (0 <= n < math.inf and n == int(n)):
+        raise DomainError("log_factorial requires n >= 0, finite and integral, got %r" % (n,))
     return float(sps.gammaln(n + 1.0))
 
 
@@ -89,8 +91,8 @@ def gamma_q(a: float, x: float) -> float:
     DomainError for a > 4e5 and x < a - 4.4 sqrt(a), where scipy is off."""
     if not a > 0.0:
         raise DomainError("gamma_q requires a > 0")
-    if x < 0.0:
-        raise DomainError("gamma_q requires x >= 0")
+    if not x >= 0.0:
+        raise DomainError("gamma_q requires x >= 0, got %r" % (x,))
     if a > _MU_ACCURATE and x < a - _X_BAND * math.sqrt(a):
         raise DomainError(
             "gamma_q: a = %r > %g is inaccurate for x < a - %g sqrt(a)" % (a, _MU_ACCURATE, _X_BAND)
@@ -102,6 +104,8 @@ def inv_gamma_cdf(mu: float, s: float) -> float:
     """CDF F_mu(s) of the inverse-gamma law with density s^(-mu-1) e^(-1/s) / Gamma(mu)."""
     if not mu > 0.0:
         raise DomainError("inv_gamma_cdf requires mu > 0")
+    if math.isnan(s):
+        raise DomainError("inv_gamma_cdf requires s to be a number, got nan")
     if s <= 0.0:
         return 0.0
     return gamma_q(mu, 1.0 / s)
@@ -197,22 +201,27 @@ def _quantile_table(mu: float):
     and 0 otherwise: the interpolant at _DEGREE + 1 Chebyshev nodes in v.
     Those include the midpoints, so the build checks each interpolant at
     both interval edges against the exact route and raises
-    PrecisionLossError beyond 1e-12 max(1, |value|)."""
+    PrecisionLossError beyond 1e-12 max(1, |value|), or for a NaN miss.
+    A mu whose quantiles leave the float range (log zeta overflows below
+    mu of about 2e-307) raises DomainError."""
     lo = 1.0 - _U_BAND if mu > _MU_ACCURATE else _V_LOW
     base = -(-_bits(lo) >> _SHIFT)  # the first interval edge at or above lo
     edges = (np.arange(base, _TOP + 2, dtype=np.int64) << _SHIFT).view(np.float64)
     v = (edges[:-1] + 0.5 * (edges[1:] - edges[:-1]) * (_NODES[:, None] + 1.0)).ravel()
     coef = np.empty((_DEGREE + 1, 2 * (edges.size - 1)))
-    worst = 0.0
+    misses = []
     for side in (0, 1):
-        knots = _log_inv_gamma_quantile_v(mu, v, side).reshape(_DEGREE + 1, -1)
+        with np.errstate(over="ignore"):  # refused below
+            knots = _log_inv_gamma_quantile_v(mu, v, side).reshape(_DEGREE + 1, -1)
+            exact = _log_inv_gamma_quantile_v(mu, edges, side)
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(exact))):
+            raise DomainError("log_inv_gamma_quantile: mu = %r gives quantiles beyond the float range" % (mu,))
         c = _times(_CHEB_TO_MONO, _times(_VALUES_TO_CHEB, knots))
-        exact = _log_inv_gamma_quantile_v(mu, edges, side)
         tol = _TABLE_TOL * np.maximum(1.0, np.abs(exact))
-        left = np.abs(np.polynomial.polynomial.polyval(-1.0, c) - exact[:-1]) / tol[:-1]
-        right = np.abs(np.polynomial.polynomial.polyval(1.0, c) - exact[1:]) / tol[1:]
-        worst = max(worst, float(np.max(np.maximum(left, right))))
+        misses.append(np.abs(np.polynomial.polynomial.polyval(-1.0, c) - exact[:-1]) / tol[:-1])
+        misses.append(np.abs(np.polynomial.polynomial.polyval(1.0, c) - exact[1:]) / tol[1:])
         coef[:, side::2] = c
+    worst = float(np.max(np.concatenate(misses)))  # NaN if any miss is NaN
     if not worst <= 1.0:
         raise PrecisionLossError(
             "log_inv_gamma_quantile: table at mu = %r misses the exact route by %.3g tolerances"
@@ -292,14 +301,16 @@ def log_inv_gamma_quantile(mu: float, u):
     Every input size, scalars included, takes the same route, so a site's
     value does not depend on the batch it is computed in.
     environment.omega_grid runs the same body in blocks of sites.
-    Raises DomainError for mu <= 0, for u outside (0, 1) (NaN included),
-    and for mu > 4e5 and u > ndtr(4.5), where scipy's inverse is not
-    accurate; above mu = 4e5 the table starts at the first interval edge
-    past v = 1 - ndtr(4.5), and smaller v take the exact route.
+    Raises DomainError for mu outside (0, inf) (NaN included), for a mu
+    whose quantiles leave the float range (below about 2e-307), for u
+    outside (0, 1) (NaN included), and for mu > 4e5 and u > ndtr(4.5),
+    where scipy's inverse is not accurate; above mu = 4e5 the table starts
+    at the first interval edge past v = 1 - ndtr(4.5), and smaller v take
+    the exact route.
     """
     mu = float(mu)
-    if not mu > 0.0:
-        raise DomainError("log_inv_gamma_quantile requires mu > 0, got %r" % (mu,))
+    if not 0.0 < mu < math.inf:
+        raise DomainError("log_inv_gamma_quantile requires mu > 0, finite, got %r" % (mu,))
     flat = np.asarray(u, dtype=np.float64).ravel()
     out = np.empty(flat.shape)
     _log_inv_gamma_quantile_body(mu, flat, out)

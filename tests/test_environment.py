@@ -799,6 +799,20 @@ def test_block_plan_of_the_benchmark_sizes(monkeypatch):
         pytest.param(
             lambda: omega_grid([[1, 2], [3]], WeightSpec("exp1"), 1, 1), DomainError, "seed lanes", id="omega_grid_ragged"
         ),
+        # non-finite law parameters once drew NaN or infinite weights
+        pytest.param(
+            lambda: omega_grid(UniformField(3), WeightSpec("loggamma", mu=math.inf), 1, 1),
+            DomainError,
+            "mu > 0, finite",
+            id="loggamma_mu_inf",
+        ),
+        pytest.param(
+            lambda: polymer.single_path_logZ(UniformField(3), WeightSpec("const", c=math.nan), 1.0, (1, 1), (3, 3)),
+            DomainError,
+            "finite c",
+            id="const_c_nan",
+        ),
+        pytest.param(lambda: WeightSpec("const", c=-math.inf), DomainError, "finite c", id="const_c_inf"),
     ],
 )
 def test_environment_refusals_are_typed(call, exc, match):

@@ -266,6 +266,14 @@ def test_quantile_table_refuses_noisy_knots(monkeypatch, mu):
         special._quantile_table.__wrapped__(mu)
 
 
+def test_quantile_table_refuses_a_nan_miss(monkeypatch):
+    # Python's max(0.0, nan) is 0.0, so a check that folded the misses with
+    # max passed a NaN one
+    monkeypatch.setattr(special, "_TABLE_TOL", math.nan)
+    with pytest.raises(PrecisionLossError):
+        special._quantile_table.__wrapped__(2.0)
+
+
 @pytest.mark.parametrize("mu", _TESTED_MU + [2e6])
 def test_quantile_table_build_stays_within_10000_exact_points(monkeypatch, mu):
     # the build's cost is its exact-route evaluations, knots and edges
@@ -500,6 +508,18 @@ def test_bessel_k0_quadrature_oracle():
         pytest.param(lambda: gamma_q(1.0, -1.0), DomainError, "requires x >= 0", id="gamma_q_x"),
         pytest.param(lambda: inv_gamma_cdf(0.0, 1.0), DomainError, "requires mu > 0", id="inv_gamma_cdf"),
         pytest.param(lambda: inv_gamma_quantile(-1.0, 0.5), DomainError, "requires mu > 0", id="inv_gamma_quantile"),
+        # arguments no wrapper can evaluate once gave NaN, overflowed, or read
+        # log 2.5! as gammaln(3.5)
+        pytest.param(lambda: special.log_factorial(2.5), DomainError, "integral", id="log_factorial_fraction"),
+        pytest.param(lambda: special.log_factorial(math.nan), DomainError, "requires n >= 0", id="log_factorial_nan"),
+        pytest.param(lambda: gamma_q(2.0, math.nan), DomainError, "requires x >= 0", id="gamma_q_x_nan"),
+        pytest.param(lambda: inv_gamma_cdf(2.0, math.nan), DomainError, "got nan", id="inv_gamma_cdf_nan"),
+        pytest.param(
+            lambda: log_inv_gamma_quantile(math.inf, 0.5), DomainError, "mu > 0, finite", id="log_inv_gamma_quantile_mu_inf"
+        ),
+        pytest.param(
+            lambda: log_inv_gamma_quantile(1e-310, 0.5), DomainError, "float range", id="log_inv_gamma_quantile_mu_tiny"
+        ),
     ],
 )
 def test_special_refusals_are_typed(call, exc, match):
