@@ -444,12 +444,12 @@ _LANE_COUNTS = [(1,), (3,), (4,), (7,), (8,), (9,), (17,), (65,), (5, 13)]
 _RSK_LANES = _cases([_LG07] + _RSK_LAWS, lead=_LANE_COUNTS, side=9)
 _RSK_LANE_EXAMPLES = tuple(Case(lead, _LG07, 7, 5, 43) for lead in _LANE_COUNTS)
 _EXP_CASES = _cases([_EXP], lead=[(), (3,)], side=9, seeds=WIDE_SEEDS, include_start=True)
-# the five (n, m, k) on seeds that wrap mod 2^64
-_WIDE_EXAMPLES = tuple(
-    Case((), _EXP, n, m, seed, True, k=k)
-    for seed in (1, -5, 2**63 + 5, 2**64 + 3)
-    for n, m, k in [(1, 1, 1), (4, 3, 1), (3, 4, 2), (5, 4, 3), (4, 4, 4)]
-)
+
+
+def _on_wide_seeds(nmk):
+    """Cases (n, m, k) on seeds that wrap mod 2^64."""
+    return tuple(Case((), _EXP, n, m, seed, True, k=k) for seed in (1, -5, 2**63 + 5, 2**64 + 3) for n, m, k in nmk)
+
 
 LAST_PASSAGE = Object(
     routes={
@@ -515,17 +515,12 @@ LAST_PASSAGE = Object(
         ),
         # the two branches of the lane body, bitwise: the max-plus scan at
         # k = 1, tropical RSK above
-        Row(
-            "last_passage",
-            "scan_rectangle/max-plus",
-            _EXP_CASES,
-            examples=tuple(c for c in _WIDE_EXAMPLES if c.k == 1),
-        ),
+        Row("last_passage", "scan_rectangle/max-plus", _EXP_CASES, examples=_on_wide_seeds([(1, 1, 1), (4, 3, 1)])),
         Row(
             "last_passage",
             "corner_diagonal_sum(tropical_rsk)",
             _with_k(_EXP_CASES, least=2),
-            examples=tuple(c for c in _WIDE_EXAMPLES if c.k > 1),
+            examples=_on_wide_seeds([(3, 4, 2), (5, 4, 3), (4, 4, 4)]),
         ),
         # seed lanes as a uint64 array and as Python ints either side of
         # 2^63, which numpy would store as float64
@@ -601,11 +596,7 @@ _TAU_10743 = tuple(
     for m in range(1, 5)
     for k in range(1, m + 1)
 )
-
-
-def _transposed(cases):
-    return tuple(c._replace(w=c.h, h=c.w) for c in cases)
-
+_TAU_10743_TALL = tuple(c._replace(w=c.h, h=c.w) for c in _TAU_10743)
 
 TAU = Object(
     routes={
@@ -645,14 +636,7 @@ TAU = Object(
             examples=(Case((), (LG2, 1.0), 3, 2, 31, True), Case((), (LG2, 1.0), 4, 3, 31, True, k=2)) + _TAU_10743,
             max_examples=40,
         ),
-        Row(
-            "log_tau_tilde",
-            "brute_force_kpath_logZ",
-            _tall(_BRUTE_TAU_CASES),
-            bound=_relative(1e-13),
-            examples=_transposed(_TAU_10743),
-            max_examples=40,
-        ),
+        Row("log_tau_tilde", "brute_force_kpath_logZ", _tall(_BRUTE_TAU_CASES), _relative(1e-13), _TAU_10743_TALL, 40),
         # each seed lane is bitwise its own UniformField call
         Row(
             "log_tau/each_field",
@@ -666,22 +650,8 @@ TAU = Object(
             _tall(_TAU_LANES),
             examples=tuple(Case((3,), _LG15, m, 4, 7, True, k=k) for m in range(1, 5) for k in range(m + 1)),
         ),
-        Row(
-            "TauTable.log_tau",
-            "log_tau",
-            _wide(_TAU_CASES),
-            bound=_relative(1e-9),
-            examples=_TAU_10743,
-            max_examples=40,
-        ),
-        Row(
-            "TauTable.log_tau_tilde",
-            "log_tau_tilde",
-            _tall(_TAU_CASES),
-            bound=_relative(1e-9),
-            examples=_transposed(_TAU_10743),
-            max_examples=40,
-        ),
+        Row("TauTable.log_tau", "log_tau", _wide(_TAU_CASES), _relative(1e-9), _TAU_10743, 40),
+        Row("TauTable.log_tau_tilde", "log_tau_tilde", _tall(_TAU_CASES), _relative(1e-9), _TAU_10743_TALL, 40),
         # on the square, tau and tau~ are one object
         Row(
             "TauTable.log_tau_tilde",
@@ -771,13 +741,7 @@ KPATH = Object(
     },
     rows=(
         # no k-path gives -inf on both routes
-        Row(
-            "kpath_scan",
-            "enumeration",
-            _kpath_cases([(GAUSS, 50.0)]),
-            bound=_relative(1e-13),
-            max_examples=40,
-        ),
+        Row("kpath_scan", "enumeration", _kpath_cases([(GAUSS, 50.0)]), _relative(1e-13), max_examples=40),
         Row("kpath_scan/lanes", "kpath_scan", _kpath_cases([(GAUSS, 50.0)], lead=[(), (3,), (2, 2)]), max_examples=40),
         # stacked and diagonal ends at beta 0, 0.5 and 1, and mu = 1e-3,
         # where a float LGV determinant lost its sign on 25 of the 40 fields
