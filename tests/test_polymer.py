@@ -9,7 +9,7 @@ from nipoly import environment, polymer, rsk, scan
 from nipoly.environment import UniformField, WeightSpec, derive_seed, derive_seeds, omega_grid
 from nipoly.errors import DomainError, NoPathError
 from nipoly.kpath import kpath_scan
-from nipoly.lattice import rectangle_endpoints, stack_diag, stack_up
+from nipoly.lattice import enumerate_kpaths, rectangle_endpoints, stack_diag, stack_up
 from nipoly.polymer import (
     brute_force_kpath_logZ,
     free_energy_mc,
@@ -19,6 +19,7 @@ from nipoly.polymer import (
     k_linearity_probe,
     kpath_logZ,
     last_passage,
+    last_passage_batch,
     log_tau,
     log_tau_tilde,
     loggamma_rectangle,
@@ -205,6 +206,21 @@ def test_streamed_scan_equals_the_held_grid_bitwise(w, h, chunk, monkeypatch):
                     assert streamed.tobytes() == held.tobytes()
 
 
+@pytest.mark.parametrize(
+    "w, h, include_start",
+    [(256, 256, False), (256, 257, True), (257, 256, False), (2**16 + 1, 1, True), (1, 2**16 + 1, False)],
+)
+def test_single_path_logZ_streams_above_a_chunk_bitwise(w, h, include_start):
+    # a rectangle of at most _CHUNK cells is drawn whole, a larger one box
+    # by box; both give the bytes of the scan of the held grid
+    f = UniformField(23)
+    x = (-40, 3)
+    y = (x[0] + w - 1, x[1] + h - 1)
+    want = scan_rectangle(polymer._rectangle_logw(f, LG2, 0.5, x, y), include_start=include_start)
+    got = single_path_logZ(f, LG2, 0.5, x, y, include_start)
+    assert isinstance(got, float) and got == float(want)
+
+
 def test_streamed_boxes_draw_only_sites_of_the_rectangle(monkeypatch):
     # the corners of a box off the rectangle repeat a site of its edge, so
     # a law that refuses some site refuses it on both routes alike
@@ -295,6 +311,38 @@ def test_streamed_lanes_hold_one_box_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * box
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_lgv_vs_brute_force(beta):
+    xs, ys = rectangle_endpoints(3, 3, 2)
+    for s in range(5):
+        f = UniformField(derive_seed(100, s))
+        got = kpath_logZ(f, LG2, beta, xs, ys)
+        bf = brute_force_kpath_logZ(f, LG2, beta, xs, ys)
+        assert abs(got - bf) <= 1e-13 * max(1.0, abs(bf))
+
+
+def test_lgv_diagonal_endpoints():
+    xs = stack_diag((1, 1), 2)
+    ys = tuple((p[0] + 3, p[1] + 3) for p in xs)
+    for s in (0, 1):
+        f = UniformField(derive_seed(7, s))
+        got = kpath_logZ(f, LG2, 1.0, xs, ys)
+        bf = brute_force_kpath_logZ(f, LG2, 1.0, xs, ys)
+        assert abs(got - bf) <= 1e-13 * max(1.0, abs(bf))
+
+
+def test_kpath_matches_brute_force_at_tiny_mu():
+    # a float LGV determinant cancels on these fields: it loses its sign on
+    # 25 of the 40 and misses brute force on 11 more
+    spec = WeightSpec("loggamma", mu=1e-3)
+    xs, ys = rectangle_endpoints(4, 4, 2)
+    for s in range(40):
+        f = UniformField(derive_seed(5, s))
+        got = kpath_logZ(f, spec, 1.0, xs, ys)
+        bf = brute_force_kpath_logZ(f, spec, 1.0, xs, ys)
+        assert abs(got - bf) <= 1e-13 * abs(bf)
 
 
 def test_kpath_matches_extended_precision_at_n192():
@@ -397,6 +445,28 @@ def test_tau_table_is_small_size_only():
         TauTable(UniformField(1), 2.0, 7)
 
 
+def _enumerated_last_passage(e, k):
+    n, m = e.shape
+    ys = tuple((n, m - k + 1 + i) for i in range(k))
+    return max(
+        sum(e[a - 1, b - 1] for comp in kp for a, b in comp)
+        for kp in enumerate_kpaths(stack_up((1, 1), k), ys)
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_tropical_rsk_matches_enumeration(k):
+    for n in range(k, 7):
+        for m in range(k, 6):
+            f = UniformField(derive_seed(41, n, m, k))
+            e = omega_grid(
+                f, WeightSpec("exp1"), np.arange(1, n + 1)[:, None], np.arange(1, m + 1)[None, :]
+            )
+            want = _enumerated_last_passage(e, k)
+            assert float(corner_diagonal_sum(tropical_rsk(e), k)) == pytest.approx(want, rel=1e-14)
+            assert last_passage(f, n, m, k) == pytest.approx(want, rel=1e-14)
+
+
 def test_rsk_outputs_are_c_contiguous_lanes_first():
     logw = loggamma_rectangle(derive_seeds(43, np.arange(65)), 0.7, 7, 5)
     for engine in (grsk, tropical_rsk):
@@ -479,6 +549,39 @@ def test_last_passage_full_rectangle():
         f, WeightSpec("exp1"), np.arange(1, n + 1)[:, None], np.arange(1, m + 1)[None, :]
     )
     assert last_passage(f, n, m, k=m) == pytest.approx(float(e.sum()), rel=1e-12)
+
+
+def test_last_passage_batch_matches_scalar():
+    seeds = derive_seeds(5, 0x17, np.arange(4))
+    for k in (1, 2, 3):
+        batch = last_passage_batch(seeds, 6, 4, k)
+        for i, s in enumerate(seeds):
+            assert batch[i] == last_passage(UniformField(int(s)), 6, 4, k)
+
+
+def test_last_passage_batch_takes_python_ints_straddling_2_63():
+    # numpy stores such a list as float64, which would lose the low bits
+    seeds = [1, 2**63 + 1, -5]
+    for k in (1, 2, 3):
+        want = [last_passage(UniformField(s), 3, 3, k) for s in seeds]
+        assert last_passage_batch(seeds, 3, 3, k).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [1, -5, 2**63 + 5, 2**64 + 3])
+def test_last_passage_on_wide_seeds_matches_enumeration(seed):
+    f = UniformField(seed)
+    for n, m, k in [(1, 1, 1), (4, 3, 1), (3, 4, 2), (5, 4, 3), (4, 4, 4)]:
+        e = omega_grid(
+            f, WeightSpec("exp1"), np.arange(1, n + 1)[:, None], np.arange(1, m + 1)[None, :]
+        )
+        got = last_passage(f, n, m, k)
+        assert got == pytest.approx(_enumerated_last_passage(e, k), rel=1e-14)
+        # bit for bit the route before last_passage became a batch lane
+        if k == 1:
+            want = scan_rectangle(e, np.maximum, include_start=True)
+        else:
+            want = corner_diagonal_sum(tropical_rsk(e), k)
+        assert got == float(want)
 
 
 def test_last_passage_needs_k_at_most_min_side():

@@ -38,12 +38,11 @@ from nipoly import environment, kpath, polymer, rsk, scan
 from nipoly.environment import UniformField, WeightSpec, derive_seed, derive_seeds
 from nipoly.interface import build_phi, phi_inversion_residual
 from nipoly.kpath import kpath_scan
-from nipoly.lattice import enumerate_kpaths, macmahon_log_count, rectangle_endpoints, stack_diag, stack_up
+from nipoly.lattice import enumerate_kpaths, macmahon_log_count, rectangle_endpoints, stack_up
 from nipoly.polymer import (
     brute_force_kpath_logZ,
     kpath_logZ,
     last_passage,
-    last_passage_batch,
     log_tau,
     log_tau_tilde,
     loggamma_rectangle,
@@ -120,8 +119,7 @@ _LANE_STREAM = 0x70
 class Case(NamedTuple):
     """The log weights beta omega of law = (spec, beta) on the w x h sites
     from x, for the lanes lead: UniformField(seed) for lead (), else the
-    seed lanes derive_seeds(seed, _LANE_STREAM, i), or for a tuple seed the
-    lanes themselves, passed as a list of Python ints.  k is the number of
+    seed lanes derive_seeds(seed, _LANE_STREAM, i).  k is the number of
     paths; ends, of the k-path object, are its endpoints (absolute sites
     within the rectangle); chunk is environment._CHUNK for the band routes."""
 
@@ -139,8 +137,6 @@ class Case(NamedTuple):
 
 
 def _field(c):
-    if isinstance(c.seed, tuple):
-        return list(c.seed)
     return UniformField(c.seed) if c.lead == () else derive_seeds(c.seed, _LANE_STREAM, np.arange(math.prod(c.lead)))
 
 
@@ -348,17 +344,10 @@ SINGLE_PATH = Object(
             "scan_rectangle/grid",
             by=("test_polymer::test_streamed_scan_equals_the_held_grid_bitwise",),
         ),
-        # held up to a chunk, else streamed box by box: the examples fill a
-        # chunk of 64 or pass it by one row or one cell
         Row(
             "single_path_logZ",
             "scan_rectangle/grid",
-            _cases(_FIELD_LAWS, lead=[(), (3,)], x=_CORNERS, chunk=_CHUNKS),
-            examples=tuple(
-                Case((), (LG2, 0.5), w, h, 23, start, x=(-40, 3), chunk=64)
-                for w, h, start in [(8, 8, False), (8, 9, True), (9, 8, False), (5, 13, True), (13, 5, False)]
-                + [(65, 1, True), (1, 65, False)]
-            ),
+            by=("test_polymer::test_single_path_logZ_streams_above_a_chunk_bitwise",),
         ),
         # each seed lane is bitwise its own UniformField call, held or
         # streamed: 8 x 8 is a chunk of 64
@@ -423,14 +412,6 @@ def _path_sums(logw, xs, ys, include_start):
     ]
 
 
-def _enumerated_last_passage(c):
-    """The largest total over the k-paths from stacked ends across the
-    rectangle, for each lane."""
-    xs, ys = rectangle_endpoints(c.w, c.h, c.k)
-    local = [tuple((p[0] - 1, p[1] - 1) for p in v) for v in (xs, ys)]
-    return _per_lane(lambda a: max(_path_sums(a, *local, c.include_start)), c.lead, _logw(c))
-
-
 _EXP = (EXP1, 1.0)
 # the RSK scales: small, moderate and large spreads of the log weights
 _RSK_LAWS = [(GAUSS, s) for s in (0.1, 3.0, 300.0)]
@@ -443,12 +424,7 @@ _LG07 = (WeightSpec("loggamma", mu=0.7), 1.0)
 _LANE_COUNTS = [(1,), (3,), (4,), (7,), (8,), (9,), (17,), (65,), (5, 13)]
 _RSK_LANES = _cases([_LG07] + _RSK_LAWS, lead=_LANE_COUNTS, side=9)
 _RSK_LANE_EXAMPLES = tuple(Case(lead, _LG07, 7, 5, 43) for lead in _LANE_COUNTS)
-_EXP_CASES = _cases([_EXP], lead=[(), (3,)], side=9, seeds=WIDE_SEEDS, include_start=True)
-
-
-def _on_wide_seeds(nmk):
-    """Cases (n, m, k) on seeds that wrap mod 2^64."""
-    return tuple(Case((), _EXP, n, m, seed, True, k=k) for seed in (1, -5, 2**63 + 5, 2**64 + 3) for n, m, k in nmk)
+_WIDE_SEEDS_TEST = "test_polymer::test_last_passage_on_wide_seeds_matches_enumeration"
 
 
 LAST_PASSAGE = Object(
@@ -459,9 +435,7 @@ LAST_PASSAGE = Object(
         "tropical_rsk": Route(ENGINE, lambda c: tropical_rsk(_logw(c)), (tropical_rsk,)),
         # each lane by its own call
         "tropical_rsk/lanes": Route(ENGINE, lambda c: _per_lane(tropical_rsk, c.lead, _logw(c)), (tropical_rsk,)),
-        "corner_diagonal_sum(tropical_rsk)": Route(
-            ENGINE, lambda c: corner_diagonal_sum(tropical_rsk(_logw(c)), c.k), (tropical_rsk, corner_diagonal_sum)
-        ),
+        "corner_diagonal_sum(tropical_rsk)": Route(ENGINE, uses=(tropical_rsk, corner_diagonal_sum)),
         # a lane of last_passage_batch
         "last_passage": Route(
             ENGINE,
@@ -469,15 +443,11 @@ LAST_PASSAGE = Object(
             (scan_rectangle, tropical_rsk, corner_diagonal_sum),
         ),
         "last_passage/each_field": Route(ENGINE, lambda c: _per_field(lambda f: last_passage(f, c.w, c.h, c.k), c)),
-        "last_passage_batch": Route(
-            ENGINE,
-            lambda c: last_passage_batch(_field(c), c.w, c.h, c.k),
-            (scan_rectangle, tropical_rsk, corner_diagonal_sum),
-        ),
+        "last_passage_batch": Route(ENGINE, uses=(scan_rectangle, tropical_rsk, corner_diagonal_sum)),
         "fancy_index_scan/max-plus": Route(ORACLE, lambda c: _fancy_index_scan(_logw(c), np.maximum, c.include_start)),
         "row_wise_max_plus": Route(ORACLE),
         "row_major_tropical_rsk": Route(ORACLE, lambda c: _row_major_rsk(_logw(c), np.maximum)),
-        "enumeration": Route(ORACLE, _enumerated_last_passage),
+        "enumeration": Route(ORACLE),
     },
     rows=(
         Row(
@@ -500,41 +470,21 @@ LAST_PASSAGE = Object(
             max_examples=60,
         ),
         Row("tropical_rsk/lanes", "tropical_rsk", _RSK_LANES, examples=_RSK_LANE_EXAMPLES),
-        # every n <= 6, m <= 5 that holds k = 2 or 3 paths
         Row(
             "corner_diagonal_sum(tropical_rsk)",
             "enumeration",
-            _with_k(_cases([_EXP], side=6, include_start=True)),
-            bound=_relative(1e-14),
-            examples=tuple(
-                Case((), _EXP, n, m, derive_seed(41, n, m, k), True, k=k)
-                for k in (2, 3)
-                for n in range(k, 7)
-                for m in range(k, 6)
-            ),
+            by=("test_polymer::test_tropical_rsk_matches_enumeration",),
         ),
         # the two branches of the lane body, bitwise: the max-plus scan at
         # k = 1, tropical RSK above
-        Row("last_passage", "scan_rectangle/max-plus", _EXP_CASES, examples=_on_wide_seeds([(1, 1, 1), (4, 3, 1)])),
-        Row(
-            "last_passage",
-            "corner_diagonal_sum(tropical_rsk)",
-            _with_k(_EXP_CASES, least=2),
-            examples=_on_wide_seeds([(3, 4, 2), (5, 4, 3), (4, 4, 4)]),
-        ),
-        # seed lanes as a uint64 array and as Python ints either side of
-        # 2^63, which numpy would store as float64
+        Row("last_passage", "scan_rectangle/max-plus", by=(_WIDE_SEEDS_TEST,)),
+        Row("last_passage", "corner_diagonal_sum(tropical_rsk)", by=(_WIDE_SEEDS_TEST,)),
         Row(
             "last_passage_batch",
             "last_passage/each_field",
-            _with_k(_cases([_EXP], lead=[(1,), (4,)], side=6, seeds=WIDE_SEEDS, include_start=True)),
-            examples=tuple(
-                Case((len(seeds),), _EXP, n, m, seeds, True, k=k)
-                for n, m, seeds in [
-                    (6, 4, tuple(int(s) for s in derive_seeds(5, 0x17, np.arange(4)))),
-                    (3, 3, (1, 2**63 + 1, -5)),
-                ]
-                for k in (1, 2, 3)
+            by=(
+                "test_polymer::test_last_passage_batch_matches_scalar",
+                "test_polymer::test_last_passage_batch_takes_python_ints_straddling_2_63",
             ),
         ),
         # each seed lane is bitwise its own UniformField call
@@ -718,7 +668,6 @@ _TINY_MU = WeightSpec("loggamma", mu=1e-3)
 # cancels), and beta 0, 0.5 and 1 at mu = 2
 _KPATH_LAWS = [(GAUSS, 50.0), (_TINY_MU, 1.0)] + [(LG2, b) for b in (0.0, 0.5, 1.0)]
 _LANE_ENDS = (stack_up((1, 1), 2), stack_up((5, 6), 2))
-_DIAGONAL_ENDS = (stack_diag((1, 1), 2), stack_diag((4, 4), 2))
 
 KPATH = Object(
     routes={
@@ -735,31 +684,19 @@ KPATH = Object(
             ENGINE, lambda c: _per_field(lambda f: kpath_logZ(f, *c.law, *c.ends, c.include_start), c), (kpath_scan,)
         ),
         "enumeration": Route(ORACLE, _enumerated_kpath_logZ),
-        "brute_force_kpath_logZ": Route(
-            ORACLE, lambda c: _per_field(lambda f: brute_force_kpath_logZ(f, *c.law, *c.ends, c.include_start), c)
-        ),
+        "brute_force_kpath_logZ": Route(ORACLE),
     },
     rows=(
         # no k-path gives -inf on both routes
         Row("kpath_scan", "enumeration", _kpath_cases([(GAUSS, 50.0)]), _relative(1e-13), max_examples=40),
         Row("kpath_scan/lanes", "kpath_scan", _kpath_cases([(GAUSS, 50.0)], lead=[(), (3,), (2, 2)]), max_examples=40),
-        # stacked and diagonal ends at beta 0, 0.5 and 1, and mu = 1e-3,
-        # where a float LGV determinant lost its sign on 25 of the 40 fields
-        # and missed brute force on 11 more
         Row(
             "kpath_logZ",
             "brute_force_kpath_logZ",
-            _kpath_cases(_KPATH_LAWS, lead=[(), (3,)]).filter(_has_kpaths),
-            bound=_relative(1e-13),
-            examples=tuple(
-                _kpath_case((), (LG2, beta), rectangle_endpoints(3, 3, 2), derive_seed(100, s), False)
-                for beta in (0.0, 0.5, 1.0)
-                for s in range(5)
-            )
-            + tuple(_kpath_case((), (LG2, 1.0), _DIAGONAL_ENDS, derive_seed(7, s), False) for s in (0, 1))
-            + tuple(
-                _kpath_case((), (_TINY_MU, 1.0), rectangle_endpoints(4, 4, 2), derive_seed(5, s), False)
-                for s in range(40)
+            by=(
+                "test_polymer::test_lgv_vs_brute_force",
+                "test_polymer::test_lgv_diagonal_endpoints",
+                "test_polymer::test_kpath_matches_brute_force_at_tiny_mu",
             ),
         ),
         # each seed lane is bitwise its own UniformField call
